@@ -49,6 +49,7 @@ from .payoff import (
     half_linear_payoff,
     payoff_deriv,
     payoff_second_deriv,
+    payoff_terms,
     penalized_payoff,
 )
 from .equilibrium import (

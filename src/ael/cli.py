@@ -48,7 +48,7 @@ from .model import (
     default_rule,
     uniform_grid,
 )
-from .payoff import PayoffContext, payoff_deriv, penalized_payoff
+from .payoff import PayoffContext, payoff_deriv, payoff_terms, penalized_payoff
 from .simulator import SimConfig, estimate_limit_payoff, estimate_stats
 
 
@@ -412,7 +412,7 @@ def cmd_payoff_curve(cfg: RunConfig) -> int:
     ctx = PayoffContext(sigma_a, delta, market, cfg.fees(),
                         default_rule(market, cfg["solver.quad_n"]))
     xs = np.linspace(cfg["curve.x_min"], cfg["curve.x_max"], cfg["curve.n"])
-    rows = [[x, penalized_payoff(float(x), ctx), payoff_deriv(float(x), ctx)] for x in xs]
+    rows = np.column_stack([xs, *payoff_terms(xs, ctx, (0, 1))]).tolist()
     write_csv(cfg["output.path"], "payoff-curve", cfg, ["x", "payoff", "deriv"], rows)
     return 0
 

@@ -28,10 +28,11 @@ from .errors import (
     BracketFailure,
     DegenerateCase,
     DomainError,
+    NoConvergence,
     NonConcave,
     WrongScheme,
 )
-from .gaussmath import Bracket, find_root, maximize_concave, norm_cdf, norm_pdf
+from .gaussmath import Bracket, _sign_changes, find_root, norm_cdf, norm_pdf
 from .model import (
     FeeScheme,
     LinearDemand,
@@ -46,10 +47,12 @@ from .model import (
     sigma_rho,
     uniform_grid,
 )
-from .payoff import PayoffContext, payoff_deriv, payoff_second_deriv, penalized_payoff
+from .payoff import PayoffContext, payoff_terms
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_DOUBLINGS = 60
+_SCAN_N = 33  # derivative samples of the NonConcave scan
+_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,9 @@ def solve_degenerate(params: MarketParams, fees: FeeScheme) -> float:
     return _degenerate_root(fees, params.sigma_plus, params.rho)
 
 
-def existence_bound(params: MarketParams, fees: FeeScheme) -> tuple[float, float]:
+def existence_bound(
+    params: MarketParams, fees: FeeScheme, quad_n: int = 64
+) -> tuple[float, float]:
     """Closed-form invariant-set bound C and penalty threshold gamma_min.
 
     For the spread penalty, strategies within [0, C] keep every payoff
@@ -192,7 +197,8 @@ def existence_bound(params: MarketParams, fees: FeeScheme) -> tuple[float, float
     construction.  For half-linear demand the threshold is
     (kbar/2) * max_z(z Phi'(z) - (1 - Phi(z))), attained at z = sqrt(2),
     and C scales like kbar/(4 gamma) times the averaged slope of the
-    derivative at zero offset (maximized over sigma_a).
+    derivative at zero offset (maximized over 33 sigma_a, averaged with a
+    ``quad_n``-node rule).
     """
     if params.is_degenerate:
         raise DegenerateCase("existence bounds apply to sigma_minus < sigma_plus only")
@@ -210,12 +216,9 @@ def existence_bound(params: MarketParams, fees: FeeScheme) -> tuple[float, float
 
     z = _SQRT2
     gamma_min = 0.5 * fees.kbar * (z * norm_pdf(z) - (1.0 - norm_cdf(z)))
-    nodes, w = average_nodes(params)
-    best = 0.0
-    for sa in np.linspace(sm, sp, 33):
-        sig = sigma_rho(float(sa), nodes, rho)
-        q = q_rho(float(sa), nodes, rho)
-        best = max(best, float(np.dot(w, sig * q)))
+    nodes, w = average_nodes(params, quad_n)
+    sa = np.linspace(sm, sp, 33)[:, None]
+    best = max(0.0, float(np.max((sigma_rho(sa, nodes, rho) * q_rho(sa, nodes, rho)) @ w)))
     c = fees.kbar / (4.0 * fees.gamma) * best * norm_pdf(0.0)
     return c, gamma_min
 
@@ -225,35 +228,69 @@ def best_response(
 ) -> Strategy:
     """Pointwise argmax strategy against ``delta`` on the same grid.
 
-    The search interval is [0, hi] where hi doubles from
-    ``cfg.search_cap`` until the payoff derivative turns negative (it
-    always does: the derivative tends to minus infinity).  NonConcave
-    from the kernel propagates.
+    All grid points are solved at once on one batched payoff kernel.  The
+    search interval [0, hi] has hi doubling from ``cfg.search_cap`` until
+    the payoff derivative turns negative (it always does: the derivative
+    tends to minus infinity); BracketFailure after 60 doublings.  A point
+    whose derivative at 0 is <= 0 responds with 0.  For the others the
+    derivative is scanned on 33 points of [0, hi], one column of all
+    points per kernel call, so no (points, 33, nodes) array is built;
+    NonConcave is raised when a point's scan changes sign more than once
+    (exact zeros ignored).  The leftmost sign change brackets the root,
+    which a bracket-safeguarded Newton iteration on the analytic second
+    derivative refines to max(tol * 1e-3, 1e-13).
     """
     _require_rho_bound(params)
-    rule = default_rule(params, cfg.quad_n)
+    ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, cfg.quad_n))
     argmax_tol = max(cfg.tol * 1e-3, 1e-13)
-    out = np.empty(delta.grid.shape)
-    for i, sa in enumerate(delta.grid):
-        ctx = PayoffContext(float(sa), delta, params, fees, rule)
 
-        def dfun(x: float, ctx=ctx) -> float:
-            return payoff_deriv(x, ctx)
+    hi = np.full(delta.grid.shape, float(cfg.search_cap))
+    for _ in range(_MAX_DOUBLINGS):
+        (d_hi,) = payoff_terms(hi, ctx, (1,))
+        up = ~(d_hi < 0.0)
+        if not up.any():
+            break
+        hi = np.where(up, 2.0 * hi, hi)
+    else:
+        raise BracketFailure(f"payoff derivative never turned negative below {hi.max()} "
+                             f"(sigma_a={delta.grid[np.argmax(up)]})")
 
-        hi = cfg.search_cap
-        for _ in range(_MAX_DOUBLINGS):
-            if dfun(hi) < 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise BracketFailure(
-                f"payoff derivative never turned negative below {hi} (sigma_a={sa})"
-            )
-        x, _ = maximize_concave(
-            lambda x, ctx=ctx: penalized_payoff(x, ctx), dfun, 0.0, hi, tol=argmax_tol
-        )
-        out[i] = x
-    return Strategy(delta.grid, out)
+    xs = np.linspace(0.0, hi, _SCAN_N, axis=-1)
+    ds = np.empty(xs.shape)
+    ds[:, -1] = d_hi
+    for j in range(_SCAN_N - 1):
+        (ds[:, j],) = payoff_terms(xs[:, j], ctx, (1,))
+    # leftmost + -> - crossing; ds[:, 0] > 0 > ds[:, -1] guarantees one
+    k = np.argmax((ds[:, :-1] > 0.0) & (ds[:, 1:] <= 0.0), axis=-1)
+    rows = np.arange(k.size)
+    lo, up = xs[rows, k], xs[rows, k + 1]
+    f_lo, f_up = ds[rows, k], ds[rows, k + 1]
+    rising = ds[:, 0] > 0.0  # the others respond with 0
+    x = np.where(rising, up, 0.0)
+    active = rising & (f_up != 0.0)
+    x[active] -= (up - lo)[active] * f_up[active] / (f_up - f_lo)[active]  # secant start
+
+    for _ in range(_MAX_NEWTON):
+        if not active.any():
+            break
+        d1, d2 = payoff_terms(x, ctx, (1, 2))
+        lo = np.where(d1 > 0.0, x, lo)
+        up = np.where(d1 < 0.0, x, up)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - d1 / d2
+        nxt = np.where((nxt > lo) & (nxt < up), nxt, 0.5 * (lo + up))
+        converged = np.abs(nxt - x) <= argmax_tol
+        x = np.where(active, nxt, x)
+        active &= ~converged
+    if active.any():
+        raise NoConvergence(f"best response not located within {_MAX_NEWTON} Newton steps")
+
+    nonconcave = rising & (_sign_changes(ds) > 1)
+    if nonconcave.any():
+        i = int(np.argmax(nonconcave))
+        raise NonConcave(f"derivative changes sign more than once on [0, {hi[i]}] "
+                         f"(sigma_a={delta.grid[i]})", smallest_root=float(x[i]))
+    return Strategy(delta.grid, x)
 
 
 def _concavity_ok(
@@ -263,16 +300,16 @@ def _concavity_ok(
     cfg: SolverConfig,
     bound_c: float,
 ) -> bool:
-    """Sample the second derivative on (0, bound_C) for negativity."""
+    """Sample the second derivative on (0, bound_C) for negativity at 11
+    sigma_a by 50 offsets, one kernel call over all 11 sigma_a per offset."""
     if not bound_c > 0.0 or not math.isfinite(bound_c):
         return False
-    rule = default_rule(params, cfg.quad_n)
-    xs = np.linspace(0.0, bound_c, 52)[1:-1]
-    for sa in np.linspace(params.sigma_minus, params.sigma_plus, 11):
-        ctx = PayoffContext(float(sa), delta, params, fees, rule)
-        for x in xs:
-            if payoff_second_deriv(float(x), ctx) >= 0.0:
-                return False
+    sigmas = np.linspace(params.sigma_minus, params.sigma_plus, 11)
+    ctx = PayoffContext(sigmas, delta, params, fees, default_rule(params, cfg.quad_n))
+    for x in np.linspace(0.0, bound_c, 52)[1:-1]:
+        (d2,) = payoff_terms(x, ctx, (2,))
+        if np.any(d2 >= 0.0):
+            return False
     return True
 
 
@@ -303,7 +340,7 @@ def solve_fixed_point(
         start = root
     else:
         grid = uniform_grid(params, cfg.grid_n)
-        bound_c, gamma_min = existence_bound(params, fees)
+        bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
         if gamma >= gamma_min:
             start = 0.5 * bound_c
         else:
@@ -369,8 +406,9 @@ def verify_ne(
     """Largest deviation gain over sampled quote offsets.
 
     Scans x in [0, 3 * max(delta)] at every grid sigma_a and returns the
-    maximum of payoff(x) - payoff(delta(sigma_a)), floored at zero.  A
-    true equilibrium yields a value at solver-tolerance level.
+    maximum of payoff(x) - payoff(delta(sigma_a)), floored at zero.  Each
+    grid point is one batched kernel call on an (x_samples + 1, nodes)
+    block.  A true equilibrium yields a value at solver-tolerance level.
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
@@ -380,11 +418,10 @@ def verify_ne(
     xs = np.linspace(0.0, hi, x_samples)
     rule = default_rule(params, quad_n)
     worst = -math.inf
-    for i, sa in enumerate(delta.grid):
+    for sa, held in zip(delta.grid, delta.values):
         ctx = PayoffContext(float(sa), delta, params, fees, rule)
-        held = penalized_payoff(float(delta.values[i]), ctx)
-        best = max(penalized_payoff(float(x), ctx) for x in xs)
-        worst = max(worst, best - held)
+        (vals,) = payoff_terms(np.append(xs, held), ctx, (0,))
+        worst = max(worst, float(vals[:-1].max() - vals[-1]))
     return max(worst, 0.0)
 
 

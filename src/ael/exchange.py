@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoEquilibrium
+from .errors import AelError, DomainError, NoEquilibrium
 from .gaussmath import Bracket, find_root, norm_cdf, norm_pdf
 from .model import MarketParams, SpreadQuad, Strategy, average_nodes
 from .equilibrium import SolverConfig, solve_degenerate, solve_fixed_point
@@ -113,7 +113,11 @@ def revenue_curve(
     cfg: SolverConfig = SolverConfig(),
     warm_start: bool = True,
 ) -> list[RevenuePoint]:
-    """Revenue at each gamma with convergence flags; never aborts the sweep.
+    """Revenue at each gamma with convergence flags.
+
+    A gamma whose solve raises an ``AelError`` is recorded as not
+    converged and the sweep goes on; any other exception is a bug and
+    propagates.
 
     Non-degenerate solves reuse the previous converged strategy as the
     next initial iterate (``warm_start``), which only changes the
@@ -132,14 +136,14 @@ def revenue_curve(
             try:
                 root = solve_degenerate(params, SpreadQuad(g))
                 points.append(RevenuePoint(g, g * root * root, True))
-            except Exception:
+            except AelError:
                 points.append(RevenuePoint(g, math.nan, False))
             continue
         try:
             report = solve_fixed_point(
                 params, SpreadQuad(g), cfg, init=carry if warm_start else None
             )
-        except Exception:
+        except AelError:
             points.append(RevenuePoint(g, math.nan, False))
             carry = None
             continue

@@ -14,6 +14,7 @@ in the argmax whenever an analytic derivative is available.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -135,13 +136,14 @@ def find_root(
     raise NoConvergence(f"root not located within {max_iter} iterations")
 
 
-def _sign_changes(values: np.ndarray) -> int:
-    """Count strict sign flips, ignoring exact zeros."""
+def _sign_changes(values: np.ndarray):
+    """Count strict sign flips along the last axis, ignoring exact zeros."""
     signs = np.sign(values)
-    nz = signs[signs != 0.0]
-    if nz.size < 2:
-        return 0
-    return int(np.count_nonzero(nz[:-1] != nz[1:]))
+    # carry the last nonzero sign forward over zeros
+    last = np.where(signs != 0.0, np.arange(signs.shape[-1]), 0)
+    np.maximum.accumulate(last, axis=-1, out=last)
+    signs = np.take_along_axis(signs, last, axis=-1)
+    return np.count_nonzero((signs[..., 1:] != signs[..., :-1]) & (signs[..., :-1] != 0.0), axis=-1)
 
 
 def maximize_concave(
@@ -223,6 +225,15 @@ class QuadratureRule:
         weights.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights on [-1, 1]; cached, as the eigensolve costs ~1 ms."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, n: int = 64) -> QuadratureRule:
     """Gauss-Legendre rule with ``n`` nodes mapped onto [a, b].
 
@@ -233,7 +244,7 @@ def gauss_legendre(a: float, b: float, n: int = 64) -> QuadratureRule:
     """
     if n < 1:
         raise DomainError("need at least one node")
-    x, w = leggauss(n)
+    x, w = _legendre(n)
     half = 0.5 * (b - a)
     return QuadratureRule(nodes=a + half * (x + 1.0), weights=w * half, a=a, b=b)
 

@@ -28,15 +28,19 @@ volume-weighted variant
                           + S (x - d)/2 * Phi'(u) ] - g x^2
     h'(x) = (kbar/2) avg[ -x (1 - Phi(u)) + S Q Phi'(u) ] - 2 g x.
 
-Every quantity that does not depend on x (nodes, S, Q, strategy values
-at the nodes, strategy moments) is cached at context construction, so
-the argmax loops pay only Phi/Phi' evaluations per call.  Contexts are
-immutable and evaluations pure, hence freely shareable across workers.
+One kernel, ``payoff_terms``, evaluates all of these.  A context built
+on an array of sigma_a caches S, Q and Q~ as matrices with one row per
+sigma_a and one column per quadrature node, once, together with the
+strategy values at the nodes and their moments.  Each call computes
+u, Phi(u) and Phi'(u) once for a whole array of offsets and derives the
+requested value and derivatives from them; the fee scheme contributes
+one closed-form quadratic penalty.  The scalar functions below are
+one-point calls into the same kernel.  Contexts are immutable and
+evaluations pure, hence freely shareable across workers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +65,15 @@ from .model import (
 
 @dataclass(frozen=True)
 class PayoffContext:
-    """Frozen evaluation context for one (sigma_a, opponent strategy) pair."""
+    """Frozen evaluation context for one sigma_a, or an array of them,
+    against a fixed opponent strategy.
 
-    sigma_a: float
+    With an array ``sigma_a`` the caches gain its shape in front of the
+    node axis, and ``payoff_terms`` takes offsets that broadcast against
+    that shape.
+    """
+
+    sigma_a: float | np.ndarray
     delta: Strategy
     params: MarketParams
     fees: FeeScheme
@@ -82,7 +92,8 @@ class PayoffContext:
     def __post_init__(self):
         p = self.params
         slack = 1e-12 * max(1.0, p.sigma_plus)
-        if not p.sigma_minus - slack <= self.sigma_a <= p.sigma_plus + slack:
+        sa = np.asarray(self.sigma_a, dtype=float)
+        if not np.all((p.sigma_minus - slack <= sa) & (sa <= p.sigma_plus + slack)):
             raise DomainError(
                 f"sigma_a = {self.sigma_a} outside [{p.sigma_minus}, {p.sigma_plus}]"
             )
@@ -93,7 +104,7 @@ class PayoffContext:
             w = self.rule.weights / (p.sigma_plus - p.sigma_minus)
         else:
             nodes, w = average_nodes(p)
-        sa = float(self.sigma_a)
+        sa = sa[..., None]
         set_ = object.__setattr__
         set_(self, "nodes", nodes)
         set_(self, "w", w)
@@ -105,115 +116,103 @@ class PayoffContext:
         set_(self, "e_delta2", float(np.dot(w, self.delta_b**2)))
 
 
-def base_payoff(x: float, ctx: PayoffContext) -> float:
-    """Expected payoff with no fees, regardless of ctx.fees."""
-    u = (x + ctx.delta_b) / ctx.sig
-    terms = 0.5 * (x - ctx.delta_b) * (1.0 - norm_cdf(u)) + ctx.sig * (0.5 - ctx.q) * norm_pdf(u)
-    return float(np.dot(ctx.w, terms))
-
-
-def _base_deriv(x: float, ctx: PayoffContext) -> float:
-    u = (x + ctx.delta_b) / ctx.sig
-    terms = 0.5 * (1.0 - norm_cdf(u)) + (
-        (-x * ctx.qt + ctx.delta_b * ctx.q) / ctx.sig
-    ) * norm_pdf(u)
-    return float(np.dot(ctx.w, terms))
-
-
-def _base_second_deriv(x: float, ctx: PayoffContext) -> float:
-    u = (x + ctx.delta_b) / ctx.sig
-    s2 = ctx.sig * ctx.sig
-    bracket = (
-        -(0.5 + ctx.qt + ctx.q * ctx.delta_b**2 / s2)
-        + (ctx.qt - ctx.q) * x * ctx.delta_b / s2
-        + ctx.qt * x * x / s2
-    )
-    return float(np.dot(ctx.w, norm_pdf(u) / ctx.sig * bracket))
-
-
-def _mid_quad_constant(ctx: PayoffContext) -> float:
+def _mid_quad_constant(ctx: PayoffContext):
     """x-free part of the mid-price penalty expectation (without gamma/4)."""
     e_sb, e_sb2 = uniform_sigma_moments(ctx.params)
-    sa = ctx.sigma_a
+    sa = np.asarray(ctx.sigma_a, dtype=float)
     return ctx.e_delta2 + sa * sa + e_sb2 + 2.0 * ctx.params.rho * sa * e_sb
 
 
-def penalized_payoff(x: float, ctx: PayoffContext) -> float:
-    """Payoff net of the exchange penalty, dispatching on the fee scheme."""
+# The exchange penalty a x^2 + b x + c each scheme subtracts from the payoff.
+_PENALTY = {
+    NoFee: lambda f, ctx: (0.0, 0.0, 0.0),
+    SpreadQuad: lambda f, ctx: (f.gamma, 0.0, 0.0),
+    LinearDemand: lambda f, ctx: (f.gamma, 0.0, 0.0),
+    MidQuad: lambda f, ctx: (
+        0.25 * f.gamma, -0.5 * f.gamma * ctx.e_delta, 0.25 * f.gamma * _mid_quad_constant(ctx)
+    ),
+}
+
+
+def _averages(x: np.ndarray, ctx: PayoffContext, orders, volume: bool) -> list:
+    """Averages over sigma_b of the base integrand (the half-linear one
+    times kbar/2 with ``volume``) and its x-derivatives, one per order."""
+    xx = x[..., None]
+    d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
+    u = (xx + d) / s
+    tail = 1.0 - norm_cdf(u)
+    dens = norm_pdf(u)
+    if volume:
+        scale = 0.5 * ctx.fees.kbar
+        terms = (
+            lambda: (s * s * (0.5 - q) - 0.5 * (xx - d) * (d + xx)) * tail
+            + s * (0.5 * (xx - d)) * dens,
+            lambda: -xx * tail + s * q * dens,
+            lambda: -tail + ((qt * xx - q * d) / s) * dens,
+        )
+    else:
+        scale = 1.0
+        terms = (
+            lambda: 0.5 * (xx - d) * tail + s * (0.5 - q) * dens,
+            lambda: 0.5 * tail + ((d * q - xx * qt) / s) * dens,
+            lambda: dens / s * (
+                -(0.5 + qt + q * d * d / (s * s)) + ((qt - q) * xx * d + qt * xx * xx) / (s * s)
+            ),
+        )
+    return [scale * (terms[k]() @ ctx.w) for k in orders]
+
+
+def payoff_terms(x, ctx: PayoffContext, orders=(0, 1, 2)) -> list:
+    """Penalized payoff (order 0) and its first and second x-derivatives
+    (orders 1 and 2) at the offsets ``x``, one array per requested order.
+
+    ``x`` broadcasts against the shape of ``ctx.sigma_a``: one offset per
+    sigma_a, or any array of offsets for a single sigma_a.
+    """
     fees = ctx.fees
-    if isinstance(fees, NoFee):
-        return base_payoff(x, ctx)
-    if isinstance(fees, SpreadQuad):
-        return base_payoff(x, ctx) - fees.gamma * x * x
-    if isinstance(fees, MidQuad):
-        pen = 0.25 * (x * x - 2.0 * x * ctx.e_delta + _mid_quad_constant(ctx))
-        return base_payoff(x, ctx) - fees.gamma * pen
-    if isinstance(fees, LinearDemand):
-        return half_linear_payoff(x, ctx)
-    raise WrongScheme(f"unknown fee scheme {fees!r}")
+    if type(fees) not in _PENALTY:
+        raise WrongScheme(f"unknown fee scheme {fees!r}")
+    a, b, c = _PENALTY[type(fees)](fees, ctx)
+    x = np.asarray(x, dtype=float)
+    penalty = (lambda: x * (a * x + b) + c, lambda: 2.0 * a * x + b, lambda: 2.0 * a)
+    avgs = _averages(x, ctx, orders, isinstance(fees, LinearDemand))
+    return [avg - penalty[k]() for k, avg in zip(orders, avgs)]
+
+
+def base_payoff(x: float, ctx: PayoffContext) -> float:
+    """Expected payoff with no fees, regardless of ctx.fees."""
+    return float(_averages(np.asarray(x, dtype=float), ctx, (0,), False)[0])
+
+
+def penalized_payoff(x: float, ctx: PayoffContext) -> float:
+    """Payoff net of the exchange penalty of ctx.fees."""
+    return float(payoff_terms(x, ctx, (0,))[0])
 
 
 def payoff_deriv(x: float, ctx: PayoffContext) -> float:
     """d/dx of penalized_payoff."""
-    fees = ctx.fees
-    if isinstance(fees, NoFee):
-        return _base_deriv(x, ctx)
-    if isinstance(fees, SpreadQuad):
-        return _base_deriv(x, ctx) - 2.0 * fees.gamma * x
-    if isinstance(fees, MidQuad):
-        return _base_deriv(x, ctx) - 0.5 * fees.gamma * (x - ctx.e_delta)
-    if isinstance(fees, LinearDemand):
-        return half_linear_deriv(x, ctx)
-    raise WrongScheme(f"unknown fee scheme {fees!r}")
+    return float(payoff_terms(x, ctx, (1,))[0])
 
 
 def payoff_second_deriv(x: float, ctx: PayoffContext) -> float:
     """d^2/dx^2 of penalized_payoff."""
-    fees = ctx.fees
-    if isinstance(fees, NoFee):
-        return _base_second_deriv(x, ctx)
-    if isinstance(fees, SpreadQuad):
-        return _base_second_deriv(x, ctx) - 2.0 * fees.gamma
-    if isinstance(fees, MidQuad):
-        return _base_second_deriv(x, ctx) - 0.5 * fees.gamma
-    if isinstance(fees, LinearDemand):
-        return _half_linear_second_deriv(x, ctx)
-    raise WrongScheme(f"unknown fee scheme {fees!r}")
+    return float(payoff_terms(x, ctx, (2,))[0])
 
 
-def _require_linear_demand(ctx: PayoffContext) -> LinearDemand:
+def _require_linear_demand(ctx: PayoffContext) -> None:
     if not isinstance(ctx.fees, LinearDemand):
         raise WrongScheme(
             f"half-linear payoff requires LinearDemand fees, got {type(ctx.fees).__name__}"
         )
-    return ctx.fees
 
 
 def half_linear_payoff(x: float, ctx: PayoffContext) -> float:
     """Volume-weighted payoff under half-linear demand schedules."""
-    fees = _require_linear_demand(ctx)
-    d = ctx.delta_b
-    u = (x + d) / ctx.sig
-    s2 = ctx.sig * ctx.sig
-    terms = (s2 * (0.5 - ctx.q) - 0.5 * (x - d) * (d + x)) * (1.0 - norm_cdf(u)) + ctx.sig * (
-        0.5 * (x - d)
-    ) * norm_pdf(u)
-    val = 0.5 * fees.kbar * float(np.dot(ctx.w, terms))
-    return val - fees.gamma * x * x
+    _require_linear_demand(ctx)
+    return penalized_payoff(x, ctx)
 
 
 def half_linear_deriv(x: float, ctx: PayoffContext) -> float:
     """d/dx of half_linear_payoff."""
-    fees = _require_linear_demand(ctx)
-    u = (x + ctx.delta_b) / ctx.sig
-    terms = -x * (1.0 - norm_cdf(u)) + ctx.sig * ctx.q * norm_pdf(u)
-    return 0.5 * fees.kbar * float(np.dot(ctx.w, terms)) - 2.0 * fees.gamma * x
-
-
-def _half_linear_second_deriv(x: float, ctx: PayoffContext) -> float:
-    fees = _require_linear_demand(ctx)
-    u = (x + ctx.delta_b) / ctx.sig
-    terms = -(1.0 - norm_cdf(u)) + (
-        (ctx.qt * x - ctx.q * ctx.delta_b) / ctx.sig
-    ) * norm_pdf(u)
-    return 0.5 * fees.kbar * float(np.dot(ctx.w, terms)) - 2.0 * fees.gamma
+    _require_linear_demand(ctx)
+    return payoff_deriv(x, ctx)

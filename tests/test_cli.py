@@ -1,0 +1,69 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ael
+from ael.cli import main
+from ael.model import MarketParams, SpreadQuad, Strategy, default_rule
+from ael.payoff import PayoffContext, payoff_deriv, penalized_payoff
+
+TOY = ["--solver.grid_n", "11", "--solver.quad_n", "16"]
+
+
+def data_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return lines[0].split(","), [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+
+
+def test_solve_ne_rerun_is_byte_identical(tmp_path):
+    out = tmp_path / "ne.csv"
+    runs = []
+    for _ in range(2):
+        assert main(["solve-ne", "-o", str(out), *TOY]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_unknown_key_is_config_error(tmp_path):
+    assert main(["solve-ne", "-o", str(tmp_path / "x.csv"), "--solver.no_such_key", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--fees.scheme", "none"], ["--strict", "--solver.max_iter", "1"]],
+    ids=["no_equilibrium_scheme", "strict_not_converged"],
+)
+def test_solve_failure_exit_code(tmp_path, args):
+    assert main(["solve-ne", "-o", str(tmp_path / "x.csv"), *TOY, *args]) == 3
+
+
+def test_payoff_curve_matches_scalar_functions(tmp_path):
+    out = tmp_path / "curve.csv"
+    args = ["--strategy.constant", "0.3", "--curve.n", "41"]
+    assert main(["payoff-curve", "-o", str(out), *TOY, *args]) == 0
+    header, rows = data_rows(out)
+    assert header == ["x", "payoff", "deriv"] and len(rows) == 41
+    market = MarketParams(0.1, 1.1, 0.0)
+    ctx = PayoffContext(0.6, Strategy.constant(0.3, market, 11), market, SpreadQuad(2.0),
+                        default_rule(market, 16))
+    for x, value, deriv in rows:
+        assert abs(value - penalized_payoff(x, ctx)) <= 1e-15
+        assert abs(deriv - payoff_deriv(x, ctx)) <= 1e-15
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(ael.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "ne.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ael", "solve-ne", "-o", str(out), *TOY],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    from_subprocess = out.read_bytes()
+    assert main(["solve-ne", "-o", str(out), *TOY]) == 0
+    assert out.read_bytes() == from_subprocess

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from ael.errors import DegenerateCase, DomainError, WrongScheme
+import ael.equilibrium as equilibrium
+from ael.errors import BracketFailure, DegenerateCase, DomainError, NonConcave, WrongScheme
 from ael.gaussmath import norm_cdf, norm_pdf
 from ael.model import (
     LinearDemand,
@@ -14,7 +15,12 @@ from ael.model import (
     NoFee,
     SpreadQuad,
     Strategy,
+    average_nodes,
+    default_rule,
+    q_rho,
+    sigma_rho,
 )
+from ael.payoff import PayoffContext, payoff_deriv
 from ael.equilibrium import (
     SolverConfig,
     best_response,
@@ -233,3 +239,98 @@ class TestVerifyNe:
 
     def test_no_fee_always_gains(self, main_params, solved_gamma2):
         assert verify_ne(solved_gamma2.strategy, main_params, NoFee()) > 1e-4
+
+
+def scalar_best_response(delta, params, fees, quad_n=64):
+    """Per-point reference: brentq on the scalar payoff derivative."""
+    rule = default_rule(params, quad_n)
+    out = []
+    for sa in delta.grid:
+        ctx = PayoffContext(float(sa), delta, params, fees, rule)
+        f = lambda x: payoff_deriv(x, ctx)
+        if f(0.0) <= 0.0:
+            out.append(0.0)
+            continue
+        hi = 1.0
+        while f(hi) >= 0.0:
+            hi *= 2.0
+        out.append(scipy.optimize.brentq(f, 0.0, hi, xtol=1e-15, rtol=1e-15))
+    return np.array(out)
+
+
+class TestBatchedBestResponse:
+    @pytest.mark.parametrize(
+        "params",
+        [MarketParams(0.1, 1.1, 0.0), MarketParams(0.1, 1.1, 0.03), MarketParams(1.1 - 1e-6, 1.1, 0.0)],
+        ids=["rho0", "rho0.03", "near_degenerate"],
+    )
+    @pytest.mark.parametrize(
+        "fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)], ids=["spread_quad", "linear_demand"]
+    )
+    def test_matches_scalar_roots(self, params, fees):
+        grid = np.linspace(params.sigma_minus, params.sigma_plus, 41)
+        delta = Strategy(grid, 0.02 + 0.05 * grid)
+        br = best_response(delta, params, fees, FAST)
+        assert np.max(np.abs(br.values - scalar_best_response(delta, params, fees))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "fees, iterations", [(SpreadQuad(2.0), 18), (LinearDemand(1.0, 0.3), 22)],
+        ids=["spread_quad", "linear_demand"],
+    )
+    def test_picard_iteration_counts(self, main_params, fees, iterations):
+        rep = solve_fixed_point(main_params, fees, SolverConfig())
+        assert rep.converged and rep.iterations == iterations
+
+    def test_no_fee_flat_derivative_is_bracket_failure(self, main_params):
+        # against a strategy this wide every Phi and Phi' term underflows, so
+        # the unpenalized derivative is exactly zero and never turns negative
+        delta = Strategy.constant(100.0, main_params, 11)
+        with pytest.raises(BracketFailure):
+            best_response(delta, main_params, NoFee(), FAST)
+
+    def test_two_crossings_are_non_concave(self, main_params, monkeypatch):
+        # synthetic derivative (0.2 - x)(0.5 - x)(0.8 - x) at every grid point
+        def fake_terms(x, ctx, orders):
+            x = np.asarray(x, dtype=float)
+            d1 = (0.2 - x) * (0.5 - x) * (0.8 - x)
+            d2 = -((0.5 - x) * (0.8 - x) + (0.2 - x) * (0.8 - x) + (0.2 - x) * (0.5 - x))
+            return [{1: d1, 2: d2}[k] for k in orders]
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        delta = Strategy.constant(0.1, main_params, 11)
+        with pytest.raises(NonConcave) as info:
+            best_response(delta, main_params, SpreadQuad(2.0), FAST)
+        assert info.value.smallest_root == pytest.approx(0.2, abs=1e-9)
+
+    def test_non_concave_kernel_flags_the_solve(self, main_params, monkeypatch):
+        def raises(*args, **kwargs):
+            raise NonConcave("synthetic", smallest_root=0.1)
+
+        monkeypatch.setattr(equilibrium, "best_response", raises)
+        rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
+        assert not rep.converged
+        assert not rep.concavity_ok
+        assert rep.iterations == 1
+
+
+class TestExistenceBoundQuadrature:
+    @staticmethod
+    def reference_c(params, fees, n):
+        nodes, w = average_nodes(params, n)
+        best = max(
+            float(np.dot(w, sigma_rho(sa, nodes, params.rho) * q_rho(sa, nodes, params.rho)))
+            for sa in np.linspace(params.sigma_minus, params.sigma_plus, 33)
+        )
+        return fees.kbar / (4.0 * fees.gamma) * best * norm_pdf(0.0)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_linear_demand_honours_quad_n(self, main_params, n):
+        fees = LinearDemand(1.0, 1.0)
+        c, _ = existence_bound(main_params, fees, quad_n=n)
+        assert c == pytest.approx(self.reference_c(main_params, fees, n), rel=1e-14)
+
+    def test_coarse_rule_changes_the_bound(self, main_params):
+        fees = LinearDemand(1.0, 1.0)
+        coarse, _ = existence_bound(main_params, fees, quad_n=4)
+        default, _ = existence_bound(main_params, fees)
+        assert abs(coarse - default) > 1e-9

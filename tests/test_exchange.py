@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from ael.errors import DomainError
+import ael.exchange as exchange
+from ael.errors import DomainError, NoConvergence
 from ael.gaussmath import norm_cdf, norm_pdf
 from ael.model import MarketParams, SpreadQuad
 from ael.equilibrium import SolverConfig, solve_degenerate
@@ -139,3 +140,36 @@ class TestOptimalGammaNumeric:
         res = optimal_gamma_degenerate(1.1, 0.0)
         found = optimal_gamma_numeric(p, lo=0.03, hi=0.3, tol=1e-5)
         assert found == pytest.approx(res.gamma_star, abs=1e-4)
+
+
+class TestRevenueCurveErrors:
+    CFG = SolverConfig(grid_n=11, quad_n=16)
+
+    def test_bug_propagates(self, main_params, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the solver")
+
+        monkeypatch.setattr(exchange, "solve_fixed_point", broken)
+        with pytest.raises(RuntimeError):
+            revenue_curve([1.0, 2.0], main_params, self.CFG)
+
+    def test_degenerate_bug_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the solver")
+
+        monkeypatch.setattr(exchange, "solve_degenerate", broken)
+        with pytest.raises(RuntimeError):
+            revenue_curve([1.0], MarketParams(1.1, 1.1, 0.0))
+
+    def test_solver_error_marks_point_and_sweep_continues(self, main_params, monkeypatch):
+        real = exchange.solve_fixed_point
+
+        def flaky(params, fees, cfg, init=None):
+            if fees.gamma == 1.0:
+                raise NoConvergence("synthetic")
+            return real(params, fees, cfg, init=init)
+
+        monkeypatch.setattr(exchange, "solve_fixed_point", flaky)
+        points = revenue_curve([1.0, 2.0], main_params, self.CFG)
+        assert [p.converged for p in points] == [False, True]
+        assert math.isnan(points[0].revenue) and points[1].revenue > 0.0
