@@ -22,7 +22,6 @@ from .gaussmath import (
     QuadratureRule,
     find_root,
     gauss_legendre,
-    integrate,
     maximize_concave,
     norm_cdf,
     norm_pdf,
@@ -40,7 +39,6 @@ from .model import (
     q_rho,
     q_tilde_rho,
     sigma_rho,
-    strategy_eval,
 )
 from .payoff import (
     PayoffContext,

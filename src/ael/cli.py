@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -42,13 +42,14 @@ from .model import (
     MarketParams,
     MidQuad,
     NoFee,
+    PairStats,
     SpreadQuad,
     Strategy,
     analytic_stats,
     default_rule,
     uniform_grid,
 )
-from .payoff import PayoffContext, payoff_deriv, payoff_terms, penalized_payoff
+from .payoff import PayoffContext, base_payoff, payoff_deriv, payoff_terms, penalized_payoff
 from .simulator import SimConfig, estimate_limit_payoff, estimate_stats
 
 
@@ -63,12 +64,6 @@ def _p_float(s: str) -> float:
     if not math.isfinite(v):
         raise ConfigError(f"expected a finite number, got {s!r}")
     return v
-
-
-def _p_float_or_inf(s: str) -> float:
-    if s.strip().lower() in ("inf", "infinite", "infinity"):
-        return math.inf
-    return _p_float(s)
 
 
 def _p_int(s: str) -> int:
@@ -93,7 +88,6 @@ _SCHEMA: dict[str, tuple] = {
     "market.sigma_minus": (_p_float, 0.1),
     "market.sigma_plus": (_p_float, 1.1),
     "market.rho": (_p_float, 0.0),
-    "market.v": (_p_float_or_inf, math.inf),
     "fees.scheme": (_p_str, "spread_quad"),
     "fees.gamma": (_p_float, 2.0),
     "fees.kbar": (_p_float, 1.0),
@@ -105,8 +99,6 @@ _SCHEMA: dict[str, tuple] = {
     "solver.quad_n": (_p_int, 64),
     "sim.samples": (_p_int, 1000000),
     "sim.seed": (_p_int, 12345),
-    "sim.v_mode": (_p_str, "infinite"),
-    "sim.v": (_p_float, 1.0),
     "strategy.constant": (_p_float, 0.0),
     "strategy.file": (_p_str, ""),
     "strategy.column": (_p_str, ""),
@@ -130,8 +122,6 @@ _SCHEMES = {"none", "mid_quad", "spread_quad", "linear_demand"}
 def _canon(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
     if isinstance(value, tuple):
         return ",".join(_canon(v) for v in value)
     return str(value)
@@ -187,8 +177,6 @@ class RunConfig:
                 f"key fees.scheme: expected one of {sorted(_SCHEMES)}, "
                 f"got {values['fees.scheme']!r}"
             )
-        if values["sim.v_mode"] not in ("infinite", "finite"):
-            raise ConfigError("key sim.v_mode: expected 'infinite' or 'finite'")
         return cls(values)
 
     def __getitem__(self, key: str):
@@ -200,7 +188,6 @@ class RunConfig:
                 sigma_minus=self["market.sigma_minus"],
                 sigma_plus=self["market.sigma_plus"],
                 rho=self["market.rho"],
-                v=self["market.v"],
             )
         except AelError as exc:
             raise ConfigError(f"market parameters: {exc}")
@@ -233,12 +220,10 @@ class RunConfig:
             raise ConfigError(f"solver parameters: {exc}")
 
     def sim(self, samples: int | None = None) -> SimConfig:
-        v = math.inf if self["sim.v_mode"] == "infinite" else self["sim.v"]
         try:
             return SimConfig(
                 samples=self["sim.samples"] if samples is None else samples,
                 seed=self["sim.seed"],
-                v=v,
             )
         except AelError as exc:
             raise ConfigError(f"simulation parameters: {exc}")
@@ -326,7 +311,7 @@ def _log(msg: str) -> None:
 
 # --- subcommands ------------------------------------------------------------
 
-_STAT_COLS = ("spread_mean", "spread_var", "mid_error_mean", "mid_error_var", "trade_prob")
+_STAT_COLS = tuple(f.name for f in fields(PairStats))  # astuple(PairStats) follows this order
 
 
 def cmd_stats(cfg: RunConfig, simulate: bool) -> int:
@@ -334,14 +319,11 @@ def cmd_stats(cfg: RunConfig, simulate: bool) -> int:
     delta = cfg.strategy(market)
     stats = analytic_stats(delta, market, default_rule(market, cfg["solver.quad_n"]))
     header = list(_STAT_COLS)
-    row = [stats.spread_mean, stats.spread_var, stats.mid_error_mean,
-           stats.mid_error_var, stats.trade_prob]
+    row = list(astuple(stats))
     if simulate:
         rep = estimate_stats(delta, market, cfg.sim())
         header += ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS]
-        row += [rep.stats.spread_mean, rep.stats.spread_var, rep.stats.mid_error_mean,
-                rep.stats.mid_error_var, rep.stats.trade_prob]
-        row += list(rep.std_errors)
+        row += [*astuple(rep.stats), *rep.std_errors]
     write_csv(cfg["output.path"], "stats", cfg, header, [row])
     return 0
 
@@ -422,9 +404,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     delta = cfg.strategy(market)
     rep = estimate_stats(delta, market, cfg.sim())
     header = ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS] + ["samples", "seed"]
-    row = [rep.stats.spread_mean, rep.stats.spread_var, rep.stats.mid_error_mean,
-           rep.stats.mid_error_var, rep.stats.trade_prob]
-    row += list(rep.std_errors) + [rep.samples, rep.seed]
+    row = [*astuple(rep.stats), *rep.std_errors, rep.samples, rep.seed]
     write_csv(cfg["output.path"], "simulate", cfg, header, [row])
     return 0
 
@@ -458,8 +438,6 @@ def _check_derivative_fd(cfg, market):
 
 
 def _check_payoff_mc(cfg, market):
-    from .payoff import base_payoff
-
     delta = Strategy.constant(0.3, market, 51)
     rule = default_rule(market)
     sim = SimConfig(samples=cfg["validate.samples"], seed=cfg["sim.seed"])
@@ -478,13 +456,9 @@ def _check_stats_mc(cfg, market):
     delta = cfg.strategy(market)
     stats = analytic_stats(delta, market, default_rule(market, cfg["solver.quad_n"]))
     rep = estimate_stats(delta, market, cfg.sim(samples=cfg["validate.samples"]))
-    ana = [stats.spread_mean, stats.spread_var, stats.mid_error_mean,
-           stats.mid_error_var, stats.trade_prob]
-    emp = [rep.stats.spread_mean, rep.stats.spread_var, rep.stats.mid_error_mean,
-           rep.stats.mid_error_var, rep.stats.trade_prob]
     worst = max(
         abs(e - a) / max(se, 1e-300)
-        for a, e, se in zip(ana, emp, rep.std_errors)
+        for a, e, se in zip(astuple(stats), astuple(rep.stats), rep.std_errors)
     )
     return worst <= 4.0, f"max_dev={worst:.2f} SE (tol 4)"
 

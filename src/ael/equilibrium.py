@@ -7,10 +7,10 @@ iteration; convergence is never assumed, only verified through the
 sup-norm residual |delta - BR(delta)|.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
-exists; ``no_ne_certificate`` returns the strictly positive aggregated
-first-order-condition integral that witnesses this, and ``verify_ne``
-measures the best deviation gain a player can realize against a
-candidate strategy.
+exists; ``no_ne_certificate`` returns the aggregated first-order-condition
+integral that witnesses this (half the trade probability, positive
+until the Gaussian tail underflows), and ``verify_ne`` measures the best
+deviation gain a player can realize against a candidate strategy.
 
 For a degenerate market (sigma_minus = sigma_plus) the equilibrium
 reduces to a scalar root of the one-dimensional first-order condition,
@@ -20,7 +20,7 @@ solved to near machine precision by ``solve_degenerate``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .model import (
     NoFee,
     SpreadQuad,
     Strategy,
+    _trade_prob,
     average_nodes,
     default_rule,
     q_rho,
@@ -380,20 +381,18 @@ def solve_fixed_point(
 
 
 def no_ne_certificate(delta: Strategy, params: MarketParams, n: int = 64) -> float:
-    """Normalized double average of (1/2)(1 - Phi((d_a + d_b)/Sigma_rho)).
+    """Normalized double average of (1/2) Phi(-(d_a + d_b)/Sigma_rho),
+    half the trade probability of ``delta``.
 
-    Strictly positive for every finite strategy, which certifies that no
-    finite strategy can satisfy the aggregated unpenalized first-order
-    condition: an unpenalized equilibrium would force this integral to
-    zero.
+    An unpenalized equilibrium would force this integral to zero, so a
+    positive value certifies that ``delta`` cannot satisfy the
+    aggregated unpenalized first-order condition.  It stays positive for
+    every finite strategy until the Gaussian tail underflows: a constant
+    strategy of 20 on the default market gives 2.3e-151, one of 30
+    gives 0.
     """
     nodes, w = average_nodes(params, n)
-    dvals = np.asarray(delta(nodes), dtype=float)
-    sa = nodes[:, None]
-    sb = nodes[None, :]
-    sig = np.sqrt(sa * sa + sb * sb - 2.0 * params.rho * sa * sb)
-    integrand = 0.5 * (1.0 - norm_cdf((dvals[:, None] + dvals[None, :]) / sig))
-    return float(np.sum((w[:, None] * w[None, :]) * integrand))
+    return 0.5 * _trade_prob(nodes, w, np.asarray(delta(nodes), dtype=float), params.rho)
 
 
 def verify_ne(
@@ -423,8 +422,3 @@ def verify_ne(
         (vals,) = payoff_terms(np.append(xs, held), ctx, (0,))
         worst = max(worst, float(vals[:-1].max() - vals[-1]))
     return max(worst, 0.0)
-
-
-def refine_config(cfg: SolverConfig, quad_factor: int = 2) -> SolverConfig:
-    """Copy of ``cfg`` with a quadrature rule of ``quad_factor`` times the order."""
-    return replace(cfg, quad_n=cfg.quad_n * quad_factor)

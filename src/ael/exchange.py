@@ -81,22 +81,20 @@ def optimal_gamma_degenerate(sigma: float, rho: float = 0.0) -> FeeDesignResult:
     )
 
 
-def revenue(
-    gamma: float, params: MarketParams, cfg: SolverConfig = SolverConfig()
-) -> float:
-    """Per-player expected penalty gamma * E[delta(sigma)^2] at the
-    equilibrium solved for SpreadQuad(gamma).
+def _solve_revenue(
+    gamma: float, params: MarketParams, cfg: SolverConfig, init: Strategy | None
+) -> tuple[float, Strategy | None]:
+    """(gamma * E[delta(sigma)^2], the solved strategy) at the equilibrium
+    for SpreadQuad(gamma); a degenerate market has the scalar root and no
+    strategy to carry.
 
-    Raises NoEquilibrium when the fixed-point iteration does not
-    converge at this gamma.
+    Raises NoEquilibrium when the fixed-point iteration does not converge.
     """
-    if not gamma > 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
     fees = SpreadQuad(gamma)
     if params.is_degenerate:
         root = solve_degenerate(params, fees)
-        return gamma * root * root
-    report = solve_fixed_point(params, fees, cfg)
+        return gamma * root * root, None
+    report = solve_fixed_point(params, fees, cfg, init=init)
     if not report.converged:
         raise NoEquilibrium(
             f"fixed point did not converge at gamma = {gamma} "
@@ -104,7 +102,19 @@ def revenue(
         )
     nodes, w = average_nodes(params, cfg.quad_n)
     dvals = np.asarray(report.strategy(nodes), dtype=float)
-    return gamma * float(np.dot(w, dvals * dvals))
+    return gamma * float(np.dot(w, dvals * dvals)), report.strategy
+
+
+def revenue(
+    gamma: float, params: MarketParams, cfg: SolverConfig = SolverConfig()
+) -> float:
+    """Per-player expected penalty gamma * E[delta(sigma)^2] at the
+    equilibrium solved for SpreadQuad(gamma).
+
+    Raises DomainError for gamma <= 0 and NoEquilibrium when the
+    fixed-point iteration does not converge at this gamma.
+    """
+    return _solve_revenue(gamma, params, cfg, None)[0]
 
 
 def revenue_curve(
@@ -115,9 +125,9 @@ def revenue_curve(
 ) -> list[RevenuePoint]:
     """Revenue at each gamma with convergence flags.
 
-    A gamma whose solve raises an ``AelError`` is recorded as not
-    converged and the sweep goes on; any other exception is a bug and
-    propagates.
+    A gamma whose solve raises an ``AelError`` (NoEquilibrium included)
+    is recorded as not converged and the sweep goes on; any other
+    exception is a bug and propagates.
 
     Non-degenerate solves reuse the previous converged strategy as the
     next initial iterate (``warm_start``), which only changes the
@@ -132,29 +142,14 @@ def revenue_curve(
     points: list[RevenuePoint] = []
     carry: Strategy | None = None
     for g in gammas:
-        if params.is_degenerate:
-            try:
-                root = solve_degenerate(params, SpreadQuad(g))
-                points.append(RevenuePoint(g, g * root * root, True))
-            except AelError:
-                points.append(RevenuePoint(g, math.nan, False))
-            continue
         try:
-            report = solve_fixed_point(
-                params, SpreadQuad(g), cfg, init=carry if warm_start else None
-            )
+            value, solved = _solve_revenue(g, params, cfg, carry if warm_start else None)
         except AelError:
             points.append(RevenuePoint(g, math.nan, False))
             carry = None
             continue
-        if not report.converged:
-            points.append(RevenuePoint(g, math.nan, False))
-            carry = None
-            continue
-        nodes, w = average_nodes(params, cfg.quad_n)
-        dvals = np.asarray(report.strategy(nodes), dtype=float)
-        points.append(RevenuePoint(g, g * float(np.dot(w, dvals * dvals)), True))
-        carry = report.strategy
+        points.append(RevenuePoint(g, value, True))
+        carry = solved
     return points
 
 

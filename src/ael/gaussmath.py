@@ -247,21 +247,3 @@ def gauss_legendre(a: float, b: float, n: int = 64) -> QuadratureRule:
     x, w = _legendre(n)
     half = 0.5 * (b - a)
     return QuadratureRule(nodes=a + half * (x + 1.0), weights=w * half, a=a, b=b)
-
-
-def integrate(f: Callable, rule: QuadratureRule) -> float:
-    """Weighted node sum of ``f`` over the rule.
-
-    ``f`` may be vectorized (preferred) or scalar-only; scalar callables
-    are evaluated node by node.
-    """
-    vals = None
-    try:
-        out = np.asarray(f(rule.nodes), dtype=float)
-        if out.shape == rule.nodes.shape:
-            vals = out
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None:
-        vals = np.fromiter((float(f(x)) for x in rule.nodes), dtype=float, count=rule.nodes.size)
-    return float(np.dot(rule.weights, vals))

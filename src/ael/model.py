@@ -33,9 +33,11 @@ _DEGENERATE_TOL = 1e-12
 class MarketParams:
     """Market model parameters.
 
-    ``v`` is the prior scale of the efficient-price increment;
-    ``math.inf`` selects the limit regime in which the game's payoffs
-    are defined.  Equilibrium routines additionally assume
+    The game's payoffs and statistics are those of the limit regime
+    (infinite prior scale of the efficient price), so the market carries
+    no prior scale; the Monte Carlo engine takes one through
+    ``SimConfig.v``, which only the conditional-payoff estimator needs
+    finite.  Equilibrium routines additionally assume
     ``rho <= sigma_minus / sigma_plus``; that is checked where needed,
     not here, because the market statistics are valid without it.
     """
@@ -43,7 +45,6 @@ class MarketParams:
     sigma_minus: float
     sigma_plus: float
     rho: float
-    v: float = math.inf
 
     def __post_init__(self):
         if not 0.0 < self.sigma_minus <= self.sigma_plus:
@@ -53,8 +54,6 @@ class MarketParams:
             )
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
-        if not self.v > 0.0:
-            raise DomainError(f"v must be positive (math.inf allowed), got {self.v}")
 
     @property
     def is_degenerate(self) -> bool:
@@ -112,11 +111,6 @@ class Strategy:
 
     def max_value(self) -> float:
         return float(self.values.max())
-
-
-def strategy_eval(delta: Strategy, sigma: float) -> float:
-    """Piecewise-linear evaluation of ``delta`` at ``sigma``."""
-    return delta(sigma)
 
 
 def uniform_grid(params: MarketParams, n: int = 101) -> np.ndarray:
@@ -239,6 +233,22 @@ def average_nodes(params: MarketParams, n: int = 64) -> tuple[np.ndarray, np.nda
     return rule.nodes, rule.weights / (params.sigma_plus - params.sigma_minus)
 
 
+def rule_average_nodes(
+    params: MarketParams, rule: QuadratureRule | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``rule`` for the uniform average over the sigma
+    interval; ``average_nodes(params)`` when ``rule`` is None or the market
+    is degenerate (one unit-weight node).
+
+    Raises DomainError when the rule does not span the sigma interval.
+    """
+    if rule is None or params.is_degenerate:
+        return average_nodes(params)
+    if abs(rule.a - params.sigma_minus) > 1e-9 or abs(rule.b - params.sigma_plus) > 1e-9:
+        raise DomainError("quadrature rule does not span the sigma interval")
+    return rule.nodes, rule.weights / (params.sigma_plus - params.sigma_minus)
+
+
 def default_rule(params: MarketParams, n: int = 64) -> QuadratureRule | None:
     """Gauss-Legendre rule for the sigma interval (None when degenerate)."""
     if params.is_degenerate:
@@ -252,6 +262,18 @@ def uniform_sigma_moments(params: MarketParams) -> tuple[float, float]:
     return 0.5 * (sm + sp), (sm * sm + sm * sp + sp * sp) / 3.0
 
 
+def _trade_prob(nodes: np.ndarray, w: np.ndarray, dvals: np.ndarray, rho: float) -> float:
+    """E_ab[Phi(-(d_a + d_b)/Sigma_rho)] on the nodes x nodes grid.
+
+    ``dvals`` holds the strategy at ``nodes``.  The tail is evaluated as
+    Phi(-u), not 1 - Phi(u), so it stays accurate (and positive) until
+    the Gaussian tail itself underflows.
+    """
+    sig = sigma_rho(nodes[:, None], nodes[None, :], rho)
+    ww = w[:, None] * w[None, :]
+    return float(np.sum(ww * norm_cdf(-(dvals[:, None] + dvals[None, :]) / sig)))
+
+
 def analytic_stats(
     delta: Strategy, params: MarketParams, rule: QuadratureRule | None = None
 ) -> PairStats:
@@ -261,16 +283,7 @@ def analytic_stats(
     sigma are closed-form.  The trade probability needs a double average
     over both players' sigma.
     """
-    if rule is None:
-        nodes, w = average_nodes(params)
-    else:
-        if (
-            abs(rule.a - params.sigma_minus) > 1e-9
-            or abs(rule.b - params.sigma_plus) > 1e-9
-        ):
-            raise DomainError("quadrature rule does not span the sigma interval")
-        nodes, w = rule.nodes, rule.weights / (params.sigma_plus - params.sigma_minus)
-
+    nodes, w = rule_average_nodes(params, rule)
     dvals = delta(nodes)
     e_d = float(np.dot(w, dvals))
     e_d2 = float(np.dot(w, dvals * dvals))
@@ -278,16 +291,10 @@ def analytic_stats(
     e_s, e_s2 = uniform_sigma_moments(params)
     rho = params.rho
 
-    sa = nodes[:, None]
-    sb = nodes[None, :]
-    sig = np.sqrt(sa * sa + sb * sb - 2.0 * rho * sa * sb)
-    ww = w[:, None] * w[None, :]
-    trade_prob = 1.0 - float(np.sum(ww * norm_cdf((dvals[:, None] + dvals[None, :]) / sig)))
-
     return PairStats(
         spread_mean=2.0 * e_d,
         spread_var=2.0 * (e_s2 - rho * e_s * e_s + v_d),
         mid_error_mean=0.0,
         mid_error_var=0.5 * (e_s2 + rho * e_s * e_s + v_d),
-        trade_prob=trade_prob,
+        trade_prob=_trade_prob(nodes, w, dvals, rho),
     )

@@ -55,9 +55,9 @@ from .model import (
     NoFee,
     SpreadQuad,
     Strategy,
-    average_nodes,
     q_rho,
     q_tilde_rho,
+    rule_average_nodes,
     sigma_rho,
     uniform_sigma_moments,
 )
@@ -97,13 +97,7 @@ class PayoffContext:
             raise DomainError(
                 f"sigma_a = {self.sigma_a} outside [{p.sigma_minus}, {p.sigma_plus}]"
             )
-        if self.rule is not None and not p.is_degenerate:
-            if abs(self.rule.a - p.sigma_minus) > 1e-9 or abs(self.rule.b - p.sigma_plus) > 1e-9:
-                raise DomainError("quadrature rule does not span the sigma interval")
-            nodes = self.rule.nodes
-            w = self.rule.weights / (p.sigma_plus - p.sigma_minus)
-        else:
-            nodes, w = average_nodes(p)
+        nodes, w = rule_average_nodes(p, self.rule)
         sa = sa[..., None]
         set_ = object.__setattr__
         set_(self, "nodes", nodes)

@@ -245,6 +245,34 @@ def _mean_se(sums: np.ndarray, n: int) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _limit_estimate(
+    x: float, sigma_a: float, delta: Strategy, params: MarketParams, sim: SimConfig, gain
+) -> tuple[float, float]:
+    """Mean and standard error of gain(z, sig, d, mid_err) on the traded
+    event z >= (x + d)/sig, over the limit-regime draws (sigma_b, z, w).
+
+    ``mid_err`` is the clearing-mid error
+    (x - d)/2 + w * sa sb sqrt(1-rho^2)/S + z S (1/2 - Q).
+    """
+    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
+
+    def chunk(start: int, count: int):
+        u = _uniforms(sim.seed, start, count)
+        sb = sm + (sp - sm) * u[:, 0]
+        z = ndtri(u[:, 1])
+        w = ndtri(u[:, 2])
+        d = np.asarray(delta(sb), dtype=float)
+        sig = sigma_rho(sigma_a, sb, rho)
+        q = q_rho(sigma_a, sb, rho)
+        coef_w = sigma_a * sb * math.sqrt(1.0 - rho * rho) / sig
+        mid_err = 0.5 * (x - d) + w * coef_w + z * sig * (0.5 - q)
+        pay = gain(z, sig, d, mid_err) * (z >= (x + d) / sig)
+        return np.array([pay.sum(), (pay * pay).sum()])
+
+    sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
+    return _mean_se(sums, sim.samples)
+
+
 def estimate_limit_payoff(
     x: float, sigma_a: float, delta: Strategy, params: MarketParams, sim: SimConfig
 ) -> tuple[float, float]:
@@ -259,43 +287,7 @@ def estimate_limit_payoff(
     Its mean equals the quadrature payoff, providing the independent
     cross-check used by the validation suite.
     """
-    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
-
-    def chunk(start: int, count: int):
-        u = _uniforms(sim.seed, start, count)
-        sb = sm + (sp - sm) * u[:, 0]
-        z = ndtri(u[:, 1])
-        w = ndtri(u[:, 2])
-        d = np.asarray(delta(sb), dtype=float)
-        sig = sigma_rho(sigma_a, sb, rho)
-        q = q_rho(sigma_a, sb, rho)
-        coef_w = sigma_a * sb * math.sqrt(1.0 - rho * rho) / sig
-        pay = (0.5 * (x - d) + w * coef_w + z * sig * (0.5 - q)) * (z >= (x + d) / sig)
-        return np.array([pay.sum(), (pay * pay).sum()])
-
-    sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
-    return _mean_se(sums, sim.samples)
-
-
-def conditional_pinf_draws(p_obs: float, sigma_a: float, sim: SimConfig) -> np.ndarray:
-    """Posterior draws of the efficient price given an observed signal.
-
-    With a centered normal prior of scale v and observation
-    p_obs = p_inf + sigma_a * eps_a, the posterior is normal with mean
-    p_obs * v^2/(v^2 + sigma_a^2) and variance
-    v^2 sigma_a^2/(v^2 + sigma_a^2).  These are exactly the draws the
-    conditional payoff estimator consumes (slot 0 of each window).
-    """
-    if not sim.is_finite_v:
-        raise DomainError("conditional sampling requires finite v")
-    v2 = sim.v * sim.v
-    shrink = v2 / (v2 + sigma_a * sigma_a)
-    mu = p_obs * shrink
-    sd = math.sqrt(sigma_a * sigma_a * shrink)
-    parts = _map_chunks(
-        sim.samples, lambda s, c: mu + sd * ndtri(_uniforms(sim.seed, s, c)[:, 0])
-    )
-    return np.concatenate(parts)
+    return _limit_estimate(x, sigma_a, delta, params, sim, lambda z, sig, d, mid_err: mid_err)
 
 
 def estimate_conditional_payoff(
@@ -359,21 +351,8 @@ def estimate_half_linear_payoff(
             f"estimate_half_linear_payoff requires LinearDemand fees, "
             f"got {type(fees).__name__}"
         )
-    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
-
-    def chunk(start: int, count: int):
-        u = _uniforms(sim.seed, start, count)
-        sb = sm + (sp - sm) * u[:, 0]
-        z = ndtri(u[:, 1])
-        w = ndtri(u[:, 2])
-        d = np.asarray(delta(sb), dtype=float)
-        sig = sigma_rho(sigma_a, sb, rho)
-        q = q_rho(sigma_a, sb, rho)
-        coef_w = sigma_a * sb * math.sqrt(1.0 - rho * rho) / sig
-        mid_err = 0.5 * (x - d) + w * coef_w + z * sig * (0.5 - q)
-        gain = 0.5 * fees.kbar * (sig * z - d - x) * mid_err * (z >= (x + d) / sig)
-        return np.array([gain.sum(), (gain * gain).sum()])
-
-    sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
-    mean, se = _mean_se(sums, sim.samples)
+    mean, se = _limit_estimate(
+        x, sigma_a, delta, params, sim,
+        lambda z, sig, d, mid_err: 0.5 * fees.kbar * (sig * z - d - x) * mid_err,
+    )
     return mean - fees.gamma * x * x, se

@@ -28,6 +28,20 @@ def test_solve_ne_rerun_is_byte_identical(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_echoed_config_reproduces_the_output(tmp_path):
+    out = tmp_path / "ne.csv"
+    assert main(["solve-ne", "-o", str(out), *TOY, "--solve.gammas", "2,3"]) == 0
+    first = out.read_bytes()
+    lines = first.decode().splitlines()
+    assert lines[0] == "# ael solve-ne"
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    config = tmp_path / "echo.cfg"
+    config.write_text("\n".join(ln[2:] for ln in lines[1:header]) + "\n")
+    out.unlink()
+    assert main(["solve-ne", "-c", str(config)]) == 0
+    assert out.read_bytes() == first
+
+
 def test_unknown_key_is_config_error(tmp_path):
     assert main(["solve-ne", "-o", str(tmp_path / "x.csv"), "--solver.no_such_key", "1"]) == 2
 

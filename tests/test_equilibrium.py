@@ -15,6 +15,7 @@ from ael.model import (
     NoFee,
     SpreadQuad,
     Strategy,
+    analytic_stats,
     average_nodes,
     default_rule,
     q_rho,
@@ -26,7 +27,6 @@ from ael.equilibrium import (
     best_response,
     existence_bound,
     no_ne_certificate,
-    refine_config,
     solve_degenerate,
     solve_fixed_point,
     verify_ne,
@@ -153,7 +153,7 @@ class TestSolveFixedPoint:
     def test_residual_stable_under_quadrature_refinement(self, main_params, solved_gamma2):
         # recompute the best response with a doubled-order rule: the
         # reported residual may inflate by at most 10x
-        cfg = refine_config(SolverConfig(), 2)
+        cfg = replace(SolverConfig(), quad_n=128)
         br = best_response(solved_gamma2.strategy, main_params, SpreadQuad(2.0), cfg)
         res = float(np.max(np.abs(br.values - solved_gamma2.strategy.values)))
         assert res <= 10.0 * max(solved_gamma2.residual, SolverConfig().tol)
@@ -214,6 +214,18 @@ class TestNoNeCertificate:
     def test_solved_strategy_in_open_interval(self, main_params, solved_gamma2):
         cert = no_ne_certificate(solved_gamma2.strategy, main_params)
         assert 0.0 < cert < 0.25
+
+    def test_far_tail_stays_positive(self, main_params):
+        # 1 - Phi(u) cancels to exactly 0 here; Phi(-u) keeps ~3.3e-42
+        cert = no_ne_certificate(Strategy.constant(10.0, main_params, 31), main_params)
+        assert cert > 0.0
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 5.0, 10.0])
+    def test_half_the_trade_probability(self, main_params, value):
+        delta = Strategy.constant(value, main_params, 31)
+        half_trade = 0.5 * analytic_stats(delta, main_params).trade_prob
+        cert = no_ne_certificate(delta, main_params)
+        assert cert == pytest.approx(half_trade, rel=1e-12, abs=0.0)
 
 
 class TestVerifyNe:

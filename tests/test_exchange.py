@@ -173,3 +173,11 @@ class TestRevenueCurveErrors:
         points = revenue_curve([1.0, 2.0], main_params, self.CFG)
         assert [p.converged for p in points] == [False, True]
         assert math.isnan(points[0].revenue) and points[1].revenue > 0.0
+
+
+class TestRevenueMatchesCurve:
+    @pytest.mark.parametrize("market", [(0.1, 1.1), (1.1, 1.1)], ids=["main", "degenerate"])
+    def test_single_point_curve_equals_revenue(self, market):
+        params = MarketParams(*market, 0.0)
+        cfg = TestRevenueCurveErrors.CFG
+        assert revenue(2.0, params, cfg) == revenue_curve([2.0], params, cfg)[0].revenue

@@ -14,7 +14,6 @@ from ael.model import (
     q_rho,
     q_tilde_rho,
     sigma_rho,
-    strategy_eval,
     uniform_sigma_moments,
 )
 
@@ -27,8 +26,6 @@ class TestMarketParams:
             MarketParams(1.1, 1.0, 0.0)
         with pytest.raises(DomainError):
             MarketParams(0.1, 1.1, 1.0)
-        with pytest.raises(DomainError):
-            MarketParams(0.1, 1.1, 0.0, v=0.0)
 
     def test_degenerate_flag(self):
         assert MarketParams(1.1, 1.1, 0.0).is_degenerate
@@ -94,7 +91,7 @@ class TestStrategy:
         grid = np.linspace(0.1, 1.1, 11)
         vals = np.linspace(0.0, 1.0, 11)
         s = Strategy(grid, vals)
-        assert strategy_eval(s, float(grid[4])) == vals[4]
+        assert s(float(grid[4])) == vals[4]
 
     def test_constant(self, main_params):
         s = Strategy.constant(0.3, main_params)
