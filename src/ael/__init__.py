@@ -43,8 +43,6 @@ from .model import (
 from .payoff import (
     PayoffContext,
     base_payoff,
-    half_linear_deriv,
-    half_linear_payoff,
     payoff_deriv,
     payoff_second_deriv,
     payoff_terms,
@@ -70,14 +68,11 @@ from .exchange import (
     y_star,
 )
 from .simulator import (
-    AuctionOutcome,
     SimConfig,
     SimReport,
-    estimate_conditional_payoff,
     estimate_half_linear_payoff,
     estimate_limit_payoff,
     estimate_stats,
-    sample_auction,
 )
 
 __version__ = "0.1.0"

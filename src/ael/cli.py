@@ -11,7 +11,8 @@ bytes.
 
 Subcommands: stats, solve-ne, optimal-fee, payoff-curve, simulate,
 validate.  Exit codes: 0 success, 2 configuration error, 3 convergence
-failure (or impossible scheme) under --strict, 4 validation failure.
+failure under --strict or a fee scheme that admits no equilibrium, 4
+validation failure.
 stdout stays empty except for the validate report; progress goes to
 stderr.
 """
@@ -35,7 +36,6 @@ from .errors import (
     NonConcave,
     WrongScheme,
 )
-from .gaussmath import norm_cdf, norm_pdf
 from .model import (
     FeeScheme,
     LinearDemand,
@@ -92,10 +92,8 @@ _SCHEMA: dict[str, tuple] = {
     "fees.gamma": (_p_float, 2.0),
     "fees.kbar": (_p_float, 1.0),
     "solver.grid_n": (_p_int, 101),
-    "solver.damping": (_p_float, 0.5),
     "solver.tol": (_p_float, 1e-7),
     "solver.max_iter": (_p_int, 200),
-    "solver.search_cap": (_p_float, 1.0),
     "solver.quad_n": (_p_int, 64),
     "sim.samples": (_p_int, 1000000),
     "sim.seed": (_p_int, 12345),
@@ -210,10 +208,8 @@ class RunConfig:
         try:
             return equilibrium.SolverConfig(
                 grid_n=self["solver.grid_n"],
-                damping=self["solver.damping"],
                 tol=self["solver.tol"],
                 max_iter=self["solver.max_iter"],
-                search_cap=self["solver.search_cap"],
                 quad_n=self["solver.quad_n"],
             )
         except AelError as exc:
@@ -330,10 +326,6 @@ def cmd_stats(cfg: RunConfig, simulate: bool) -> int:
 
 def cmd_solve_ne(cfg: RunConfig, strict: bool) -> int:
     market = cfg.market()
-    scheme = cfg["fees.scheme"]
-    if scheme in ("none", "mid_quad"):
-        _log(f"ael solve-ne: no equilibrium exists under scheme '{scheme}'")
-        return 3
     solver = cfg.solver()
     gammas = cfg["solve.gammas"] or (cfg["fees.gamma"],)
     grid = uniform_grid(market, solver.grid_n)

@@ -54,6 +54,8 @@ _SQRT2 = math.sqrt(2.0)
 _MAX_DOUBLINGS = 60
 _SCAN_N = 33  # derivative samples of the NonConcave scan
 _MAX_NEWTON = 100
+_DAMPING = 0.5  # Picard step weight on the best response
+_SEARCH_CAP = 1.0  # first upper end of the best-response search interval
 
 
 @dataclass(frozen=True)
@@ -61,23 +63,17 @@ class SolverConfig:
     """Fixed-point solver knobs."""
 
     grid_n: int = 101
-    damping: float = 0.5
     tol: float = 1e-7
     max_iter: int = 200
-    search_cap: float = 1.0
     quad_n: int = 64
 
     def __post_init__(self):
         if self.grid_n < 2:
             raise DomainError("grid_n must be >= 2")
-        if not 0.0 < self.damping <= 1.0:
-            raise DomainError("damping must lie in (0, 1]")
         if not self.tol > 0.0:
             raise DomainError("tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if not self.search_cap > 0.0:
-            raise DomainError("search_cap must be positive")
         if self.quad_n < 1:
             raise DomainError("quad_n must be >= 1")
 
@@ -230,9 +226,9 @@ def best_response(
     """Pointwise argmax strategy against ``delta`` on the same grid.
 
     All grid points are solved at once on one batched payoff kernel.  The
-    search interval [0, hi] has hi doubling from ``cfg.search_cap`` until
-    the payoff derivative turns negative (it always does: the derivative
-    tends to minus infinity); BracketFailure after 60 doublings.  A point
+    search interval [0, hi] has hi doubling from 1 until the payoff
+    derivative turns negative (it always does: the derivative tends to
+    minus infinity); BracketFailure after 60 doublings.  A point
     whose derivative at 0 is <= 0 responds with 0.  For the others the
     derivative is scanned on 33 points of [0, hi], one column of all
     points per kernel call, so no (points, 33, nodes) array is built;
@@ -245,7 +241,7 @@ def best_response(
     ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, cfg.quad_n))
     argmax_tol = max(cfg.tol * 1e-3, 1e-13)
 
-    hi = np.full(delta.grid.shape, float(cfg.search_cap))
+    hi = np.full(delta.grid.shape, _SEARCH_CAP)
     for _ in range(_MAX_DOUBLINGS):
         (d_hi,) = payoff_terms(hi, ctx, (1,))
         up = ~(d_hi < 0.0)
@@ -365,7 +361,7 @@ def solve_fixed_point(
         if residual <= cfg.tol:
             converged = True
             break
-        mixed = (1.0 - cfg.damping) * delta.values + cfg.damping * br.values
+        mixed = (1.0 - _DAMPING) * delta.values + _DAMPING * br.values
         delta = Strategy(grid, mixed)
 
     concavity = (not nonconcave) and _concavity_ok(delta, params, fees, cfg, bound_c)

@@ -121,29 +121,30 @@ def revenue_curve(
     gamma_grid,
     params: MarketParams,
     cfg: SolverConfig = SolverConfig(),
-    warm_start: bool = True,
 ) -> list[RevenuePoint]:
     """Revenue at each gamma with convergence flags.
 
-    A gamma whose solve raises an ``AelError`` (NoEquilibrium included)
-    is recorded as not converged and the sweep goes on; any other
-    exception is a bug and propagates.
+    The grid must be non-empty, positive and strictly increasing
+    (DomainError otherwise).  A gamma whose solve raises an ``AelError``
+    (NoEquilibrium included) is recorded as not converged and the sweep
+    goes on; any other exception is a bug and propagates.
 
-    Non-degenerate solves reuse the previous converged strategy as the
-    next initial iterate (``warm_start``), which only changes the
-    iteration path, not the fixed point; results stay deterministic for
-    a given grid.
+    Each non-degenerate solve starts from the previous converged
+    strategy, which only changes the iteration path, not the fixed
+    point; results stay deterministic for a given grid.
     """
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise DomainError("gamma grid must be non-empty")
+    if not all(g > 0.0 for g in gammas):
+        raise DomainError("gamma grid must be positive")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise DomainError("gamma grid must be strictly increasing")
     points: list[RevenuePoint] = []
     carry: Strategy | None = None
     for g in gammas:
         try:
-            value, solved = _solve_revenue(g, params, cfg, carry if warm_start else None)
+            value, solved = _solve_revenue(g, params, cfg, carry)
         except AelError:
             points.append(RevenuePoint(g, math.nan, False))
             carry = None

@@ -33,11 +33,10 @@ _DEGENERATE_TOL = 1e-12
 class MarketParams:
     """Market model parameters.
 
-    The game's payoffs and statistics are those of the limit regime
-    (infinite prior scale of the efficient price), so the market carries
-    no prior scale; the Monte Carlo engine takes one through
-    ``SimConfig.v``, which only the conditional-payoff estimator needs
-    finite.  Equilibrium routines additionally assume
+    The game's payoffs and statistics, and every Monte Carlo estimate,
+    are those of the limit regime (infinite prior scale of the
+    efficient price), so no prior scale is carried anywhere.
+    Equilibrium routines additionally assume
     ``rho <= sigma_minus / sigma_plus``; that is checked where needed,
     not here, because the market statistics are valid without it.
     """

@@ -192,21 +192,3 @@ def payoff_second_deriv(x: float, ctx: PayoffContext) -> float:
     """d^2/dx^2 of penalized_payoff."""
     return float(payoff_terms(x, ctx, (2,))[0])
 
-
-def _require_linear_demand(ctx: PayoffContext) -> None:
-    if not isinstance(ctx.fees, LinearDemand):
-        raise WrongScheme(
-            f"half-linear payoff requires LinearDemand fees, got {type(ctx.fees).__name__}"
-        )
-
-
-def half_linear_payoff(x: float, ctx: PayoffContext) -> float:
-    """Volume-weighted payoff under half-linear demand schedules."""
-    _require_linear_demand(ctx)
-    return penalized_payoff(x, ctx)
-
-
-def half_linear_deriv(x: float, ctx: PayoffContext) -> float:
-    """d/dx of half_linear_payoff."""
-    _require_linear_demand(ctx)
-    return payoff_deriv(x, ctx)

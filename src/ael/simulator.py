@@ -10,13 +10,15 @@ uniforms, which keeps the counter addressing exact.
 
 Shared slot layout per draw window (unused slots are reserved):
 
-    market samples:       0 p_inf   1 sigma_a  2 sigma_b  3 eps_a  4 eta
-    limit-payoff samples: 0 sigma_b 1 z        2 w
-    conditional samples:  0 p_inf   1 sigma_b  2 eta
+    market samples:       0 -        1 sigma_a  2 sigma_b  3 eps_a  4 eta
+    limit-payoff samples: 0 sigma_b  1 z        2 w
 
 where eps_b = rho * eps_a + sqrt(1 - rho^2) * eta, and (z, w) play the
 roles of the trade-direction and residual-error Gaussians of the
-limit-regime payoff representation.
+limit-regime payoff representation.  Every estimate is a limit-regime
+one: prices are increments relative to the efficient price, which is
+fixed at zero.  Market slot 0 stays unused; moving the other market
+draws down a slot would change every market estimate.
 
 The environment variable ``AEL_THREADS`` caps the number of worker
 threads used to process chunks (0 or unset means auto).  Chunk
@@ -40,7 +42,6 @@ from .model import (
     FeeScheme,
     LinearDemand,
     MarketParams,
-    NoFee,
     PairStats,
     Strategy,
     q_rho,
@@ -55,37 +56,16 @@ _U_FLOOR = 1e-300  # keep ndtri finite if a uniform lands on exactly 0.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sample count, stream seed, and prior scale (inf = limit regime)."""
+    """Sample count and stream seed."""
 
     samples: int
     seed: int
-    v: float = math.inf
 
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        if not self.v > 0.0:
-            raise DomainError("v must be positive (math.inf allowed)")
-
-    @property
-    def is_finite_v(self) -> bool:
-        return math.isfinite(self.v)
-
-
-@dataclass(frozen=True)
-class AuctionOutcome:
-    """One simulated auction round."""
-
-    p_inf: float
-    p_a: float
-    p_b: float
-    sigma_a: float
-    sigma_b: float
-    traded: bool
-    trade_price: float | None = None
-    volume: float | None = None
 
 
 @dataclass(frozen=True)
@@ -133,53 +113,14 @@ def _map_chunks(total: int, fn):
         return list(pool.map(lambda sc: fn(*sc), spans))
 
 
-def _market_draws(u: np.ndarray, params: MarketParams, v: float):
-    """Map a uniform window to (p_inf, sigma_a, sigma_b, eps_a, eps_b)."""
+def _market_draws(u: np.ndarray, params: MarketParams):
+    """Map a uniform window to (sigma_a, sigma_b, eps_a, eps_b)."""
     sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
-    p_inf = v * ndtri(u[:, 0]) if math.isfinite(v) else np.zeros(u.shape[0])
     sigma_a = sm + (sp - sm) * u[:, 1]
     sigma_b = sm + (sp - sm) * u[:, 2]
     eps_a = ndtri(u[:, 3])
     eps_b = rho * eps_a + math.sqrt(1.0 - rho * rho) * ndtri(u[:, 4])
-    return p_inf, sigma_a, sigma_b, eps_a, eps_b
-
-
-def sample_auction(
-    delta: Strategy,
-    params: MarketParams,
-    sim: SimConfig,
-    draw_index: int,
-    fees: FeeScheme = NoFee(),
-) -> AuctionOutcome:
-    """The auction outcome addressed by ``draw_index`` within the stream.
-
-    In the limit regime (infinite v) all prices are increments relative
-    to the efficient price, which is fixed at zero; every reported
-    market statistic is unchanged by that normalization.
-    """
-    if draw_index < 0:
-        raise DomainError("draw_index must be >= 0")
-    u = _uniforms(sim.seed, draw_index, 1)
-    p_inf, sigma_a, sigma_b, eps_a, eps_b = _market_draws(u, params, sim.v)
-    da = float(delta(float(sigma_a[0])))
-    db = float(delta(float(sigma_b[0])))
-    p_a = float(p_inf[0] + sigma_a[0] * eps_a[0] + da)
-    p_b = float(p_inf[0] + sigma_b[0] * eps_b[0] - db)
-    traded = p_a <= p_b
-    trade_price = 0.5 * (p_a + p_b) if traded else None
-    volume = None
-    if traded and isinstance(fees, LinearDemand):
-        volume = 0.5 * fees.kbar * (p_b - p_a)
-    return AuctionOutcome(
-        p_inf=float(p_inf[0]),
-        p_a=p_a,
-        p_b=p_b,
-        sigma_a=float(sigma_a[0]),
-        sigma_b=float(sigma_b[0]),
-        traded=traded,
-        trade_price=trade_price,
-        volume=volume,
-    )
+    return sigma_a, sigma_b, eps_a, eps_b
 
 
 def _moment_pack(x: np.ndarray) -> np.ndarray:
@@ -203,13 +144,13 @@ def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> Sim
 
     def chunk(start: int, count: int):
         u = _uniforms(sim.seed, start, count)
-        p_inf, sigma_a, sigma_b, eps_a, eps_b = _market_draws(u, params, sim.v)
+        sigma_a, sigma_b, eps_a, eps_b = _market_draws(u, params)
         da = np.asarray(delta(sigma_a), dtype=float)
         db = np.asarray(delta(sigma_b), dtype=float)
-        p_a = p_inf + sigma_a * eps_a + da
-        p_b = p_inf + sigma_b * eps_b - db
+        p_a = sigma_a * eps_a + da
+        p_b = sigma_b * eps_b - db
         spread = p_a - p_b
-        mid_err = 0.5 * (p_a + p_b) - p_inf
+        mid_err = 0.5 * (p_a + p_b)
         traded = float(np.count_nonzero(p_a <= p_b))
         return _moment_pack(spread), _moment_pack(mid_err), traded
 
@@ -288,47 +229,6 @@ def estimate_limit_payoff(
     cross-check used by the validation suite.
     """
     return _limit_estimate(x, sigma_a, delta, params, sim, lambda z, sig, d, mid_err: mid_err)
-
-
-def estimate_conditional_payoff(
-    x: float,
-    sigma_a: float,
-    p_obs: float,
-    delta: Strategy,
-    params: MarketParams,
-    sim: SimConfig,
-) -> tuple[float, float]:
-    """Finite-v conditional expected payoff given (p_obs, sigma_a).
-
-    Uses the exact conditional law: the efficient price from its normal
-    posterior, the own error term backed out of the observation, the
-    opponent error from its conditional normal, the opponent noise level
-    uniform.
-    """
-    if not sim.is_finite_v:
-        raise DomainError("estimate_conditional_payoff requires finite v")
-    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
-    v2 = sim.v * sim.v
-    shrink = v2 / (v2 + sigma_a * sigma_a)
-    mu = p_obs * shrink
-    sd = math.sqrt(sigma_a * sigma_a * shrink)
-    rho_c = math.sqrt(1.0 - rho * rho)
-
-    def chunk(start: int, count: int):
-        u = _uniforms(sim.seed, start, count)
-        p_inf = mu + sd * ndtri(u[:, 0])
-        sb = sm + (sp - sm) * u[:, 1]
-        eta = ndtri(u[:, 2])
-        eps_a = (p_obs - p_inf) / sigma_a
-        eps_b = rho * eps_a + rho_c * eta
-        p_inf_b = p_inf + sb * eps_b
-        ask = p_obs + x
-        bid = p_inf_b - np.asarray(delta(sb), dtype=float)
-        pay = (0.5 * (ask + bid) - p_inf) * (ask <= bid)
-        return np.array([pay.sum(), (pay * pay).sum()])
-
-    sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
-    return _mean_se(sums, sim.samples)
 
 
 def estimate_half_linear_payoff(

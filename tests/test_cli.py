@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import ael
 from ael.cli import main
-from ael.model import MarketParams, SpreadQuad, Strategy, default_rule
+from ael.model import MarketParams, SpreadQuad, Strategy, analytic_stats, default_rule
 from ael.payoff import PayoffContext, payoff_deriv, penalized_payoff
 
 TOY = ["--solver.grid_n", "11", "--solver.quad_n", "16"]
@@ -53,6 +54,45 @@ def test_unknown_key_is_config_error(tmp_path):
 )
 def test_solve_failure_exit_code(tmp_path, args):
     assert main(["solve-ne", "-o", str(tmp_path / "x.csv"), *TOY, *args]) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve-ne", "--fees.scheme", "mid_quad", "--fees.gamma", "0"],
+     ["optimal-fee", "--strict", "--sweep.gammas=-1,2"]],
+    ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma"],
+)
+def test_bad_input_exit_code(tmp_path, args):
+    out = tmp_path / "x.csv"
+    assert main([*args, "-o", str(out), *TOY]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho, code", [("0", 0), ("0.5", 4)])
+def test_validate_report_and_exit_code(capsys, rho, code):
+    args = [*TOY, "--validate.samples", "20000", "--verify.x_samples", "16", "--market.rho", rho]
+    assert main(["validate", *args]) == code
+    verdicts = dict(ln.split()[:2] for ln in capsys.readouterr().out.splitlines())
+    assert len(verdicts) == 8
+    if code == 0:
+        assert set(verdicts.values()) == {"PASS"}
+    else:
+        assert verdicts["rho_assumption"] == verdicts["OVERALL:"] == "FAIL"
+
+
+def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):
+    args = [*TOY, "--strategy.constant", "0.3", "--market.rho", "0.03", "--samples", "50000"]
+    assert main(["stats", "--simulate", "-o", str(tmp_path / "stats.csv"), *args]) == 0
+    assert main(["simulate", "-o", str(tmp_path / "sim.csv"), *args]) == 0
+    header, (row,) = data_rows(tmp_path / "stats.csv")
+    market = MarketParams(0.1, 1.1, 0.03)
+    analytic = asdict(analytic_stats(Strategy.constant(0.3, market, 11), market,
+                                     default_rule(market, 16)))
+    assert {h: v for h, v in zip(header, row) if h in analytic} == analytic
+    empirical = {h: v for h, v in zip(header, row) if h not in analytic}
+    sim_header, (sim_row,) = data_rows(tmp_path / "sim.csv")
+    assert len(empirical) == 10
+    assert {h: v for h, v in zip(sim_header, sim_row) if h in empirical} == empirical
 
 
 def test_payoff_curve_matches_scalar_functions(tmp_path):

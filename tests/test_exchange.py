@@ -132,6 +132,9 @@ class TestRevenueCurve:
             revenue_curve([], main_params, FAST)
         with pytest.raises(DomainError):
             revenue_curve([2.0, 1.0], main_params, FAST)
+        for grid in ([-1.0, 2.0], [0.0, 2.0]):
+            with pytest.raises(DomainError):
+                revenue_curve(grid, main_params, FAST)
 
 
 class TestOptimalGammaNumeric:

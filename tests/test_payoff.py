@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ael.errors import WrongScheme
 from ael.gaussmath import gauss_legendre, norm_cdf, norm_pdf
 from ael.model import (
     LinearDemand,
@@ -17,8 +16,6 @@ from ael.model import (
 from ael.payoff import (
     PayoffContext,
     base_payoff,
-    half_linear_deriv,
-    half_linear_payoff,
     payoff_deriv,
     payoff_second_deriv,
     penalized_payoff,
@@ -145,19 +142,12 @@ class TestDerivatives:
 
 
 class TestHalfLinear:
-    def test_requires_linear_demand(self, main_params):
-        ctx = ctx_for(main_params, SpreadQuad(1.0))
-        with pytest.raises(WrongScheme):
-            half_linear_payoff(0.3, ctx)
-        with pytest.raises(WrongScheme):
-            half_linear_deriv(0.3, ctx)
-
     def test_kbar_is_a_global_factor(self, main_params):
         c1 = ctx_for(main_params, LinearDemand(1.0, 0.0))
         c2 = ctx_for(main_params, LinearDemand(2.0, 0.0))
         for x in (-0.5, 0.0, 0.3, 1.0):
-            assert half_linear_payoff(x, c2) == pytest.approx(
-                2.0 * half_linear_payoff(x, c1), rel=1e-14
+            assert penalized_payoff(x, c2) == pytest.approx(
+                2.0 * penalized_payoff(x, c1), rel=1e-14
             )
 
     def test_symmetric_zero_case(self):
@@ -165,12 +155,12 @@ class TestHalfLinear:
         # term and (x - d)/2 = 0 kills the second
         p = MarketParams(0.9, 0.9, 0.0)
         ctx = ctx_for(p, LinearDemand(1.3, 0.0), delta_const=0.0, sigma_a=0.9)
-        assert half_linear_payoff(0.0, ctx) == pytest.approx(0.0, abs=1e-16)
+        assert penalized_payoff(0.0, ctx) == pytest.approx(0.0, abs=1e-16)
 
     def test_positive_derivative_for_nonpositive_offsets(self, main_params):
         ctx = ctx_for(main_params, LinearDemand(1.0, 0.0))
         for x in (-5.0, -1.0, -0.1, 0.0):
-            assert half_linear_deriv(x, ctx) > 0.0
+            assert payoff_deriv(x, ctx) > 0.0
 
     def test_symmetric_derivative_reduction(self):
         # single sigma = 1, rho = 0, delta = d, x = d:
@@ -180,7 +170,7 @@ class TestHalfLinear:
         ctx = ctx_for(p, LinearDemand(kbar, 0.0), delta_const=d, sigma_a=1.0)
         u = math.sqrt(2) * d
         expected = 0.5 * kbar * (-d * (1 - norm_cdf(u)) + norm_pdf(u) / math.sqrt(2))
-        assert half_linear_deriv(d, ctx) == pytest.approx(expected, abs=1e-14)
+        assert payoff_deriv(d, ctx) == pytest.approx(expected, abs=1e-14)
 
     def test_derivative_integrates_back_to_payoff(self, main_params):
         # quadrature of h' over [x0, x1] reproduces h(x1) - h(x0)
@@ -188,12 +178,8 @@ class TestHalfLinear:
         x0, x1 = 0.1, 0.9
         rule = gauss_legendre(x0, x1, 48)
         integral = float(
-            np.dot(rule.weights, [half_linear_deriv(float(x), ctx) for x in rule.nodes])
+            np.dot(rule.weights, [payoff_deriv(float(x), ctx) for x in rule.nodes])
         )
-        diff = half_linear_payoff(x1, ctx) - half_linear_payoff(x0, ctx)
+        diff = penalized_payoff(x1, ctx) - penalized_payoff(x0, ctx)
         assert integral == pytest.approx(diff, abs=1e-8)
 
-    def test_penalized_dispatch(self, main_params):
-        ctx = ctx_for(main_params, LinearDemand(1.0, 0.4))
-        assert penalized_payoff(0.3, ctx) == half_linear_payoff(0.3, ctx)
-        assert payoff_deriv(0.3, ctx) == half_linear_deriv(0.3, ctx)

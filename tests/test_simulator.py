@@ -1,14 +1,11 @@
-import math
-
 import pytest
 
-from ael.errors import DomainError, WrongScheme
+from ael.errors import WrongScheme
 from ael.model import LinearDemand, MarketParams, SpreadQuad, Strategy, default_rule
-from ael.payoff import PayoffContext, base_payoff, half_linear_payoff
+from ael.payoff import PayoffContext, base_payoff, penalized_payoff
 from ael.simulator import (
     _CHUNK,
     SimConfig,
-    estimate_conditional_payoff,
     estimate_half_linear_payoff,
     estimate_limit_payoff,
     estimate_stats,
@@ -28,7 +25,7 @@ def context(sigma_a):
 @pytest.mark.parametrize("x, sigma_a", POINTS)
 def test_half_linear_estimate_matches_quadrature(x, sigma_a):
     mean, se = estimate_half_linear_payoff(x, sigma_a, DELTA, MARKET, FEES, SIM)
-    assert abs(mean - half_linear_payoff(x, context(sigma_a))) <= 4.0 * se
+    assert abs(mean - penalized_payoff(x, context(sigma_a))) <= 4.0 * se
 
 
 @pytest.mark.parametrize("x, sigma_a", POINTS)
@@ -40,12 +37,6 @@ def test_limit_estimate_matches_quadrature(x, sigma_a):
 def test_half_linear_estimate_needs_linear_demand():
     with pytest.raises(WrongScheme):
         estimate_half_linear_payoff(0.1, 0.3, DELTA, MARKET, SpreadQuad(2.0), SIM)
-
-
-def test_conditional_estimate_needs_finite_v():
-    assert math.isinf(SIM.v)
-    with pytest.raises(DomainError):
-        estimate_conditional_payoff(0.1, 0.3, 0.0, DELTA, MARKET, SIM)
 
 
 def test_stats_identical_across_thread_counts(monkeypatch):
