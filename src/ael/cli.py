@@ -10,9 +10,11 @@ for floats, and no timestamps, so identical runs produce identical
 bytes.
 
 Subcommands: stats, solve-ne, optimal-fee, payoff-curve, simulate,
-validate.  Exit codes: 0 success, 2 configuration error, 3 convergence
-failure under --strict or a fee scheme that admits no equilibrium, 4
-validation failure.
+validate.  validate prints PASS, FAIL or SKIP per check; a check that
+assumes rho <= sigma_minus/sigma_plus is a SKIP when rho exceeds that
+bound, and OVERALL reads only the checks that ran.  Exit codes: 0
+success, 2 configuration error, 3 convergence failure under --strict or
+a fee scheme that admits no equilibrium, 4 validation failure.
 stdout stays empty except for the validate report; progress goes to
 stderr.
 """
@@ -47,7 +49,6 @@ from .model import (
     Strategy,
     analytic_stats,
     default_rule,
-    uniform_grid,
 )
 from .payoff import PayoffContext, base_payoff, payoff_deriv, payoff_terms, penalized_payoff
 from .simulator import SimConfig, estimate_limit_payoff, estimate_stats
@@ -73,10 +74,6 @@ def _p_int(s: str) -> int:
         raise ConfigError(f"expected an integer, got {s!r}")
 
 
-def _p_str(s: str) -> str:
-    return s
-
-
 def _p_float_list(s: str) -> tuple[float, ...]:
     s = s.strip()
     if not s:
@@ -84,22 +81,24 @@ def _p_float_list(s: str) -> tuple[float, ...]:
     return tuple(_p_float(tok) for tok in s.split(","))
 
 
+_SOLVER_DEFAULTS = equilibrium.SolverConfig()
+
 _SCHEMA: dict[str, tuple] = {
     "market.sigma_minus": (_p_float, 0.1),
     "market.sigma_plus": (_p_float, 1.1),
     "market.rho": (_p_float, 0.0),
-    "fees.scheme": (_p_str, "spread_quad"),
+    "fees.scheme": (str, "spread_quad"),
     "fees.gamma": (_p_float, 2.0),
     "fees.kbar": (_p_float, 1.0),
-    "solver.grid_n": (_p_int, 101),
-    "solver.tol": (_p_float, 1e-7),
-    "solver.max_iter": (_p_int, 200),
-    "solver.quad_n": (_p_int, 64),
+    "solver.grid_n": (_p_int, _SOLVER_DEFAULTS.grid_n),
+    "solver.tol": (_p_float, _SOLVER_DEFAULTS.tol),
+    "solver.max_iter": (_p_int, _SOLVER_DEFAULTS.max_iter),
+    "solver.quad_n": (_p_int, _SOLVER_DEFAULTS.quad_n),
     "sim.samples": (_p_int, 1000000),
     "sim.seed": (_p_int, 12345),
     "strategy.constant": (_p_float, 0.0),
-    "strategy.file": (_p_str, ""),
-    "strategy.column": (_p_str, ""),
+    "strategy.file": (str, ""),
+    "strategy.column": (str, ""),
     "solve.gammas": (_p_float_list, ()),
     "sweep.gammas": (_p_float_list, ()),
     "sweep.gamma_min": (_p_float, 1.5),
@@ -108,13 +107,19 @@ _SCHEMA: dict[str, tuple] = {
     "curve.x_min": (_p_float, -0.5),
     "curve.x_max": (_p_float, 1.5),
     "curve.n": (_p_int, 201),
-    "curve.sigma_a": (_p_str, "mid"),
+    "curve.sigma_a": (str, "mid"),
     "validate.samples": (_p_int, 200000),
     "verify.x_samples": (_p_int, 256),
-    "output.path": (_p_str, "out.csv"),
+    "output.path": (str, "out.csv"),
 }
 
-_SCHEMES = {"none", "mid_quad", "spread_quad", "linear_demand"}
+# fees.scheme name -> constructor of (gamma, kbar)
+_FEES = {
+    "none": lambda gamma, kbar: NoFee(),
+    "mid_quad": lambda gamma, kbar: MidQuad(gamma),
+    "spread_quad": lambda gamma, kbar: SpreadQuad(gamma),
+    "linear_demand": lambda gamma, kbar: LinearDemand(kbar=kbar, gamma=gamma),
+}
 
 
 def _canon(value) -> str:
@@ -139,6 +144,14 @@ def parse_config_text(text: str, source: str) -> dict[str, str]:
             raise ConfigError(f"{source}:{ln}: unknown key {key!r}")
         out[key] = value
     return out
+
+
+def _checked(what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its AelError relabelled as a config error about ``what``."""
+    try:
+        return make(*args, **kwargs)
+    except AelError as exc:
+        raise ConfigError(f"{what}: {exc}")
 
 
 @dataclass
@@ -170,9 +183,9 @@ class RunConfig:
                     raise ConfigError(f"key {key}: {exc}")
             else:
                 values[key] = default
-        if values["fees.scheme"] not in _SCHEMES:
+        if values["fees.scheme"] not in _FEES:
             raise ConfigError(
-                f"key fees.scheme: expected one of {sorted(_SCHEMES)}, "
+                f"key fees.scheme: expected one of {sorted(_FEES)}, "
                 f"got {values['fees.scheme']!r}"
             )
         return cls(values)
@@ -181,59 +194,27 @@ class RunConfig:
         return self.values[key]
 
     def market(self) -> MarketParams:
-        try:
-            return MarketParams(
-                sigma_minus=self["market.sigma_minus"],
-                sigma_plus=self["market.sigma_plus"],
-                rho=self["market.rho"],
-            )
-        except AelError as exc:
-            raise ConfigError(f"market parameters: {exc}")
+        return _checked("market parameters", MarketParams, self["market.sigma_minus"],
+                        self["market.sigma_plus"], self["market.rho"])
 
     def fees(self, gamma: float | None = None) -> FeeScheme:
-        scheme = self["fees.scheme"]
         g = self["fees.gamma"] if gamma is None else gamma
-        try:
-            if scheme == "none":
-                return NoFee()
-            if scheme == "mid_quad":
-                return MidQuad(g)
-            if scheme == "spread_quad":
-                return SpreadQuad(g)
-            return LinearDemand(kbar=self["fees.kbar"], gamma=g)
-        except AelError as exc:
-            raise ConfigError(f"fee parameters: {exc}")
+        return _checked("fee parameters", _FEES[self["fees.scheme"]], g, self["fees.kbar"])
 
     def solver(self) -> equilibrium.SolverConfig:
-        try:
-            return equilibrium.SolverConfig(
-                grid_n=self["solver.grid_n"],
-                tol=self["solver.tol"],
-                max_iter=self["solver.max_iter"],
-                quad_n=self["solver.quad_n"],
-            )
-        except AelError as exc:
-            raise ConfigError(f"solver parameters: {exc}")
+        knobs = {f.name: self[f"solver.{f.name}"] for f in fields(equilibrium.SolverConfig)}
+        return _checked("solver parameters", equilibrium.SolverConfig, **knobs)
 
     def sim(self, samples: int | None = None) -> SimConfig:
-        try:
-            return SimConfig(
-                samples=self["sim.samples"] if samples is None else samples,
-                seed=self["sim.seed"],
-            )
-        except AelError as exc:
-            raise ConfigError(f"simulation parameters: {exc}")
+        n = self["sim.samples"] if samples is None else samples
+        return _checked("simulation parameters", SimConfig, n, self["sim.seed"])
 
     def strategy(self, market: MarketParams) -> Strategy:
         path = self["strategy.file"]
         if path:
             return load_strategy_csv(path, self["strategy.column"])
-        try:
-            return Strategy.constant(
-                self["strategy.constant"], market, self["solver.grid_n"]
-            )
-        except AelError as exc:
-            raise ConfigError(f"strategy: {exc}")
+        return _checked("strategy", Strategy.constant, self["strategy.constant"], market,
+                        self["solver.grid_n"])
 
     def config_lines(self) -> list[str]:
         return [f"{key}={_canon(self.values[key])}" for key in sorted(self.values)]
@@ -310,13 +291,13 @@ def _log(msg: str) -> None:
 _STAT_COLS = tuple(f.name for f in fields(PairStats))  # astuple(PairStats) follows this order
 
 
-def cmd_stats(cfg: RunConfig, simulate: bool) -> int:
+def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
     stats = analytic_stats(delta, market, default_rule(market, cfg["solver.quad_n"]))
     header = list(_STAT_COLS)
     row = list(astuple(stats))
-    if simulate:
+    if args.simulate:
         rep = estimate_stats(delta, market, cfg.sim())
         header += ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS]
         row += [*astuple(rep.stats), *rep.std_errors]
@@ -324,35 +305,27 @@ def cmd_stats(cfg: RunConfig, simulate: bool) -> int:
     return 0
 
 
-def cmd_solve_ne(cfg: RunConfig, strict: bool) -> int:
+def cmd_solve_ne(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     solver = cfg.solver()
     gammas = cfg["solve.gammas"] or (cfg["fees.gamma"],)
-    grid = uniform_grid(market, solver.grid_n)
-    columns, footer = [], []
-    all_converged = True
+    reports = []
     for g in gammas:
         _log(f"ael solve-ne: solving gamma={g:g}")
-        report = equilibrium.solve_fixed_point(market, cfg.fees(gamma=g), solver)
-        columns.append(np.asarray(report.strategy(grid), dtype=float))
-        tag = f"gamma_{g:g}"
-        footer += [
-            f"residual_{tag}={report.residual:.16e}",
-            f"iterations_{tag}={report.iterations}",
-            f"converged_{tag}={'true' if report.converged else 'false'}",
-            f"concavity_ok_{tag}={'true' if report.concavity_ok else 'false'}",
-        ]
-        all_converged &= report.converged
+        reports.append(equilibrium.solve_fixed_point(market, cfg.fees(gamma=g), solver))
     header = ["sigma"] + [f"delta_gamma_{g:g}" for g in gammas]
-    rows = [[grid[i]] + [col[i] for col in columns] for i in range(grid.size)]
-    write_csv(cfg["output.path"], "solve-ne", cfg, header, rows, footer)
-    if strict and not all_converged:
+    rows = np.column_stack([reports[0].strategy.grid, *(r.strategy.values for r in reports)])
+    footer = [f"{name}_gamma_{g:g}={_fmt_cell(getattr(r, name))}"
+              for g, r in zip(gammas, reports)
+              for name in ("residual", "iterations", "converged", "concavity_ok")]
+    write_csv(cfg["output.path"], "solve-ne", cfg, header, rows.tolist(), footer)
+    if args.strict and not all(r.converged for r in reports):
         _log("ael solve-ne: at least one gamma failed to converge")
         return 3
     return 0
 
 
-def cmd_optimal_fee(cfg: RunConfig, strict: bool) -> int:
+def cmd_optimal_fee(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     grid = cfg["sweep.gammas"] or tuple(
         np.linspace(cfg["sweep.gamma_min"], cfg["sweep.gamma_max"], cfg["sweep.count"])
@@ -369,13 +342,13 @@ def cmd_optimal_fee(cfg: RunConfig, strict: bool) -> int:
     points = exchange.revenue_curve(grid, market, cfg.solver())
     rows = [[p.gamma, p.revenue, p.converged] for p in points]
     write_csv(cfg["output.path"], "optimal-fee", cfg, ["gamma", "revenue", "converged"], rows, footer)
-    if strict and not all(p.converged for p in points):
+    if args.strict and not all(p.converged for p in points):
         _log("ael optimal-fee: at least one gamma failed to converge")
         return 3
     return 0
 
 
-def cmd_payoff_curve(cfg: RunConfig) -> int:
+def cmd_payoff_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
     sig_raw = cfg["curve.sigma_a"]
@@ -391,7 +364,7 @@ def cmd_payoff_curve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
     rep = estimate_stats(delta, market, cfg.sim())
@@ -456,8 +429,6 @@ def _check_stats_mc(cfg, market):
 
 
 def _check_degenerate_consistency(cfg, market):
-    if not market.rho_bound_ok:
-        return False, "skipped: rho exceeds sigma_minus/sigma_plus (assumption violated)"
     gamma = cfg["fees.gamma"] if cfg["fees.scheme"] == "spread_quad" else 2.0
     sp = market.sigma_plus
     near = MarketParams(sp - 1e-6, sp, market.rho)
@@ -481,38 +452,51 @@ def _check_certificate(cfg, market):
 
 
 def _check_no_ne_gain(cfg, market):
-    if not market.rho_bound_ok:
-        return False, "skipped: rho exceeds sigma_minus/sigma_plus (assumption violated)"
     delta = Strategy.constant(0.3, market, 31)
     gain = equilibrium.verify_ne(delta, market, NoFee(), x_samples=cfg["verify.x_samples"])
     return gain > 0.0, f"deviation_gain={gain:.6f} (must be > 0)"
 
 
+# (name, check, whether it assumes rho <= sigma_minus/sigma_plus)
 _CHECKS = [
-    ("rho_assumption", _check_rho_bound),
-    ("derivative_fd", _check_derivative_fd),
-    ("payoff_mc", _check_payoff_mc),
-    ("stats_mc", _check_stats_mc),
-    ("degenerate_consistency", _check_degenerate_consistency),
-    ("certificate", _check_certificate),
-    ("no_ne_deviation_gain", _check_no_ne_gain),
+    ("rho_assumption", _check_rho_bound, False),
+    ("derivative_fd", _check_derivative_fd, False),
+    ("payoff_mc", _check_payoff_mc, False),
+    ("stats_mc", _check_stats_mc, False),
+    ("degenerate_consistency", _check_degenerate_consistency, True),
+    ("certificate", _check_certificate, False),
+    ("no_ne_deviation_gain", _check_no_ne_gain, True),
 ]
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     all_ok = True
     lines = []
-    for name, fn in _CHECKS:
-        try:
-            ok, detail = fn(cfg, market)
-        except AelError as exc:
-            ok, detail = False, f"error: {exc}"
-        all_ok &= ok
-        lines.append(f"{name:<26} {'PASS' if ok else 'FAIL':<5} {detail}")
+    for name, fn, needs_rho_bound in _CHECKS:
+        if needs_rho_bound and not market.rho_bound_ok:
+            verdict, detail = "SKIP", "rho exceeds sigma_minus/sigma_plus (assumption violated)"
+        else:
+            try:
+                ok, detail = fn(cfg, market)
+            except AelError as exc:
+                ok, detail = False, f"error: {exc}"
+            all_ok &= ok
+            verdict = "PASS" if ok else "FAIL"
+        lines.append(f"{name:<26} {verdict:<5} {detail}")
     lines.append(f"OVERALL: {'PASS' if all_ok else 'FAIL'}")
     print("\n".join(lines))
     return 0 if all_ok else 4
+
+
+_COMMANDS = {
+    "stats": cmd_stats,
+    "solve-ne": cmd_solve_ne,
+    "optimal-fee": cmd_optimal_fee,
+    "payoff-curve": cmd_payoff_curve,
+    "simulate": cmd_simulate,
+    "validate": cmd_validate,
+}
 
 
 # --- argument handling ------------------------------------------------------
@@ -545,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("stats", "solve-ne", "optimal-fee", "payoff-curve", "simulate", "validate"):
+    for name in _COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("-c", "--config", default=None, help="config file path")
         p.add_argument("-o", "--output", default=None, help="output CSV path")
@@ -570,17 +554,7 @@ def main(argv=None) -> int:
         if args.output is not None:
             overrides.append(("output.path", args.output))
         cfg = RunConfig.build(args.config, overrides)
-        if args.command == "stats":
-            return cmd_stats(cfg, args.simulate)
-        if args.command == "solve-ne":
-            return cmd_solve_ne(cfg, args.strict)
-        if args.command == "optimal-fee":
-            return cmd_optimal_fee(cfg, args.strict)
-        if args.command == "payoff-curve":
-            return cmd_payoff_curve(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_validate(cfg)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         _log(f"ael: config error: {exc}")
         return 2

@@ -91,12 +91,6 @@ class EquilibriumReport:
     concavity_ok: bool
 
 
-def _scheme_gamma(fees: FeeScheme) -> float:
-    if isinstance(fees, (SpreadQuad, LinearDemand)):
-        return fees.gamma
-    raise WrongScheme(f"no penalty coefficient on {type(fees).__name__}")
-
-
 def _require_solvable(fees: FeeScheme) -> None:
     if isinstance(fees, (NoFee, MidQuad)):
         raise WrongScheme(
@@ -116,9 +110,10 @@ def _require_rho_bound(params: MarketParams) -> None:
 
 
 def _degenerate_foc(fees: FeeScheme, sigma: float, rho: float):
-    """Scalar first-order condition of the symmetric degenerate game."""
+    """Scalar first-order condition of the symmetric degenerate game, its
+    slope, and an upper end hi > 0 of a sign-change bracket [0, hi]."""
     se = sigma * math.sqrt(1.0 - rho)
-    g = _scheme_gamma(fees)
+    g = fees.gamma
     if isinstance(fees, SpreadQuad):
 
         def f(x: float) -> float:
@@ -127,6 +122,7 @@ def _degenerate_foc(fees: FeeScheme, sigma: float, rho: float):
         def df(x: float) -> float:
             return -0.5 * norm_pdf(_SQRT2 * x / se) * _SQRT2 / se - 2.0 * g
 
+        # f(x) <= 1/2 - 2 g x, which is negative past 1/(4 g)
         hi = 0.25 / g + se
         return f, df, hi
 
@@ -144,13 +140,9 @@ def _degenerate_foc(fees: FeeScheme, sigma: float, rho: float):
         u = _SQRT2 * x / se
         return -0.5 * kbar * (1.0 - norm_cdf(u)) - 2.0 * g
 
-    hi = se
-    for _ in range(_MAX_DOUBLINGS):
-        if f(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketFailure("degenerate first-order condition never turns negative")
+    # for x >= 0, f(x) <= kbar se Phi'(0) / (2 sqrt 2) - 2 g x, which is
+    # negative past kbar se Phi'(0) / (4 sqrt 2 g)
+    hi = kbar * se * norm_pdf(0.0) / (4.0 * _SQRT2 * g) + se
     return f, df, hi
 
 
@@ -172,9 +164,12 @@ def _degenerate_root(fees: FeeScheme, sigma: float, rho: float) -> float:
 def solve_degenerate(params: MarketParams, fees: FeeScheme) -> float:
     """Scalar equilibrium half-spread of a degenerate market.
 
-    Only the spread-penalty and half-linear schemes admit one; the
-    first-order condition is strictly decreasing past its root, which is
-    located to |FOC| <= 1e-12 * max(1, gamma).
+    Only the spread-penalty and half-linear schemes admit one.  The
+    first-order condition is positive at 0 and strictly decreasing past
+    its root; both schemes bracket it on [0, hi] with hi in closed form
+    (the FOC is bounded above by a line of slope -2 gamma), and Brent
+    iteration plus two Newton steps locate it to
+    |FOC| <= 1e-12 * max(1, gamma).
     """
     if not params.is_degenerate:
         raise DomainError("solve_degenerate requires sigma_minus = sigma_plus")
@@ -328,7 +323,6 @@ def solve_fixed_point(
     """
     _require_solvable(fees)
     _require_rho_bound(params)
-    gamma = _scheme_gamma(fees)
 
     if params.is_degenerate:
         grid = uniform_grid(params)
@@ -338,7 +332,7 @@ def solve_fixed_point(
     else:
         grid = uniform_grid(params, cfg.grid_n)
         bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
-        if gamma >= gamma_min:
+        if fees.gamma >= gamma_min:
             start = 0.5 * bound_c
         else:
             start = _degenerate_root(fees, params.sigma_plus, params.rho)

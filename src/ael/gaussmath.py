@@ -1,10 +1,11 @@
-"""Scalar numerical kernel.
+"""Numerical primitives: the standard-normal CDF/PDF, bracketed root
+finding, concave 1-D maximization, and fixed-node Gauss-Legendre
+quadrature.  Everything in this module is a pure function of its
+arguments, so all of it is safe to call from any number of concurrent
+workers.
 
-Standard-normal CDF/PDF, bracketed root finding, concave 1-D
-maximization, and fixed-node Gauss-Legendre quadrature.  Everything in
-this module is a pure function of its arguments, so all of it is safe to
-call from any number of concurrent workers.
-
+The normal CDF/PDF have one numpy path for scalars and arrays alike, so
+a scalar closed form and the batched payoff kernel see the same bits.
 The root finder is a guarded Brent-style iteration: bisection refined by
 secant / inverse-quadratic steps, with the bracket maintained at every
 step.  The maximizer does not search function values; it locates the
@@ -33,19 +34,17 @@ _EPS = np.finfo(float).eps
 def norm_cdf(x):
     """Standard-normal CDF, accurate to ~1 ulp over the whole real line.
 
-    Evaluated through the complementary error function so the far tails
-    do not lose accuracy to cancellation.  Accepts floats or arrays.
+    Evaluated through scipy's complementary error function so the far
+    tails do not lose accuracy to cancellation.  Elementwise on arrays;
+    a scalar gives a numpy.float64.
     """
-    if isinstance(x, np.ndarray):
-        return 0.5 * erfc(-x / _SQRT2)
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return 0.5 * erfc(-x / _SQRT2)
 
 
 def norm_pdf(x):
-    """Standard-normal density exp(-x^2/2)/sqrt(2*pi).  Floats or arrays."""
-    if isinstance(x, np.ndarray):
-        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    """Standard-normal density exp(-x^2/2)/sqrt(2*pi).  Elementwise on
+    arrays; a scalar gives a numpy.float64."""
+    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ of the two signals puts on each of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,11 +189,12 @@ class PairStats:
 
 
 def sigma_rho(sa, sb, rho: float):
-    """sqrt(sa^2 + sb^2 - 2 rho sa sb); scalar or vectorized in sa/sb."""
+    """sqrt(sa^2 + sb^2 - 2 rho sa sb); elementwise in sa/sb, a numpy.float64
+    for scalars."""
     rad = sa * sa + sb * sb - 2.0 * rho * sa * sb
-    if np.any(np.asarray(rad) <= 0.0):
+    if np.any(rad <= 0.0):
         raise DomainError("sigma_rho radicand is non-positive")
-    return np.sqrt(rad) if isinstance(rad, np.ndarray) else math.sqrt(rad)
+    return np.sqrt(rad)
 
 
 def _precision_den(sa, sb, rho: float):

@@ -57,15 +57,19 @@ def test_solve_failure_exit_code(tmp_path, args):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["solve-ne", "--fees.scheme", "mid_quad", "--fees.gamma", "0"],
-     ["optimal-fee", "--strict", "--sweep.gammas=-1,2"]],
-    ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma"],
+    "args, message",
+    [(["solve-ne", "--fees.scheme", "mid_quad", "--fees.gamma", "0"],
+      "ael: config error: fee parameters:"),
+     (["optimal-fee", "--strict", "--sweep.gammas=-1,2"], "ael: gamma grid must be positive"),
+     (["solve-ne", "--fees.scheme", "bogus"], "ael: config error: key fees.scheme:"),
+     (["solve-ne", "--market.sigma_minus", "2"], "ael: config error: market parameters:")],
+    ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma", "unknown_scheme", "bad_market"],
 )
-def test_bad_input_exit_code(tmp_path, args):
+def test_bad_input_exit_code(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"
     assert main([*args, "-o", str(out), *TOY]) == 2
     assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)
 
 
 @pytest.mark.parametrize("rho, code", [("0", 0), ("0.5", 4)])
@@ -78,6 +82,7 @@ def test_validate_report_and_exit_code(capsys, rho, code):
         assert set(verdicts.values()) == {"PASS"}
     else:
         assert verdicts["rho_assumption"] == verdicts["OVERALL:"] == "FAIL"
+        assert verdicts["degenerate_consistency"] == verdicts["no_ne_deviation_gain"] == "SKIP"
 
 
 def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):

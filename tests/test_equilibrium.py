@@ -40,6 +40,12 @@ def spread_foc(x, sigma, rho, gamma):
     return 0.5 * (1.0 - norm_cdf(math.sqrt(2.0) * x / se)) - 2.0 * gamma * x
 
 
+def linear_demand_foc(x, sigma, rho, kbar, gamma):
+    se = sigma * math.sqrt(1.0 - rho)
+    u = math.sqrt(2.0) * x / se
+    return 0.5 * kbar * (-x * (1.0 - norm_cdf(u)) + se / math.sqrt(2.0) * norm_pdf(u)) - 2.0 * gamma * x
+
+
 class TestSolveDegenerate:
     def test_root_residual_and_oracle(self):
         p = MarketParams(1.1, 1.1, 0.0)
@@ -68,6 +74,15 @@ class TestSolveDegenerate:
         assert root == pytest.approx(oracle, abs=1e-10)
         assert root == pytest.approx(0.06293586903381834, abs=1e-9)
         assert abs(foc(root)) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    @pytest.mark.parametrize("sigma", [0.1, 1.1])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.3, 100.0])
+    @pytest.mark.parametrize("kbar", [0.1, 1.0, 10.0])
+    def test_linear_demand_root_residual(self, kbar, gamma, sigma, rho):
+        root = solve_degenerate(MarketParams(sigma, sigma, rho), LinearDemand(kbar, gamma))
+        assert root > 0.0
+        assert abs(linear_demand_foc(root, sigma, rho, kbar, gamma)) <= 1e-12 * max(1.0, gamma)
 
     def test_wrong_schemes_rejected(self):
         p = MarketParams(1.1, 1.1, 0.0)

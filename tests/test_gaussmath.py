@@ -16,6 +16,7 @@ from ael.gaussmath import (
     norm_cdf,
     norm_pdf,
 )
+from ael.model import sigma_rho
 
 # high-precision reference values (40-digit erf/erfc evaluation)
 PHI_196 = 0.9750021048517796
@@ -53,12 +54,9 @@ class TestNormCdf:
         assert order >= 1.9
 
     def test_array_and_scalar_agree(self):
-        # array path (scipy erfc) and scalar path (libm erfc) may differ
-        # by one ulp
-        xs = np.array([-1.3, 0.0, 2.4])
-        np.testing.assert_allclose(
-            norm_cdf(xs), [norm_cdf(float(x)) for x in xs], rtol=1e-15, atol=0
-        )
+        xs = np.linspace(-8.0, 8.0, 2001)
+        for fn in (norm_cdf, norm_pdf, lambda x: sigma_rho(x, 1.1, 0.3)):
+            assert np.array_equal(fn(xs), [fn(float(x)) for x in xs])
 
 
 class TestNormPdf:
