@@ -28,14 +28,13 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from . import equilibrium, exchange, simulator
+from . import equilibrium, exchange
 from .errors import (
     AelError,
     BracketFailure,
     ConfigError,
     NoConvergence,
     NoEquilibrium,
-    NonConcave,
     WrongScheme,
 )
 from .model import (
@@ -74,6 +73,10 @@ def _p_int(s: str) -> int:
         raise ConfigError(f"expected an integer, got {s!r}")
 
 
+def _p_sigma_a(s: str) -> float | str:
+    return s if s == "mid" else _p_float(s)
+
+
 def _p_float_list(s: str) -> tuple[float, ...]:
     s = s.strip()
     if not s:
@@ -107,7 +110,7 @@ _SCHEMA: dict[str, tuple] = {
     "curve.x_min": (_p_float, -0.5),
     "curve.x_max": (_p_float, 1.5),
     "curve.n": (_p_int, 201),
-    "curve.sigma_a": (str, "mid"),
+    "curve.sigma_a": (_p_sigma_a, "mid"),
     "validate.samples": (_p_int, 200000),
     "verify.x_samples": (_p_int, 256),
     "output.path": (str, "out.csv"),
@@ -351,11 +354,9 @@ def cmd_optimal_fee(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_payoff_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
-    sig_raw = cfg["curve.sigma_a"]
-    if sig_raw == "mid":
+    sigma_a = cfg["curve.sigma_a"]
+    if sigma_a == "mid":
         sigma_a = 0.5 * (market.sigma_minus + market.sigma_plus)
-    else:
-        sigma_a = _p_float(sig_raw)
     ctx = PayoffContext(sigma_a, delta, market, cfg.fees(),
                         default_rule(market, cfg["solver.quad_n"]))
     xs = np.linspace(cfg["curve.x_min"], cfg["curve.x_max"], cfg["curve.n"])
@@ -558,7 +559,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _log(f"ael: config error: {exc}")
         return 2
-    except (NoEquilibrium, NoConvergence, BracketFailure, NonConcave, WrongScheme) as exc:
+    except (NoEquilibrium, NoConvergence, BracketFailure, WrongScheme) as exc:
         _log(f"ael: {exc}")
         return 3
     except AelError as exc:

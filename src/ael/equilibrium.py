@@ -4,7 +4,10 @@ A strategy delta is an equilibrium when, for every sigma_a, delta(sigma_a)
 maximizes the penalized payoff against delta itself.  Equilibria are
 computed as fixed points of the best-response operator by damped Picard
 iteration; convergence is never assumed, only verified through the
-sup-norm residual |delta - BR(delta)|.
+sup-norm residual |delta - BR(delta)|.  ``best_response`` locates a
+root of the first-order condition, and one concavity check on the
+solved strategy (``_concavity_ok``) decides whether that root is the
+argmax on the offsets the strategy plays.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
 exists; ``no_ne_certificate`` returns the aggregated first-order-condition
@@ -29,10 +32,9 @@ from .errors import (
     DegenerateCase,
     DomainError,
     NoConvergence,
-    NonConcave,
     WrongScheme,
 )
-from .gaussmath import Bracket, _sign_changes, find_root, norm_cdf, norm_pdf
+from .gaussmath import Bracket, find_root, norm_cdf, norm_pdf
 from .model import (
     FeeScheme,
     LinearDemand,
@@ -52,10 +54,9 @@ from .payoff import PayoffContext, payoff_terms
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_DOUBLINGS = 60
-_SCAN_N = 33  # derivative samples of the NonConcave scan
 _MAX_NEWTON = 100
 _DAMPING = 0.5  # Picard step weight on the best response
-_SEARCH_CAP = 1.0  # first upper end of the best-response search interval
+_DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Solved strategy with residual and existence-bound diagnostics."""
+    """Solved strategy with residual and existence-bound diagnostics.
+
+    ``concavity_ok``: the penalized payoff against ``strategy`` has a
+    negative second derivative at every grid sigma_a on the offsets
+    (0, max(bound_C, 3 max strategy)].  ``converged``: the sup-norm
+    residual |strategy - BR(strategy)| reached the solver tolerance
+    within max_iter iterations and ``concavity_ok`` holds.
+    """
 
     strategy: Strategy
     residual: float
@@ -220,68 +228,48 @@ def best_response(
 ) -> Strategy:
     """Pointwise argmax strategy against ``delta`` on the same grid.
 
-    All grid points are solved at once on one batched payoff kernel.  The
-    search interval [0, hi] has hi doubling from 1 until the payoff
-    derivative turns negative (it always does: the derivative tends to
-    minus infinity); BracketFailure after 60 doublings.  A point
-    whose derivative at 0 is <= 0 responds with 0.  For the others the
-    derivative is scanned on 33 points of [0, hi], one column of all
-    points per kernel call, so no (points, 33, nodes) array is built;
-    NonConcave is raised when a point's scan changes sign more than once
-    (exact zeros ignored).  The leftmost sign change brackets the root,
-    which a bracket-safeguarded Newton iteration on the analytic second
-    derivative refines to max(tol * 1e-3, 1e-13).
+    All grid points are solved at once on one batched payoff kernel, by
+    one Newton iteration on the analytic second derivative that starts
+    at ``delta``'s own values (in ``solve_fixed_point`` the current
+    iterate, so the start is warm).  Each point keeps a bracket [lo, up]
+    from the sign of the derivative; a step that leaves it falls back to
+    the midpoint, or to doubling while no negative derivative has been
+    seen (BracketFailure after 60 doublings).  Iteration stops once the
+    step is within max(tol * 1e-3, 1e-13).  This locates a root of the
+    first-order condition only; whether it is the argmax is the
+    concavity verdict of ``solve_fixed_point``.
     """
     _require_rho_bound(params)
     ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, cfg.quad_n))
     argmax_tol = max(cfg.tol * 1e-3, 1e-13)
 
-    hi = np.full(delta.grid.shape, _SEARCH_CAP)
-    for _ in range(_MAX_DOUBLINGS):
-        (d_hi,) = payoff_terms(hi, ctx, (1,))
-        up = ~(d_hi < 0.0)
-        if not up.any():
-            break
-        hi = np.where(up, 2.0 * hi, hi)
-    else:
-        raise BracketFailure(f"payoff derivative never turned negative below {hi.max()} "
-                             f"(sigma_a={delta.grid[np.argmax(up)]})")
-
-    xs = np.linspace(0.0, hi, _SCAN_N, axis=-1)
-    ds = np.empty(xs.shape)
-    ds[:, -1] = d_hi
-    for j in range(_SCAN_N - 1):
-        (ds[:, j],) = payoff_terms(xs[:, j], ctx, (1,))
-    # leftmost + -> - crossing; ds[:, 0] > 0 > ds[:, -1] guarantees one
-    k = np.argmax((ds[:, :-1] > 0.0) & (ds[:, 1:] <= 0.0), axis=-1)
-    rows = np.arange(k.size)
-    lo, up = xs[rows, k], xs[rows, k + 1]
-    f_lo, f_up = ds[rows, k], ds[rows, k + 1]
-    rising = ds[:, 0] > 0.0  # the others respond with 0
-    x = np.where(rising, up, 0.0)
-    active = rising & (f_up != 0.0)
-    x[active] -= (up - lo)[active] * f_up[active] / (f_up - f_lo)[active]  # secant start
-
+    x = delta.values
+    lo = np.zeros(x.shape)
+    up = np.full(x.shape, math.inf)
+    doublings = np.zeros(x.shape, dtype=int)
+    active = np.ones(x.shape, dtype=bool)
     for _ in range(_MAX_NEWTON):
         if not active.any():
             break
         d1, d2 = payoff_terms(x, ctx, (1, 2))
-        lo = np.where(d1 > 0.0, x, lo)
+        lo = np.where(d1 >= 0.0, x, lo)
         up = np.where(d1 < 0.0, x, up)
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = x - d1 / d2
-        nxt = np.where((nxt > lo) & (nxt < up), nxt, 0.5 * (lo + up))
+        inside = (lo <= nxt) & (nxt <= up)  # a zero derivative steps to x itself
+        grow = active & ~inside & np.isinf(up)
+        doublings += grow
+        if np.any(doublings > _MAX_DOUBLINGS):
+            i = int(np.argmax(doublings))
+            raise BracketFailure(f"payoff derivative never turned negative below {x[i]} "
+                                 f"(sigma_a={delta.grid[i]})")
+        # 2x + tol doubles away from an offset of 0 too
+        nxt = np.where(inside, nxt, np.where(grow, 2.0 * x + argmax_tol, 0.5 * (lo + up)))
         converged = np.abs(nxt - x) <= argmax_tol
         x = np.where(active, nxt, x)
         active &= ~converged
     if active.any():
         raise NoConvergence(f"best response not located within {_MAX_NEWTON} Newton steps")
-
-    nonconcave = rising & (_sign_changes(ds) > 1)
-    if nonconcave.any():
-        i = int(np.argmax(nonconcave))
-        raise NonConcave(f"derivative changes sign more than once on [0, {hi[i]}] "
-                         f"(sigma_a={delta.grid[i]})", smallest_root=float(x[i]))
     return Strategy(delta.grid, x)
 
 
@@ -292,13 +280,20 @@ def _concavity_ok(
     cfg: SolverConfig,
     bound_c: float,
 ) -> bool:
-    """Sample the second derivative on (0, bound_C) for negativity at 11
-    sigma_a by 50 offsets, one kernel call over all 11 sigma_a per offset."""
-    if not bound_c > 0.0 or not math.isfinite(bound_c):
+    """Whether the penalized payoff against ``delta`` is strictly concave
+    in the offset at every grid sigma_a, on (0, max(bound_C, 3 max delta)].
+
+    The upper end covers both the invariant set and the offsets
+    ``verify_ne`` scans.  The second derivative is sampled at 50 offsets,
+    one kernel call over the whole grid per offset.  Strict concavity
+    there also rules out a second sign change of the derivative, so a
+    root ``best_response`` located is the argmax on that interval.
+    """
+    hi = max(bound_c, _DEVIATION_SPAN * delta.max_value())
+    if not 0.0 < hi < math.inf:
         return False
-    sigmas = np.linspace(params.sigma_minus, params.sigma_plus, 11)
-    ctx = PayoffContext(sigmas, delta, params, fees, default_rule(params, cfg.quad_n))
-    for x in np.linspace(0.0, bound_c, 52)[1:-1]:
+    ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, cfg.quad_n))
+    for x in np.linspace(0.0, hi, 51)[1:]:
         (d2,) = payoff_terms(x, ctx, (2,))
         if np.any(d2 >= 0.0):
             return False
@@ -316,10 +311,11 @@ def solve_fixed_point(
     The iterate starts at the constant C/2 when gamma clears the
     analytic threshold, otherwise at the degenerate-market root for
     sigma_plus (the analytic threshold is far from tight, and fixed
-    points routinely exist below it).  Non-convergence and concavity
-    flags are reported, never silently accepted; if the kernel flags a
-    non-concave payoff the run is returned with converged=False rather
-    than raised.
+    points routinely exist below it).  Each iteration is one
+    ``best_response`` call warm-started at the iterate.  Once the loop
+    ends, ``_concavity_ok`` runs once on the final iterate; a failed
+    check reports converged=False, so a non-concave payoff is flagged,
+    never raised and never silently accepted.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
@@ -344,13 +340,8 @@ def solve_fixed_point(
     residual = math.inf
     converged = False
     iterations = 0
-    nonconcave = False
     for iterations in range(1, cfg.max_iter + 1):
-        try:
-            br = best_response(delta, params, fees, cfg)
-        except NonConcave:
-            nonconcave = True
-            break
+        br = best_response(delta, params, fees, cfg)
         residual = float(np.max(np.abs(br.values - delta.values)))
         if residual <= cfg.tol:
             converged = True
@@ -358,12 +349,12 @@ def solve_fixed_point(
         mixed = (1.0 - _DAMPING) * delta.values + _DAMPING * br.values
         delta = Strategy(grid, mixed)
 
-    concavity = (not nonconcave) and _concavity_ok(delta, params, fees, cfg, bound_c)
+    concavity = _concavity_ok(delta, params, fees, cfg, bound_c)
     return EquilibriumReport(
         strategy=delta,
         residual=residual,
         iterations=iterations,
-        converged=converged,
+        converged=converged and concavity,
         bound_C=bound_c,
         gamma_min=gamma_min,
         concavity_ok=concavity,
@@ -401,7 +392,7 @@ def verify_ne(
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
-    hi = 3.0 * delta.max_value()
+    hi = _DEVIATION_SPAN * delta.max_value()
     if not hi > 0.0:
         hi = 1.0
     xs = np.linspace(0.0, hi, x_samples)

@@ -1,9 +1,11 @@
 """The exchange's fee-design problem for the spread-penalty scheme.
 
 The exchange collects gamma * (half-spread)^2 from each player and
-tunes gamma.  In a degenerate market the equilibrium half-spread is the
-scalar root delta(gamma) of the first-order condition, and the exchange
-revenue 2 gamma delta^2 has a closed-form maximizer:
+tunes gamma.  Every revenue here is per player, gamma E[delta^2]; the
+exchange collects twice that from the pair, which has the same
+maximizer.  In a degenerate market the equilibrium half-spread is the
+scalar root delta(gamma) of the first-order condition, and the revenue
+gamma delta^2 has a closed-form maximizer:
 
     gamma* = Phi'(y*) / (2 sqrt(2) sigma_eff),   delta* = sigma_eff y* / sqrt(2)
 
@@ -34,7 +36,7 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class FeeDesignResult:
-    """Closed-form degenerate-market optimum."""
+    """Closed-form degenerate-market optimum; ``revenue`` is per player."""
 
     gamma_star: float
     y_star: float
@@ -77,7 +79,7 @@ def optimal_gamma_degenerate(sigma: float, rho: float = 0.0) -> FeeDesignResult:
         gamma_star=gamma,
         y_star=ys,
         delta_star=delta,
-        revenue=2.0 * gamma * delta * delta,
+        revenue=gamma * delta * delta,
     )
 
 

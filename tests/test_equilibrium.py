@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 import ael.equilibrium as equilibrium
-from ael.errors import BracketFailure, DegenerateCase, DomainError, NonConcave, WrongScheme
+from ael.errors import BracketFailure, DegenerateCase, DomainError, WrongScheme
 from ael.gaussmath import norm_cdf, norm_pdf
 from ael.model import (
     LinearDemand,
@@ -316,7 +316,8 @@ class TestBatchedBestResponse:
             best_response(delta, main_params, NoFee(), FAST)
 
     def test_two_crossings_are_non_concave(self, main_params, monkeypatch):
-        # synthetic derivative (0.2 - x)(0.5 - x)(0.8 - x) at every grid point
+        # synthetic derivative (0.2 - x)(0.5 - x)(0.8 - x) at every grid point:
+        # the best response stops at the first root, the final check flags it
         def fake_terms(x, ctx, orders):
             x = np.asarray(x, dtype=float)
             d1 = (0.2 - x) * (0.5 - x) * (0.8 - x)
@@ -325,19 +326,63 @@ class TestBatchedBestResponse:
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
         delta = Strategy.constant(0.1, main_params, 11)
-        with pytest.raises(NonConcave) as info:
-            best_response(delta, main_params, SpreadQuad(2.0), FAST)
-        assert info.value.smallest_root == pytest.approx(0.2, abs=1e-9)
-
-    def test_non_concave_kernel_flags_the_solve(self, main_params, monkeypatch):
-        def raises(*args, **kwargs):
-            raise NonConcave("synthetic", smallest_root=0.1)
-
-        monkeypatch.setattr(equilibrium, "best_response", raises)
+        br = best_response(delta, main_params, SpreadQuad(2.0), FAST)
+        assert np.max(np.abs(br.values - 0.2)) <= 1e-9
         rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
         assert not rep.converged
         assert not rep.concavity_ok
-        assert rep.iterations == 1
+
+    def test_non_concave_kernel_flags_the_solve(self, main_params, monkeypatch):
+        # e'' turns positive past x = 0.1, above every offset the solve plays
+        # (max delta is 0.06) but inside the checked 3 max delta
+        real = equilibrium.payoff_terms
+
+        def bumped(x, ctx, orders):
+            terms = real(x, ctx, orders)
+            bump = 10.0 * (np.asarray(x) > 0.1)
+            return [t + bump if k == 2 else t for k, t in zip(orders, terms)]
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", bumped)
+        rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
+        assert rep.residual <= FAST.tol
+        assert not rep.converged
+        assert not rep.concavity_ok
+
+    def test_concavity_check_covers_the_played_offsets(self, main_params, monkeypatch):
+        # e'' = x - 0.1 is negative on (0, bound_C) but not up to 3 * 0.3
+        def fake_terms(x, ctx, orders):
+            return [np.asarray(x, dtype=float) - 0.1 for _ in orders]
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        delta = Strategy.constant(0.3, main_params, 11)
+        assert not equilibrium._concavity_ok(delta, main_params, SpreadQuad(2.0), FAST,
+                                             bound_c=0.0043)
+
+    @pytest.mark.parametrize(
+        "fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)], ids=["spread_quad", "linear_demand"]
+    )
+    def test_kernel_calls_per_picard_iteration(self, main_params, fees, monkeypatch):
+        # kernel calls made inside best_response, not by the final concavity check
+        calls = {"kernel": 0, "best_response": 0, "inside": False}
+        real_terms, real_br = equilibrium.payoff_terms, equilibrium.best_response
+
+        def counted_br(*args, **kwargs):
+            calls["best_response"] += 1
+            calls["inside"] = True
+            try:
+                return real_br(*args, **kwargs)
+            finally:
+                calls["inside"] = False
+
+        def counted_terms(*args, **kwargs):
+            calls["kernel"] += calls["inside"]
+            return real_terms(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "best_response", counted_br)
+        monkeypatch.setattr(equilibrium, "payoff_terms", counted_terms)
+        rep = solve_fixed_point(main_params, fees, SolverConfig())
+        assert rep.converged and calls["best_response"] == rep.iterations
+        assert calls["kernel"] <= 6 * rep.iterations
 
 
 class TestExistenceBoundQuadrature:

@@ -38,8 +38,16 @@ class TestOptimalGammaDegenerate:
         res = optimal_gamma_degenerate(1.1, 0.0)
         assert res.gamma_star == pytest.approx(0.09665911850500548, rel=1e-12)
         assert res.delta_star == pytest.approx(0.5847565736643325, rel=1e-12)
-        assert res.revenue == pytest.approx(0.06610328637852803, rel=1e-12)
+        assert res.revenue == pytest.approx(0.033051643189264006, rel=1e-12)
         assert 0.09 <= res.gamma_star <= 0.11
+
+    @pytest.mark.parametrize("rho", [0.0, 0.03])
+    @pytest.mark.parametrize("sigma", [0.5, 1.1])
+    def test_revenue_is_per_player_like_revenue(self, sigma, rho):
+        res = optimal_gamma_degenerate(sigma, rho)
+        assert res.revenue == pytest.approx(
+            revenue(res.gamma_star, MarketParams(sigma, sigma, rho)), rel=1e-12
+        )
 
     def test_delta_star_is_the_equilibrium_root(self):
         # the closed-form delta* solves the first-order condition at gamma*
