@@ -357,8 +357,8 @@ def cmd_payoff_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
     sigma_a = cfg["curve.sigma_a"]
     if sigma_a == "mid":
         sigma_a = 0.5 * (market.sigma_minus + market.sigma_plus)
-    ctx = PayoffContext(sigma_a, delta, market, cfg.fees(),
-                        default_rule(market, cfg["solver.quad_n"]))
+    ctx = _checked("key curve.sigma_a", PayoffContext, sigma_a, delta, market, cfg.fees(),
+                   default_rule(market, cfg["solver.quad_n"]))
     xs = np.linspace(cfg["curve.x_min"], cfg["curve.x_max"], cfg["curve.n"])
     rows = np.column_stack([xs, *payoff_terms(xs, ctx, (0, 1))]).tolist()
     write_csv(cfg["output.path"], "payoff-curve", cfg, ["x", "payoff", "deriv"], rows)

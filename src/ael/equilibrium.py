@@ -2,9 +2,11 @@
 
 A strategy delta is an equilibrium when, for every sigma_a, delta(sigma_a)
 maximizes the penalized payoff against delta itself.  Equilibria are
-computed as fixed points of the best-response operator by damped Picard
-iteration; convergence is never assumed, only verified through the
-sup-norm residual |delta - BR(delta)|.  ``best_response`` locates a
+computed as fixed points of the best-response operator by Anderson
+mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which falls back to
+a damped step whenever the residual more than doubles; convergence is
+never assumed, only verified through the sup-norm residual
+|delta - BR(delta)| of the returned strategy.  ``best_response`` locates a
 root of the first-order condition, and one concavity check on the
 solved strategy (``_concavity_ok``) decides whether that root is the
 argmax on the offsets the strategy plays.
@@ -55,7 +57,8 @@ from .payoff import PayoffContext, payoff_terms
 _SQRT2 = math.sqrt(2.0)
 _MAX_DOUBLINGS = 60
 _MAX_NEWTON = 100
-_DAMPING = 0.5  # Picard step weight on the best response
+_DAMPING = 0.5  # weight of the residual in each mixing step
+_HISTORY = 3  # Anderson depth: past differences the mixing step combines
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 
 
@@ -306,16 +309,24 @@ def solve_fixed_point(
     cfg: SolverConfig = SolverConfig(),
     init: Strategy | None = None,
 ) -> EquilibriumReport:
-    """Damped Picard iteration on the best-response operator.
+    """Anderson-mixed fixed-point iteration on the best-response operator.
 
     The iterate starts at the constant C/2 when gamma clears the
     analytic threshold, otherwise at the degenerate-market root for
     sigma_plus (the analytic threshold is far from tight, and fixed
     points routinely exist below it).  Each iteration is one
-    ``best_response`` call warm-started at the iterate.  Once the loop
-    ends, ``_concavity_ok`` runs once on the final iterate; a failed
-    check reports converged=False, so a non-concave payoff is flagged,
-    never raised and never silently accepted.
+    ``best_response`` call warm-started at the iterate delta, giving the
+    residual f = BR(delta) - delta.  The next iterate is
+    delta + b f - (dX + b dF) c, with b = 0.5, dX and dF the last three
+    differences of iterates and of residuals, and c the least-squares
+    solution of dF c = f; it is clipped at 0, since a strategy cannot
+    be negative.  When the sup-norm residual more than doubles the
+    history is cleared, so that step is the plain damped one
+    delta + b f.  The loop stops once the residual is within ``tol``
+    (or after ``max_iter`` best responses), and the strategy returned is
+    the one whose residual was measured.  ``_concavity_ok`` then runs
+    once on it; a failed check reports converged=False, so a non-concave
+    payoff is flagged, never raised and never silently accepted.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
@@ -337,24 +348,32 @@ def solve_fixed_point(
     if init is not None and (init.grid.shape != grid.shape or not np.allclose(init.grid, grid)):
         raise DomainError("initial strategy grid does not match the solver grid")
 
-    residual = math.inf
-    converged = False
-    iterations = 0
+    dx, df = [], []  # last _HISTORY differences of iterates and of residuals
     for iterations in range(1, cfg.max_iter + 1):
-        br = best_response(delta, params, fees, cfg)
-        residual = float(np.max(np.abs(br.values - delta.values)))
-        if residual <= cfg.tol:
-            converged = True
+        x = delta.values
+        f = best_response(delta, params, fees, cfg).values - x
+        residual = float(np.max(np.abs(f)))
+        if residual <= cfg.tol or iterations == cfg.max_iter:
             break
-        mixed = (1.0 - _DAMPING) * delta.values + _DAMPING * br.values
-        delta = Strategy(grid, mixed)
+        if iterations > 1 and residual <= 2.0 * prev_residual:
+            dx = [*dx, x - prev_x][-_HISTORY:]
+            df = [*df, f - prev_f][-_HISTORY:]
+        else:
+            dx, df = [], []
+        prev_x, prev_f, prev_residual = x, f, residual
+        step = x + _DAMPING * f
+        if df:
+            dx_mat, df_mat = np.column_stack(dx), np.column_stack(df)
+            coef = np.linalg.lstsq(df_mat, f, rcond=None)[0]
+            step -= (dx_mat + _DAMPING * df_mat) @ coef
+        delta = Strategy(grid, np.maximum(step, 0.0))
 
     concavity = _concavity_ok(delta, params, fees, cfg, bound_c)
     return EquilibriumReport(
         strategy=delta,
         residual=residual,
         iterations=iterations,
-        converged=converged and concavity,
+        converged=residual <= cfg.tol and concavity,
         bound_C=bound_c,
         gamma_min=gamma_min,
         concavity_ok=concavity,

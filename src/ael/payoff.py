@@ -31,10 +31,14 @@ volume-weighted variant
 One kernel, ``payoff_terms``, evaluates all of these.  A context built
 on an array of sigma_a caches S, Q and Q~ as matrices with one row per
 sigma_a and one column per quadrature node, once, together with the
-strategy values at the nodes and their moments.  Each call computes
-u, Phi(u) and Phi'(u) once for a whole array of offsets and derives the
-requested value and derivatives from them; the fee scheme contributes
-one closed-form quadratic penalty.  The scalar functions below are
+strategy values at the nodes, their moments and the x-free factors of
+the second-derivative integrand: e'' is avg[Phi'(u) (a0 + x (a1 + x a2))],
+and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
+Each call computes u and Phi'(u) once for a whole array of offsets, and
+1 - Phi(u) only when a requested order needs it: orders 0 and 1 always,
+order 2 only under half-linear demand.  The requested value and
+derivatives follow from these; the fee scheme contributes one
+closed-form quadratic penalty.  The scalar functions below are
 one-point calls into the same kernel.  Contexts are immutable and
 evaluations pure, hence freely shareable across workers.
 """
@@ -88,6 +92,7 @@ class PayoffContext:
     qt: np.ndarray = field(init=False, repr=False)
     e_delta: float = field(init=False, repr=False)
     e_delta2: float = field(init=False, repr=False)
+    e2_poly: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
@@ -108,6 +113,18 @@ class PayoffContext:
         set_(self, "qt", q_tilde_rho(sa, nodes, p.rho))
         set_(self, "e_delta", float(np.dot(w, self.delta_b)))
         set_(self, "e_delta2", float(np.dot(w, self.delta_b**2)))
+        set_(self, "e2_poly", _e2_poly(self))
+
+
+def _e2_poly(ctx: PayoffContext) -> tuple:
+    """x-free factors of the second-derivative integrand, lowest power
+    first: it is Phi'(u) times their polynomial in x, less 1 - Phi(u)
+    under half-linear demand."""
+    d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
+    if isinstance(ctx.fees, LinearDemand):
+        return -q * d / s, qt / s
+    s3 = s * s * s
+    return -(0.5 + qt + q * d * d / (s * s)) / s, (qt - q) * d / s3, qt / s3
 
 
 def _mid_quad_constant(ctx: PayoffContext):
@@ -130,28 +147,35 @@ _PENALTY = {
 
 def _averages(x: np.ndarray, ctx: PayoffContext, orders, volume: bool) -> list:
     """Averages over sigma_b of the base integrand (the half-linear one
-    times kbar/2 with ``volume``) and its x-derivatives, one per order."""
+    times kbar/2 with ``volume``) and its x-derivatives, one per order.
+
+    Orders 0 and 1 need Phi(u) and Phi'(u).  Order 2 is Phi'(u) times a
+    polynomial in x with the factors ``ctx.e2_poly`` caches, less
+    1 - Phi(u) under half-linear demand; the base order 2 needs no
+    Phi(u) at all.  The cached factors are those of the context's own
+    scheme, so for order 2 ``volume`` must match it.
+    """
     xx = x[..., None]
     d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
     u = (xx + d) / s
-    tail = 1.0 - norm_cdf(u)
     dens = norm_pdf(u)
+    if volume or min(orders) < 2:
+        tail = 1.0 - norm_cdf(u)
+    e2 = ctx.e2_poly
     if volume:
         scale = 0.5 * ctx.fees.kbar
         terms = (
             lambda: (s * s * (0.5 - q) - 0.5 * (xx - d) * (d + xx)) * tail
             + s * (0.5 * (xx - d)) * dens,
             lambda: -xx * tail + s * q * dens,
-            lambda: -tail + ((qt * xx - q * d) / s) * dens,
+            lambda: dens * (e2[0] + xx * e2[1]) - tail,
         )
     else:
         scale = 1.0
         terms = (
             lambda: 0.5 * (xx - d) * tail + s * (0.5 - q) * dens,
             lambda: 0.5 * tail + ((d * q - xx * qt) / s) * dens,
-            lambda: dens / s * (
-                -(0.5 + qt + q * d * d / (s * s)) + ((qt - q) * xx * d + qt * xx * xx) / (s * s)
-            ),
+            lambda: dens * (e2[0] + xx * (e2[1] + xx * e2[2])),
         )
     return [scale * (terms[k]() @ ctx.w) for k in orders]
 

@@ -63,9 +63,10 @@ def test_solve_failure_exit_code(tmp_path, args):
      (["optimal-fee", "--strict", "--sweep.gammas=-1,2"], "ael: gamma grid must be positive"),
      (["solve-ne", "--fees.scheme", "bogus"], "ael: config error: key fees.scheme:"),
      (["solve-ne", "--market.sigma_minus", "2"], "ael: config error: market parameters:"),
-     (["payoff-curve", "--curve.sigma_a", "foo"], "ael: config error: key curve.sigma_a:")],
+     (["payoff-curve", "--curve.sigma_a", "foo"], "ael: config error: key curve.sigma_a:"),
+     (["payoff-curve", "--curve.sigma_a", "5"], "ael: config error: key curve.sigma_a:")],
     ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma", "unknown_scheme", "bad_market",
-         "bad_curve_sigma_a"],
+         "bad_curve_sigma_a", "curve_sigma_a_out_of_range"],
 )
 def test_bad_input_exit_code(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"

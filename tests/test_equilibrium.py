@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ class TestBatchedBestResponse:
         assert np.max(np.abs(br.values - scalar_best_response(delta, params, fees))) <= 1e-9
 
     @pytest.mark.parametrize(
-        "fees, iterations", [(SpreadQuad(2.0), 18), (LinearDemand(1.0, 0.3), 22)],
+        "fees, iterations", [(SpreadQuad(2.0), 6), (LinearDemand(1.0, 0.3), 7)],
         ids=["spread_quad", "linear_demand"],
     )
     def test_picard_iteration_counts(self, main_params, fees, iterations):
@@ -383,6 +384,37 @@ class TestBatchedBestResponse:
         rep = solve_fixed_point(main_params, fees, SolverConfig())
         assert rep.converged and calls["best_response"] == rep.iterations
         assert calls["kernel"] <= 6 * rep.iterations
+
+
+@lru_cache(maxsize=None)
+def solved(params, fees, tol=SolverConfig.tol):
+    return solve_fixed_point(params, fees, SolverConfig(tol=tol))
+
+
+SOLVER_CASES = pytest.mark.parametrize(
+    "params, fees",
+    [(MarketParams(0.1, 1.1, 0.0), SpreadQuad(2.0)),
+     (MarketParams(0.1, 1.1, 0.0), LinearDemand(1.0, 0.3)),
+     (MarketParams(0.1, 1.1, 0.0), SpreadQuad(0.13)),
+     (MarketParams(1.1 - 1e-6, 1.1, 0.0), SpreadQuad(2.0))],
+    ids=["spread_quad", "linear_demand", "spread_quad_low_gamma", "near_degenerate"],
+)
+
+
+class TestAndersonFixedPoint:
+    @SOLVER_CASES
+    def test_residual_is_that_of_the_returned_strategy(self, params, fees):
+        rep = solved(params, fees)
+        br = best_response(rep.strategy, params, fees, SolverConfig())
+        assert rep.converged
+        assert rep.residual == float(np.max(np.abs(br.values - rep.strategy.values)))
+
+    @SOLVER_CASES
+    def test_within_two_tol_of_a_tight_solve(self, params, fees):
+        rep, tight = solved(params, fees), solved(params, fees, 1e-11)
+        assert rep.converged and tight.converged
+        gap = np.max(np.abs(rep.strategy.values - tight.strategy.values))
+        assert gap <= 2.0 * SolverConfig.tol
 
 
 class TestExistenceBoundQuadrature:

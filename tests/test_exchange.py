@@ -152,6 +152,18 @@ class TestOptimalGammaNumeric:
         found = optimal_gamma_numeric(p, lo=0.03, hi=0.3, tol=1e-5)
         assert found == pytest.approx(res.gamma_star, abs=1e-4)
 
+    def test_near_degenerate_optimum_tends_to_the_closed_form(self):
+        # the gap to the degenerate gamma* shrinks in proportion to the
+        # width eps of the sigma interval
+        exact = optimal_gamma_degenerate(1.1).gamma_star
+        gaps = [
+            abs(optimal_gamma_numeric(MarketParams(1.1 - eps, 1.1, 0.0), lo=0.05, hi=0.2,
+                                      tol=1e-6) / exact - 1.0)
+            for eps in (1e-2, 1e-3)
+        ]
+        assert gaps[0] <= 1e-2 and gaps[1] <= 1e-3
+        assert 5.0 <= gaps[0] / gaps[1] <= 20.0
+
 
 class TestRevenueCurveErrors:
     CFG = SolverConfig(grid_n=11, quad_n=16)

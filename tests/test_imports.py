@@ -1,9 +1,14 @@
 """Every name a package module imports must be used in that module.
 
 ``__init__.py`` is exempt: importing names to re-export them is its job.
+Importing the package must also stay free of ``scipy.optimize``, whose
+import alone costs more start-up time than the rest of the package.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +37,13 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_import_leaves_out_scipy_optimize():
+    src = str(Path(ael.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ael; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -13,11 +13,13 @@ from ael.model import (
     Strategy,
     default_rule,
 )
+import ael.payoff as payoff
 from ael.payoff import (
     PayoffContext,
     base_payoff,
     payoff_deriv,
     payoff_second_deriv,
+    payoff_terms,
     penalized_payoff,
 )
 
@@ -183,3 +185,30 @@ class TestHalfLinear:
         diff = penalized_payoff(x1, ctx) - penalized_payoff(x0, ctx)
         assert integral == pytest.approx(diff, abs=1e-8)
 
+
+
+class TestKernelOrders:
+    @staticmethod
+    def grid_ctx(params, fees):
+        delta = Strategy(np.linspace(params.sigma_minus, params.sigma_plus, 21),
+                         0.02 + 0.05 * np.linspace(0.0, 1.0, 21))
+        return PayoffContext(delta.grid, delta, params, fees, default_rule(params)), delta
+
+    def test_second_derivative_skips_the_cdf(self, main_params, monkeypatch):
+        ctx, delta = self.grid_ctx(main_params, SpreadQuad(2.0))
+        _, with_cdf = payoff_terms(delta.values, ctx, (1, 2))
+
+        def no_cdf(x):
+            raise AssertionError("order 2 evaluated Phi")
+
+        monkeypatch.setattr(payoff, "norm_cdf", no_cdf)
+        (alone,) = payoff_terms(delta.values, ctx, (2,))
+        assert np.array_equal(alone, with_cdf)
+
+    @pytest.mark.parametrize("fees", ALL_SCHEMES, ids=lambda f: type(f).__name__)
+    def test_orders_do_not_depend_on_each_other(self, main_params, fees):
+        ctx, delta = self.grid_ctx(main_params, fees)
+        x = np.linspace(0.0, 1.0, 21)
+        together = payoff_terms(x, ctx, (0, 1, 2))
+        for k, value in zip((0, 1, 2), together):
+            assert np.array_equal(payoff_terms(x, ctx, (k,))[0], value)
