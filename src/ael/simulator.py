@@ -6,7 +6,9 @@ addressed directly by its draw index.  A sample is therefore a pure
 function of (seed, draw_index), results are bit-identical however the
 work is sharded, and disjoint index ranges give independent substreams.
 Normal variates are produced by applying the inverse normal CDF to the
-uniforms, which keeps the counter addressing exact.
+uniforms, which keeps the counter addressing exact.  The raw window may
+hold 0.0; the ``_U_FLOOR`` clamp is applied only to the columns that
+``ndtri`` reads, so the sigma columns keep their bits.
 
 Shared slot layout per draw window (unused slots are reserved):
 
@@ -96,11 +98,20 @@ def worker_count() -> int:
 
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """The (count, 8) uniform window for samples [start, start + count)."""
+    """The raw (count, 8) uniform window for samples [start, start + count).
+
+    Values lie in [0, 1); callers floor the columns they pass to ``ndtri``
+    (see ``_normal``).
+    """
     bg = Philox(key=seed)
     bg.advance(start * _BLOCKS_PER_SAMPLE)
-    u = Generator(bg).random((count, _SLOTS))
-    return np.clip(u, _U_FLOOR, None)
+    return Generator(bg).random((count, _SLOTS))
+
+
+def _normal(u_col: np.ndarray) -> np.ndarray:
+    """Standard normals from one uniform column, floored so ndtri stays finite."""
+    t = np.maximum(u_col, _U_FLOOR)
+    return ndtri(t, out=t)
 
 
 def _map_chunks(total: int, fn):
@@ -118,13 +129,15 @@ def _market_draws(u: np.ndarray, params: MarketParams):
     sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
     sigma_a = sm + (sp - sm) * u[:, 1]
     sigma_b = sm + (sp - sm) * u[:, 2]
-    eps_a = ndtri(u[:, 3])
-    eps_b = rho * eps_a + math.sqrt(1.0 - rho * rho) * ndtri(u[:, 4])
+    eps_a = _normal(u[:, 3])
+    eps_b = rho * eps_a + math.sqrt(1.0 - rho * rho) * _normal(u[:, 4])
     return sigma_a, sigma_b, eps_a, eps_b
 
 
 def _moment_pack(x: np.ndarray) -> np.ndarray:
-    return np.array([x.sum(), (x * x).sum(), (x**3).sum(), (x**4).sum()])
+    """Sums of x, x^2, x^3 and x^4, formed by multiplication (no pow)."""
+    x2 = x * x
+    return np.array([x.sum(), x2.sum(), (x2 * x).sum(), (x2 * x2).sum()])
 
 
 def _mean_var_ses(sums: np.ndarray, n: int) -> tuple[float, float, float, float]:
@@ -135,7 +148,8 @@ def _mean_var_ses(sums: np.ndarray, n: int) -> tuple[float, float, float, float]
     m4 = s4 / n - 4.0 * mean * s3 / n + 6.0 * mean * mean * s2 / n - 3.0 * mean**4
     var = m2 * n / (n - 1) if n > 1 else 0.0
     se_mean = math.sqrt(m2 / n)
-    se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
+    # at n == 1, m4 holds only the cancellation of the raw sums
+    se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n) if n > 1 else 0.0
     return mean, var, se_mean, se_var
 
 
@@ -200,8 +214,8 @@ def _limit_estimate(
     def chunk(start: int, count: int):
         u = _uniforms(sim.seed, start, count)
         sb = sm + (sp - sm) * u[:, 0]
-        z = ndtri(u[:, 1])
-        w = ndtri(u[:, 2])
+        z = _normal(u[:, 1])
+        w = _normal(u[:, 2])
         d = np.asarray(delta(sb), dtype=float)
         sig = sigma_rho(sigma_a, sb, rho)
         q = q_rho(sigma_a, sb, rho)

@@ -103,6 +103,17 @@ def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):
     assert {h: v for h, v in zip(sim_header, sim_row) if h in empirical} == empirical
 
 
+def test_single_sample_simulate_has_zero_standard_errors(tmp_path):
+    # one sample has no spread; the fourth-moment sums must not leak
+    # their rounding into se_*_var
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "-o", str(out), "--samples", "1", "--seed", "12345"]) == 0
+    header, (row,) = data_rows(out)
+    values = dict(zip(header, row))
+    assert values["emp_spread_var"] == values["emp_mid_error_var"] == 0.0
+    assert all(v == 0.0 for h, v in values.items() if h.startswith("se_"))
+
+
 def test_payoff_curve_matches_scalar_functions(tmp_path):
     out = tmp_path / "curve.csv"
     args = ["--strategy.constant", "0.3", "--curve.n", "41"]

@@ -1,10 +1,12 @@
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ael import simulator
 from ael.errors import WrongScheme
 from ael.model import (
     LinearDemand,
@@ -18,6 +20,8 @@ from ael.payoff import PayoffContext, base_payoff, penalized_payoff
 from ael.simulator import (
     _CHUNK,
     SimConfig,
+    _market_draws,
+    _moment_pack,
     _uniforms,
     estimate_half_linear_payoff,
     estimate_limit_payoff,
@@ -60,6 +64,58 @@ def test_stats_identical_across_thread_counts(monkeypatch):
         monkeypatch.setenv("AEL_THREADS", threads)
         reports.append(estimate_stats(DELTA, MARKET, sim))
     assert reports[0] == reports[1]
+
+
+def test_limit_payoff_identical_across_thread_counts(monkeypatch):
+    sim = SimConfig(samples=2 * _CHUNK + 1, seed=11)
+    estimates = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AEL_THREADS", threads)
+        estimates.append(estimate_limit_payoff(0.4, 0.6, DELTA, MARKET, sim))
+    assert estimates[0] == estimates[1]
+
+
+def test_stats_report_is_pinned():
+    # pins the Philox stream, the slot layout and the chunked reduction
+    rep = estimate_stats(DELTA, MARKET, SimConfig(samples=2 * _CHUNK + 1, seed=11))
+    assert astuple(rep.stats) == (
+        0.5997538213416292,
+        0.8653939463744456,
+        -0.0017871603495739712,
+        0.22812804930378874,
+        0.23316103683076161,
+    )
+    se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
+    assert (se_sp_mean, se_me_mean, se_trade) == (
+        0.0018169179218634089,
+        0.000932862694360456,
+        0.0008258654261388233,
+    )
+    # the variance errors come from third and fourth power sums, which may
+    # round differently from one evaluation order to another
+    assert se_sp_var == pytest.approx(0.0028884819009263375, rel=1e-14, abs=0.0)
+    assert se_me_var == pytest.approx(0.0007716195072284582, rel=1e-14, abs=0.0)
+
+
+def test_zero_uniforms_stay_finite(monkeypatch):
+    # the raw window may hold 0.0; only the ndtri inputs are floored
+    monkeypatch.setattr(
+        simulator, "_uniforms", lambda seed, start, count: np.zeros((count, 8))
+    )
+    sim = SimConfig(samples=1000, seed=3)
+    rep = estimate_stats(DELTA, MARKET, sim)
+    assert np.all(np.isfinite(astuple(rep.stats))) and np.all(np.isfinite(rep.std_errors))
+    assert np.all(np.isfinite(estimate_limit_payoff(0.4, 0.6, DELTA, MARKET, sim)))
+    sigma_a, sigma_b, eps_a, eps_b = _market_draws(np.zeros((4, 8)), MARKET)
+    assert np.all(sigma_a == MARKET.sigma_minus) and np.all(sigma_b == MARKET.sigma_minus)
+    assert np.all(np.isfinite(eps_a)) and np.all(np.isfinite(eps_b))
+
+
+def test_moment_pack_matches_exact_power_sums():
+    x = np.random.default_rng(5).normal(0.5, 1.0, 2000)
+    exact = [sum(Fraction(v) ** k for v in x.tolist()) for k in (1, 2, 3, 4)]
+    for got, want in zip(_moment_pack(x), exact):
+        assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**14) * abs(want)
 
 
 def test_draws_do_not_depend_on_the_chunk_boundary():
