@@ -18,7 +18,10 @@ of the two signals puts on each of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,31 +67,107 @@ class MarketParams:
         return self.rho <= self.sigma_minus / self.sigma_plus
 
 
+class _Buckets(NamedTuple):
+    """Bucket tables of ``Strategy.__call__``; see the ``Strategy`` docstring."""
+
+    scale: float  # buckets per unit of sigma
+    first: np.ndarray  # bucket -> lowest segment index a sigma in it can have
+    strides: tuple[int, ...]  # search steps above 1, largest first
+    right: np.ndarray  # grid[j + 1], padded with +inf for the largest stride
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Half-spread function sampled on a grid, piecewise-linear between points.
 
     A single-point grid (degenerate market) evaluates to a constant.
+
+    Evaluation is exact: ``delta(s)`` has the bits of
+    ``np.interp(s, grid, values)`` on every grid the constructor accepts
+    (a -0.0 in ``values`` can come back as +0.0 at its own grid point).
+    A lookup clamps sigma to the grid, finds the segment j with
+    grid[j] <= sigma < grid[j + 1] (j = n - 1 at the last grid point,
+    whose slope is 0), and evaluates
+    ``slope[j] * (sigma - grid[j]) + values[j]``, the expression and
+    rounding of ``np.interp``.
+
+    A query with more points than the grid reads j from bucket tables
+    instead of searching the whole grid.  The first such query splits
+    [grid[0], grid[-1]] into 2 (n - 1) equal buckets and stores, for each
+    bucket, the lowest segment index a sigma in it can have.  Let W be the
+    most segments past that index a sigma in any bucket can reach; W = 1
+    on a near-uniform grid.  A lookup starts from its bucket's index j and
+    searches the W segments that follow: for each power of two h below
+    W + 1, largest first, it adds h to j where sigma >= grid[j + h], so a
+    near-uniform grid takes one step.  Grid points and queries go into
+    buckets through the same monotone floating-point expression, so the
+    start index never passes the true segment.  A smaller query, such as
+    the solver's quadrature nodes on a strategy it evaluates once, costs
+    less as a binary search than the tables cost to build.
     """
 
     grid: np.ndarray
     values: np.ndarray
+    _lo: float = field(init=False, repr=False, compare=False)
+    _hi: float = field(init=False, repr=False, compare=False)
+    _slope: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        set_ = object.__setattr__
+        set_(self, "grid", grid)
+        set_(self, "values", values)
         if grid.ndim != 1 or values.ndim != 1 or grid.shape != values.shape:
             raise DomainError("grid and values must be 1-D arrays of equal length")
         if grid.size < 1:
             raise DomainError("strategy grid must contain at least one point")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
+        if not np.isfinite(grid).all():
+            raise DomainError("strategy grid must be finite")
+        with np.errstate(all="ignore"):
+            step = grid[1:] - grid[:-1]
+            slope = np.append((values[1:] - values[:-1]) / step, 0.0)
+        if (step <= 0.0).any():
             raise DomainError("strategy grid must be strictly increasing")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        if not np.isfinite(values).all() or (values < 0.0).any():
             raise DomainError("strategy values must be finite and non-negative")
+        lo, hi = float(grid[0]), float(grid[-1])
+        # a finite span and finite slopes keep the bucket map and the
+        # evaluation finite
+        if not (math.isfinite(hi - lo) and np.isfinite(slope).all()):
+            raise DomainError("strategy grid span and slopes must be finite")
         grid.flags.writeable = False
         values.flags.writeable = False
+        slack = _DEGENERATE_TOL * max(1.0, abs(lo), abs(hi))
+        set_(self, "_lo", lo - slack)
+        set_(self, "_hi", hi + slack)
+        set_(self, "_slope", slope)
+
+    @cached_property
+    def _buckets(self) -> _Buckets:
+        grid = self.grid
+        scale = 2.0 * (grid.size - 1) / (grid[-1] - grid[0]) if grid.size > 1 else 0.0
+        # bucket of each grid point, by the expression _segment uses
+        kg = ((grid - grid[0]) * scale).astype(np.intp)
+        k = np.arange(kg[-1] + 1)
+        first = np.maximum(kg.searchsorted(k, side="left") - 1, 0)
+        reach = int((kg.searchsorted(k, side="right") - 1 - first).max())
+        strides = tuple(1 << i for i in range(reach.bit_length() - 1, 0, -1))
+        pad = np.full(strides[0] if strides else 1, np.inf)
+        return _Buckets(scale, first, strides, np.concatenate((grid[1:], pad)))
+
+    def _segment(self, t: np.ndarray) -> np.ndarray:
+        """Segment index of each sigma in ``t``, already clamped to the grid."""
+        grid = self.grid
+        if t.size <= grid.size:
+            return grid.searchsorted(t, side="right") - 1
+        scale, first, strides, right = self._buckets
+        f = t - grid[0]
+        f *= scale
+        j = first[f.astype(np.intp)]
+        for h in strides:
+            j = j + h * (t >= right[h - 1:][j])
+        return j + (t >= right[j])
 
     @classmethod
     def constant(cls, value: float, params: MarketParams, n: int = 101) -> "Strategy":
@@ -97,14 +176,24 @@ class Strategy:
         return cls(grid, np.full(grid.shape, float(value)))
 
     def __call__(self, sigma):
-        """Evaluate at a scalar or array of sigma values (with 1e-12 slack)."""
-        slack = _DEGENERATE_TOL * max(1.0, abs(self.grid[0]), abs(self.grid[-1]))
+        """Evaluate at a scalar or array of sigma values (with 1e-12 slack).
+
+        Raises OutOfDomain for a NaN or for a sigma beyond the slack.
+        """
+        grid = self.grid
         s = np.asarray(sigma, dtype=float)
-        if np.any(s < self.grid[0] - slack) or np.any(s > self.grid[-1] + slack):
-            raise OutOfDomain(
-                f"sigma outside strategy span [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        out = np.interp(s, self.grid, self.values)
+        x = s.reshape(-1)
+        # min and max of a NaN are NaN, which fails both comparisons
+        if x.size and not (
+            np.minimum.reduce(x) >= self._lo and np.maximum.reduce(x) <= self._hi
+        ):
+            raise OutOfDomain(f"sigma outside strategy span [{grid[0]}, {grid[-1]}]")
+        t = x.clip(grid[0], grid[-1])
+        j = self._segment(t)
+        f = t - grid[j]
+        f *= self._slope[j]
+        f += self.values[j]
+        out = f.reshape(s.shape)
         return out if isinstance(sigma, np.ndarray) else float(out)
 
     def max_value(self) -> float:

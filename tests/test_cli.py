@@ -64,11 +64,15 @@ def test_solve_failure_exit_code(tmp_path, args):
      (["solve-ne", "--fees.scheme", "bogus"], "ael: config error: key fees.scheme:"),
      (["solve-ne", "--market.sigma_minus", "2"], "ael: config error: market parameters:"),
      (["payoff-curve", "--curve.sigma_a", "foo"], "ael: config error: key curve.sigma_a:"),
-     (["payoff-curve", "--curve.sigma_a", "5"], "ael: config error: key curve.sigma_a:")],
+     (["payoff-curve", "--curve.sigma_a", "5"], "ael: config error: key curve.sigma_a:"),
+     (["simulate", "--strategy.file", "nan_sigma.csv"],
+      "ael: config error: strategy file nan_sigma.csv: strategy grid must be finite")],
     ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma", "unknown_scheme", "bad_market",
-         "bad_curve_sigma_a", "curve_sigma_a_out_of_range"],
+         "bad_curve_sigma_a", "curve_sigma_a_out_of_range", "nan_strategy_sigma"],
 )
-def test_bad_input_exit_code(tmp_path, capsys, args, message):
+def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    Path("nan_sigma.csv").write_text("sigma,delta\n0.1,0.2\nnan,0.3\n1.1,0.4\n")
     out = tmp_path / "x.csv"
     assert main([*args, "-o", str(out), *TOY]) == 2
     assert not out.exists()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ael.errors import DomainError, OutOfDomain
@@ -113,10 +113,88 @@ class TestStrategy:
             Strategy(np.array([0.2, 0.1]), np.array([0.0, 0.0]))
         with pytest.raises(DomainError):
             Strategy(np.array([0.1, 0.2]), np.array([0.0, -0.1]))
+        # NaN compares false both ways, so it used to pass the ordering check
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="grid must be finite"):
+                Strategy(np.array([0.1, bad, 1.1]), np.array([0.2, 0.3, 0.4]))
+        for grid in ([0.0, 5e-324], [-1e308, 1e308]):
+            with pytest.raises(DomainError, match="span and slopes must be finite"):
+                Strategy(np.array(grid), np.array([0.0, 1.0]))
 
     def test_single_point_grid(self):
         s = Strategy(np.array([1.1]), np.array([0.5]))
         assert s(1.1) == 0.5
+        assert np.array_equal(s(np.array([1.1 - 1e-12, 1.1, 1.1 + 1e-12])), [0.5, 0.5, 0.5])
+
+    def test_nan_query_is_out_of_domain(self):
+        s = Strategy(np.array([0.1, 1.1]), np.array([0.2, 0.4]))
+        with pytest.raises(OutOfDomain):
+            s(np.array([math.nan, 0.5]))
+        with pytest.raises(OutOfDomain):
+            s(math.nan)
+
+    def test_query_shapes_and_types(self):
+        s = Strategy(np.linspace(0.1, 1.1, 11), np.linspace(0.0, 1.0, 11) ** 2)
+        empty = s(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        q = np.linspace(0.1, 1.1, 12).reshape(3, 2, 2)
+        assert np.array_equal(s(q), np.interp(q, s.grid, s.values))
+        assert type(s(0.55)) is float and type(s(np.float64(0.55))) is float
+        assert type(s(np.array(0.55))) is np.ndarray
+
+    def test_slack_clamps_to_end_values(self):
+        s = Strategy(np.linspace(0.1, 1.1, 11), np.linspace(0.0, 1.0, 11) ** 2)
+        assert np.array_equal(s(np.array([0.1 - 1e-12, 1.1 + 1e-12])), [0.0, 1.0])
+        with pytest.raises(OutOfDomain):
+            s(0.1 - 3e-12)
+
+    def test_solver_grid_takes_one_search_step(self):
+        for n in (2, 11, 101, 1001):
+            grid = np.linspace(0.1, 1.1, n)
+            csv = np.array([float(f"{v:.16e}") for v in grid])
+            for g in (grid, csv):
+                assert Strategy(g, np.zeros(n))._buckets.strides == ()
+
+
+def _grid(kind: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    lo = rng.uniform(0.01, 2.0)
+    hi = lo + rng.uniform(1e-6, 5.0)
+    if kind == 0:  # the solver's grid
+        return np.linspace(lo, hi, n)
+    if kind == 1:  # a solve-ne CSV read back
+        return np.array([float(f"{v:.16e}") for v in np.linspace(lo, hi, n)])
+    if kind == 2:  # random sorted
+        return np.unique(np.r_[lo, rng.uniform(lo, hi, n - 2), hi])
+    if kind == 3:  # geometric
+        return np.geomspace(lo, hi, n)
+    # clustered: a few tight runs with wide gaps between them
+    steps = rng.choice([1e-9, 1e-4, 1.0], size=n - 1) * rng.uniform(0.5, 1.5, n - 1)
+    return lo + (hi - lo) * np.r_[0.0, np.cumsum(steps)] / steps.sum()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    kind=st.integers(0, 4),
+    n=st.one_of(st.just(2), st.integers(2, 300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lookup_is_bit_identical_to_interp(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    grid = _grid(kind, n, rng)
+    values = rng.uniform(0.0, 2.0, grid.size)
+    s = Strategy(grid, values)
+    slack = 0.5e-12 * max(1.0, abs(grid[0]), abs(grid[-1]))
+    q = np.concatenate([
+        rng.uniform(grid[0], grid[-1], 2000),
+        grid,
+        np.nextafter(grid, -np.inf),
+        np.nextafter(grid, np.inf),
+        [grid[0] - slack, grid[-1] + slack],
+    ])
+    # more points than the grid go through the bucket tables, fewer
+    # through a binary search
+    for part in (q, q[: grid.size]):
+        assert np.array_equal(s(part), np.interp(part, grid, values))
 
 
 class TestAnalyticStats:

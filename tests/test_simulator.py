@@ -97,6 +97,38 @@ def test_stats_report_is_pinned():
     assert se_me_var == pytest.approx(0.0007716195072284582, rel=1e-14, abs=0.0)
 
 
+def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
+    # a constant strategy cannot tell one lookup segment from another;
+    # this pins both estimators on delta = 0.1 + 0.25 sigma^2
+    grid = np.linspace(MARKET.sigma_minus, MARKET.sigma_plus, 101)
+    delta = Strategy(grid, 0.1 + 0.25 * grid * grid)
+    sim = SimConfig(samples=2 * _CHUNK + 1, seed=11)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AEL_THREADS", threads)
+        runs.append((estimate_stats(delta, MARKET, sim),
+                     estimate_limit_payoff(0.4, 0.6, delta, MARKET, sim)))
+    assert runs[0] == runs[1]
+    rep, limit = runs[0]
+    assert astuple(rep.stats) == (
+        0.42164733599135346,
+        0.8813563958313702,
+        -0.0019082045206698834,
+        0.23217833449694855,
+        0.31341051708024187,
+    )
+    se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
+    assert (se_sp_mean, se_me_mean, se_trade) == (
+        0.001833598151863895,
+        0.0009411074861580152,
+        0.0009060132873850472,
+    )
+    # as in test_stats_report_is_pinned: third and fourth power sums
+    assert se_sp_var == pytest.approx(0.002938148971374894, rel=1e-14, abs=0.0)
+    assert se_me_var == pytest.approx(0.0007843238361825925, rel=1e-14, abs=0.0)
+    assert limit == (0.026022280814412876, 0.00045929856624078697)
+
+
 def test_zero_uniforms_stay_finite(monkeypatch):
     # the raw window may hold 0.0; only the ndtri inputs are floored
     monkeypatch.setattr(
