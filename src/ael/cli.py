@@ -16,7 +16,8 @@ bound, and OVERALL reads only the checks that ran.  Exit codes: 0
 success, 2 configuration error, 3 convergence failure under --strict or
 a fee scheme that admits no equilibrium, 4 validation failure.
 stdout stays empty except for the validate report; progress goes to
-stderr.
+stderr, with one ``validate: <check> <ms> ms`` line per validate check
+that ran.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -478,10 +480,12 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
         if needs_rho_bound and not market.rho_bound_ok:
             verdict, detail = "SKIP", "rho exceeds sigma_minus/sigma_plus (assumption violated)"
         else:
+            start = time.perf_counter()
             try:
                 ok, detail = fn(cfg, market)
             except AelError as exc:
                 ok, detail = False, f"error: {exc}"
+            _log(f"validate: {name} {1e3 * (time.perf_counter() - start):.1f} ms")
             all_ok &= ok
             verdict = "PASS" if ok else "FAIL"
         lines.append(f"{name:<26} {verdict:<5} {detail}")
@@ -527,6 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ael",
         description="Double-auction quoting game: equilibria, fee design, validation.",
+        epilog="environment: AEL_THREADS caps the worker threads of the Monte Carlo "
+               "chunks and of the verify_ne row blocks (0 or unset: one per CPU); "
+               "every output is bit-identical at every thread count.",
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)

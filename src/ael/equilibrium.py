@@ -52,6 +52,7 @@ from .model import (
     sigma_rho,
     uniform_grid,
 )
+from .parallel import map_ordered
 from .payoff import PayoffContext, payoff_terms
 
 _SQRT2 = math.sqrt(2.0)
@@ -60,6 +61,7 @@ _MAX_NEWTON = 100
 _DAMPING = 0.5  # weight of the residual in each mixing step
 _HISTORY = 3  # Anderson depth: past differences the mixing step combines
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
+_BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne block: 4 rows at the defaults
 
 
 @dataclass(frozen=True)
@@ -405,9 +407,13 @@ def verify_ne(
     """Largest deviation gain over sampled quote offsets.
 
     Scans x in [0, 3 * max(delta)] at every grid sigma_a and returns the
-    maximum of payoff(x) - payoff(delta(sigma_a)), floored at zero.  Each
-    grid point is one batched kernel call on an (x_samples + 1, nodes)
-    block.  A true equilibrium yields a value at solver-tolerance level.
+    maximum of payoff(x) - payoff(delta(sigma_a)), floored at zero.  The
+    grid is cut into blocks of rows, each one context and one batched
+    kernel call on (rows, x_samples + 1, nodes) values, with the rows
+    sized so a block holds at most ``_BLOCK_ELEMENTS`` values (or one
+    row).  Blocks run on up to ``AEL_THREADS`` worker threads and are
+    reduced by ``max``, so the result is bit-identical at every thread
+    count.  A true equilibrium yields a value at solver-tolerance level.
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
@@ -416,9 +422,15 @@ def verify_ne(
         hi = 1.0
     xs = np.linspace(0.0, hi, x_samples)
     rule = default_rule(params, quad_n)
-    worst = -math.inf
-    for sa, held in zip(delta.grid, delta.values):
-        ctx = PayoffContext(float(sa), delta, params, fees, rule)
-        (vals,) = payoff_terms(np.append(xs, held), ctx, (0,))
-        worst = max(worst, float(vals[:-1].max() - vals[-1]))
+    rows = max(1, _BLOCK_ELEMENTS // ((x_samples + 1) * quad_n))
+
+    def block_gain(start: int) -> float:
+        ctx = PayoffContext(delta.grid[start:start + rows, None], delta, params, fees, rule)
+        held = delta.values[start:start + rows, None]
+        # each row: the sampled offsets, then the offset the strategy holds
+        offsets = np.append(np.broadcast_to(xs, (held.size, x_samples)), held, axis=1)
+        (vals,) = payoff_terms(offsets, ctx, (0,))
+        return float(np.max(vals[:, :-1].max(axis=1) - vals[:, -1]))
+
+    worst = max(map_ordered(block_gain, range(0, delta.grid.size, rows)))
     return max(worst, 0.0)

@@ -31,20 +31,28 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
 
 
-def norm_cdf(x):
+def norm_cdf(x, out=None):
     """Standard-normal CDF, accurate to ~1 ulp over the whole real line.
 
     Evaluated through scipy's complementary error function so the far
     tails do not lose accuracy to cancellation.  Elementwise on arrays;
-    a scalar gives a numpy.float64.
+    a scalar gives a numpy.float64.  With ``out`` every step writes
+    there, so no temporary is allocated; ``out`` may be ``x`` itself.
     """
-    return 0.5 * erfc(-x / _SQRT2)
+    t = np.negative(x, out=out)
+    t = np.divide(t, _SQRT2, out=out)
+    t = erfc(t, out=out)
+    return np.multiply(t, 0.5, out=out)
 
 
-def norm_pdf(x):
+def norm_pdf(x, out=None):
     """Standard-normal density exp(-x^2/2)/sqrt(2*pi).  Elementwise on
-    arrays; a scalar gives a numpy.float64."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    arrays; a scalar gives a numpy.float64.  With ``out`` (which must not
+    be ``x``) every step writes there, so no temporary is allocated."""
+    t = np.multiply(x, -0.5, out=out)
+    t = np.multiply(t, x, out=out)
+    t = np.exp(t, out=out)
+    return np.multiply(t, _INV_SQRT_2PI, out=out)
 
 
 @dataclass(frozen=True)

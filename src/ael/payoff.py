@@ -37,8 +37,11 @@ and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
 Each call computes u and Phi'(u) once for a whole array of offsets, and
 1 - Phi(u) only when a requested order needs it: orders 0 and 1 always,
 order 2 only under half-linear demand.  The requested value and
-derivatives follow from these; the fee scheme contributes one
-closed-form quadratic penalty.  The scalar functions below are
+derivatives follow from these, evaluated in place (``out=`` ufuncs) in
+four arrays of the (offsets, nodes) shape rather than one temporary per
+operation, with the operations of the formulas above in their order, so
+the bits are those of the plain expressions.  The fee scheme contributes
+one closed-form quadratic penalty.  The scalar functions below are
 one-point calls into the same kernel.  Contexts are immutable and
 evaluations pure, hence freely shareable across workers.
 """
@@ -154,30 +157,78 @@ def _averages(x: np.ndarray, ctx: PayoffContext, orders, volume: bool) -> list:
     1 - Phi(u) under half-linear demand; the base order 2 needs no
     Phi(u) at all.  The cached factors are those of the context's own
     scheme, so for order 2 ``volume`` must match it.
+
+    The four (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u)
+    and two work arrays, views of one allocation: as four separate ones,
+    glibc's malloc handed the freed memory back to the system after each
+    call on a (4, 257, 64) block, and the next call page-faulted it in
+    again (12k minor faults per default ``verify_ne``).
     """
     xx = x[..., None]
-    d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
-    u = (xx + d) / s
-    dens = norm_pdf(u)
+    d, s = ctx.delta_b, ctx.sig
+    u, dens, *work = np.empty((4, *np.broadcast(xx, s).shape))
+    np.add(xx, d, out=u)
+    u /= s
+    norm_pdf(u, out=dens)
+    tail = None
     if volume or min(orders) < 2:
-        tail = 1.0 - norm_cdf(u)
-    e2 = ctx.e2_poly
-    if volume:
-        scale = 0.5 * ctx.fees.kbar
-        terms = (
-            lambda: (s * s * (0.5 - q) - 0.5 * (xx - d) * (d + xx)) * tail
-            + s * (0.5 * (xx - d)) * dens,
-            lambda: -xx * tail + s * q * dens,
-            lambda: dens * (e2[0] + xx * e2[1]) - tail,
-        )
+        tail = np.subtract(1.0, norm_cdf(u, out=u), out=u)
+    scale = 0.5 * ctx.fees.kbar if volume else 1.0
+    integrand = _volume_integrand if volume else _base_integrand
+    return [scale * (integrand(k, xx, ctx, dens, tail, *work) @ ctx.w) for k in orders]
+
+
+def _base_integrand(k, xx, ctx, dens, tail, r, t):
+    """Order-k base integrand, written into r (t is scratch):
+    0.5 (x - d) tail + S (1/2 - Q) dens, then 0.5 tail + ((d Q - x Q~)/S) dens,
+    then dens (a0 + x (a1 + x a2))."""
+    d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
+    if k == 0:
+        np.subtract(xx, d, out=r)
+        r *= 0.5
+        r *= tail
+        r += np.multiply(s * (0.5 - q), dens, out=t)
+    elif k == 1:
+        np.multiply(xx, qt, out=r)
+        np.subtract(d * q, r, out=r)
+        r /= s
+        r *= dens
+        r += np.multiply(tail, 0.5, out=t)
     else:
-        scale = 1.0
-        terms = (
-            lambda: 0.5 * (xx - d) * tail + s * (0.5 - q) * dens,
-            lambda: 0.5 * tail + ((d * q - xx * qt) / s) * dens,
-            lambda: dens * (e2[0] + xx * (e2[1] + xx * e2[2])),
-        )
-    return [scale * (terms[k]() @ ctx.w) for k in orders]
+        a0, a1, a2 = ctx.e2_poly
+        np.multiply(xx, a2, out=r)
+        r += a1
+        r *= xx
+        r += a0
+        r *= dens
+    return r
+
+
+def _volume_integrand(k, xx, ctx, dens, tail, r, t):
+    """Order-k half-linear integrand (without kbar/2), written into r (t is
+    scratch): (S^2 (1/2 - Q) - 0.5 (x - d)(d + x)) tail + S (0.5 (x - d)) dens,
+    then -x tail + S Q dens, then dens (b0 + x b1) - tail."""
+    d, s, q = ctx.delta_b, ctx.sig, ctx.q
+    if k == 0:
+        np.subtract(xx, d, out=t)
+        t *= 0.5
+        np.add(d, xx, out=r)
+        r *= t
+        np.subtract(s * s * (0.5 - q), r, out=r)
+        r *= tail
+        t *= s
+        t *= dens
+        r += t
+    elif k == 1:
+        np.multiply(-xx, tail, out=r)
+        r += np.multiply(s * q, dens, out=t)
+    else:
+        b0, b1 = ctx.e2_poly
+        np.multiply(xx, b1, out=r)
+        r += b0
+        r *= dens
+        r -= tail
+    return r
 
 
 def payoff_terms(x, ctx: PayoffContext, orders=(0, 1, 2)) -> list:

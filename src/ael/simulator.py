@@ -22,17 +22,16 @@ one: prices are increments relative to the efficient price, which is
 fixed at zero.  Market slot 0 stays unused; moving the other market
 draws down a slot would change every market estimate.
 
-The environment variable ``AEL_THREADS`` caps the number of worker
-threads used to process chunks (0 or unset means auto).  Chunk
-aggregates are reduced in index order, so threading never changes any
-reported number.
+Chunks run on the package's worker threads (``parallel.map_ordered``).
+The environment variable ``AEL_THREADS`` caps their number, here and in
+the row blocks of ``equilibrium.verify_ne`` (0 or unset means one per
+CPU).  Chunk aggregates are reduced in index order, so every result is
+bit-identical at every thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,7 @@ from .model import (
     q_rho,
     sigma_rho,
 )
+from .parallel import map_ordered
 
 _SLOTS = 8  # uniforms reserved per sample; 8 doubles = 2 Philox blocks
 _BLOCKS_PER_SAMPLE = _SLOTS // 4
@@ -85,18 +85,6 @@ class SimReport:
     seed: int
 
 
-def worker_count() -> int:
-    """Worker cap from AEL_THREADS (0 or unset: one per CPU)."""
-    raw = os.environ.get("AEL_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"AEL_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise DomainError(f"AEL_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """The raw (count, 8) uniform window for samples [start, start + count).
 
@@ -117,11 +105,7 @@ def _normal(u_col: np.ndarray) -> np.ndarray:
 def _map_chunks(total: int, fn):
     """Apply fn(start, count) over fixed-size chunks; ordered results."""
     spans = [(s, min(s + _CHUNK, total) - s) for s in range(0, total, _CHUNK)]
-    workers = min(worker_count(), len(spans))
-    if workers <= 1:
-        return [fn(s, c) for s, c in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda sc: fn(*sc), spans))
+    return map_ordered(lambda sc: fn(*sc), spans)
 
 
 def _market_draws(u: np.ndarray, params: MarketParams):

@@ -1,5 +1,19 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+
+# On a failing example Hypothesis' pytest plugin imports this module to
+# print a patch; its libcst import raises mypy_extensions' TypedDict
+# DeprecationWarning, which filterwarnings = error turns into an
+# INTERNALERROR that ends the whole run.  Importing it here, once, with
+# that one warning ignored keeps every other warning an error.  Without
+# libcst the plugin prints no patch, and there is nothing to import.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from ael import MarketParams, SolverConfig, SpreadQuad
 from ael.equilibrium import solve_fixed_point

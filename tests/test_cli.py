@@ -83,13 +83,19 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, args, message):
 def test_validate_report_and_exit_code(capsys, rho, code):
     args = [*TOY, "--validate.samples", "20000", "--verify.x_samples", "16", "--market.rho", rho]
     assert main(["validate", *args]) == code
-    verdicts = dict(ln.split()[:2] for ln in capsys.readouterr().out.splitlines())
+    out, err = capsys.readouterr()
+    verdicts = dict(ln.split()[:2] for ln in out.splitlines())
     assert len(verdicts) == 8
     if code == 0:
         assert set(verdicts.values()) == {"PASS"}
     else:
         assert verdicts["rho_assumption"] == verdicts["OVERALL:"] == "FAIL"
         assert verdicts["degenerate_consistency"] == verdicts["no_ne_deviation_gain"] == "SKIP"
+    # stdout holds the report alone; each check that ran logs its time to stderr
+    ran = [name for name, verdict in verdicts.items() if name != "OVERALL:" and verdict != "SKIP"]
+    timings = [ln.split(" ") for ln in err.splitlines()]
+    assert [t[:2] for t in timings] == [["validate:", name] for name in ran]
+    assert all(len(t) == 4 and float(t[2]) >= 0.0 and t[3] == "ms" for t in timings)
 
 
 def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):

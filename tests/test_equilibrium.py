@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ from ael.model import (
     q_rho,
     sigma_rho,
 )
-from ael.payoff import PayoffContext, payoff_deriv
+from ael.payoff import PayoffContext, payoff_deriv, payoff_terms
 from ael.equilibrium import (
     SolverConfig,
     best_response,
@@ -267,6 +268,54 @@ class TestVerifyNe:
 
     def test_no_fee_always_gains(self, main_params, solved_gamma2):
         assert verify_ne(solved_gamma2.strategy, main_params, NoFee()) > 1e-4
+
+    @staticmethod
+    def per_point_gain(delta, params, fees, x_samples):
+        """Reference: one context and one kernel call per grid point."""
+        hi = 3.0 * delta.max_value()
+        xs = np.linspace(0.0, hi if hi > 0.0 else 1.0, x_samples)
+        rule = default_rule(params, 64)
+        worst = -math.inf
+        for sa, held in zip(delta.grid, delta.values):
+            ctx = PayoffContext(float(sa), delta, params, fees, rule)
+            (vals,) = payoff_terms(np.append(xs, held), ctx, (0,))
+            worst = max(worst, float(vals[:-1].max() - vals[-1]))
+        return max(worst, 0.0)
+
+    @pytest.mark.parametrize("x_samples", [16, 256, 3001])  # 3001: one row per block
+    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), MidQuad(0.5), NoFee(), LinearDemand(1.0, 0.3)],
+                             ids=lambda f: type(f).__name__)
+    def test_row_blocks_match_the_per_point_loop(self, fees, x_samples, monkeypatch):
+        # strategies off equilibrium, so every gain is positive and not floored
+        market = MarketParams(0.1, 1.1, 0.02)
+        cases = [(MarketParams(1.1, 1.1, 0.0), Strategy(np.array([1.1]), np.array([0.25])))]
+        # at 3001 samples every block is one row, and 11 rows already
+        # give each of 3 workers several blocks
+        for n in (2, 11, 31, 101) if x_samples < 3001 else (2, 11):
+            grid = np.linspace(0.1, 1.1, n)
+            cases.append((market, Strategy(grid, 0.03 + 0.1 * grid * grid)))
+        for params, delta in cases:
+            want = self.per_point_gain(delta, params, fees, x_samples)
+            assert want > 0.0
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("AEL_THREADS", threads)
+                assert verify_ne(delta, params, fees, x_samples) == want
+
+    def test_block_memory_follows_x_samples(self, main_params, monkeypatch):
+        # at 4096 samples a block is one grid row, so each of the 2 workers
+        # holds the kernel's four (4097, 64) arrays; blocks of a fixed 4 rows
+        # would hold 32 such arrays
+        monkeypatch.setenv("AEL_THREADS", "2")
+        grid = np.linspace(0.1, 1.1, 11)
+        delta = Strategy(grid, 0.03 + 0.1 * grid * grid)
+        one_point = 4097 * 64 * 8
+        tracemalloc.start()
+        try:
+            verify_ne(delta, main_params, SpreadQuad(2.0), x_samples=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 6 * one_point
 
 
 def scalar_best_response(delta, params, fees, quad_n=64):

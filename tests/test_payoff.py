@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from ael.gaussmath import gauss_legendre, norm_cdf, norm_pdf
 from ael.model import (
@@ -212,3 +213,61 @@ class TestKernelOrders:
         together = payoff_terms(x, ctx, (0, 1, 2))
         for k, value in zip((0, 1, 2), together):
             assert np.array_equal(payoff_terms(x, ctx, (k,))[0], value)
+
+
+def reference_terms(x, ctx, orders):
+    """The kernel as plain (allocating) numpy expressions, with Phi and
+    Phi' written out: the in-place kernel must return these bits."""
+    x = np.asarray(x, dtype=float)
+    xx = x[..., None]
+    d, s, q, qt, e2 = ctx.delta_b, ctx.sig, ctx.q, ctx.qt, ctx.e2_poly
+    u = (xx + d) / s
+    dens = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * u * u)
+    tail = 1.0 - 0.5 * erfc(-u / math.sqrt(2.0))
+    if isinstance(ctx.fees, LinearDemand):
+        scale = 0.5 * ctx.fees.kbar
+        terms = (
+            lambda: (s * s * (0.5 - q) - 0.5 * (xx - d) * (d + xx)) * tail
+            + s * (0.5 * (xx - d)) * dens,
+            lambda: -xx * tail + s * q * dens,
+            lambda: dens * (e2[0] + xx * e2[1]) - tail,
+        )
+    else:
+        scale = 1.0
+        terms = (
+            lambda: 0.5 * (xx - d) * tail + s * (0.5 - q) * dens,
+            lambda: 0.5 * tail + ((d * q - xx * qt) / s) * dens,
+            lambda: dens * (e2[0] + xx * (e2[1] + xx * e2[2])),
+        )
+    a, b, c = payoff._PENALTY[type(ctx.fees)](ctx.fees, ctx)
+    penalty = (lambda: x * (a * x + b) + c, lambda: 2.0 * a * x + b, lambda: 2.0 * a)
+    return [scale * (terms[k]() @ ctx.w) - penalty[k]() for k in orders]
+
+
+class TestInPlaceKernel:
+    ORDERS = ((0,), (1,), (2,), (1, 2), (0, 1, 2))
+
+    @staticmethod
+    def cases(params):
+        """(sigma_a, offsets) for one sigma_a, a grid, and a block of grid rows."""
+        delta = Strategy(np.linspace(params.sigma_minus, params.sigma_plus, 21),
+                         0.02 + 0.3 * np.linspace(0.0, 1.0, 21) ** 2)
+        grid = delta.grid
+        block = np.column_stack([np.tile(np.linspace(-0.2, 1.2, 37), (5, 1)), delta.values[3:8]])
+        return delta, [(0.37, np.linspace(-0.5, 1.5, 41)), (0.37, 0.25), (grid, delta.values),
+                       (grid[3:8, None], block)]
+
+    @pytest.mark.parametrize("fees", (SpreadQuad(2.0), MidQuad(0.5), NoFee(),
+                                      LinearDemand(1.3, 0.3)), ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("rho", (0.0, 0.05))
+    def test_bits_match_the_allocating_expressions(self, fees, rho):
+        params = MarketParams(0.1, 1.1, rho)
+        delta, cases = self.cases(params)
+        for sigma_a, x in cases:
+            ctx = PayoffContext(sigma_a, delta, params, fees, default_rule(params))
+            for orders in self.ORDERS:
+                got = payoff_terms(x, ctx, orders)
+                want = reference_terms(x, ctx, orders)
+                for g, w in zip(got, want):
+                    assert np.shape(g) == np.shape(w)
+                    assert np.array_equal(g, w)
