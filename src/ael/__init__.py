@@ -6,7 +6,6 @@ exchange's optimal fee, and validates the closed forms by Monte Carlo.
 
 from .errors import (
     AelError,
-    BracketFailure,
     ConfigError,
     DegenerateCase,
     DomainError,

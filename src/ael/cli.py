@@ -33,7 +33,6 @@ import numpy as np
 from . import equilibrium, exchange
 from .errors import (
     AelError,
-    BracketFailure,
     ConfigError,
     NoConvergence,
     NoEquilibrium,
@@ -566,7 +565,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _log(f"ael: config error: {exc}")
         return 2
-    except (NoEquilibrium, NoConvergence, BracketFailure, WrongScheme) as exc:
+    except (NoEquilibrium, NoConvergence, WrongScheme) as exc:
         _log(f"ael: {exc}")
         return 3
     except AelError as exc:

@@ -1,14 +1,16 @@
 """Equilibrium computation for the quoting game.
 
 A strategy delta is an equilibrium when, for every sigma_a, delta(sigma_a)
-maximizes the penalized payoff against delta itself.  Equilibria are
-computed as fixed points of the best-response operator by Anderson
-mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which falls back to
-a damped step whenever the residual more than doubles; convergence is
-never assumed, only verified through the sup-norm residual
-|delta - BR(delta)| of the returned strategy.  ``best_response`` locates a
-root of the first-order condition, and one concavity check on the
-solved strategy (``_concavity_ok``) decides whether that root is the
+maximizes the penalized payoff against delta itself.  The opponent's
+strategy enters the payoff only through its values x at the q quadrature
+nodes sigma_i, so an equilibrium solves G_i(x) = e'(x_i; sigma_a =
+sigma_i, d = x) = 0, i = 1..q, by Newton's method on the analytic
+Jacobian J = diag(e'') + w * (``payoff.cross_deriv``).  The strategy
+elsewhere is one best response against x, the Nystrom interpolant
+(Atkinson, The Numerical Solution of Integral Equations of the Second
+Kind, 1997, section 4.1).  Convergence is verified through the Newton
+correction max|J^-1 G|, a distance in delta; one concavity check on the
+solved strategy (``_concavity_ok``) decides whether the root is the
 argmax on the offsets the strategy plays.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
@@ -29,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    DegenerateCase,
-    DomainError,
-    NoConvergence,
-    WrongScheme,
-)
+from .errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
 from .gaussmath import Bracket, find_root, norm_cdf, norm_pdf
 from .model import (
     FeeScheme,
@@ -49,24 +45,25 @@ from .model import (
     average_nodes,
     default_rule,
     q_rho,
+    rule_average_nodes,
     sigma_rho,
     uniform_grid,
 )
 from .parallel import map_ordered
-from .payoff import PayoffContext, payoff_terms
+from .payoff import PayoffContext, cross_deriv, payoff_terms
 
 _SQRT2 = math.sqrt(2.0)
-_MAX_DOUBLINGS = 60
-_MAX_NEWTON = 100
-_DAMPING = 0.5  # weight of the residual in each mixing step
-_HISTORY = 3  # Anderson depth: past differences the mixing step combines
+_MAX_NEWTON = 100  # Newton steps of a best response
+_MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne block: 4 rows at the defaults
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point solver knobs."""
+    """Equilibrium solver knobs: ``quad_n`` quadrature nodes, which are
+    the unknowns, and ``grid_n`` uniform rows of the returned strategy;
+    ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G."""
 
     grid_n: int = 101
     tol: float = 1e-7
@@ -88,11 +85,13 @@ class SolverConfig:
 class EquilibriumReport:
     """Solved strategy with residual and existence-bound diagnostics.
 
+    ``strategy``: the best response against the solved node values on
+    ``grid_n`` rows.  ``residual``: the Newton correction max|J^-1 G| at
+    those node values; ``iterations``: the evaluations of G and J.
     ``concavity_ok``: the penalized payoff against ``strategy`` has a
     negative second derivative at every grid sigma_a on the offsets
-    (0, max(bound_C, 3 max strategy)].  ``converged``: the sup-norm
-    residual |strategy - BR(strategy)| reached the solver tolerance
-    within max_iter iterations and ``concavity_ok`` holds.
+    (0, max(bound_C, 3 max strategy)].  ``converged``: the residual
+    reached ``tol`` and ``concavity_ok`` holds.
     """
 
     strategy: Strategy
@@ -228,54 +227,61 @@ def existence_bound(
     return c, gamma_min
 
 
+def _newton(system, x: np.ndarray, tol: float, max_iter: int):
+    """Newton iteration from ``x`` on system(x) -> (G, J^-1 G), each step
+    x - t J^-1 G with t halved from 1 until x >= 0 and max|G| does not grow.
+
+    Stops at max|J^-1 G| <= tol, at ``max_iter`` evaluations or when no
+    halving is accepted, and returns (x, max|J^-1 G| at x, evaluations).
+    A non-finite step raises NoConvergence.
+    """
+    g, step = system(x)
+    for iterations in range(1, max_iter + 1):
+        residual = float(np.max(np.abs(step)))
+        if not math.isfinite(residual):
+            raise NoConvergence(f"non-finite Newton step at evaluation {iterations}")
+        if residual <= tol or iterations == max_iter:
+            break
+        size = np.max(np.abs(g))
+        for t in 0.5 ** np.arange(_MAX_HALVINGS):
+            cand = x - t * step
+            if np.all(cand >= 0.0):
+                g_cand, step_cand = system(cand)
+                if np.max(np.abs(g_cand)) <= size:
+                    break
+        else:
+            break
+        x, g, step = cand, g_cand, step_cand
+    return x, residual, iterations
+
+
 def best_response(
     delta: Strategy, params: MarketParams, fees: FeeScheme, cfg: SolverConfig = SolverConfig()
 ) -> Strategy:
-    """Pointwise argmax strategy against ``delta`` on the same grid.
+    """Pointwise argmax strategy against ``delta`` on ``cfg.grid_n`` uniform rows.
 
-    All grid points are solved at once on one batched payoff kernel, by
-    one Newton iteration on the analytic second derivative that starts
-    at ``delta``'s own values (in ``solve_fixed_point`` the current
-    iterate, so the start is warm).  Each point keeps a bracket [lo, up]
-    from the sign of the derivative; a step that leaves it falls back to
-    the midpoint, or to doubling while no negative derivative has been
-    seen (BracketFailure after 60 doublings).  Iteration stops once the
-    step is within max(tol * 1e-3, 1e-13).  This locates a root of the
-    first-order condition only; whether it is the argmax is the
+    ``_newton`` with the diagonal J = e'' solves all rows on one batched
+    kernel, from ``delta`` (flat past its grid) to a step within
+    max(tol * 1e-3, 1e-13), else NoConvergence.  This locates a root of
+    the first-order condition only; whether it is the argmax is the
     concavity verdict of ``solve_fixed_point``.
     """
     _require_rho_bound(params)
-    ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, cfg.quad_n))
-    argmax_tol = max(cfg.tol * 1e-3, 1e-13)
+    rows = uniform_grid(params, cfg.grid_n)
+    ctx = PayoffContext(rows, delta, params, fees, default_rule(params, cfg.quad_n))
 
-    x = delta.values
-    lo = np.zeros(x.shape)
-    up = np.full(x.shape, math.inf)
-    doublings = np.zeros(x.shape, dtype=int)
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(_MAX_NEWTON):
-        if not active.any():
-            break
+    def system(x):
         d1, d2 = payoff_terms(x, ctx, (1, 2))
-        lo = np.where(d1 >= 0.0, x, lo)
-        up = np.where(d1 < 0.0, x, up)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - d1 / d2
-        inside = (lo <= nxt) & (nxt <= up)  # a zero derivative steps to x itself
-        grow = active & ~inside & np.isinf(up)
-        doublings += grow
-        if np.any(doublings > _MAX_DOUBLINGS):
-            i = int(np.argmax(doublings))
-            raise BracketFailure(f"payoff derivative never turned negative below {x[i]} "
-                                 f"(sigma_a={delta.grid[i]})")
-        # 2x + tol doubles away from an offset of 0 too
-        nxt = np.where(inside, nxt, np.where(grow, 2.0 * x + argmax_tol, 0.5 * (lo + up)))
-        converged = np.abs(nxt - x) <= argmax_tol
-        x = np.where(active, nxt, x)
-        active &= ~converged
-    if active.any():
-        raise NoConvergence(f"best response not located within {_MAX_NEWTON} Newton steps")
-    return Strategy(delta.grid, x)
+            return d1, d1 / d2
+
+    argmax_tol = max(cfg.tol * 1e-3, 1e-13)
+    start = delta(np.clip(rows, delta.grid[0], delta.grid[-1]))
+    x, residual, evaluations = _newton(system, start, argmax_tol, _MAX_NEWTON)
+    if residual > argmax_tol:
+        raise NoConvergence(f"best response not located: Newton step {residual:.3e} "
+                            f"after {evaluations} evaluations")
+    return Strategy(rows, x)
 
 
 def _concavity_ok(
@@ -311,65 +317,44 @@ def solve_fixed_point(
     cfg: SolverConfig = SolverConfig(),
     init: Strategy | None = None,
 ) -> EquilibriumReport:
-    """Anderson-mixed fixed-point iteration on the best-response operator.
+    """Newton solve of G(x) = 0 on the q = ``quad_n`` quadrature nodes.
 
-    The iterate starts at the constant C/2 when gamma clears the
-    analytic threshold, otherwise at the degenerate-market root for
-    sigma_plus (the analytic threshold is far from tight, and fixed
-    points routinely exist below it).  Each iteration is one
-    ``best_response`` call warm-started at the iterate delta, giving the
-    residual f = BR(delta) - delta.  The next iterate is
-    delta + b f - (dX + b dF) c, with b = 0.5, dX and dF the last three
-    differences of iterates and of residuals, and c the least-squares
-    solution of dF c = f; it is clipped at 0, since a strategy cannot
-    be negative.  When the sup-norm residual more than doubles the
-    history is cleared, so that step is the plain damped one
-    delta + b f.  The loop stops once the residual is within ``tol``
-    (or after ``max_iter`` best responses), and the strategy returned is
-    the one whose residual was measured.  ``_concavity_ok`` then runs
-    once on it; a failed check reports converged=False, so a non-concave
-    payoff is flagged, never raised and never silently accepted.
+    The node values start at ``init(nodes)``, else at the constant C/2
+    when gamma clears the analytic threshold, otherwise at the
+    degenerate-market root for sigma_plus (the threshold is far from
+    tight); a degenerate market is one unit-weight node.  ``_newton``
+    stops at max|J^-1 G| <= ``tol`` or after ``max_iter`` evaluations,
+    and the residual is that of the nodes returned.  The strategy is one
+    ``best_response`` against them, and ``_concavity_ok`` runs once on
+    it; a failed check reports converged=False, never raises.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
 
     if params.is_degenerate:
-        grid = uniform_grid(params)
-        root = _degenerate_root(fees, params.sigma_plus, params.rho)
-        bound_c, gamma_min = 2.0 * root, 0.0
-        start = root
+        start = _degenerate_root(fees, params.sigma_plus, params.rho)
+        bound_c, gamma_min = 2.0 * start, 0.0
     else:
-        grid = uniform_grid(params, cfg.grid_n)
         bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
-        if fees.gamma >= gamma_min:
-            start = 0.5 * bound_c
-        else:
-            start = _degenerate_root(fees, params.sigma_plus, params.rho)
+        start = (0.5 * bound_c if fees.gamma >= gamma_min
+                 else _degenerate_root(fees, params.sigma_plus, params.rho))
 
-    delta = init if init is not None else Strategy(grid, np.full(grid.shape, start))
-    if init is not None and (init.grid.shape != grid.shape or not np.allclose(init.grid, grid)):
-        raise DomainError("initial strategy grid does not match the solver grid")
+    rule = default_rule(params, cfg.quad_n)
+    nodes, _ = rule_average_nodes(params, rule)
 
-    dx, df = [], []  # last _HISTORY differences of iterates and of residuals
-    for iterations in range(1, cfg.max_iter + 1):
-        x = delta.values
-        f = best_response(delta, params, fees, cfg).values - x
-        residual = float(np.max(np.abs(f)))
-        if residual <= cfg.tol or iterations == cfg.max_iter:
-            break
-        if iterations > 1 and residual <= 2.0 * prev_residual:
-            dx = [*dx, x - prev_x][-_HISTORY:]
-            df = [*df, f - prev_f][-_HISTORY:]
-        else:
-            dx, df = [], []
-        prev_x, prev_f, prev_residual = x, f, residual
-        step = x + _DAMPING * f
-        if df:
-            dx_mat, df_mat = np.column_stack(dx), np.column_stack(df)
-            coef = np.linalg.lstsq(df_mat, f, rcond=None)[0]
-            step -= (dx_mat + _DAMPING * df_mat) @ coef
-        delta = Strategy(grid, np.maximum(step, 0.0))
+    def system(x):
+        ctx = PayoffContext(nodes, Strategy(nodes, x), params, fees, rule)
+        g, d2 = payoff_terms(x, ctx, (1, 2))
+        jac = cross_deriv(x, ctx) * ctx.w
+        jac[np.diag_indices_from(jac)] += d2
+        try:
+            return g, np.linalg.solve(jac, g)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"singular equilibrium Jacobian: {exc}") from None
 
+    x = init(nodes) if init is not None else np.full(nodes.shape, start)
+    x, residual, iterations = _newton(system, x, cfg.tol, cfg.max_iter)
+    delta = best_response(Strategy(nodes, x), params, fees, cfg)
     concavity = _concavity_ok(delta, params, fees, cfg, bound_c)
     return EquilibriumReport(
         strategy=delta,

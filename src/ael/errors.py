@@ -37,10 +37,6 @@ class WrongScheme(AelError):
     """The fee scheme does not support the requested operation."""
 
 
-class BracketFailure(AelError):
-    """No sign change was found while expanding a search bracket."""
-
-
 class DegenerateCase(AelError):
     """The operation requires a non-degenerate market (sigma_minus < sigma_plus)."""
 

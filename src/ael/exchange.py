@@ -90,7 +90,7 @@ def _solve_revenue(
     for SpreadQuad(gamma); a degenerate market has the scalar root and no
     strategy to carry.
 
-    Raises NoEquilibrium when the fixed-point iteration does not converge.
+    Raises NoEquilibrium when the equilibrium solve does not converge.
     """
     fees = SpreadQuad(gamma)
     if params.is_degenerate:
@@ -114,7 +114,7 @@ def revenue(
     equilibrium solved for SpreadQuad(gamma).
 
     Raises DomainError for gamma <= 0 and NoEquilibrium when the
-    fixed-point iteration does not converge at this gamma.
+    equilibrium solve does not converge at this gamma.
     """
     return _solve_revenue(gamma, params, cfg, None)[0]
 
@@ -131,9 +131,10 @@ def revenue_curve(
     (NoEquilibrium included) is recorded as not converged and the sweep
     goes on; any other exception is a bug and propagates.
 
-    Each non-degenerate solve starts from the previous converged
-    strategy, which only changes the iteration path, not the fixed
-    point; results stay deterministic for a given grid.
+    Each non-degenerate solve warm-starts its node values at the
+    previous converged strategy, read at the quadrature nodes; this
+    changes only the Newton path, not the root it converges to, and
+    results stay deterministic for a given grid.
     """
     gammas = [float(g) for g in gamma_grid]
     if not gammas:

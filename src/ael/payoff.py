@@ -28,6 +28,8 @@ volume-weighted variant
                           + S (x - d)/2 * Phi'(u) ] - g x^2
     h'(x) = (kbar/2) avg[ -x (1 - Phi(u)) + S Q Phi'(u) ] - 2 g x.
 
+``cross_deriv`` gives the d-derivative of the e' or h' integrand.
+
 One kernel, ``payoff_terms``, evaluates all of these.  A context built
 on an array of sigma_a caches S, Q and Q~ as matrices with one row per
 sigma_a and one column per quadrature node, once, together with the
@@ -246,6 +248,21 @@ def payoff_terms(x, ctx: PayoffContext, orders=(0, 1, 2)) -> list:
     penalty = (lambda: x * (a * x + b) + c, lambda: 2.0 * a * x + b, lambda: 2.0 * a)
     avgs = _averages(x, ctx, orders, isinstance(fees, LinearDemand))
     return [avg - penalty[k]() for k, avg in zip(orders, avgs)]
+
+
+def cross_deriv(x, ctx: PayoffContext) -> np.ndarray:
+    """Derivative of the order-1 integrand in the opponent's value d at
+    each node, not averaged (times ``ctx.w``: d e'(x)/d delta_b, without
+    the mid-price penalty's E[d]).  With u = (x + d)/S it is
+    Phi'(u)/S (Q - 1/2 - u (d Q - x Q~)/S), or (kbar/2) Phi'(u) (x/S - Q u)
+    under half-linear demand."""
+    xx = np.asarray(x, dtype=float)[..., None]
+    d, s, q = ctx.delta_b, ctx.sig, ctx.q
+    u = (xx + d) / s
+    dens = norm_pdf(u)
+    if isinstance(ctx.fees, LinearDemand):
+        return 0.5 * ctx.fees.kbar * dens * (xx / s - q * u)
+    return dens / s * (q - 0.5 - u * (d * q - xx * ctx.qt) / s)
 
 
 def base_payoff(x: float, ctx: PayoffContext) -> float:

@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 
 import ael.equilibrium as equilibrium
-from ael.errors import BracketFailure, DegenerateCase, DomainError, WrongScheme
+from ael.errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
 from ael.gaussmath import norm_cdf, norm_pdf
 from ael.model import (
     LinearDemand,
@@ -23,7 +23,7 @@ from ael.model import (
     q_rho,
     sigma_rho,
 )
-from ael.payoff import PayoffContext, payoff_deriv, payoff_terms
+from ael.payoff import PayoffContext, cross_deriv, payoff_deriv, payoff_terms
 from ael.equilibrium import (
     SolverConfig,
     best_response,
@@ -350,19 +350,12 @@ class TestBatchedBestResponse:
         br = best_response(delta, params, fees, FAST)
         assert np.max(np.abs(br.values - scalar_best_response(delta, params, fees))) <= 1e-9
 
-    @pytest.mark.parametrize(
-        "fees, iterations", [(SpreadQuad(2.0), 6), (LinearDemand(1.0, 0.3), 7)],
-        ids=["spread_quad", "linear_demand"],
-    )
-    def test_picard_iteration_counts(self, main_params, fees, iterations):
-        rep = solve_fixed_point(main_params, fees, SolverConfig())
-        assert rep.converged and rep.iterations == iterations
-
     def test_no_fee_flat_derivative_is_bracket_failure(self, main_params):
         # against a strategy this wide every Phi and Phi' term underflows, so
-        # the unpenalized derivative is exactly zero and never turns negative
+        # both unpenalized derivatives are exactly zero: a 0/0 Newton step
+        # raises a typed error and never returns NaN
         delta = Strategy.constant(100.0, main_params, 11)
-        with pytest.raises(BracketFailure):
+        with pytest.raises(NoConvergence):
             best_response(delta, main_params, NoFee(), FAST)
 
     def test_two_crossings_are_non_concave(self, main_params, monkeypatch):
@@ -411,28 +404,33 @@ class TestBatchedBestResponse:
     @pytest.mark.parametrize(
         "fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)], ids=["spread_quad", "linear_demand"]
     )
-    def test_kernel_calls_per_picard_iteration(self, main_params, fees, monkeypatch):
-        # kernel calls made inside best_response, not by the final concavity check
-        calls = {"kernel": 0, "best_response": 0, "inside": False}
-        real_terms, real_br = equilibrium.payoff_terms, equilibrium.best_response
+    def test_kernel_calls_per_newton_step(self, main_params, fees, monkeypatch):
+        # the node loop makes one kernel call and one cross_deriv call per
+        # evaluation of G and J (no halvings here), then one best_response
+        # gives the output rows
+        calls = {"kernel": 0, "cross": 0, "best_response": 0, "node_kernel": None}
+        real_terms, real_cross = equilibrium.payoff_terms, equilibrium.cross_deriv
+        real_br = equilibrium.best_response
 
         def counted_br(*args, **kwargs):
             calls["best_response"] += 1
-            calls["inside"] = True
-            try:
-                return real_br(*args, **kwargs)
-            finally:
-                calls["inside"] = False
+            calls["node_kernel"] = calls["kernel"]
+            return real_br(*args, **kwargs)
 
         def counted_terms(*args, **kwargs):
-            calls["kernel"] += calls["inside"]
+            calls["kernel"] += 1
             return real_terms(*args, **kwargs)
+
+        def counted_cross(*args, **kwargs):
+            calls["cross"] += 1
+            return real_cross(*args, **kwargs)
 
         monkeypatch.setattr(equilibrium, "best_response", counted_br)
         monkeypatch.setattr(equilibrium, "payoff_terms", counted_terms)
+        monkeypatch.setattr(equilibrium, "cross_deriv", counted_cross)
         rep = solve_fixed_point(main_params, fees, SolverConfig())
-        assert rep.converged and calls["best_response"] == rep.iterations
-        assert calls["kernel"] <= 6 * rep.iterations
+        assert rep.converged and calls["best_response"] == 1
+        assert calls["node_kernel"] == calls["cross"] == rep.iterations
 
 
 @lru_cache(maxsize=None)
@@ -450,13 +448,47 @@ SOLVER_CASES = pytest.mark.parametrize(
 )
 
 
-class TestAndersonFixedPoint:
+def node_system(x, params, fees, quad_n=64):
+    """G and the analytic J of the node equations at node values ``x``."""
+    rule = default_rule(params, quad_n)
+    ctx = PayoffContext(rule.nodes, Strategy(rule.nodes, x), params, fees, rule)
+    g, d2 = payoff_terms(x, ctx, (1, 2))
+    return g, cross_deriv(x, ctx) * ctx.w + np.diag(d2)
+
+
+def solve_with_nodes(params, fees, cfg, monkeypatch):
+    """The report, and the node strategy its rows are the best response to."""
+    seen = []
+    real_br = equilibrium.best_response
+
+    def spied(delta, *args):
+        seen.append(delta)
+        return real_br(delta, *args)
+
+    monkeypatch.setattr(equilibrium, "best_response", spied)
+    rep = solve_fixed_point(params, fees, cfg)
+    monkeypatch.setattr(equilibrium, "best_response", real_br)
+    return rep, seen[-1]
+
+
+class TestNewtonSolve:
     @SOLVER_CASES
-    def test_residual_is_that_of_the_returned_strategy(self, params, fees):
-        rep = solved(params, fees)
-        br = best_response(rep.strategy, params, fees, SolverConfig())
+    def test_residual_is_the_node_correction(self, params, fees, monkeypatch):
+        rep, nodes = solve_with_nodes(params, fees, SolverConfig(), monkeypatch)
         assert rep.converged
-        assert rep.residual == float(np.max(np.abs(br.values - rep.strategy.values)))
+        g, jac = node_system(nodes.values, params, fees)
+        assert rep.residual == pytest.approx(float(np.max(np.abs(np.linalg.solve(jac, g)))),
+                                             rel=1e-12)
+        rows = best_response(nodes, params, fees, SolverConfig())
+        assert np.array_equal(rows.values, rep.strategy.values)
+
+    @SOLVER_CASES
+    def test_residual_measures_the_node_error(self, params, fees, monkeypatch):
+        # the correction is the distance in delta to a tol = 1e-15 solve
+        rep, nodes = solve_with_nodes(params, fees, SolverConfig(), monkeypatch)
+        _, exact = solve_with_nodes(params, fees, SolverConfig(tol=1e-15), monkeypatch)
+        err = float(np.max(np.abs(nodes.values - exact.values)))
+        assert 0.5 * rep.residual <= err <= 2.0 * rep.residual
 
     @SOLVER_CASES
     def test_within_two_tol_of_a_tight_solve(self, params, fees):
@@ -464,6 +496,72 @@ class TestAndersonFixedPoint:
         assert rep.converged and tight.converged
         gap = np.max(np.abs(rep.strategy.values - tight.strategy.values))
         assert gap <= 2.0 * SolverConfig.tol
+
+    @pytest.mark.parametrize("rho", [0.0, 0.03])
+    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)],
+                             ids=["spread_quad", "linear_demand"])
+    def test_jacobian_matches_fd(self, fees, rho):
+        params = MarketParams(0.1, 1.1, rho)
+        nodes = default_rule(params, 16).nodes
+        x = 0.02 + 0.05 * nodes
+        _, jac = node_system(x, params, fees, 16)
+        h = 1e-6
+        fd = np.column_stack([
+            (node_system(x + h * e, params, fees, 16)[0]
+             - node_system(x - h * e, params, fees, 16)[0]) / (2.0 * h)
+            for e in np.eye(x.size)
+        ])
+        assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+    @pytest.mark.parametrize(
+        "params, fees",
+        [(MarketParams(0.1, 1.1, 0.0), SpreadQuad(2.0)),
+         (MarketParams(0.1, 1.1, 0.0), SpreadQuad(0.13)),
+         (MarketParams(0.1, 1.1, 0.0), LinearDemand(1.0, 0.3)),
+         (MarketParams(0.1, 1.1, 0.05), LinearDemand(1.0, 0.2))],
+        ids=["spread_quad", "spread_quad_low_gamma", "linear_demand", "linear_demand_rho"],
+    )
+    def test_convergence_is_quadratic(self, params, fees):
+        # residuals of max_iter = 1, 2, ... solves, down to the rounding floor
+        residuals = [solve_fixed_point(params, fees, SolverConfig(tol=1e-15, max_iter=k)).residual
+                     for k in range(1, 9)]
+        pairs = [(a, b) for a, b in zip(residuals, residuals[1:]) if a <= 2e-2 and b > 1e-15]
+        assert len(pairs) >= 2
+        assert all(b <= 10.0 * a * a for a, b in pairs)
+
+    @pytest.mark.parametrize(
+        "fees, iterations", [(SpreadQuad(2.0), 3), (LinearDemand(1.0, 0.3), 5)],
+        ids=["spread_quad", "linear_demand"],
+    )
+    def test_newton_step_counts(self, main_params, fees, iterations):
+        rep = solve_fixed_point(main_params, fees, SolverConfig())
+        assert rep.converged and rep.iterations == iterations
+
+    @pytest.mark.parametrize("fees", [SpreadQuad(0.1), LinearDemand(1.0, 0.3)],
+                             ids=["spread_quad", "linear_demand"])
+    def test_degenerate_market_from_twice_the_root(self, fees):
+        # one unit-weight node: the Newton solve against the closed form
+        params = MarketParams(1.1, 1.1, 0.0)
+        root = equilibrium._degenerate_root(fees, 1.1, 0.0)
+        init = Strategy(np.array([1.1]), np.array([2.0 * root]))
+        rep = solve_fixed_point(params, fees, SolverConfig(tol=1e-12), init=init)
+        assert rep.converged and rep.iterations > 2
+        assert abs(rep.strategy.values[0] - root) <= 1e-14
+
+    def test_halving_keeps_the_iterate_nonnegative(self):
+        # G = atan(x - 10): plain Newton from 14 overshoots to -8.5 and
+        # diverges; the half step lands at 2.7, where |G| grew, so the
+        # quarter step is taken, and every evaluated x stays >= 0
+        seen = []
+
+        def system(x):
+            seen.append(x)
+            g = np.arctan(x - 10.0)
+            return g, g * (1.0 + (x - 10.0) ** 2)
+
+        x, residual, iterations = equilibrium._newton(system, np.array([14.0]), 1e-12, 50)
+        assert residual <= 1e-12 and abs(x[0] - 10.0) <= 1e-12
+        assert len(seen) > iterations and all(v[0] >= 0.0 for v in seen)
 
 
 class TestExistenceBoundQuadrature:

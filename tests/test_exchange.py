@@ -126,7 +126,7 @@ class TestRevenueCurve:
 
     def test_flags_never_abort(self, main_params):
         # a starved iteration budget cannot converge; the sweep flags the
-        # point and keeps going (the damped iteration itself converges at
+        # point and keeps going (the Newton solve itself converges at
         # every gamma we probed on this market, even far below 1.5)
         starved = SolverConfig(grid_n=41, tol=1e-12, max_iter=2)
         points = revenue_curve([1.5, 2.0], main_params, starved)
