@@ -74,6 +74,13 @@ def _p_int(s: str) -> int:
         raise ConfigError(f"expected an integer, got {s!r}")
 
 
+def _p_count(s: str) -> int:
+    v = _p_int(s)
+    if v < 0:
+        raise ConfigError(f"expected a non-negative integer, got {s!r}")
+    return v
+
+
 def _p_sigma_a(s: str) -> float | str:
     return s if s == "mid" else _p_float(s)
 
@@ -107,10 +114,10 @@ _SCHEMA: dict[str, tuple] = {
     "sweep.gammas": (_p_float_list, ()),
     "sweep.gamma_min": (_p_float, 1.5),
     "sweep.gamma_max": (_p_float, 5.0),
-    "sweep.count": (_p_int, 20),
+    "sweep.count": (_p_count, 20),
     "curve.x_min": (_p_float, -0.5),
     "curve.x_max": (_p_float, 1.5),
-    "curve.n": (_p_int, 201),
+    "curve.n": (_p_count, 201),
     "curve.sigma_a": (_p_sigma_a, "mid"),
     "validate.samples": (_p_int, 200000),
     "verify.x_samples": (_p_int, 256),
@@ -313,15 +320,20 @@ def cmd_solve_ne(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     solver = cfg.solver()
     gammas = cfg["solve.gammas"] or (cfg["fees.gamma"],)
+    names = [f"gamma_{g:g}" for g in gammas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"key solve.gammas: {gammas[names.index(name)]!r} and "
+                              f"{gammas[i]!r} share the column delta_{name}")
     reports = []
     for g in gammas:
         _log(f"ael solve-ne: solving gamma={g:g}")
         reports.append(equilibrium.solve_fixed_point(market, cfg.fees(gamma=g), solver))
-    header = ["sigma"] + [f"delta_gamma_{g:g}" for g in gammas]
+    header = ["sigma"] + [f"delta_{name}" for name in names]
     rows = np.column_stack([reports[0].strategy.grid, *(r.strategy.values for r in reports)])
-    footer = [f"{name}_gamma_{g:g}={_fmt_cell(getattr(r, name))}"
-              for g, r in zip(gammas, reports)
-              for name in ("residual", "iterations", "converged", "concavity_ok")]
+    footer = [f"{key}_{name}={_fmt_cell(getattr(r, key))}"
+              for name, r in zip(names, reports)
+              for key in ("residual", "iterations", "converged", "concavity_ok")]
     write_csv(cfg["output.path"], "solve-ne", cfg, header, rows.tolist(), footer)
     if args.strict and not all(r.converged for r in reports):
         _log("ael solve-ne: at least one gamma failed to converge")

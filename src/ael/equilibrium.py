@@ -9,9 +9,9 @@ Jacobian J = diag(e'') + w * (``payoff.cross_deriv``).  The strategy
 elsewhere is one best response against x, the Nystrom interpolant
 (Atkinson, The Numerical Solution of Integral Equations of the Second
 Kind, 1997, section 4.1).  Convergence is verified through the Newton
-correction max|J^-1 G|, a distance in delta; one concavity check on the
-solved strategy (``_concavity_ok``) decides whether the root is the
-argmax on the offsets the strategy plays.
+correction max|J^-1 G|, a distance in delta; one concavity check against
+the solved nodes (``_concavity_ok``) decides whether each root of the
+output rows is the argmax on the offsets the strategy plays.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
 exists; ``no_ne_certificate`` returns the aggregated first-order-condition
@@ -83,23 +83,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Solved strategy with residual and existence-bound diagnostics.
+    """Solved equilibrium with its convergence diagnostics.
 
-    ``strategy``: the best response against the solved node values on
-    ``grid_n`` rows.  ``residual``: the Newton correction max|J^-1 G| at
-    those node values; ``iterations``: the evaluations of G and J.
-    ``concavity_ok``: the penalized payoff against ``strategy`` has a
-    negative second derivative at every grid sigma_a on the offsets
-    (0, max(bound_C, 3 max strategy)].  ``converged``: the residual
+    ``nodes``: the solved node values x, as ``Strategy(nodes, x)`` on the
+    ``quad_n`` quadrature nodes.  ``strategy``: the best response against
+    ``nodes`` on ``grid_n`` rows, the published output.  ``residual``:
+    the Newton correction max|J^-1 G| at ``nodes``; ``iterations``: the
+    evaluations of G and J.  ``concavity_ok``: the penalized payoff
+    against ``nodes`` has a negative second derivative at every row on
+    the offsets (0, max(C, 3 max strategy)].  ``converged``: the residual
     reached ``tol`` and ``concavity_ok`` holds.
     """
 
+    nodes: Strategy
     strategy: Strategy
     residual: float
     iterations: int
     converged: bool
-    bound_C: float
-    gamma_min: float
     concavity_ok: bool
 
 
@@ -285,25 +285,23 @@ def best_response(
 
 
 def _concavity_ok(
-    delta: Strategy,
-    params: MarketParams,
-    fees: FeeScheme,
-    cfg: SolverConfig,
-    bound_c: float,
+    rows: Strategy, nodes: Strategy, params: MarketParams, fees: FeeScheme,
+    cfg: SolverConfig, bound_c: float,
 ) -> bool:
-    """Whether the penalized payoff against ``delta`` is strictly concave
-    in the offset at every grid sigma_a, on (0, max(bound_C, 3 max delta)].
+    """Whether the penalized payoff against the node strategy ``nodes``,
+    whose roots ``best_response`` located, is strictly concave in the
+    offset at every sigma_a of ``rows`` on (0, max(bound_C, 3 max rows)].
 
     The upper end covers both the invariant set and the offsets
-    ``verify_ne`` scans.  The second derivative is sampled at 50 offsets,
-    one kernel call over the whole grid per offset.  Strict concavity
-    there also rules out a second sign change of the derivative, so a
-    root ``best_response`` located is the argmax on that interval.
+    ``verify_ne`` scans on ``rows``.  The second derivative is sampled at
+    50 offsets, one kernel call over all rows per offset.  Strict
+    concavity there also rules out a second sign change of the
+    derivative, so each located root is the argmax on that interval.
     """
-    hi = max(bound_c, _DEVIATION_SPAN * delta.max_value())
+    hi = max(bound_c, _DEVIATION_SPAN * rows.max_value())
     if not 0.0 < hi < math.inf:
         return False
-    ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, cfg.quad_n))
+    ctx = PayoffContext(rows.grid, nodes, params, fees, default_rule(params, cfg.quad_n))
     for x in np.linspace(0.0, hi, 51)[1:]:
         (d2,) = payoff_terms(x, ctx, (2,))
         if np.any(d2 >= 0.0):
@@ -319,21 +317,22 @@ def solve_fixed_point(
 ) -> EquilibriumReport:
     """Newton solve of G(x) = 0 on the q = ``quad_n`` quadrature nodes.
 
-    The node values start at ``init(nodes)``, else at the constant C/2
-    when gamma clears the analytic threshold, otherwise at the
-    degenerate-market root for sigma_plus (the threshold is far from
-    tight); a degenerate market is one unit-weight node.  ``_newton``
-    stops at max|J^-1 G| <= ``tol`` or after ``max_iter`` evaluations,
-    and the residual is that of the nodes returned.  The strategy is one
-    ``best_response`` against them, and ``_concavity_ok`` runs once on
-    it; a failed check reports converged=False, never raises.
+    The node values start at ``init`` read at the nodes (clamped to its
+    grid), else at the constant C/2 when gamma clears the analytic
+    threshold, otherwise at the degenerate-market root for sigma_plus
+    (the threshold is far from tight); a degenerate market is one
+    unit-weight node.  ``_newton`` stops at max|J^-1 G| <= ``tol`` or
+    after ``max_iter`` evaluations.  The report's ``nodes`` are the node
+    values returned, with their residual, and its rows one
+    ``best_response`` against them; ``_concavity_ok`` runs once against
+    the nodes, and a failed check reports converged=False, never raises.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
 
     if params.is_degenerate:
         start = _degenerate_root(fees, params.sigma_plus, params.rho)
-        bound_c, gamma_min = 2.0 * start, 0.0
+        bound_c = 2.0 * start
     else:
         bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
         start = (0.5 * bound_c if fees.gamma >= gamma_min
@@ -352,17 +351,18 @@ def solve_fixed_point(
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular equilibrium Jacobian: {exc}") from None
 
-    x = init(nodes) if init is not None else np.full(nodes.shape, start)
+    x = (np.full(nodes.shape, start) if init is None
+         else init(np.clip(nodes, init.grid[0], init.grid[-1])))
     x, residual, iterations = _newton(system, x, cfg.tol, cfg.max_iter)
-    delta = best_response(Strategy(nodes, x), params, fees, cfg)
-    concavity = _concavity_ok(delta, params, fees, cfg, bound_c)
+    solved = Strategy(nodes, x)
+    delta = best_response(solved, params, fees, cfg)
+    concavity = _concavity_ok(delta, solved, params, fees, cfg, bound_c)
     return EquilibriumReport(
+        nodes=solved,
         strategy=delta,
         residual=residual,
         iterations=iterations,
         converged=residual <= cfg.tol and concavity,
-        bound_C=bound_c,
-        gamma_min=gamma_min,
         concavity_ok=concavity,
     )
 

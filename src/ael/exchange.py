@@ -13,10 +13,10 @@ where y* is the unique root of 1 - Phi(y) - y Phi'(y) and
 sigma_eff = sigma sqrt(1 - rho) generalizes the rho = 0 statement (it
 reproduces the degenerate first-order condition exactly).
 
-For a non-degenerate market there is no closed form; ``revenue_curve``
-sweeps a gamma grid with per-point convergence flags and
-``optimal_gamma_numeric`` runs a golden-section search on the converged
-region.
+For a non-degenerate market there is no closed form; revenue reads the
+solved node values (``EquilibriumReport.nodes``), never the output rows.
+``revenue_curve`` sweeps a gamma grid with per-point convergence flags
+and ``optimal_gamma_numeric`` golden-section searches the converged region.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ def optimal_gamma_degenerate(sigma: float, rho: float = 0.0) -> FeeDesignResult:
 def _solve_revenue(
     gamma: float, params: MarketParams, cfg: SolverConfig, init: Strategy | None
 ) -> tuple[float, Strategy | None]:
-    """(gamma * E[delta(sigma)^2], the solved strategy) at the equilibrium
-    for SpreadQuad(gamma); a degenerate market has the scalar root and no
-    strategy to carry.
+    """(gamma * w . x^2, the solved node strategy) at the equilibrium for
+    SpreadQuad(gamma), with x the node values ``report.nodes`` carries; a
+    degenerate market has the scalar root and no strategy to carry.
 
     Raises NoEquilibrium when the equilibrium solve does not converge.
     """
@@ -102,9 +102,9 @@ def _solve_revenue(
             f"fixed point did not converge at gamma = {gamma} "
             f"(residual {report.residual:.3e} after {report.iterations} iterations)"
         )
-    nodes, w = average_nodes(params, cfg.quad_n)
-    dvals = np.asarray(report.strategy(nodes), dtype=float)
-    return gamma * float(np.dot(w, dvals * dvals)), report.strategy
+    _, w = average_nodes(params, cfg.quad_n)
+    x = report.nodes.values
+    return gamma * float(np.dot(w, x * x)), report.nodes
 
 
 def revenue(
@@ -131,10 +131,10 @@ def revenue_curve(
     (NoEquilibrium included) is recorded as not converged and the sweep
     goes on; any other exception is a bug and propagates.
 
-    Each non-degenerate solve warm-starts its node values at the
-    previous converged strategy, read at the quadrature nodes; this
-    changes only the Newton path, not the root it converges to, and
-    results stay deterministic for a given grid.
+    Each non-degenerate solve warm-starts at the node values of the
+    previous converged point, which it reads back exactly; this changes
+    only the Newton path, not the root it converges to, and results stay
+    deterministic for a given grid.
     """
     gammas = [float(g) for g in gamma_grid]
     if not gammas:

@@ -66,9 +66,19 @@ def test_solve_failure_exit_code(tmp_path, args):
      (["payoff-curve", "--curve.sigma_a", "foo"], "ael: config error: key curve.sigma_a:"),
      (["payoff-curve", "--curve.sigma_a", "5"], "ael: config error: key curve.sigma_a:"),
      (["simulate", "--strategy.file", "nan_sigma.csv"],
-      "ael: config error: strategy file nan_sigma.csv: strategy grid must be finite")],
+      "ael: config error: strategy file nan_sigma.csv: strategy grid must be finite"),
+     (["optimal-fee", "--sweep.count", "-1"],
+      "ael: config error: key sweep.count: expected a non-negative integer"),
+     (["payoff-curve", "--curve.n", "-1"],
+      "ael: config error: key curve.n: expected a non-negative integer"),
+     (["solve-ne", "--solve.gammas", "2,3,2"],
+      "ael: config error: key solve.gammas: 2.0 and 2.0 share the column delta_gamma_2"),
+     (["solve-ne", "--solve.gammas", "0.1234561,0.1234562"],
+      "ael: config error: key solve.gammas: 0.1234561 and 0.1234562 share the column")],
     ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma", "unknown_scheme", "bad_market",
-         "bad_curve_sigma_a", "curve_sigma_a_out_of_range", "nan_strategy_sigma"],
+         "bad_curve_sigma_a", "curve_sigma_a_out_of_range", "nan_strategy_sigma",
+         "negative_sweep_count", "negative_curve_n", "repeated_solve_gamma",
+         "colliding_solve_gammas"],
 )
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)

@@ -398,7 +398,7 @@ class TestBatchedBestResponse:
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
         delta = Strategy.constant(0.3, main_params, 11)
-        assert not equilibrium._concavity_ok(delta, main_params, SpreadQuad(2.0), FAST,
+        assert not equilibrium._concavity_ok(delta, delta, main_params, SpreadQuad(2.0), FAST,
                                              bound_c=0.0043)
 
     @pytest.mark.parametrize(
@@ -456,39 +456,62 @@ def node_system(x, params, fees, quad_n=64):
     return g, cross_deriv(x, ctx) * ctx.w + np.diag(d2)
 
 
-def solve_with_nodes(params, fees, cfg, monkeypatch):
-    """The report, and the node strategy its rows are the best response to."""
-    seen = []
-    real_br = equilibrium.best_response
-
-    def spied(delta, *args):
-        seen.append(delta)
-        return real_br(delta, *args)
-
-    monkeypatch.setattr(equilibrium, "best_response", spied)
-    rep = solve_fixed_point(params, fees, cfg)
-    monkeypatch.setattr(equilibrium, "best_response", real_br)
-    return rep, seen[-1]
-
-
 class TestNewtonSolve:
     @SOLVER_CASES
-    def test_residual_is_the_node_correction(self, params, fees, monkeypatch):
-        rep, nodes = solve_with_nodes(params, fees, SolverConfig(), monkeypatch)
+    def test_residual_is_the_node_correction(self, params, fees):
+        rep = solved(params, fees)
         assert rep.converged
-        g, jac = node_system(nodes.values, params, fees)
+        assert np.array_equal(rep.nodes.grid, default_rule(params).nodes)
+        g, jac = node_system(rep.nodes.values, params, fees)
         assert rep.residual == pytest.approx(float(np.max(np.abs(np.linalg.solve(jac, g)))),
                                              rel=1e-12)
-        rows = best_response(nodes, params, fees, SolverConfig())
+        rows = best_response(rep.nodes, params, fees, SolverConfig())
         assert np.array_equal(rows.values, rep.strategy.values)
 
     @SOLVER_CASES
-    def test_residual_measures_the_node_error(self, params, fees, monkeypatch):
+    def test_residual_measures_the_node_error(self, params, fees):
         # the correction is the distance in delta to a tol = 1e-15 solve
-        rep, nodes = solve_with_nodes(params, fees, SolverConfig(), monkeypatch)
-        _, exact = solve_with_nodes(params, fees, SolverConfig(tol=1e-15), monkeypatch)
-        err = float(np.max(np.abs(nodes.values - exact.values)))
+        rep, exact = solved(params, fees), solved(params, fees, 1e-15)
+        err = float(np.max(np.abs(rep.nodes.values - exact.nodes.values)))
         assert 0.5 * rep.residual <= err <= 2.0 * rep.residual
+
+    @pytest.mark.parametrize(
+        "fees", [SpreadQuad(2.0), SpreadQuad(0.13), LinearDemand(1.0, 0.3)],
+        ids=["spread_quad", "spread_quad_low_gamma", "linear_demand"],
+    )
+    def test_resolve_from_own_nodes_is_one_evaluation(self, main_params, fees):
+        rep = solved(main_params, fees)
+        again = solve_fixed_point(main_params, fees, SolverConfig(), init=rep.nodes)
+        assert again.converged and again.iterations == 1
+        assert np.array_equal(again.nodes.values, rep.nodes.values)
+        assert np.array_equal(again.strategy.values, rep.strategy.values)
+
+    def test_warm_start_from_a_coarser_node_set(self, main_params):
+        # 16 nodes span less of the sigma interval than 64; init is read
+        # flat past its outer nodes
+        fees = SpreadQuad(2.0)
+        coarse = solve_fixed_point(main_params, fees, SolverConfig(quad_n=16))
+        rep = solve_fixed_point(main_params, fees, SolverConfig(), init=coarse.nodes)
+        gap = np.max(np.abs(rep.nodes.values - solved(main_params, fees).nodes.values))
+        assert rep.converged and gap <= 2.0 * SolverConfig.tol
+
+    @SOLVER_CASES
+    @pytest.mark.parametrize("rho", [0.0, 0.03])
+    def test_concavity_verdict_against_nodes_matches_rows(self, params, fees, rho):
+        # the node strategy and its published rows give the same worst e''
+        # over the offsets _concavity_ok samples
+        params = replace(params, rho=rho)
+        rep = solved(params, fees)
+        c, _ = existence_bound(params, fees)
+        offsets = np.linspace(0.0, max(c, 3.0 * rep.strategy.max_value()), 51)[1:, None]
+
+        def worst_d2(opponent):
+            ctx = PayoffContext(rep.strategy.grid, opponent, params, fees, default_rule(params))
+            return float(np.max(payoff_terms(offsets, ctx, (2,))[0]))
+
+        at_nodes, at_rows = worst_d2(rep.nodes), worst_d2(rep.strategy)
+        assert rep.concavity_ok and at_nodes < 0.0 and at_rows < 0.0
+        assert at_nodes == pytest.approx(at_rows, rel=1e-3)
 
     @SOLVER_CASES
     def test_within_two_tol_of_a_tight_solve(self, params, fees):

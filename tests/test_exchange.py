@@ -7,8 +7,8 @@ import scipy.optimize
 import ael.exchange as exchange
 from ael.errors import DomainError, NoConvergence
 from ael.gaussmath import norm_cdf, norm_pdf
-from ael.model import MarketParams, SpreadQuad
-from ael.equilibrium import SolverConfig, solve_degenerate
+from ael.model import MarketParams, SpreadQuad, average_nodes
+from ael.equilibrium import SolverConfig, solve_degenerate, solve_fixed_point
 from ael.exchange import (
     optimal_gamma_degenerate,
     optimal_gamma_numeric,
@@ -113,6 +113,17 @@ class TestRevenue:
         val = revenue(2.0, main_params, FAST)
         assert val > 0.0
 
+    def test_general_market_is_the_node_sum(self, main_params):
+        # gamma * sum_i w_i x_i^2 over the solved node values x
+        x = solve_fixed_point(main_params, SpreadQuad(2.0), FAST).nodes.values
+        _, w = average_nodes(main_params, FAST.quad_n)
+        assert revenue(2.0, main_params, FAST) == 2.0 * float(np.dot(w, x * x))
+
+    @pytest.mark.parametrize("gamma", [0.13, 2.0])
+    def test_independent_of_grid_n(self, main_params, gamma):
+        values = {revenue(gamma, main_params, SolverConfig(grid_n=n)) for n in (11, 41, 101)}
+        assert len(values) == 1
+
 
 class TestRevenueCurve:
     def test_degenerate_argmax_brackets_gamma_star(self):
@@ -134,6 +145,12 @@ class TestRevenueCurve:
         assert all(math.isnan(p.revenue) for p in points)
         ok = revenue_curve([2.0], main_params, FAST)
         assert ok[0].converged is True and ok[0].revenue > 0.0
+
+    def test_warm_sweep_independent_of_grid_n(self, main_params):
+        grid = np.linspace(0.08, 0.2, 7)
+        coarse, fine = (revenue_curve(grid, main_params, SolverConfig(grid_n=n))
+                        for n in (11, 101))
+        assert all(p.converged for p in fine) and coarse == fine
 
     def test_grid_validation(self, main_params):
         with pytest.raises(DomainError):
