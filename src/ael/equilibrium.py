@@ -57,6 +57,8 @@ _MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne block: 4 rows at the defaults
+_CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e''
+_CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
 
 
 @dataclass(frozen=True)
@@ -255,55 +257,62 @@ def _newton(system, x: np.ndarray, tol: float, max_iter: int):
     return x, residual, iterations
 
 
-def best_response(
-    delta: Strategy, params: MarketParams, fees: FeeScheme, cfg: SolverConfig = SolverConfig()
-) -> Strategy:
-    """Pointwise argmax strategy against ``delta`` on ``cfg.grid_n`` uniform rows.
-
-    ``_newton`` with the diagonal J = e'' solves all rows on one batched
-    kernel, from ``delta`` (flat past its grid) to a step within
-    max(tol * 1e-3, 1e-13), else NoConvergence.  This locates a root of
-    the first-order condition only; whether it is the argmax is the
-    concavity verdict of ``solve_fixed_point``.
-    """
-    _require_rho_bound(params)
-    rows = uniform_grid(params, cfg.grid_n)
-    ctx = PayoffContext(rows, delta, params, fees, default_rule(params, cfg.quad_n))
+def _argmax_rows(ctx: PayoffContext, delta: Strategy, tol: float) -> np.ndarray:
+    """Root of the first-order condition at every sigma_a of the row
+    context ``ctx`` (which plays against ``delta``): ``_newton`` with the
+    diagonal J = e'' from ``delta`` (flat past its grid) to a step within
+    max(tol * 1e-3, 1e-13), else NoConvergence."""
 
     def system(x):
         d1, d2 = payoff_terms(x, ctx, (1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             return d1, d1 / d2
 
-    argmax_tol = max(cfg.tol * 1e-3, 1e-13)
-    start = delta(np.clip(rows, delta.grid[0], delta.grid[-1]))
+    argmax_tol = max(tol * 1e-3, 1e-13)
+    start = delta(np.clip(ctx.sigma_a, delta.grid[0], delta.grid[-1]))
     x, residual, evaluations = _newton(system, start, argmax_tol, _MAX_NEWTON)
     if residual > argmax_tol:
         raise NoConvergence(f"best response not located: Newton step {residual:.3e} "
                             f"after {evaluations} evaluations")
-    return Strategy(rows, x)
+    return x
 
 
-def _concavity_ok(
-    rows: Strategy, nodes: Strategy, params: MarketParams, fees: FeeScheme,
-    cfg: SolverConfig, bound_c: float,
-) -> bool:
-    """Whether the penalized payoff against the node strategy ``nodes``,
-    whose roots ``best_response`` located, is strictly concave in the
-    offset at every sigma_a of ``rows`` on (0, max(bound_C, 3 max rows)].
+def best_response(
+    delta: Strategy, params: MarketParams, fees: FeeScheme, cfg: SolverConfig = SolverConfig()
+) -> Strategy:
+    """Pointwise argmax strategy against ``delta`` on ``cfg.grid_n`` uniform rows.
+
+    All rows are solved by one Newton loop on the batched kernel
+    (``_argmax_rows``).  This locates a root of the first-order condition
+    only; whether it is the argmax is the concavity verdict of
+    ``solve_fixed_point``.
+    """
+    _require_rho_bound(params)
+    rows = uniform_grid(params, cfg.grid_n)
+    ctx = PayoffContext(rows, delta, params, fees, default_rule(params, cfg.quad_n))
+    return Strategy(rows, _argmax_rows(ctx, delta, cfg.tol))
+
+
+def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
+    """Whether the penalized payoff of the row context ``ctx``, on the
+    sigma_a of ``rows`` against the node strategy whose roots ``rows``
+    holds, is strictly concave in the offset at every row on
+    (0, max(bound_C, 3 max rows)].
 
     The upper end covers both the invariant set and the offsets
     ``verify_ne`` scans on ``rows``.  The second derivative is sampled at
-    50 offsets, one kernel call over all rows per offset.  Strict
-    concavity there also rules out a second sign change of the
-    derivative, so each located root is the argmax on that interval.
+    ``_CONCAVITY_OFFSETS`` offsets, one kernel call over all rows per
+    block of ``_CONCAVITY_BLOCK`` offsets, stopping at the first block
+    with a non-negative value.  Strict concavity there also rules out a
+    second sign change of the derivative, so each located root is the
+    argmax on that interval.
     """
     hi = max(bound_c, _DEVIATION_SPAN * rows.max_value())
     if not 0.0 < hi < math.inf:
         return False
-    ctx = PayoffContext(rows.grid, nodes, params, fees, default_rule(params, cfg.quad_n))
-    for x in np.linspace(0.0, hi, 51)[1:]:
-        (d2,) = payoff_terms(x, ctx, (2,))
+    offsets = np.linspace(0.0, hi, _CONCAVITY_OFFSETS + 1)[1:]
+    for block in offsets.reshape(-1, _CONCAVITY_BLOCK, 1):
+        (d2,) = payoff_terms(block, ctx, (2,))
         if np.any(d2 >= 0.0):
             return False
     return True
@@ -321,11 +330,13 @@ def solve_fixed_point(
     grid), else at the constant C/2 when gamma clears the analytic
     threshold, otherwise at the degenerate-market root for sigma_plus
     (the threshold is far from tight); a degenerate market is one
-    unit-weight node.  ``_newton`` stops at max|J^-1 G| <= ``tol`` or
-    after ``max_iter`` evaluations.  The report's ``nodes`` are the node
-    values returned, with their residual, and its rows one
-    ``best_response`` against them; ``_concavity_ok`` runs once against
-    the nodes, and a failed check reports converged=False, never raises.
+    unit-weight node.  The node context is built once and re-pointed
+    (``PayoffContext.against``) at each evaluation of G and J.  ``_newton``
+    stops at max|J^-1 G| <= ``tol`` or after ``max_iter`` evaluations.
+    The report's ``nodes`` are the node values returned, with their
+    residual.  One row context against them gives both the output rows
+    (the best response of ``_argmax_rows``) and the ``_concavity_ok``
+    verdict; a failed check reports converged=False, never raises.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
@@ -340,9 +351,12 @@ def solve_fixed_point(
 
     rule = default_rule(params, cfg.quad_n)
     nodes, _ = rule_average_nodes(params, rule)
+    x = (np.full(nodes.shape, start) if init is None
+         else init(np.clip(nodes, init.grid[0], init.grid[-1])))
+    node_ctx = PayoffContext(nodes, Strategy(nodes, x), params, fees, rule)
 
     def system(x):
-        ctx = PayoffContext(nodes, Strategy(nodes, x), params, fees, rule)
+        ctx = node_ctx.against(x)
         g, d2 = payoff_terms(x, ctx, (1, 2))
         jac = cross_deriv(x, ctx) * ctx.w
         jac[np.diag_indices_from(jac)] += d2
@@ -351,12 +365,12 @@ def solve_fixed_point(
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular equilibrium Jacobian: {exc}") from None
 
-    x = (np.full(nodes.shape, start) if init is None
-         else init(np.clip(nodes, init.grid[0], init.grid[-1])))
     x, residual, iterations = _newton(system, x, cfg.tol, cfg.max_iter)
     solved = Strategy(nodes, x)
-    delta = best_response(solved, params, fees, cfg)
-    concavity = _concavity_ok(delta, solved, params, fees, cfg, bound_c)
+    rows = uniform_grid(params, cfg.grid_n)
+    row_ctx = PayoffContext(rows, solved, params, fees, rule)
+    delta = Strategy(rows, _argmax_rows(row_ctx, solved, cfg.tol))
+    concavity = _concavity_ok(delta, row_ctx, bound_c)
     return EquilibriumReport(
         nodes=solved,
         strategy=delta,
@@ -392,13 +406,14 @@ def verify_ne(
     """Largest deviation gain over sampled quote offsets.
 
     Scans x in [0, 3 * max(delta)] at every grid sigma_a and returns the
-    maximum of payoff(x) - payoff(delta(sigma_a)), floored at zero.  The
-    grid is cut into blocks of rows, each one context and one batched
-    kernel call on (rows, x_samples + 1, nodes) values, with the rows
-    sized so a block holds at most ``_BLOCK_ELEMENTS`` values (or one
-    row).  Blocks run on up to ``AEL_THREADS`` worker threads and are
-    reduced by ``max``, so the result is bit-identical at every thread
-    count.  A true equilibrium yields a value at solver-tolerance level.
+    maximum of payoff(x) - payoff(delta(sigma_a)), floored at zero.  One
+    context holds every grid row; it is sliced (``PayoffContext.rows``)
+    into blocks of rows, each one batched kernel call on
+    (rows, x_samples + 1, nodes) values, with the rows sized so a block
+    holds at most ``_BLOCK_ELEMENTS`` values (or one row).  Blocks run on
+    up to ``AEL_THREADS`` worker threads and are reduced by ``max``, so
+    the result is bit-identical at every thread count.  A true
+    equilibrium yields a value at solver-tolerance level.
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
@@ -406,15 +421,14 @@ def verify_ne(
     if not hi > 0.0:
         hi = 1.0
     xs = np.linspace(0.0, hi, x_samples)
-    rule = default_rule(params, quad_n)
+    ctx = PayoffContext(delta.grid[:, None], delta, params, fees, default_rule(params, quad_n))
     rows = max(1, _BLOCK_ELEMENTS // ((x_samples + 1) * quad_n))
 
     def block_gain(start: int) -> float:
-        ctx = PayoffContext(delta.grid[start:start + rows, None], delta, params, fees, rule)
         held = delta.values[start:start + rows, None]
         # each row: the sampled offsets, then the offset the strategy holds
         offsets = np.append(np.broadcast_to(xs, (held.size, x_samples)), held, axis=1)
-        (vals,) = payoff_terms(offsets, ctx, (0,))
+        (vals,) = payoff_terms(offsets, ctx.rows(start, start + rows), (0,))
         return float(np.max(vals[:, :-1].max(axis=1) - vals[:, -1]))
 
     worst = max(map_ordered(block_gain, range(0, delta.grid.size, rows)))

@@ -36,6 +36,11 @@ sigma_a and one column per quadrature node, once, together with the
 strategy values at the nodes, their moments and the x-free factors of
 the second-derivative integrand: e'' is avg[Phi'(u) (a0 + x (a1 + x a2))],
 and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
+S, Q and Q~ do not depend on the strategy: ``PayoffContext.against``
+shares them (and the nodes and weights) with a context against other
+node values, re-deriving only the strategy's values, moments and
+second-derivative factors, and ``PayoffContext.rows`` shares the
+strategy's caches with a context on a block of the sigma_a rows.
 Each call computes u and Phi'(u) once for a whole array of offsets, and
 1 - Phi(u) only when a requested order needs it: orders 0 and 1 always,
 order 2 only under half-linear demand.  The requested value and
@@ -50,7 +55,8 @@ evaluations pure, hence freely shareable across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -79,11 +85,17 @@ class PayoffContext:
 
     With an array ``sigma_a`` the caches gain its shape in front of the
     node axis, and ``payoff_terms`` takes offsets that broadcast against
-    that shape.
+    that shape.  The opponent strategy ``delta`` is read once, at its
+    node values ``delta_b``, and not stored.
+
+    ``against`` and ``rows`` derive contexts without rebuilding the
+    x-free caches: the first shares S, Q and Q~ and re-derives what
+    depends on the opponent's node values, the second shares those and
+    slices S, Q and Q~.
     """
 
     sigma_a: float | np.ndarray
-    delta: Strategy
+    delta: InitVar[Strategy]
     params: MarketParams
     fees: FeeScheme
     rule: QuadratureRule | None = None
@@ -99,7 +111,7 @@ class PayoffContext:
     e_delta2: float = field(init=False, repr=False)
     e2_poly: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, delta: Strategy):
         p = self.params
         slack = 1e-12 * max(1.0, p.sigma_plus)
         sa = np.asarray(self.sigma_a, dtype=float)
@@ -112,13 +124,35 @@ class PayoffContext:
         set_ = object.__setattr__
         set_(self, "nodes", nodes)
         set_(self, "w", w)
-        set_(self, "delta_b", np.asarray(self.delta(nodes), dtype=float))
         set_(self, "sig", sigma_rho(sa, nodes, p.rho))
         set_(self, "q", q_rho(sa, nodes, p.rho))
         set_(self, "qt", q_tilde_rho(sa, nodes, p.rho))
-        set_(self, "e_delta", float(np.dot(w, self.delta_b)))
-        set_(self, "e_delta2", float(np.dot(w, self.delta_b**2)))
+        self._point_at(np.asarray(delta(nodes), dtype=float))
+
+    def _point_at(self, delta_b: np.ndarray) -> None:
+        """Set the caches that depend on the opponent's node values."""
+        set_ = object.__setattr__
+        set_(self, "delta_b", delta_b)
+        set_(self, "e_delta", float(np.dot(self.w, delta_b)))
+        set_(self, "e_delta2", float(np.dot(self.w, delta_b**2)))
         set_(self, "e2_poly", _e2_poly(self))
+
+    def against(self, values) -> "PayoffContext":
+        """This context against the opponent strategy that takes ``values``
+        at ``self.nodes``, as if built on ``Strategy(self.nodes, values)``."""
+        ctx = copy.copy(self)
+        ctx._point_at(np.asarray(values, dtype=float))
+        return ctx
+
+    def rows(self, start: int, stop: int) -> "PayoffContext":
+        """This context on ``sigma_a[start:stop]`` of an array ``sigma_a``,
+        as if built on that slice."""
+        ctx = copy.copy(self)
+        set_ = object.__setattr__
+        for name in ("sigma_a", "sig", "q", "qt"):
+            set_(ctx, name, getattr(self, name)[start:stop])
+        set_(ctx, "e2_poly", tuple(a[start:stop] for a in self.e2_poly))
+        return ctx
 
 
 def _e2_poly(ctx: PayoffContext) -> tuple:
@@ -160,30 +194,35 @@ def _averages(x: np.ndarray, ctx: PayoffContext, orders, volume: bool) -> list:
     Phi(u) at all.  The cached factors are those of the context's own
     scheme, so for order 2 ``volume`` must match it.
 
-    The four (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u)
-    and two work arrays, views of one allocation: as four separate ones,
-    glibc's malloc handed the freed memory back to the system after each
-    call on a (4, 257, 64) block, and the next call page-faulted it in
-    again (12k minor faults per default ``verify_ne``).
+    The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u) and
+    two work arrays r and t, views of one allocation: as four separate
+    ones, glibc's malloc handed the freed memory back to the system after
+    each call on a (4, 257, 64) block, and the next call page-faulted it
+    in again (12k minor faults per default ``verify_ne``).  Order 2 needs
+    no t, and without a tail u's array serves as r once Phi'(u) is
+    taken, so a base order-2 call allocates two arrays.
     """
     xx = x[..., None]
     d, s = ctx.delta_b, ctx.sig
-    u, dens, *work = np.empty((4, *np.broadcast(xx, s).shape))
+    lower = min(orders) < 2
+    with_tail = volume or lower
+    u, dens, *work = np.empty((2 + with_tail + lower, *np.broadcast(xx, s).shape))
     np.add(xx, d, out=u)
     u /= s
     norm_pdf(u, out=dens)
-    tail = None
-    if volume or min(orders) < 2:
+    if with_tail:
         tail = np.subtract(1.0, norm_cdf(u, out=u), out=u)
+    else:
+        tail, work = None, [u]
     scale = 0.5 * ctx.fees.kbar if volume else 1.0
     integrand = _volume_integrand if volume else _base_integrand
     return [scale * (integrand(k, xx, ctx, dens, tail, *work) @ ctx.w) for k in orders]
 
 
-def _base_integrand(k, xx, ctx, dens, tail, r, t):
-    """Order-k base integrand, written into r (t is scratch):
-    0.5 (x - d) tail + S (1/2 - Q) dens, then 0.5 tail + ((d Q - x Q~)/S) dens,
-    then dens (a0 + x (a1 + x a2))."""
+def _base_integrand(k, xx, ctx, dens, tail, r, t=None):
+    """Order-k base integrand, written into r (t is scratch for orders 0
+    and 1): 0.5 (x - d) tail + S (1/2 - Q) dens, then
+    0.5 tail + ((d Q - x Q~)/S) dens, then dens (a0 + x (a1 + x a2))."""
     d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
     if k == 0:
         np.subtract(xx, d, out=r)
@@ -206,9 +245,10 @@ def _base_integrand(k, xx, ctx, dens, tail, r, t):
     return r
 
 
-def _volume_integrand(k, xx, ctx, dens, tail, r, t):
+def _volume_integrand(k, xx, ctx, dens, tail, r, t=None):
     """Order-k half-linear integrand (without kbar/2), written into r (t is
-    scratch): (S^2 (1/2 - Q) - 0.5 (x - d)(d + x)) tail + S (0.5 (x - d)) dens,
+    scratch for orders 0 and 1):
+    (S^2 (1/2 - Q) - 0.5 (x - d)(d + x)) tail + S (0.5 (x - d)) dens,
     then -x tail + S Q dens, then dens (b0 + x b1) - tail."""
     d, s, q = ctx.delta_b, ctx.sig, ctx.q
     if k == 0:

@@ -398,24 +398,53 @@ class TestBatchedBestResponse:
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
         delta = Strategy.constant(0.3, main_params, 11)
-        assert not equilibrium._concavity_ok(delta, delta, main_params, SpreadQuad(2.0), FAST,
-                                             bound_c=0.0043)
+        ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
+                            default_rule(main_params))
+        assert not equilibrium._concavity_ok(delta, ctx, bound_c=0.0043)
+
+    @pytest.mark.parametrize("where, kernel_calls", [("first", 1), ("last", 10), (None, 10)])
+    def test_concavity_scan_stops_at_the_first_non_concave_block(
+        self, main_params, where, kernel_calls, monkeypatch
+    ):
+        # 50 offsets up to hi = 3 * 0.3 in blocks of 5; e'' is positive only
+        # at the first offset, only at the last one, or nowhere
+        delta = Strategy.constant(0.3, main_params, 11)
+        hi = 3.0 * delta.max_value()
+        step = hi / 50
+        calls = []
+
+        def fake_terms(x, ctx, orders):
+            calls.append(np.shape(x))
+            x = np.asarray(x, dtype=float)
+            bump = {"first": x < 1.5 * step, "last": x > hi - 0.5 * step, None: x < 0.0}[where]
+            return [np.where(bump, 1.0, -1.0) for _ in orders]
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
+                            default_rule(main_params))
+        assert equilibrium._concavity_ok(delta, ctx, bound_c=0.0043) is (where is None)
+        assert calls == [(5, 1)] * kernel_calls
 
     @pytest.mark.parametrize(
         "fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)], ids=["spread_quad", "linear_demand"]
     )
     def test_kernel_calls_per_newton_step(self, main_params, fees, monkeypatch):
-        # the node loop makes one kernel call and one cross_deriv call per
-        # evaluation of G and J (no halvings here), then one best_response
-        # gives the output rows
-        calls = {"kernel": 0, "cross": 0, "best_response": 0, "node_kernel": None}
+        # a solve builds two contexts: the node context, re-pointed at each
+        # evaluation, and one output-row context that the row best response
+        # and the concavity check share; the node loop makes one kernel call
+        # and one cross_deriv call per evaluation of G and J (no halvings
+        # here), and the concave payoff takes all 10 offset blocks of the
+        # check; verify_ne builds one context at any thread count
+        calls = {"ctx": 0, "kernel": 0, "cross": 0, "node_kernel": None, "concavity": None}
+        real_init = PayoffContext.__post_init__
         real_terms, real_cross = equilibrium.payoff_terms, equilibrium.cross_deriv
-        real_br = equilibrium.best_response
+        real_concavity = equilibrium._concavity_ok
 
-        def counted_br(*args, **kwargs):
-            calls["best_response"] += 1
-            calls["node_kernel"] = calls["kernel"]
-            return real_br(*args, **kwargs)
+        def counted_init(self, *args):
+            calls["ctx"] += 1
+            if calls["ctx"] == 2:
+                calls["node_kernel"] = calls["kernel"]
+            real_init(self, *args)
 
         def counted_terms(*args, **kwargs):
             calls["kernel"] += 1
@@ -425,12 +454,25 @@ class TestBatchedBestResponse:
             calls["cross"] += 1
             return real_cross(*args, **kwargs)
 
-        monkeypatch.setattr(equilibrium, "best_response", counted_br)
+        def counted_concavity(*args, **kwargs):
+            before = calls["kernel"]
+            ok = real_concavity(*args, **kwargs)
+            calls["concavity"] = calls["kernel"] - before
+            return ok
+
+        monkeypatch.setattr(PayoffContext, "__post_init__", counted_init)
         monkeypatch.setattr(equilibrium, "payoff_terms", counted_terms)
         monkeypatch.setattr(equilibrium, "cross_deriv", counted_cross)
+        monkeypatch.setattr(equilibrium, "_concavity_ok", counted_concavity)
         rep = solve_fixed_point(main_params, fees, SolverConfig())
-        assert rep.converged and calls["best_response"] == 1
+        assert rep.converged and calls["ctx"] == 2
         assert calls["node_kernel"] == calls["cross"] == rep.iterations
+        assert calls["concavity"] == 10
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("AEL_THREADS", threads)
+            calls["ctx"] = 0
+            verify_ne(rep.strategy, main_params, fees)
+            assert calls["ctx"] == 1
 
 
 @lru_cache(maxsize=None)
@@ -585,6 +627,30 @@ class TestNewtonSolve:
         x, residual, iterations = equilibrium._newton(system, np.array([14.0]), 1e-12, 50)
         assert residual <= 1e-12 and abs(x[0] - 10.0) <= 1e-12
         assert len(seen) > iterations and all(v[0] >= 0.0 for v in seen)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.03])
+    @pytest.mark.parametrize(
+        "fees", [SpreadQuad(2.0), SpreadQuad(0.13), LinearDemand(1.0, 0.3)],
+        ids=["spread_quad", "spread_quad_low_gamma", "linear_demand"],
+    )
+    def test_repointed_node_context_matches_fresh_contexts(self, fees, rho):
+        # oracle: the node system with a fresh context per evaluation, from
+        # the solver's start, through the same Newton loop
+        params = MarketParams(0.1, 1.1, rho)
+        cfg = SolverConfig()
+
+        def fresh_system(x):
+            g, jac = node_system(x, params, fees, cfg.quad_n)
+            return g, np.linalg.solve(jac, g)
+
+        bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
+        start = (0.5 * bound_c if fees.gamma >= gamma_min
+                 else equilibrium._degenerate_root(fees, params.sigma_plus, rho))
+        x, residual, iterations = equilibrium._newton(
+            fresh_system, np.full(cfg.quad_n, start), cfg.tol, cfg.max_iter)
+        rep = solve_fixed_point(params, fees, cfg)
+        assert rep.nodes.values.tobytes() == x.tobytes()
+        assert rep.residual == residual and rep.iterations == iterations
 
 
 class TestExistenceBoundQuadrature:

@@ -1,7 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from ael.gaussmath import gauss_legendre, norm_cdf, norm_pdf
@@ -13,11 +16,13 @@ from ael.model import (
     SpreadQuad,
     Strategy,
     default_rule,
+    rule_average_nodes,
 )
 import ael.payoff as payoff
 from ael.payoff import (
     PayoffContext,
     base_payoff,
+    cross_deriv,
     payoff_deriv,
     payoff_second_deriv,
     payoff_terms,
@@ -271,3 +276,68 @@ class TestInPlaceKernel:
                 for g, w in zip(got, want):
                     assert np.shape(g) == np.shape(w)
                     assert np.array_equal(g, w)
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality of two context fields (arrays, floats or tuples of
+    arrays); any other field must be the very same object."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_bits(u, v) for u, v in zip(a, b))
+    if isinstance(a, (float, np.ndarray)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a is b
+
+
+def assert_same_context(got: PayoffContext, want: PayoffContext, x) -> None:
+    for f in fields(PayoffContext):
+        assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+    for g, w in zip(payoff_terms(x, got), payoff_terms(x, want)):
+        assert same_bits(g, w)
+    assert same_bits(cross_deriv(x, got), cross_deriv(x, want))
+
+
+@st.composite
+def context_cases(draw):
+    """(params, fees, rule, sigma_a rows, offsets per row, two opponent
+    node-value arrays) on a small rule, or on a degenerate market."""
+    rho = draw(st.sampled_from((0.0, 0.03)))
+    degenerate = draw(st.booleans())
+    params = MarketParams(1.1, 1.1, rho) if degenerate else MarketParams(0.1, 1.1, rho)
+    rule = default_rule(params, 8)
+    n_nodes = 1 if degenerate else 8
+    n_rows = 1 if degenerate else draw(st.integers(1, 7))
+    rows = np.linspace(params.sigma_minus, params.sigma_plus, n_rows)
+    # column rows take a block of offsets each, as verify_ne does
+    shape = (n_rows, 3) if draw(st.booleans()) else (n_rows,)
+    rows = rows[:, None] if len(shape) == 2 else rows
+    offsets = st.lists(st.floats(-0.5, 2.0), min_size=math.prod(shape), max_size=math.prod(shape))
+    values = st.lists(st.floats(0.0, 2.0), min_size=n_nodes, max_size=n_nodes)
+    return (params, draw(st.sampled_from(ALL_SCHEMES)), rule, rows,
+            np.reshape(draw(offsets), shape), [np.abs(draw(values)) for _ in range(2)])
+
+
+class TestDerivedContexts:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(context_cases())
+    def test_repointed_context_is_a_fresh_one(self, case):
+        params, fees, rule, rows, x, (first, second) = case
+        nodes, _ = rule_average_nodes(params, rule)
+        base = PayoffContext(rows, Strategy(nodes, first), params, fees, rule)
+        fresh = PayoffContext(rows, Strategy(nodes, second), params, fees, rule)
+        got = base.against(second)
+        assert_same_context(got, fresh, x)
+        # the re-pointed context shares the strategy-free caches
+        for name in ("nodes", "w", "sig", "q", "qt"):
+            assert getattr(got, name) is getattr(base, name)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(context_cases(), st.data())
+    def test_row_slice_is_a_fresh_one(self, case, data):
+        params, fees, rule, rows, x, (values, _) = case
+        start = data.draw(st.integers(0, rows.shape[0] - 1))
+        stop = data.draw(st.integers(start + 1, rows.shape[0]))
+        delta = Strategy(rule_average_nodes(params, rule)[0], values)
+        full = PayoffContext(rows, delta, params, fees, rule)
+        fresh = PayoffContext(rows[start:stop], delta, params, fees, rule)
+        assert_same_context(full.rows(start, stop), fresh, x[start:stop])
