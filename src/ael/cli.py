@@ -51,7 +51,8 @@ from .model import (
     default_rule,
 )
 from .payoff import PayoffContext, base_payoff, payoff_deriv, payoff_terms, penalized_payoff
-from .simulator import SimConfig, estimate_limit_payoff, estimate_stats
+from .parallel import worker_count
+from .simulator import SimConfig, SimReport, estimate_limit_payoff, estimate_stats
 
 
 # --- configuration schema ---------------------------------------------------
@@ -297,6 +298,17 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _simulate(command: str, delta: Strategy, market: MarketParams, sim: SimConfig) -> SimReport:
+    """estimate_stats, logging its throughput to stderr."""
+    workers = worker_count()
+    start = time.perf_counter()
+    rep = estimate_stats(delta, market, sim)
+    seconds = time.perf_counter() - start
+    _log(f"ael {command}: {sim.samples} samples in {seconds:.3f} s "
+         f"({sim.samples / max(seconds, 1e-9):.4g} samples/s, worker cap {workers})")
+    return rep
+
+
 # --- subcommands ------------------------------------------------------------
 
 _STAT_COLS = tuple(f.name for f in fields(PairStats))  # astuple(PairStats) follows this order
@@ -309,7 +321,7 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     header = list(_STAT_COLS)
     row = list(astuple(stats))
     if args.simulate:
-        rep = estimate_stats(delta, market, cfg.sim())
+        rep = _simulate("stats", delta, market, cfg.sim())
         header += ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS]
         row += [*astuple(rep.stats), *rep.std_errors]
     write_csv(cfg["output.path"], "stats", cfg, header, [row])
@@ -381,7 +393,7 @@ def cmd_payoff_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
-    rep = estimate_stats(delta, market, cfg.sim())
+    rep = _simulate("simulate", delta, market, cfg.sim())
     header = ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS] + ["samples", "seed"]
     row = [*astuple(rep.stats), *rep.std_errors, rep.samples, rep.seed]
     write_csv(cfg["output.path"], "simulate", cfg, header, [row])

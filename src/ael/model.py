@@ -67,6 +67,11 @@ class MarketParams:
         return self.rho <= self.sigma_minus / self.sigma_plus
 
 
+def _lookup_scratch(n: int):
+    """Scratch arrays for ``Strategy._evaluate`` on n points."""
+    return np.empty(n), np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, bool)
+
+
 class _Buckets(NamedTuple):
     """Bucket tables of ``Strategy.__call__``; see the ``Strategy`` docstring."""
 
@@ -156,18 +161,44 @@ class Strategy:
         pad = np.full(strides[0] if strides else 1, np.inf)
         return _Buckets(scale, first, strides, np.concatenate((grid[1:], pad)))
 
-    def _segment(self, t: np.ndarray) -> np.ndarray:
-        """Segment index of each sigma in ``t``, already clamped to the grid."""
+    def _segment(self, t, j, k, f, b) -> None:
+        """Write the segment index of each sigma in ``t`` (already clamped
+        to the grid) to ``j``; k, f and b are scratch (see ``_evaluate``)."""
         grid = self.grid
         if t.size <= grid.size:
-            return grid.searchsorted(t, side="right") - 1
+            np.subtract(grid.searchsorted(t, side="right"), 1, out=j)
+            return
         scale, first, strides, right = self._buckets
-        f = t - grid[0]
+        np.subtract(t, grid[0], out=f)
         f *= scale
-        j = first[f.astype(np.intp)]
+        k[...] = f  # truncates, as astype(np.intp) does
+        # mode="clip" takes without a buffer; every index is in range
+        np.take(first, k, mode="clip", out=j)
         for h in strides:
-            j = j + h * (t >= right[h - 1:][j])
-        return j + (t >= right[j])
+            np.take(right[h - 1:], j, mode="clip", out=f)
+            j += np.multiply(np.greater_equal(t, f, out=b), h, out=k)
+        np.take(right, j, mode="clip", out=f)
+        j += np.greater_equal(t, f, out=b)
+
+    def _evaluate(self, x: np.ndarray, out: np.ndarray, f, j, k, b) -> None:
+        """Write delta at each sigma of the 1-D ``x`` to ``out``, allocating
+        nothing on a query larger than the grid.
+
+        f, j, k and b are scratch of x's length with dtypes float, intp,
+        intp and bool (``_lookup_scratch``).  Raises OutOfDomain for a NaN
+        or for a sigma beyond the slack.
+        """
+        grid = self.grid
+        # min and max of a NaN are NaN, which fails both comparisons
+        if x.size and not (
+            np.minimum.reduce(x) >= self._lo and np.maximum.reduce(x) <= self._hi
+        ):
+            raise OutOfDomain(f"sigma outside strategy span [{grid[0]}, {grid[-1]}]")
+        t = np.clip(x, grid[0], grid[-1], out=out)
+        self._segment(t, j, k, f, b)
+        np.subtract(t, np.take(grid, j, mode="clip", out=f), out=out)
+        out *= np.take(self._slope, j, mode="clip", out=f)
+        out += np.take(self.values, j, mode="clip", out=f)
 
     @classmethod
     def constant(cls, value: float, params: MarketParams, n: int = 101) -> "Strategy":
@@ -180,20 +211,11 @@ class Strategy:
 
         Raises OutOfDomain for a NaN or for a sigma beyond the slack.
         """
-        grid = self.grid
         s = np.asarray(sigma, dtype=float)
         x = s.reshape(-1)
-        # min and max of a NaN are NaN, which fails both comparisons
-        if x.size and not (
-            np.minimum.reduce(x) >= self._lo and np.maximum.reduce(x) <= self._hi
-        ):
-            raise OutOfDomain(f"sigma outside strategy span [{grid[0]}, {grid[-1]}]")
-        t = x.clip(grid[0], grid[-1])
-        j = self._segment(t)
-        f = t - grid[j]
-        f *= self._slope[j]
-        f += self.values[j]
-        out = f.reshape(s.shape)
+        out = np.empty(x.size)
+        self._evaluate(x, out, *_lookup_scratch(x.size))
+        out = out.reshape(s.shape)
         return out if isinstance(sigma, np.ndarray) else float(out)
 
     def max_value(self) -> float:
@@ -296,6 +318,30 @@ def q_rho(sa, sb, rho: float):
     if np.any(np.asarray(den) <= 0.0):
         raise DomainError("degenerate precision denominator")
     return (1.0 / (sb * sb) - rho / (sa * sb)) / den
+
+
+def _sigma_rho_into(sa: float, sb: np.ndarray, rho: float, out, tmp, flag) -> None:
+    """``sigma_rho(sa, sb, rho)`` for a scalar sa, written to ``out`` by the
+    same operations; tmp and flag are scratch of sb's shape."""
+    np.multiply(sb, sb, out=out)
+    out += sa * sa
+    out -= np.multiply(sb, 2.0 * rho * sa, out=tmp)
+    if np.less_equal(out, 0.0, out=flag).any():
+        raise DomainError("sigma_rho radicand is non-positive")
+    np.sqrt(out, out=out)
+
+
+def _q_rho_into(sa: float, sb: np.ndarray, rho: float, out, tmp1, tmp2, flag) -> None:
+    """``q_rho(sa, sb, rho)`` for a scalar sa, written to ``out`` by the
+    same operations; tmp1, tmp2 and flag are scratch of sb's shape."""
+    inv_b2 = np.divide(1.0, np.multiply(sb, sb, out=tmp1), out=tmp1)
+    ab = np.multiply(sb, sa, out=tmp2)
+    np.subtract(inv_b2, np.divide(rho, ab, out=out), out=out)  # numerator
+    den = np.add(inv_b2, 1.0 / (sa * sa), out=tmp1)
+    den -= np.divide(2.0 * rho, ab, out=tmp2)
+    if np.less_equal(den, 0.0, out=flag).any():
+        raise DomainError("degenerate precision denominator")
+    out /= den
 
 
 def q_tilde_rho(sa, sb, rho: float):

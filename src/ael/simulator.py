@@ -22,16 +22,30 @@ one: prices are increments relative to the efficient price, which is
 fixed at zero.  Market slot 0 stays unused; moving the other market
 draws down a slot would change every market estimate.
 
-Chunks run on the package's worker threads (``parallel.map_ordered``).
-The environment variable ``AEL_THREADS`` caps their number, here and in
-the row blocks of ``equilibrium.verify_ne`` (0 or unset means one per
-CPU).  Chunk aggregates are reduced in index order, so every result is
-bit-identical at every thread count.
+Chunks of ``_CHUNK`` samples run on the package's worker threads
+(``parallel.map_ordered``).  The environment variable ``AEL_THREADS``
+caps their number, here and in the row blocks of
+``equilibrium.verify_ne`` (0 or unset means one per usable CPU).  Chunk
+aggregates are reduced in index order, so every result is bit-identical
+at every thread count.
+
+A chunk allocates no array of its size.  Each thread that runs chunks
+(a pool worker, or the caller when one thread runs them all) keeps one
+``_Workspace`` for as long as the thread lives, and a chunk walks its
+samples in sub-blocks of ``SUB`` samples: the uniform window is drawn
+into the workspace (the Philox counter addresses any sub-block
+directly), and the floors, ``ndtri``, sigma maps, strategy lookups and
+prices are written into its ``SUB``-length columns, which stay in
+cache.  Only the values whose sums are taken (spread and mid error, or
+the payoff) go into full-chunk arrays, and their power sums run on the
+whole chunk: ``np.sum`` adds pairwise in an order set by the array
+length, so sums over sub-blocks would round differently.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +59,16 @@ from .model import (
     MarketParams,
     PairStats,
     Strategy,
-    q_rho,
-    sigma_rho,
+    _lookup_scratch,
+    _q_rho_into,
+    _sigma_rho_into,
 )
 from .parallel import map_ordered
 
 _SLOTS = 8  # uniforms reserved per sample; 8 doubles = 2 Philox blocks
 _BLOCKS_PER_SAMPLE = _SLOTS // 4
 _CHUNK = 1 << 17
+SUB = 1 << 14  # samples per sub-block; see the module docstring
 _U_FLOOR = 1e-300  # keep ndtri finite if a uniform lands on exactly 0.0
 
 
@@ -85,43 +101,103 @@ class SimReport:
     seed: int
 
 
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """The raw (count, 8) uniform window for samples [start, start + count).
+class _Workspace:
+    """One thread's Monte Carlo buffers, reused by every chunk it runs.
+
+    ``u`` is the uniform window of a sub-block and ``cols`` its columns
+    of intermediate values (rows, each contiguous).  ``scratch`` is the
+    strategy lookup's scratch; ``flag``, its boolean column, is free
+    between lookups.  ``sums`` holds the full-chunk values whose power
+    sums are taken.
+    """
+
+    __slots__ = ("u", "cols", "scratch", "flag", "sums")
+
+    def __init__(self):
+        self.u = np.empty((SUB, _SLOTS))
+        self.cols = np.empty((8, SUB))
+        self.scratch = _lookup_scratch(SUB)
+        self.flag = self.scratch[3]
+        self.sums = np.empty((3, _CHUNK))
+
+    def lookup(self, delta: Strategy, sigma: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """delta(sigma) written to ``out``, through the workspace's scratch."""
+        n = sigma.size
+        delta._evaluate(sigma, out, *(a[:n] for a in self.scratch))
+        return out
+
+
+_local = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """The calling thread's workspace, made on its first chunk."""
+    ws = getattr(_local, "ws", None)
+    if ws is None:
+        ws = _local.ws = _Workspace()
+    return ws
+
+
+def _uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The raw (count, 8) uniform window for samples [start, start + count),
+    written to ``out`` when it is given.
 
     Values lie in [0, 1); callers floor the columns they pass to ``ndtri``
     (see ``_normal``).
     """
     bg = Philox(key=seed)
     bg.advance(start * _BLOCKS_PER_SAMPLE)
-    return Generator(bg).random((count, _SLOTS))
+    return Generator(bg).random((count, _SLOTS), out=out)
 
 
-def _normal(u_col: np.ndarray) -> np.ndarray:
+def _normal(u_col: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Standard normals from one uniform column, floored so ndtri stays finite."""
-    t = np.maximum(u_col, _U_FLOOR)
-    return ndtri(t, out=t)
+    np.maximum(u_col, _U_FLOOR, out=out)
+    return ndtri(out, out=out)
+
+
+def _sigma(u_col: np.ndarray, params: MarketParams, out: np.ndarray) -> np.ndarray:
+    """sigma_minus + (sigma_plus - sigma_minus) * u, written to ``out``."""
+    sm, sp = params.sigma_minus, params.sigma_plus
+    np.multiply(u_col, sp - sm, out=out)
+    out += sm
+    return out
 
 
 def _map_chunks(total: int, fn):
-    """Apply fn(start, count) over fixed-size chunks; ordered results."""
+    """Apply fn(ws, start, count) over fixed-size chunks, ws being the
+    running thread's workspace; ordered results."""
     spans = [(s, min(s + _CHUNK, total) - s) for s in range(0, total, _CHUNK)]
-    return map_ordered(lambda sc: fn(*sc), spans)
+    return map_ordered(lambda sc: fn(_workspace(), *sc), spans)
 
 
-def _market_draws(u: np.ndarray, params: MarketParams):
-    """Map a uniform window to (sigma_a, sigma_b, eps_a, eps_b)."""
-    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
-    sigma_a = sm + (sp - sm) * u[:, 1]
-    sigma_b = sm + (sp - sm) * u[:, 2]
-    eps_a = _normal(u[:, 3])
-    eps_b = rho * eps_a + math.sqrt(1.0 - rho * rho) * _normal(u[:, 4])
+def _market_draws(u: np.ndarray, params: MarketParams, out: np.ndarray):
+    """Map a uniform window to (sigma_a, sigma_b, eps_a, eps_b), the rows
+    of the (4, n) ``out``."""
+    rho = params.rho
+    sigma_a, sigma_b, eps_a, eps_b = out
+    _normal(u[:, 3], eps_a)
+    _normal(u[:, 4], eps_b)
+    eps_b *= math.sqrt(1.0 - rho * rho)
+    eps_b += np.multiply(eps_a, rho, out=sigma_a)  # eps_b = rho eps_a + sqrt(1 - rho^2) eta
+    _sigma(u[:, 1], params, sigma_a)
+    _sigma(u[:, 2], params, sigma_b)
     return sigma_a, sigma_b, eps_a, eps_b
 
 
-def _moment_pack(x: np.ndarray) -> np.ndarray:
-    """Sums of x, x^2, x^3 and x^4, formed by multiplication (no pow)."""
-    x2 = x * x
-    return np.array([x.sum(), x2.sum(), (x2 * x).sum(), (x2 * x2).sum()])
+def _moment_pack(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Sums of x, x^2, x^3 and x^4, formed by multiplication (no pow).
+
+    Overwrites x and ``work`` (of x's shape) and allocates no array of
+    x's size.
+    """
+    s1 = x.sum()
+    x2 = np.multiply(x, x, out=work)
+    s2 = x2.sum()
+    x *= x2
+    s3 = x.sum()
+    s4 = np.multiply(x2, x2, out=x).sum()
+    return np.array([s1, s2, s3, s4])
 
 
 def _mean_var_ses(sums: np.ndarray, n: int) -> tuple[float, float, float, float]:
@@ -140,17 +216,24 @@ def _mean_var_ses(sums: np.ndarray, n: int) -> tuple[float, float, float, float]
 def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> SimReport:
     """Empirical spread / mid-error / trade statistics with standard errors."""
 
-    def chunk(start: int, count: int):
-        u = _uniforms(sim.seed, start, count)
-        sigma_a, sigma_b, eps_a, eps_b = _market_draws(u, params)
-        da = np.asarray(delta(sigma_a), dtype=float)
-        db = np.asarray(delta(sigma_b), dtype=float)
-        p_a = sigma_a * eps_a + da
-        p_b = sigma_b * eps_b - db
-        spread = p_a - p_b
-        mid_err = 0.5 * (p_a + p_b)
-        traded = float(np.count_nonzero(p_a <= p_b))
-        return _moment_pack(spread), _moment_pack(mid_err), traded
+    def chunk(ws: _Workspace, start: int, count: int):
+        spread, mid_err, work = ws.sums[:, :count]
+        traded = 0
+        for off in range(0, count, SUB):
+            n = min(SUB, count - off)
+            u = _uniforms(sim.seed, start + off, n, out=ws.u[:n])
+            sigma_a, sigma_b, p_a, p_b = _market_draws(u, params, ws.cols[:4, :n])
+            da, db = ws.cols[4:6, :n]
+            p_a *= sigma_a  # p_a = sigma_a eps_a + delta(sigma_a)
+            p_a += ws.lookup(delta, sigma_a, da)
+            p_b *= sigma_b  # p_b = sigma_b eps_b - delta(sigma_b)
+            p_b -= ws.lookup(delta, sigma_b, db)
+            np.subtract(p_a, p_b, out=spread[off:off + n])
+            np.add(p_a, p_b, out=mid_err[off:off + n])
+            mid_err[off:off + n] *= 0.5
+            traded += np.count_nonzero(np.less_equal(p_a, p_b, out=ws.flag[:n]))
+        # mid_err's pack may use spread as its scratch once spread's is taken
+        return _moment_pack(spread, work), _moment_pack(mid_err, spread), float(traded)
 
     packs = _map_chunks(sim.samples, chunk)
     spread_sums = np.sum([p[0] for p in packs], axis=0)
@@ -191,22 +274,43 @@ def _limit_estimate(
     event z >= (x + d)/sig, over the limit-regime draws (sigma_b, z, w).
 
     ``mid_err`` is the clearing-mid error
-    (x - d)/2 + w * sa sb sqrt(1-rho^2)/S + z S (1/2 - Q).
+    (x - d)/2 + w * sa sb sqrt(1-rho^2)/S + z S (1/2 - Q).  ``gain`` gets
+    sub-block arrays and a scratch ``out`` of their length, and returns
+    the gain: one of its inputs, or ``out`` written in place.
     """
-    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
+    rho = params.rho
+    root = math.sqrt(1.0 - rho * rho)
 
-    def chunk(start: int, count: int):
-        u = _uniforms(sim.seed, start, count)
-        sb = sm + (sp - sm) * u[:, 0]
-        z = _normal(u[:, 1])
-        w = _normal(u[:, 2])
-        d = np.asarray(delta(sb), dtype=float)
-        sig = sigma_rho(sigma_a, sb, rho)
-        q = q_rho(sigma_a, sb, rho)
-        coef_w = sigma_a * sb * math.sqrt(1.0 - rho * rho) / sig
-        mid_err = 0.5 * (x - d) + w * coef_w + z * sig * (0.5 - q)
-        pay = gain(z, sig, d, mid_err) * (z >= (x + d) / sig)
-        return np.array([pay.sum(), (pay * pay).sum()])
+    def chunk(ws: _Workspace, start: int, count: int):
+        pay, work = ws.sums[:2, :count]
+        for off in range(0, count, SUB):
+            n = min(SUB, count - off)
+            u = _uniforms(sim.seed, start + off, n, out=ws.u[:n])
+            sb, z, w, d, sig, q, t1, t2 = ws.cols[:, :n]
+            flag = ws.flag[:n]
+            _sigma(u[:, 0], params, sb)
+            _normal(u[:, 1], z)
+            _normal(u[:, 2], w)
+            ws.lookup(delta, sb, d)
+            _sigma_rho_into(sigma_a, sb, rho, sig, t1, flag)
+            _q_rho_into(sigma_a, sb, rho, q, t1, t2, flag)
+            # mid_err = 0.5 (x - d) + w sa sb sqrt(1-rho^2)/S + z S (1/2 - Q), into t1
+            np.multiply(sb, sigma_a, out=t2)
+            t2 *= root
+            t2 /= sig
+            w *= t2
+            np.subtract(x, d, out=t1)
+            t1 *= 0.5
+            t1 += w
+            np.subtract(0.5, q, out=q)
+            q *= np.multiply(z, sig, out=t2)
+            t1 += q
+            # traded event z >= (x + d)/S
+            np.add(d, x, out=t2)
+            t2 /= sig
+            np.greater_equal(z, t2, out=flag)
+            np.multiply(gain(z, sig, d, t1, t2), flag, out=pay[off:off + n])
+        return np.array([pay.sum(), np.multiply(pay, pay, out=work).sum()])
 
     sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
     return _mean_se(sums, sim.samples)
@@ -226,7 +330,7 @@ def estimate_limit_payoff(
     Its mean equals the quadrature payoff, providing the independent
     cross-check used by the validation suite.
     """
-    return _limit_estimate(x, sigma_a, delta, params, sim, lambda z, sig, d, mid_err: mid_err)
+    return _limit_estimate(x, sigma_a, delta, params, sim, lambda z, sig, d, mid_err, out: mid_err)
 
 
 def estimate_half_linear_payoff(
@@ -249,8 +353,16 @@ def estimate_half_linear_payoff(
             f"estimate_half_linear_payoff requires LinearDemand fees, "
             f"got {type(fees).__name__}"
         )
-    mean, se = _limit_estimate(
-        x, sigma_a, delta, params, sim,
-        lambda z, sig, d, mid_err: 0.5 * fees.kbar * (sig * z - d - x) * mid_err,
-    )
+    scale = 0.5 * fees.kbar
+
+    def gain(z, sig, d, mid_err, out):
+        # (kbar/2) (sig z - d - x) mid_err
+        np.multiply(sig, z, out=out)
+        out -= d
+        out -= x
+        out *= scale
+        out *= mid_err
+        return out
+
+    mean, se = _limit_estimate(x, sigma_a, delta, params, sim, gain)
     return mean - fees.gamma * x * x, se

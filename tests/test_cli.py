@@ -123,6 +123,25 @@ def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):
     assert {h: v for h, v in zip(sim_header, sim_row) if h in empirical} == empirical
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["stats", "--simulate"]])
+def test_simulation_throughput_goes_to_stderr(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "sim.csv"
+    csvs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AEL_THREADS", threads)
+        assert main([*command, "-o", str(out), *TOY, "--samples", "20000"]) == 0
+        csvs.append(out.read_bytes())
+        (line,) = capsys.readouterr().err.splitlines()
+        words = line.split()
+        assert words[:4] == ["ael", f"{command[0]}:", "20000", "samples"]
+        assert words[4] == "in" and float(words[5]) > 0.0 and words[6] == "s"
+        assert float(words[7].lstrip("(")) > 0.0 and words[8] == "samples/s,"
+        assert words[9:] == ["worker", "cap", f"{threads})"]
+    # the log changes with the thread count; the output file does not
+    assert csvs[0] == csvs[1]
+    assert b"samples/s" not in csvs[0]
+
+
 def test_single_sample_simulate_has_zero_standard_errors(tmp_path):
     # one sample has no spread; the fourth-moment sums must not leak
     # their rounding into se_*_var

@@ -1,3 +1,7 @@
+import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -5,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from ael import simulator
 from ael.errors import WrongScheme
@@ -15,10 +20,13 @@ from ael.model import (
     Strategy,
     analytic_stats,
     default_rule,
+    q_rho,
+    sigma_rho,
 )
 from ael.payoff import PayoffContext, base_payoff, penalized_payoff
 from ael.simulator import (
     _CHUNK,
+    SUB,
     SimConfig,
     _market_draws,
     _moment_pack,
@@ -131,14 +139,22 @@ def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
 
 def test_zero_uniforms_stay_finite(monkeypatch):
     # the raw window may hold 0.0; only the ndtri inputs are floored
-    monkeypatch.setattr(
-        simulator, "_uniforms", lambda seed, start, count: np.zeros((count, 8))
-    )
+    drawn = []
+
+    def zeros(seed, start, count, out=None):
+        drawn.append(count)
+        u = np.empty((count, 8)) if out is None else out
+        u.fill(0.0)
+        return u
+
+    monkeypatch.setattr(simulator, "_uniforms", zeros)
     sim = SimConfig(samples=1000, seed=3)
     rep = estimate_stats(DELTA, MARKET, sim)
+    assert drawn == [1000]
     assert np.all(np.isfinite(astuple(rep.stats))) and np.all(np.isfinite(rep.std_errors))
     assert np.all(np.isfinite(estimate_limit_payoff(0.4, 0.6, DELTA, MARKET, sim)))
-    sigma_a, sigma_b, eps_a, eps_b = _market_draws(np.zeros((4, 8)), MARKET)
+    assert drawn == [1000, 1000]
+    sigma_a, sigma_b, eps_a, eps_b = _market_draws(np.zeros((4, 8)), MARKET, np.empty((4, 4)))
     assert np.all(sigma_a == MARKET.sigma_minus) and np.all(sigma_b == MARKET.sigma_minus)
     assert np.all(np.isfinite(eps_a)) and np.all(np.isfinite(eps_b))
 
@@ -146,7 +162,7 @@ def test_zero_uniforms_stay_finite(monkeypatch):
 def test_moment_pack_matches_exact_power_sums():
     x = np.random.default_rng(5).normal(0.5, 1.0, 2000)
     exact = [sum(Fraction(v) ** k for v in x.tolist()) for k in (1, 2, 3, 4)]
-    for got, want in zip(_moment_pack(x), exact):
+    for got, want in zip(_moment_pack(x.copy(), np.empty_like(x)), exact):
         assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**14) * abs(want)
 
 
@@ -176,3 +192,138 @@ def test_estimated_stats_match_analytic_stats(sigma_minus, spread, rho_frac, lev
     rep = estimate_stats(delta, market, SimConfig(samples=50_000, seed=seed))
     for a, e, se in zip(astuple(analytic), astuple(rep.stats), rep.std_errors):
         assert abs(e - a) <= 4.0 * se
+
+
+# --- the one-shot chunk formulas, as a reference -------------------------------
+# Each chunk draws its whole uniform window with _uniforms(seed, start,
+# count) and evaluates every formula on full-chunk arrays.  The estimators
+# walk a chunk in sub-blocks of SUB samples and must reproduce these bits.
+
+SIZES = [1, SUB - 1, SUB + 1, _CHUNK + 1, 2 * _CHUNK + SUB + 1]
+GRID = np.linspace(0.1, 1.1, 101)
+CURVED = Strategy(GRID, 0.1 + 0.25 * GRID * GRID)
+
+
+def oracle_chunks(sim, fn):
+    return [fn(_uniforms(sim.seed, s, min(_CHUNK, sim.samples - s)))
+            for s in range(0, sim.samples, _CHUNK)]
+
+
+def oracle_normal(u_col):
+    return ndtri(np.maximum(u_col, 1e-300))
+
+
+def oracle_pack(x):
+    x2 = x * x
+    return np.array([x.sum(), x2.sum(), (x2 * x).sum(), (x2 * x2).sum()])
+
+
+def oracle_stats(delta, params, sim):
+    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
+
+    def chunk(u):
+        sigma_a = sm + (sp - sm) * u[:, 1]
+        sigma_b = sm + (sp - sm) * u[:, 2]
+        eps_a = oracle_normal(u[:, 3])
+        eps_b = rho * eps_a + math.sqrt(1.0 - rho * rho) * oracle_normal(u[:, 4])
+        p_a = sigma_a * eps_a + delta(sigma_a)
+        p_b = sigma_b * eps_b - delta(sigma_b)
+        return oracle_pack(p_a - p_b), oracle_pack(0.5 * (p_a + p_b)), float(
+            np.count_nonzero(p_a <= p_b))
+
+    packs = oracle_chunks(sim, chunk)
+    n = sim.samples
+    sp_mean, sp_var, se_sp_mean, se_sp_var = simulator._mean_var_ses(
+        np.sum([p[0] for p in packs], axis=0), n)
+    me_mean, me_var, se_me_mean, se_me_var = simulator._mean_var_ses(
+        np.sum([p[1] for p in packs], axis=0), n)
+    p_trade = float(sum(p[2] for p in packs)) / n
+    se_trade = math.sqrt(max(p_trade * (1.0 - p_trade), 0.0) / n)
+    return (sp_mean, sp_var, me_mean, me_var, p_trade,
+            se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade)
+
+
+def oracle_limit(x, sigma_a, delta, params, sim, kbar=None):
+    sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
+
+    def chunk(u):
+        sb = sm + (sp - sm) * u[:, 0]
+        z = oracle_normal(u[:, 1])
+        w = oracle_normal(u[:, 2])
+        d = delta(sb)
+        sig = sigma_rho(sigma_a, sb, rho)
+        q = q_rho(sigma_a, sb, rho)
+        coef_w = sigma_a * sb * math.sqrt(1.0 - rho * rho) / sig
+        mid_err = 0.5 * (x - d) + w * coef_w + z * sig * (0.5 - q)
+        gain = mid_err if kbar is None else 0.5 * kbar * (sig * z - d - x) * mid_err
+        pay = gain * (z >= (x + d) / sig)
+        return np.array([pay.sum(), (pay * pay).sum()])
+
+    return simulator._mean_se(np.sum(oracle_chunks(sim, chunk), axis=0), sim.samples)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.03])
+@pytest.mark.parametrize("samples", SIZES)
+def test_estimators_match_the_one_shot_chunk_formulas(monkeypatch, samples, rho):
+    market = MarketParams(0.1, 1.1, rho)
+    sim = SimConfig(samples=samples, seed=11)
+    fees = LinearDemand(1.0, 0.3)
+    stats = oracle_stats(CURVED, market, sim)
+    limit = oracle_limit(0.4, 0.6, CURVED, market, sim)
+    half = oracle_limit(0.3, 0.9, CURVED, market, sim, kbar=fees.kbar)
+    half = (half[0] - fees.gamma * 0.3 * 0.3, half[1])
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AEL_THREADS", threads)
+        rep = estimate_stats(CURVED, market, sim)
+        assert bits(astuple(rep.stats) + rep.std_errors) == bits(stats)
+        assert bits(estimate_limit_payoff(0.4, 0.6, CURVED, market, sim)) == bits(limit)
+        assert bits(estimate_half_linear_payoff(0.3, 0.9, CURVED, market, fees, sim)) == bits(half)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_concurrent_callers_keep_their_bits(monkeypatch, threads):
+    # more calling threads than cores, under a short switch interval: on
+    # one thread each caller runs its chunks on its own workspace, on two
+    # the callers' chunks share the pool's workers and their workspaces
+    monkeypatch.setenv("AEL_THREADS", threads)
+    sim = SimConfig(samples=_CHUNK + SUB + 1, seed=5)
+    want = bits(oracle_stats(CURVED, MARKET, sim))
+    got = []
+
+    def run():
+        rep = estimate_stats(CURVED, MARKET, sim)
+        got.append(bits(astuple(rep.stats) + rep.std_errors))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [want] * 4
+
+
+def peak_bytes(fn):
+    fn()  # warm: the workspace and the strategy's bucket tables exist
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_estimates_allocate_under_a_megabyte(monkeypatch):
+    monkeypatch.setenv("AEL_THREADS", "1")
+    sim = SimConfig(samples=4 * _CHUNK, seed=3)
+    assert peak_bytes(lambda: estimate_stats(CURVED, MARKET, sim)) < 1 << 20
+    assert peak_bytes(lambda: estimate_limit_payoff(0.4, 0.6, CURVED, MARKET, sim)) < 1 << 20
