@@ -437,7 +437,7 @@ def _check_payoff_mc(cfg, market):
         sa = market.sigma_minus + frac * (market.sigma_plus - market.sigma_minus)
         ctx = PayoffContext(sa, delta, market, NoFee(), rule)
         ref = base_payoff(x, ctx)
-        sim_i = SimConfig(samples=sim.samples, seed=sim.seed + i)
+        sim_i = SimConfig(samples=sim.samples, seed=(sim.seed + i) % 2**64)
         mean, se = estimate_limit_payoff(x, sa, delta, market, sim_i)
         worst = max(worst, abs(mean - ref) / max(se, 1e-300))
     return worst <= 4.0, f"max_dev={worst:.2f} SE (tol 4)"

@@ -1,26 +1,25 @@
 """Monte Carlo engine for the auction game.
 
 Random numbers come from a counter-based Philox stream: every sample
-owns a fixed window of ``_SLOTS`` = 8 uniform draws (two Philox blocks),
-addressed directly by its draw index.  A sample is therefore a pure
-function of (seed, draw_index), results are bit-identical however the
-work is sharded, and disjoint index ranges give independent substreams.
-Normal variates are produced by applying the inverse normal CDF to the
-uniforms, which keeps the counter addressing exact.  The raw window may
-hold 0.0; the ``_U_FLOOR`` clamp is applied only to the columns that
-``ndtri`` reads, so the sigma columns keep their bits.
+owns a fixed window of ``_SLOTS`` = 4 uniform draws, one Philox4x64
+block, addressed directly by its draw index.  A sample is therefore a
+pure function of (seed, draw_index), results are bit-identical however
+the work is sharded, and disjoint index ranges give independent
+substreams.  Normal variates are produced by applying the inverse
+normal CDF to the uniforms, which keeps the counter addressing exact.
+The raw window may hold 0.0; the ``_U_FLOOR`` clamp is applied only to
+the columns that ``ndtri`` reads, so the sigma columns keep their bits.
 
-Shared slot layout per draw window (unused slots are reserved):
+Slot layout per draw window (unused slots are reserved):
 
-    market samples:       0 -        1 sigma_a  2 sigma_b  3 eps_a  4 eta
-    limit-payoff samples: 0 sigma_b  1 z        2 w
+    market samples:       0 sigma_a  1 sigma_b  2 eps_a  3 eta
+    limit-payoff samples: 0 sigma_b  1 z        2 w      3 -
 
 where eps_b = rho * eps_a + sqrt(1 - rho^2) * eta, and (z, w) play the
 roles of the trade-direction and residual-error Gaussians of the
 limit-regime payoff representation.  Every estimate is a limit-regime
 one: prices are increments relative to the efficient price, which is
-fixed at zero.  Market slot 0 stays unused; moving the other market
-draws down a slot would change every market estimate.
+fixed at zero.
 
 Chunks of ``_CHUNK`` samples run on the package's worker threads
 (``parallel.map_ordered``).  The environment variable ``AEL_THREADS``
@@ -32,20 +31,23 @@ at every thread count.
 A chunk allocates no array of its size.  Each thread that runs chunks
 (a pool worker, or the caller when one thread runs them all) keeps one
 ``_Workspace`` for as long as the thread lives, and a chunk walks its
-samples in sub-blocks of ``SUB`` samples: the uniform window is drawn
-into the workspace (the Philox counter addresses any sub-block
-directly), and the floors, ``ndtri``, sigma maps, strategy lookups and
-prices are written into its ``SUB``-length columns, which stay in
-cache.  Only the values whose sums are taken (spread and mid error, or
-the payoff) go into full-chunk arrays, and their power sums run on the
-whole chunk: ``np.sum`` adds pairwise in an order set by the array
-length, so sums over sub-blocks would round differently.
+samples in sub-blocks of ``SUB`` samples: one Philox generator, set to
+the chunk's first sample, draws each sub-block's window into the
+workspace in turn (a sub-block takes whole blocks, so the stream has the
+bits of one generator per sub-block), and the floors, ``ndtri``, sigma
+maps, strategy lookups and prices are written into its ``SUB``-length
+columns, which stay in cache.  Only the values whose sums are taken
+(spread and mid error, or the payoff) go into full-chunk arrays, and
+their power sums run on the whole chunk: ``np.sum`` adds pairwise in an
+order set by the array length, so sums over sub-blocks would round
+differently.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +67,7 @@ from .model import (
 )
 from .parallel import map_ordered
 
-_SLOTS = 8  # uniforms reserved per sample; 8 doubles = 2 Philox blocks
+_SLOTS = 4  # uniforms per sample: the 4 doubles of one Philox4x64 block
 _BLOCKS_PER_SAMPLE = _SLOTS // 4
 _CHUNK = 1 << 17
 SUB = 1 << 14  # samples per sub-block; see the module docstring
@@ -104,11 +106,11 @@ class SimReport:
 class _Workspace:
     """One thread's Monte Carlo buffers, reused by every chunk it runs.
 
-    ``u`` is the uniform window of a sub-block and ``cols`` its columns
-    of intermediate values (rows, each contiguous).  ``scratch`` is the
-    strategy lookup's scratch; ``flag``, its boolean column, is free
-    between lookups.  ``sums`` holds the full-chunk values whose power
-    sums are taken.
+    ``u`` is the (``SUB``, 4) uniform window of a sub-block, one Philox
+    block per row, and ``cols`` its columns of intermediate values (rows,
+    each contiguous).  ``scratch`` is the strategy lookup's scratch;
+    ``flag``, its boolean column, is free between lookups.  ``sums``
+    holds the full-chunk values whose power sums are taken.
     """
 
     __slots__ = ("u", "cols", "scratch", "flag", "sums")
@@ -138,16 +140,23 @@ def _workspace() -> _Workspace:
     return ws
 
 
-def _uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The raw (count, 8) uniform window for samples [start, start + count),
-    written to ``out`` when it is given.
+def _uniforms(
+    seed: int, start: int, count: int, out: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The raw uniform windows of samples [start, start + count), one
+    sub-block of at most ``SUB`` samples at a time: yields (offset, u),
+    u being the sub-block's (n, 4) window written to ``out[:n]``.
 
+    One Philox generator, advanced to ``start``, draws them all in order.
     Values lie in [0, 1); callers floor the columns they pass to ``ndtri``
     (see ``_normal``).
     """
     bg = Philox(key=seed)
     bg.advance(start * _BLOCKS_PER_SAMPLE)
-    return Generator(bg).random((count, _SLOTS), out=out)
+    gen = Generator(bg)
+    for off in range(0, count, SUB):
+        n = min(SUB, count - off)
+        yield off, gen.random((n, _SLOTS), out=out[:n])
 
 
 def _normal(u_col: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -176,12 +185,12 @@ def _market_draws(u: np.ndarray, params: MarketParams, out: np.ndarray):
     of the (4, n) ``out``."""
     rho = params.rho
     sigma_a, sigma_b, eps_a, eps_b = out
-    _normal(u[:, 3], eps_a)
-    _normal(u[:, 4], eps_b)
+    _normal(u[:, 2], eps_a)
+    _normal(u[:, 3], eps_b)
     eps_b *= math.sqrt(1.0 - rho * rho)
     eps_b += np.multiply(eps_a, rho, out=sigma_a)  # eps_b = rho eps_a + sqrt(1 - rho^2) eta
-    _sigma(u[:, 1], params, sigma_a)
-    _sigma(u[:, 2], params, sigma_b)
+    _sigma(u[:, 0], params, sigma_a)
+    _sigma(u[:, 1], params, sigma_b)
     return sigma_a, sigma_b, eps_a, eps_b
 
 
@@ -219,9 +228,8 @@ def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> Sim
     def chunk(ws: _Workspace, start: int, count: int):
         spread, mid_err, work = ws.sums[:, :count]
         traded = 0
-        for off in range(0, count, SUB):
-            n = min(SUB, count - off)
-            u = _uniforms(sim.seed, start + off, n, out=ws.u[:n])
+        for off, u in _uniforms(sim.seed, start, count, ws.u):
+            n = len(u)
             sigma_a, sigma_b, p_a, p_b = _market_draws(u, params, ws.cols[:4, :n])
             da, db = ws.cols[4:6, :n]
             p_a *= sigma_a  # p_a = sigma_a eps_a + delta(sigma_a)
@@ -283,9 +291,8 @@ def _limit_estimate(
 
     def chunk(ws: _Workspace, start: int, count: int):
         pay, work = ws.sums[:2, :count]
-        for off in range(0, count, SUB):
-            n = min(SUB, count - off)
-            u = _uniforms(sim.seed, start + off, n, out=ws.u[:n])
+        for off, u in _uniforms(sim.seed, start, count, ws.u):
+            n = len(u)
             sb, z, w, d, sig, q, t1, t2 = ws.cols[:, :n]
             flag = ws.flag[:n]
             _sigma(u[:, 0], params, sb)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ael
+from ael import cli
 from ael.cli import main
 from ael.model import MarketParams, SpreadQuad, Strategy, analytic_stats, default_rule
 from ael.payoff import PayoffContext, payoff_deriv, penalized_payoff
@@ -106,6 +107,25 @@ def test_validate_report_and_exit_code(capsys, rho, code):
     timings = [ln.split(" ") for ln in err.splitlines()]
     assert [t[:2] for t in timings] == [["validate:", name] for name in ran]
     assert all(len(t) == 4 and float(t[2]) >= 0.0 and t[3] == "ms" for t in timings)
+
+
+@pytest.mark.parametrize("seed, seeds", [(5, [5, 6, 7]), (2**64 - 1, [2**64 - 1, 0, 1])])
+def test_validate_payoff_mc_seeds_wrap_at_2_64(monkeypatch, capsys, seed, seeds):
+    # the three payoff checks take sim.seed + i, reduced mod 2**64 so a
+    # seed near the top of the range stays valid
+    used = []
+    estimate = cli.estimate_limit_payoff
+
+    def spy(x, sigma_a, delta, market, sim):
+        used.append(sim.seed)
+        return estimate(x, sigma_a, delta, market, sim)
+
+    monkeypatch.setattr(cli, "estimate_limit_payoff", spy)
+    args = [*TOY, "--validate.samples", "20000", "--verify.x_samples", "16"]
+    assert main(["validate", *args, "--seed", str(seed)]) == 0
+    assert used == seeds
+    verdicts = dict(ln.split()[:2] for ln in capsys.readouterr().out.splitlines())
+    assert verdicts["payoff_mc"] == "PASS"
 
 
 def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):

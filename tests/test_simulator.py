@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from ael import simulator
@@ -87,22 +88,22 @@ def test_stats_report_is_pinned():
     # pins the Philox stream, the slot layout and the chunked reduction
     rep = estimate_stats(DELTA, MARKET, SimConfig(samples=2 * _CHUNK + 1, seed=11))
     assert astuple(rep.stats) == (
-        0.5997538213416292,
-        0.8653939463744456,
-        -0.0017871603495739712,
-        0.22812804930378874,
-        0.23316103683076161,
+        0.6033498593196921,
+        0.8645905653329795,
+        -0.0006918706272571716,
+        0.22652036991835595,
+        0.23138720936886076,
     )
     se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
     assert (se_sp_mean, se_me_mean, se_trade) == (
-        0.0018169179218634089,
-        0.000932862694360456,
-        0.0008258654261388233,
+        0.0018160743659629262,
+        0.0009295698161855289,
+        0.0008236689384501895,
     )
     # the variance errors come from third and fourth power sums, which may
     # round differently from one evaluation order to another
-    assert se_sp_var == pytest.approx(0.0028884819009263375, rel=1e-14, abs=0.0)
-    assert se_me_var == pytest.approx(0.0007716195072284582, rel=1e-14, abs=0.0)
+    assert se_sp_var == pytest.approx(0.002887965152339769, rel=1e-14, abs=0.0)
+    assert se_me_var == pytest.approx(0.0007609574406949204, rel=1e-14, abs=0.0)
 
 
 def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
@@ -119,33 +120,34 @@ def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
     assert runs[0] == runs[1]
     rep, limit = runs[0]
     assert astuple(rep.stats) == (
-        0.42164733599135346,
-        0.8813563958313702,
-        -0.0019082045206698834,
-        0.23217833449694855,
-        0.31341051708024187,
+        0.4248507470085873,
+        0.8808301801248237,
+        -0.0007253736190915535,
+        0.2305181870281003,
+        0.3112437772988232,
     )
     se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
     assert (se_sp_mean, se_me_mean, se_trade) == (
-        0.001833598151863895,
-        0.0009411074861580152,
-        0.0009060132873850472,
+        0.0018330506933024533,
+        0.0009377368441141059,
+        0.000904299555025006,
     )
     # as in test_stats_report_is_pinned: third and fourth power sums
-    assert se_sp_var == pytest.approx(0.002938148971374894, rel=1e-14, abs=0.0)
-    assert se_me_var == pytest.approx(0.0007843238361825925, rel=1e-14, abs=0.0)
-    assert limit == (0.026022280814412876, 0.00045929856624078697)
+    assert se_sp_var == pytest.approx(0.0029365949654685955, rel=1e-14, abs=0.0)
+    assert se_me_var == pytest.approx(0.0007728248032113865, rel=1e-14, abs=0.0)
+    assert limit == (0.025556836318388284, 0.00045873857650911094)
 
 
 def test_zero_uniforms_stay_finite(monkeypatch):
     # the raw window may hold 0.0; only the ndtri inputs are floored
     drawn = []
 
-    def zeros(seed, start, count, out=None):
+    def zeros(seed, start, count, out):
         drawn.append(count)
-        u = np.empty((count, 8)) if out is None else out
-        u.fill(0.0)
-        return u
+        for off in range(0, count, SUB):
+            u = out[:min(SUB, count - off)]
+            u.fill(0.0)
+            yield off, u
 
     monkeypatch.setattr(simulator, "_uniforms", zeros)
     sim = SimConfig(samples=1000, seed=3)
@@ -154,7 +156,7 @@ def test_zero_uniforms_stay_finite(monkeypatch):
     assert np.all(np.isfinite(astuple(rep.stats))) and np.all(np.isfinite(rep.std_errors))
     assert np.all(np.isfinite(estimate_limit_payoff(0.4, 0.6, DELTA, MARKET, sim)))
     assert drawn == [1000, 1000]
-    sigma_a, sigma_b, eps_a, eps_b = _market_draws(np.zeros((4, 8)), MARKET, np.empty((4, 4)))
+    sigma_a, sigma_b, eps_a, eps_b = _market_draws(np.zeros((4, 4)), MARKET, np.empty((4, 4)))
     assert np.all(sigma_a == MARKET.sigma_minus) and np.all(sigma_b == MARKET.sigma_minus)
     assert np.all(np.isfinite(eps_a)) and np.all(np.isfinite(eps_b))
 
@@ -166,11 +168,41 @@ def test_moment_pack_matches_exact_power_sums():
         assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**14) * abs(want)
 
 
-def test_draws_do_not_depend_on_the_chunk_boundary():
-    seed = 11
-    whole = _uniforms(seed, 0, _CHUNK + 1)
-    split = np.vstack([_uniforms(seed, 0, _CHUNK), _uniforms(seed, _CHUNK, 1)])
-    assert np.array_equal(whole, split)
+def window(seed, start, count):
+    """Rows [start, start + count) of the seed's Philox stream drawn four
+    doubles (one block) per row from the stream's start."""
+    return Generator(Philox(key=seed)).random((start + count, 4))[start:]
+
+
+@pytest.mark.parametrize("start, count", [
+    (0, SUB - 1), (0, SUB + 1), (0, _CHUNK + 1), (SUB - 1, SUB + 1), (_CHUNK, 1)])
+def test_uniforms_are_one_philox_block_per_sample(start, count):
+    # one generator walks the sub-blocks of a call; its windows are the
+    # stream's rows, and the bits of one generator per sub-block
+    out = np.empty((SUB, 4))
+    offsets, rows = zip(*((off, u.copy()) for off, u in _uniforms(11, start, count, out)))
+    assert offsets == tuple(range(0, count, SUB))
+    assert np.array_equal(np.vstack(rows), window(11, start, count))
+    for off, u in zip(offsets, rows):
+        bg = Philox(key=11)
+        bg.advance(start + off)
+        assert np.array_equal(u, Generator(bg).random(u.shape))
+
+
+def test_each_chunk_draws_one_block_per_sample_from_one_generator(monkeypatch):
+    made = []
+
+    def philox(key):
+        made.append(Philox(key=key))
+        return made[-1]
+
+    monkeypatch.setattr(simulator, "Philox", philox)
+    sim = SimConfig(samples=2 * _CHUNK + SUB + 1, seed=11)
+    estimate_stats(DELTA, MARKET, sim)
+    # each chunk's generator starts at the chunk's first sample and stops
+    # at its end, so the call takes exactly `samples` blocks
+    ends = sorted(int(bg.state["state"]["counter"][0]) for bg in made)
+    assert ends == [_CHUNK, 2 * _CHUNK, sim.samples]
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
@@ -195,8 +227,8 @@ def test_estimated_stats_match_analytic_stats(sigma_minus, spread, rho_frac, lev
 
 
 # --- the one-shot chunk formulas, as a reference -------------------------------
-# Each chunk draws its whole uniform window with _uniforms(seed, start,
-# count) and evaluates every formula on full-chunk arrays.  The estimators
+# Each chunk draws its whole uniform window at once with window(seed,
+# start, count) and evaluates every formula on full-chunk arrays.  The estimators
 # walk a chunk in sub-blocks of SUB samples and must reproduce these bits.
 
 SIZES = [1, SUB - 1, SUB + 1, _CHUNK + 1, 2 * _CHUNK + SUB + 1]
@@ -205,7 +237,7 @@ CURVED = Strategy(GRID, 0.1 + 0.25 * GRID * GRID)
 
 
 def oracle_chunks(sim, fn):
-    return [fn(_uniforms(sim.seed, s, min(_CHUNK, sim.samples - s)))
+    return [fn(window(sim.seed, s, min(_CHUNK, sim.samples - s)))
             for s in range(0, sim.samples, _CHUNK)]
 
 
@@ -222,10 +254,10 @@ def oracle_stats(delta, params, sim):
     sm, sp, rho = params.sigma_minus, params.sigma_plus, params.rho
 
     def chunk(u):
-        sigma_a = sm + (sp - sm) * u[:, 1]
-        sigma_b = sm + (sp - sm) * u[:, 2]
-        eps_a = oracle_normal(u[:, 3])
-        eps_b = rho * eps_a + math.sqrt(1.0 - rho * rho) * oracle_normal(u[:, 4])
+        sigma_a = sm + (sp - sm) * u[:, 0]
+        sigma_b = sm + (sp - sm) * u[:, 1]
+        eps_a = oracle_normal(u[:, 2])
+        eps_b = rho * eps_a + math.sqrt(1.0 - rho * rho) * oracle_normal(u[:, 3])
         p_a = sigma_a * eps_a + delta(sigma_a)
         p_b = sigma_b * eps_b - delta(sigma_b)
         return oracle_pack(p_a - p_b), oracle_pack(0.5 * (p_a + p_b)), float(
