@@ -18,7 +18,6 @@ from .errors import (
 )
 from .gaussmath import (
     Bracket,
-    QuadratureRule,
     find_root,
     gauss_legendre,
     maximize_concave,
@@ -41,7 +40,6 @@ from .model import (
 )
 from .payoff import (
     PayoffContext,
-    base_payoff,
     payoff_deriv,
     payoff_second_deriv,
     payoff_terms,

@@ -50,7 +50,7 @@ from .model import (
     analytic_stats,
     default_rule,
 )
-from .payoff import PayoffContext, base_payoff, payoff_deriv, payoff_terms, penalized_payoff
+from .payoff import PayoffContext, payoff_deriv, payoff_terms, penalized_payoff
 from .parallel import worker_count
 from .simulator import SimConfig, SimReport, estimate_limit_payoff, estimate_stats
 
@@ -317,7 +317,7 @@ _STAT_COLS = tuple(f.name for f in fields(PairStats))  # astuple(PairStats) foll
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
-    stats = analytic_stats(delta, market, default_rule(market, cfg["solver.quad_n"]))
+    stats = analytic_stats(delta, market, default_rule(market, cfg.solver().quad_n))
     header = list(_STAT_COLS)
     row = list(astuple(stats))
     if args.simulate:
@@ -383,7 +383,7 @@ def cmd_payoff_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
     if sigma_a == "mid":
         sigma_a = 0.5 * (market.sigma_minus + market.sigma_plus)
     ctx = _checked("key curve.sigma_a", PayoffContext, sigma_a, delta, market, cfg.fees(),
-                   default_rule(market, cfg["solver.quad_n"]))
+                   default_rule(market, cfg.solver().quad_n))
     xs = np.linspace(cfg["curve.x_min"], cfg["curve.x_max"], cfg["curve.n"])
     rows = np.column_stack([xs, *payoff_terms(xs, ctx, (0, 1))]).tolist()
     write_csv(cfg["output.path"], "payoff-curve", cfg, ["x", "payoff", "deriv"], rows)
@@ -436,7 +436,7 @@ def _check_payoff_mc(cfg, market):
     for i, (x, frac) in enumerate([(0.1, 0.2), (0.4, 0.5), (0.8, 0.9)]):
         sa = market.sigma_minus + frac * (market.sigma_plus - market.sigma_minus)
         ctx = PayoffContext(sa, delta, market, NoFee(), rule)
-        ref = base_payoff(x, ctx)
+        (ref,) = payoff_terms(x, ctx, (0,))
         sim_i = SimConfig(samples=sim.samples, seed=(sim.seed + i) % 2**64)
         mean, se = estimate_limit_payoff(x, sa, delta, market, sim_i)
         worst = max(worst, abs(mean - ref) / max(se, 1e-300))
@@ -445,7 +445,7 @@ def _check_payoff_mc(cfg, market):
 
 def _check_stats_mc(cfg, market):
     delta = cfg.strategy(market)
-    stats = analytic_stats(delta, market, default_rule(market, cfg["solver.quad_n"]))
+    stats = analytic_stats(delta, market, default_rule(market, cfg.solver().quad_n))
     rep = estimate_stats(delta, market, cfg.sim(samples=cfg["validate.samples"]))
     worst = max(
         abs(e - a) / max(se, 1e-300)

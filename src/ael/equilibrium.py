@@ -42,10 +42,8 @@ from .model import (
     SpreadQuad,
     Strategy,
     _trade_prob,
-    average_nodes,
     default_rule,
     q_rho,
-    rule_average_nodes,
     sigma_rho,
     uniform_grid,
 )
@@ -222,7 +220,7 @@ def existence_bound(
 
     z = _SQRT2
     gamma_min = 0.5 * fees.kbar * (z * norm_pdf(z) - (1.0 - norm_cdf(z)))
-    nodes, w = average_nodes(params, quad_n)
+    nodes, w = default_rule(params, quad_n)
     sa = np.linspace(sm, sp, 33)[:, None]
     best = max(0.0, float(np.max((sigma_rho(sa, nodes, rho) * q_rho(sa, nodes, rho)) @ w)))
     c = fees.kbar / (4.0 * fees.gamma) * best * norm_pdf(0.0)
@@ -350,7 +348,7 @@ def solve_fixed_point(
                  else _degenerate_root(fees, params.sigma_plus, params.rho))
 
     rule = default_rule(params, cfg.quad_n)
-    nodes, _ = rule_average_nodes(params, rule)
+    nodes = rule[0]
     x = (np.full(nodes.shape, start) if init is None
          else init(np.clip(nodes, init.grid[0], init.grid[-1])))
     node_ctx = PayoffContext(nodes, Strategy(nodes, x), params, fees, rule)
@@ -392,7 +390,7 @@ def no_ne_certificate(delta: Strategy, params: MarketParams, n: int = 64) -> flo
     strategy of 20 on the default market gives 2.3e-151, one of 30
     gives 0.
     """
-    nodes, w = average_nodes(params, n)
+    nodes, w = default_rule(params, n)
     return 0.5 * _trade_prob(nodes, w, np.asarray(delta(nodes), dtype=float), params.rho)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AelError, DomainError, NoEquilibrium
 from .gaussmath import Bracket, find_root, norm_cdf, norm_pdf
-from .model import MarketParams, SpreadQuad, Strategy, average_nodes
+from .model import MarketParams, SpreadQuad, Strategy, default_rule
 from .equilibrium import SolverConfig, solve_degenerate, solve_fixed_point
 
 _SQRT2 = math.sqrt(2.0)
@@ -102,7 +102,7 @@ def _solve_revenue(
             f"fixed point did not converge at gamma = {gamma} "
             f"(residual {report.residual:.3e} after {report.iterations} iterations)"
         )
-    _, w = average_nodes(params, cfg.quad_n)
+    _, w = default_rule(params, cfg.quad_n)
     x = report.nodes.values
     return gamma * float(np.dot(w, x * x)), report.nodes
 

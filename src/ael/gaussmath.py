@@ -1,8 +1,8 @@
 """Numerical primitives: the standard-normal CDF/PDF, bracketed root
-finding, concave 1-D maximization, and fixed-node Gauss-Legendre
-quadrature.  Everything in this module is a pure function of its
-arguments, so all of it is safe to call from any number of concurrent
-workers.
+finding, concave 1-D maximization, and the nodes and weights of
+fixed-node Gauss-Legendre quadrature.  Everything in this module is a
+pure function of its arguments, so all of it is safe to call from any
+number of concurrent workers.
 
 The normal CDF/PDF have one numpy path for scalars and arrays alike, so
 a scalar closed form and the batched payoff kernel see the same bits.
@@ -153,6 +153,7 @@ def _sign_changes(values: np.ndarray):
     return np.count_nonzero((signs[..., 1:] != signs[..., :-1]) & (signs[..., :-1] != 0.0), axis=-1)
 
 
+# Only bench/layers.py's spans and tests/test_bench_targets.py still need this.
 def maximize_concave(
     f: Callable[[float], float],
     f_prime: Callable[[float], float],
@@ -199,39 +200,6 @@ def maximize_concave(
     return x, float(f(x))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Fixed nodes and positive weights on an interval [a, b]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    a: float
-    b: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or weights.ndim != 1 or nodes.shape != weights.shape:
-            raise DomainError("nodes and weights must be 1-D arrays of equal length")
-        if nodes.size < 1:
-            raise DomainError("a quadrature rule needs at least one node")
-        if not self.a < self.b:
-            raise DomainError(f"rule requires a < b, got [{self.a}, {self.b}]")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise DomainError("nodes must be strictly increasing")
-        if nodes[0] < self.a or nodes[-1] > self.b:
-            raise DomainError("nodes must lie inside [a, b]")
-        if np.any(weights <= 0.0):
-            raise DomainError("weights must be strictly positive")
-        span = self.b - self.a
-        if abs(float(weights.sum()) - span) > 1e-12 * span:
-            raise DomainError("weights must sum to b - a")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-
-
 @functools.lru_cache(maxsize=16)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights on [-1, 1]; cached, as the eigensolve costs ~1 ms."""
@@ -241,8 +209,9 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(a: float, b: float, n: int = 64) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` nodes mapped onto [a, b].
+def gauss_legendre(a: float, b: float, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``n``-node Gauss-Legendre rule
+    mapped onto [a, b]; the weights sum to b - a.
 
     Exact for polynomials of degree <= 2n - 1.  The integrands this
     package feeds it are smooth compositions of the normal CDF/PDF, for
@@ -251,6 +220,10 @@ def gauss_legendre(a: float, b: float, n: int = 64) -> QuadratureRule:
     """
     if n < 1:
         raise DomainError("need at least one node")
+    if not a < b:
+        raise DomainError(f"rule requires a < b, got [{a}, {b}]")
     x, w = _legendre(n)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=a + half * (x + 1.0), weights=w * half, a=a, b=b)
+    nodes, weights = a + half * (x + 1.0), w * half
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

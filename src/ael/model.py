@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, OutOfDomain
-from .gaussmath import QuadratureRule, gauss_legendre, norm_cdf
+from .gaussmath import gauss_legendre, norm_cdf
 
 _DEGENERATE_TOL = 1e-12
 
@@ -355,39 +355,19 @@ def q_tilde_rho(sa, sb, rho: float):
 # --- averaging over the sigma distribution ---------------------------------
 
 
-def average_nodes(params: MarketParams, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the uniform average over [sigma_minus, sigma_plus].
-
-    Weights sum to one.  A degenerate interval collapses to a single
-    unit-weight node, so every averaging formula remains valid there.
+def default_rule(params: MarketParams, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights, summing to one, of the ``n``-node
+    Gauss-Legendre rule for the uniform average over [sigma_minus,
+    sigma_plus].  A degenerate interval collapses to the one node
+    sigma_plus with weight 1, so every averaging formula holds there.
     """
     if params.is_degenerate:
-        return np.array([params.sigma_plus]), np.array([1.0])
-    rule = gauss_legendre(params.sigma_minus, params.sigma_plus, n)
-    return rule.nodes, rule.weights / (params.sigma_plus - params.sigma_minus)
-
-
-def rule_average_nodes(
-    params: MarketParams, rule: QuadratureRule | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``rule`` for the uniform average over the sigma
-    interval; ``average_nodes(params)`` when ``rule`` is None or the market
-    is degenerate (one unit-weight node).
-
-    Raises DomainError when the rule does not span the sigma interval.
-    """
-    if rule is None or params.is_degenerate:
-        return average_nodes(params)
-    if abs(rule.a - params.sigma_minus) > 1e-9 or abs(rule.b - params.sigma_plus) > 1e-9:
-        raise DomainError("quadrature rule does not span the sigma interval")
-    return rule.nodes, rule.weights / (params.sigma_plus - params.sigma_minus)
-
-
-def default_rule(params: MarketParams, n: int = 64) -> QuadratureRule | None:
-    """Gauss-Legendre rule for the sigma interval (None when degenerate)."""
-    if params.is_degenerate:
-        return None
-    return gauss_legendre(params.sigma_minus, params.sigma_plus, n)
+        nodes, w = np.array([params.sigma_plus]), np.array([1.0])
+    else:
+        nodes, w = gauss_legendre(params.sigma_minus, params.sigma_plus, n)
+        w = w / (params.sigma_plus - params.sigma_minus)
+    nodes.flags.writeable = w.flags.writeable = False
+    return nodes, w
 
 
 def uniform_sigma_moments(params: MarketParams) -> tuple[float, float]:
@@ -409,15 +389,16 @@ def _trade_prob(nodes: np.ndarray, w: np.ndarray, dvals: np.ndarray, rho: float)
 
 
 def analytic_stats(
-    delta: Strategy, params: MarketParams, rule: QuadratureRule | None = None
+    delta: Strategy, params: MarketParams, rule: tuple[np.ndarray, np.ndarray] | None = None
 ) -> PairStats:
     """Closed-form market statistics for a fixed strategy.
 
-    Strategy moments are computed by quadrature; the uniform moments of
-    sigma are closed-form.  The trade probability needs a double average
-    over both players' sigma.
+    Strategy moments are averages over ``rule``, the (nodes, weights) of
+    ``default_rule(params, n)``, which None stands for at the default n;
+    the uniform moments of sigma are closed-form.  The trade probability
+    needs a double average over both players' sigma.
     """
-    nodes, w = rule_average_nodes(params, rule)
+    nodes, w = default_rule(params) if rule is None else rule
     dvals = delta(nodes)
     e_d = float(np.dot(w, dvals))
     e_d2 = float(np.dot(w, dvals * dvals))

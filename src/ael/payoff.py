@@ -48,8 +48,7 @@ derivatives follow from these, evaluated in place (``out=`` ufuncs) in
 four arrays of the (offsets, nodes) shape rather than one temporary per
 operation, with the operations of the formulas above in their order, so
 the bits are those of the plain expressions.  The fee scheme contributes
-one closed-form quadratic penalty.  The scalar functions below are
-one-point calls into the same kernel.  Contexts are immutable and
+one closed-form quadratic penalty.  Contexts are immutable and
 evaluations pure, hence freely shareable across workers.
 """
 
@@ -61,7 +60,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DomainError, WrongScheme
-from .gaussmath import QuadratureRule, norm_cdf, norm_pdf
+from .gaussmath import norm_cdf, norm_pdf
 from .model import (
     FeeScheme,
     LinearDemand,
@@ -70,9 +69,9 @@ from .model import (
     NoFee,
     SpreadQuad,
     Strategy,
+    default_rule,
     q_rho,
     q_tilde_rho,
-    rule_average_nodes,
     sigma_rho,
     uniform_sigma_moments,
 )
@@ -86,7 +85,8 @@ class PayoffContext:
     With an array ``sigma_a`` the caches gain its shape in front of the
     node axis, and ``payoff_terms`` takes offsets that broadcast against
     that shape.  The opponent strategy ``delta`` is read once, at its
-    node values ``delta_b``, and not stored.
+    node values ``delta_b``, and not stored.  ``rule`` is the ``default_rule``
+    pair the averages over sigma_b use; None stands for ``default_rule(params)``.
 
     ``against`` and ``rows`` derive contexts without rebuilding the
     x-free caches: the first shares S, Q and Q~ and re-derives what
@@ -98,7 +98,7 @@ class PayoffContext:
     delta: InitVar[Strategy]
     params: MarketParams
     fees: FeeScheme
-    rule: QuadratureRule | None = None
+    rule: tuple[np.ndarray, np.ndarray] | None = None
 
     # caches, derived in __post_init__
     nodes: np.ndarray = field(init=False, repr=False)
@@ -119,7 +119,7 @@ class PayoffContext:
             raise DomainError(
                 f"sigma_a = {self.sigma_a} outside [{p.sigma_minus}, {p.sigma_plus}]"
             )
-        nodes, w = rule_average_nodes(p, self.rule)
+        nodes, w = default_rule(p) if self.rule is None else self.rule
         sa = sa[..., None]
         set_ = object.__setattr__
         set_(self, "nodes", nodes)
@@ -184,15 +184,14 @@ _PENALTY = {
 }
 
 
-def _averages(x: np.ndarray, ctx: PayoffContext, orders, volume: bool) -> list:
-    """Averages over sigma_b of the base integrand (the half-linear one
-    times kbar/2 with ``volume``) and its x-derivatives, one per order.
+def _averages(x: np.ndarray, ctx: PayoffContext, orders) -> list:
+    """Averages over sigma_b, one per order, of the base integrand (the
+    half-linear one times kbar/2 under half-linear demand) and its x-derivatives.
 
     Orders 0 and 1 need Phi(u) and Phi'(u).  Order 2 is Phi'(u) times a
     polynomial in x with the factors ``ctx.e2_poly`` caches, less
     1 - Phi(u) under half-linear demand; the base order 2 needs no
-    Phi(u) at all.  The cached factors are those of the context's own
-    scheme, so for order 2 ``volume`` must match it.
+    Phi(u) at all.
 
     The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u) and
     two work arrays r and t, views of one allocation: as four separate
@@ -202,6 +201,7 @@ def _averages(x: np.ndarray, ctx: PayoffContext, orders, volume: bool) -> list:
     no t, and without a tail u's array serves as r once Phi'(u) is
     taken, so a base order-2 call allocates two arrays.
     """
+    volume = isinstance(ctx.fees, LinearDemand)
     xx = x[..., None]
     d, s = ctx.delta_b, ctx.sig
     lower = min(orders) < 2
@@ -286,7 +286,7 @@ def payoff_terms(x, ctx: PayoffContext, orders=(0, 1, 2)) -> list:
     a, b, c = _PENALTY[type(fees)](fees, ctx)
     x = np.asarray(x, dtype=float)
     penalty = (lambda: x * (a * x + b) + c, lambda: 2.0 * a * x + b, lambda: 2.0 * a)
-    avgs = _averages(x, ctx, orders, isinstance(fees, LinearDemand))
+    avgs = _averages(x, ctx, orders)
     return [avg - penalty[k]() for k, avg in zip(orders, avgs)]
 
 
@@ -305,11 +305,8 @@ def cross_deriv(x, ctx: PayoffContext) -> np.ndarray:
     return dens / s * (q - 0.5 - u * (d * q - xx * ctx.qt) / s)
 
 
-def base_payoff(x: float, ctx: PayoffContext) -> float:
-    """Expected payoff with no fees, regardless of ctx.fees."""
-    return float(_averages(np.asarray(x, dtype=float), ctx, (0,), False)[0])
-
-
+# Kept only as span targets of bench/layers.py, which tests/test_bench_targets.py
+# requires; cli's derivative_fd check is what feeds those spans.
 def penalized_payoff(x: float, ctx: PayoffContext) -> float:
     """Payoff net of the exchange penalty of ctx.fees."""
     return float(payoff_terms(x, ctx, (0,))[0])

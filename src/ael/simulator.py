@@ -68,7 +68,6 @@ from .model import (
 from .parallel import map_ordered
 
 _SLOTS = 4  # uniforms per sample: the 4 doubles of one Philox4x64 block
-_BLOCKS_PER_SAMPLE = _SLOTS // 4
 _CHUNK = 1 << 17
 SUB = 1 << 14  # samples per sub-block; see the module docstring
 _U_FLOOR = 1e-300  # keep ndtri finite if a uniform lands on exactly 0.0
@@ -147,12 +146,13 @@ def _uniforms(
     sub-block of at most ``SUB`` samples at a time: yields (offset, u),
     u being the sub-block's (n, 4) window written to ``out[:n]``.
 
-    One Philox generator, advanced to ``start``, draws them all in order.
+    One Philox generator, advanced ``start`` blocks (one block per
+    sample), draws them all in order.
     Values lie in [0, 1); callers floor the columns they pass to ``ndtri``
     (see ``_normal``).
     """
     bg = Philox(key=seed)
-    bg.advance(start * _BLOCKS_PER_SAMPLE)
+    bg.advance(start)
     gen = Generator(bg)
     for off in range(0, count, SUB):
         n = min(SUB, count - off)

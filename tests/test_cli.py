@@ -90,6 +90,22 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, args, message):
     assert capsys.readouterr().err.splitlines()[-1].startswith(message)
 
 
+@pytest.mark.parametrize("command", ["stats", "payoff-curve", "validate"])
+def test_quad_n_below_one_is_config_error(tmp_path, capsys, command):
+    # every command reads solver.quad_n through the checked SolverConfig
+    out = tmp_path / "x.csv"
+    args = ["--solver.quad_n", "0", "--validate.samples", "2000", "--verify.x_samples", "16"]
+    message = "solver parameters: quad_n must be >= 1"
+    if command == "validate":
+        assert main([command, *args]) == 4
+        report = capsys.readouterr().out.splitlines()
+        assert f"stats_mc                   FAIL  error: {message}" in report
+    else:
+        assert main([command, "-o", str(out), *args]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1] == f"ael: config error: {message}"
+
+
 @pytest.mark.parametrize("rho, code", [("0", 0), ("0.5", 4)])
 def test_validate_report_and_exit_code(capsys, rho, code):
     args = [*TOY, "--validate.samples", "20000", "--verify.x_samples", "16", "--market.rho", rho]

@@ -18,7 +18,6 @@ from ael.model import (
     SpreadQuad,
     Strategy,
     analytic_stats,
-    average_nodes,
     default_rule,
     q_rho,
     sigma_rho,
@@ -492,8 +491,8 @@ SOLVER_CASES = pytest.mark.parametrize(
 
 def node_system(x, params, fees, quad_n=64):
     """G and the analytic J of the node equations at node values ``x``."""
-    rule = default_rule(params, quad_n)
-    ctx = PayoffContext(rule.nodes, Strategy(rule.nodes, x), params, fees, rule)
+    rule = nodes, _ = default_rule(params, quad_n)
+    ctx = PayoffContext(nodes, Strategy(nodes, x), params, fees, rule)
     g, d2 = payoff_terms(x, ctx, (1, 2))
     return g, cross_deriv(x, ctx) * ctx.w + np.diag(d2)
 
@@ -503,7 +502,7 @@ class TestNewtonSolve:
     def test_residual_is_the_node_correction(self, params, fees):
         rep = solved(params, fees)
         assert rep.converged
-        assert np.array_equal(rep.nodes.grid, default_rule(params).nodes)
+        assert np.array_equal(rep.nodes.grid, default_rule(params)[0])
         g, jac = node_system(rep.nodes.values, params, fees)
         assert rep.residual == pytest.approx(float(np.max(np.abs(np.linalg.solve(jac, g)))),
                                              rel=1e-12)
@@ -567,7 +566,7 @@ class TestNewtonSolve:
                              ids=["spread_quad", "linear_demand"])
     def test_jacobian_matches_fd(self, fees, rho):
         params = MarketParams(0.1, 1.1, rho)
-        nodes = default_rule(params, 16).nodes
+        nodes, _ = default_rule(params, 16)
         x = 0.02 + 0.05 * nodes
         _, jac = node_system(x, params, fees, 16)
         h = 1e-6
@@ -656,7 +655,7 @@ class TestNewtonSolve:
 class TestExistenceBoundQuadrature:
     @staticmethod
     def reference_c(params, fees, n):
-        nodes, w = average_nodes(params, n)
+        nodes, w = default_rule(params, n)
         best = max(
             float(np.dot(w, sigma_rho(sa, nodes, params.rho) * q_rho(sa, nodes, params.rho)))
             for sa in np.linspace(params.sigma_minus, params.sigma_plus, 33)

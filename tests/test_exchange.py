@@ -7,7 +7,7 @@ import scipy.optimize
 import ael.exchange as exchange
 from ael.errors import DomainError, NoConvergence
 from ael.gaussmath import norm_cdf, norm_pdf
-from ael.model import MarketParams, SpreadQuad, average_nodes
+from ael.model import MarketParams, SpreadQuad, default_rule
 from ael.equilibrium import SolverConfig, solve_degenerate, solve_fixed_point
 from ael.exchange import (
     optimal_gamma_degenerate,
@@ -116,7 +116,7 @@ class TestRevenue:
     def test_general_market_is_the_node_sum(self, main_params):
         # gamma * sum_i w_i x_i^2 over the solved node values x
         x = solve_fixed_point(main_params, SpreadQuad(2.0), FAST).nodes.values
-        _, w = average_nodes(main_params, FAST.quad_n)
+        _, w = default_rule(main_params, FAST.quad_n)
         assert revenue(2.0, main_params, FAST) == 2.0 * float(np.dot(w, x * x))
 
     @pytest.mark.parametrize("gamma", [0.13, 2.0])

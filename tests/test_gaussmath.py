@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ael.errors import DomainError, NonConcave, NoSignChange
 from ael.gaussmath import (
     Bracket,
-    QuadratureRule,
     find_root,
     gauss_legendre,
     maximize_concave,
     norm_cdf,
     norm_pdf,
 )
-from ael.model import sigma_rho
+from ael.model import MarketParams, default_rule, sigma_rho
 
 # high-precision reference values (40-digit erf/erfc evaluation)
 PHI_196 = 0.9750021048517796
@@ -148,37 +147,64 @@ class TestMaximizeConcave:
 
 class TestQuadrature:
     def test_weight_sum_invariant(self):
-        rule = gauss_legendre(0.1, 1.1, 64)
-        assert rule.weights @ np.ones_like(rule.nodes) == pytest.approx(1.0, abs=1e-13)
+        nodes, weights = gauss_legendre(0.1, 1.1, 64)
+        assert weights @ np.ones_like(nodes) == pytest.approx(1.0, abs=1e-13)
 
     def test_linear(self):
-        rule = gauss_legendre(0.0, 1.0, 16)
-        assert rule.weights @ rule.nodes == pytest.approx(0.5, abs=1e-14)
+        nodes, weights = gauss_legendre(0.0, 1.0, 16)
+        assert weights @ nodes == pytest.approx(0.5, abs=1e-14)
 
     def test_gaussian_density_normalizes(self):
         # [-8, 8] truncates only ~1.2e-15 of the mass, so the quadrature
         # recovers the normalization to 1e-10; on [-6, 6] the exact mass
         # is 1 - 2 Phi(-6) and the rule reproduces that instead
-        rule = gauss_legendre(-8.0, 8.0, 64)
-        assert rule.weights @ norm_pdf(rule.nodes) == pytest.approx(1.0, abs=1e-10)
-        rule6 = gauss_legendre(-6.0, 6.0, 64)
-        assert rule6.weights @ norm_pdf(rule6.nodes) == pytest.approx(
+        nodes, weights = gauss_legendre(-8.0, 8.0, 64)
+        assert weights @ norm_pdf(nodes) == pytest.approx(1.0, abs=1e-10)
+        nodes6, weights6 = gauss_legendre(-6.0, 6.0, 64)
+        assert weights6 @ norm_pdf(nodes6) == pytest.approx(
             1.0 - 2.0 * norm_cdf(-6.0), abs=1e-12
         )
 
     @pytest.mark.parametrize("degree", range(16))
     def test_monomial_exactness(self, degree):
         # an 8-node rule integrates monomials up to degree 15 exactly
-        rule = gauss_legendre(0.0, 1.0, 8)
+        nodes, weights = gauss_legendre(0.0, 1.0, 8)
         exact = 1.0 / (degree + 1)
-        assert rule.weights @ rule.nodes**degree == pytest.approx(exact, abs=1e-12)
+        assert weights @ nodes**degree == pytest.approx(exact, abs=1e-12)
 
     def test_invariant_violations(self):
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.5, 0.4]), np.array([0.5, 0.5]), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.4, 0.5]), np.array([0.5, -0.5]), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.4, 0.5]), np.array([0.5, 0.6]), 0.0, 1.0)
-        with pytest.raises(DomainError):
             gauss_legendre(1.0, 1.0, 8)
+        with pytest.raises(DomainError):
+            gauss_legendre(0.0, 1.0, 0)
+
+
+class TestDefaultRule:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.floats(min_value=0.01, max_value=2.0),
+        st.floats(min_value=1e-3, max_value=3.0),
+        st.floats(min_value=-0.9, max_value=0.9),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_uniform_average_rule(self, sigma_minus, width, rho, n):
+        params = MarketParams(sigma_minus, sigma_minus + width, rho)
+        nodes, w = default_rule(params, n)
+        assert nodes.shape == w.shape == (n,)
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
+        # exact for every polynomial of degree <= 2n - 1 in sigma, here
+        # the monomials of the interval's own coordinate t in [0, 1]
+        t = (nodes - params.sigma_minus) / (params.sigma_plus - params.sigma_minus)
+        for degree in range(2 * n):
+            assert w @ t**degree == pytest.approx(1.0 / (degree + 1), abs=1e-12)
+        for a in (nodes, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(min_value=0.01, max_value=5.0), st.integers(min_value=1, max_value=64))
+    def test_degenerate_market_is_one_unit_node(self, sigma, n):
+        nodes, w = default_rule(MarketParams(sigma, sigma, 0.0), n)
+        assert nodes.tolist() == [sigma] and w.tolist() == [1.0]
+        assert not nodes.flags.writeable and not w.flags.writeable

@@ -239,10 +239,3 @@ class TestAnalyticStats:
         a = analytic_stats(s, main_params)
         b = analytic_stats(s, main_params, default_rule(main_params, 64))
         assert a == b
-
-    def test_mismatched_rule_rejected(self, main_params):
-        from ael.gaussmath import gauss_legendre
-
-        s = Strategy.constant(0.4, main_params)
-        with pytest.raises(DomainError):
-            analytic_stats(s, main_params, gauss_legendre(0.2, 1.0, 32))

@@ -16,12 +16,10 @@ from ael.model import (
     SpreadQuad,
     Strategy,
     default_rule,
-    rule_average_nodes,
 )
 import ael.payoff as payoff
 from ael.payoff import (
     PayoffContext,
-    base_payoff,
     cross_deriv,
     payoff_deriv,
     payoff_second_deriv,
@@ -39,33 +37,36 @@ def ctx_for(params, fees, delta_const=0.3, sigma_a=None, grid_n=51):
 
 
 class TestBasePayoff:
+    # the base payoff is the payoff of a NoFee context
+
     def test_degenerate_zero_strategy(self):
         # single sigma, rho = 0, delta = 0: e(x) = (x/2)(1 - Phi(x/(s sqrt2)))
         p = MarketParams(1.1, 1.1, 0.0)
         ctx = ctx_for(p, NoFee(), delta_const=0.0, sigma_a=1.1)
-        assert base_payoff(0.0, ctx) == pytest.approx(0.0, abs=1e-16)
+        assert penalized_payoff(0.0, ctx) == pytest.approx(0.0, abs=1e-16)
         for x in (0.2, 0.7, 1.5):
             expected = 0.5 * x * (1.0 - norm_cdf(x / (1.1 * math.sqrt(2))))
-            assert base_payoff(x, ctx) == pytest.approx(expected, abs=1e-15)
+            assert penalized_payoff(x, ctx) == pytest.approx(expected, abs=1e-15)
 
     def test_degenerate_constant_strategy_at_zero(self):
         p = MarketParams(1.1, 1.1, 0.0)
         d = 0.4
         ctx = ctx_for(p, NoFee(), delta_const=d, sigma_a=1.1)
         expected = -0.5 * d * (1.0 - norm_cdf(d / (1.1 * math.sqrt(2))))
-        assert base_payoff(0.0, ctx) == pytest.approx(expected, abs=1e-15)
+        assert penalized_payoff(0.0, ctx) == pytest.approx(expected, abs=1e-15)
 
     def test_ignores_fee_scheme(self, main_params):
-        a = base_payoff(0.4, ctx_for(main_params, NoFee()))
-        b = base_payoff(0.4, ctx_for(main_params, SpreadQuad(3.0)))
-        assert a == b
+        # every scheme but half-linear demand averages the base integrand
+        for fees in (NoFee(), SpreadQuad(3.0), MidQuad(0.5)):
+            (avg,) = payoff._averages(np.asarray(0.4), ctx_for(main_params, fees), (0,))
+            assert avg == penalized_payoff(0.4, ctx_for(main_params, NoFee()))
 
     def test_large_offset_behavior(self, main_params):
         # the raw payoff decays to zero at large offsets (the trade
         # probability dies faster than the offset grows); the spread
         # penalty is what drives the objective to minus infinity
         ctx = ctx_for(main_params, NoFee())
-        vals = [base_payoff(x, ctx) for x in (5.0, 7.0, 9.0)]
+        vals = [penalized_payoff(x, ctx) for x in (5.0, 7.0, 9.0)]
         assert all(0 <= v < 1e-4 for v in vals)
         assert vals[0] > vals[1] > vals[2]
         pen = ctx_for(main_params, SpreadQuad(2.0))
@@ -76,18 +77,21 @@ class TestBasePayoff:
 
 class TestPenalizedPayoff:
     def test_no_fee_equals_base(self, main_params):
+        # NoFee subtracts an exact zero from the base average
         ctx = ctx_for(main_params, NoFee())
-        assert penalized_payoff(0.7, ctx) == base_payoff(0.7, ctx)
+        (avg,) = payoff._averages(np.asarray(0.7), ctx, (0,))
+        assert penalized_payoff(0.7, ctx) == avg
 
     def test_spread_quad_vanishes_at_zero(self, main_params):
         ctx = ctx_for(main_params, SpreadQuad(1.7))
-        assert penalized_payoff(0.0, ctx) == base_payoff(0.0, ctx)
+        assert penalized_payoff(0.0, ctx) == penalized_payoff(0.0, ctx_for(main_params, NoFee()))
 
     def test_spread_quad_additive(self):
         p = MarketParams(1.1, 1.1, 0.0)
         ctx = ctx_for(p, SpreadQuad(1.0), delta_const=0.1, sigma_a=1.1)
+        base = ctx_for(p, NoFee(), delta_const=0.1, sigma_a=1.1)
         assert penalized_payoff(0.1, ctx) == pytest.approx(
-            base_payoff(0.1, ctx) - 0.01, abs=1e-15
+            penalized_payoff(0.1, base) - 0.01, abs=1e-15
         )
 
     def test_mid_quad_quadratic_expansion(self):
@@ -184,10 +188,8 @@ class TestHalfLinear:
         # quadrature of h' over [x0, x1] reproduces h(x1) - h(x0)
         ctx = ctx_for(main_params, LinearDemand(1.0, 0.0), delta_const=0.2)
         x0, x1 = 0.1, 0.9
-        rule = gauss_legendre(x0, x1, 48)
-        integral = float(
-            np.dot(rule.weights, [payoff_deriv(float(x), ctx) for x in rule.nodes])
-        )
+        nodes, weights = gauss_legendre(x0, x1, 48)
+        integral = float(np.dot(weights, [payoff_deriv(float(x), ctx) for x in nodes]))
         diff = penalized_payoff(x1, ctx) - penalized_payoff(x0, ctx)
         assert integral == pytest.approx(diff, abs=1e-8)
 
@@ -322,7 +324,7 @@ class TestDerivedContexts:
     @given(context_cases())
     def test_repointed_context_is_a_fresh_one(self, case):
         params, fees, rule, rows, x, (first, second) = case
-        nodes, _ = rule_average_nodes(params, rule)
+        nodes, _ = rule
         base = PayoffContext(rows, Strategy(nodes, first), params, fees, rule)
         fresh = PayoffContext(rows, Strategy(nodes, second), params, fees, rule)
         got = base.against(second)
@@ -337,7 +339,7 @@ class TestDerivedContexts:
         params, fees, rule, rows, x, (values, _) = case
         start = data.draw(st.integers(0, rows.shape[0] - 1))
         stop = data.draw(st.integers(start + 1, rows.shape[0]))
-        delta = Strategy(rule_average_nodes(params, rule)[0], values)
+        delta = Strategy(rule[0], values)
         full = PayoffContext(rows, delta, params, fees, rule)
         fresh = PayoffContext(rows[start:stop], delta, params, fees, rule)
         assert_same_context(full.rows(start, stop), fresh, x[start:stop])

@@ -17,6 +17,7 @@ from ael.errors import WrongScheme
 from ael.model import (
     LinearDemand,
     MarketParams,
+    NoFee,
     SpreadQuad,
     Strategy,
     analytic_stats,
@@ -24,7 +25,7 @@ from ael.model import (
     q_rho,
     sigma_rho,
 )
-from ael.payoff import PayoffContext, base_payoff, penalized_payoff
+from ael.payoff import PayoffContext, penalized_payoff
 from ael.simulator import (
     _CHUNK,
     SUB,
@@ -44,8 +45,8 @@ SIM = SimConfig(samples=200_000, seed=7)
 POINTS = [(0.1, 0.3), (0.4, 0.6), (0.8, 0.9)]
 
 
-def context(sigma_a):
-    return PayoffContext(sigma_a, DELTA, MARKET, FEES, default_rule(MARKET))
+def context(sigma_a, fees=FEES):
+    return PayoffContext(sigma_a, DELTA, MARKET, fees, default_rule(MARKET))
 
 
 @pytest.mark.parametrize("x, sigma_a", POINTS)
@@ -57,7 +58,7 @@ def test_half_linear_estimate_matches_quadrature(x, sigma_a):
 @pytest.mark.parametrize("x, sigma_a", POINTS)
 def test_limit_estimate_matches_quadrature(x, sigma_a):
     mean, se = estimate_limit_payoff(x, sigma_a, DELTA, MARKET, SIM)
-    assert abs(mean - base_payoff(x, context(sigma_a))) <= 4.0 * se
+    assert abs(mean - penalized_payoff(x, context(sigma_a, NoFee()))) <= 4.0 * se
 
 
 def test_half_linear_estimate_needs_linear_demand():
