@@ -216,7 +216,7 @@ class Strategy:
         out = np.empty(x.size)
         self._evaluate(x, out, *_lookup_scratch(x.size))
         out = out.reshape(s.shape)
-        return out if isinstance(sigma, np.ndarray) else float(out)
+        return out if isinstance(sigma, np.ndarray) or s.ndim else float(out)
 
     def max_value(self) -> float:
         return float(self.values.max())
@@ -346,10 +346,7 @@ def _q_rho_into(sa: float, sb: np.ndarray, rho: float, out, tmp1, tmp2, flag) ->
 
 def q_tilde_rho(sa, sb, rho: float):
     """Precision-ratio weight of player b's signal; q_rho + q_tilde_rho = 1."""
-    den = _precision_den(sa, sb, rho)
-    if np.any(np.asarray(den) <= 0.0):
-        raise DomainError("degenerate precision denominator")
-    return (1.0 / (sa * sa) - rho / (sa * sb)) / den
+    return q_rho(sb, sa, rho)
 
 
 # --- averaging over the sigma distribution ---------------------------------

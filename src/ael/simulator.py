@@ -28,26 +28,19 @@ caps their number, here and in the row blocks of
 aggregates are reduced in index order, so every result is bit-identical
 at every thread count.
 
-A chunk allocates no array of its size.  Each thread that runs chunks
-(a pool worker, or the caller when one thread runs them all) keeps one
-``_Workspace`` for as long as the thread lives, and a chunk walks its
-samples in sub-blocks of ``SUB`` samples: one Philox generator, set to
-the chunk's first sample, draws each sub-block's window into the
-workspace in turn (a sub-block takes whole blocks, so the stream has the
-bits of one generator per sub-block), and the floors, ``ndtri``, sigma
-maps, strategy lookups and prices are written into its ``SUB``-length
-columns, which stay in cache.  Only the values whose sums are taken
-(spread and mid error, or the payoff) go into full-chunk arrays, and
-their power sums run on the whole chunk: ``np.sum`` adds pairwise in an
-order set by the array length, so sums over sub-blocks would round
-differently.
+A chunk is also the unit of memory: it allocates no array of its size.
+Each thread that runs chunks (a pool worker, or the caller when one
+thread runs them all) keeps one ``_Workspace`` of chunk-length columns,
+small enough to stay in cache, for as long as the thread lives.  One
+Philox generator, set to the chunk's first sample, draws the chunk's
+window into it; the floors, ``ndtri``, sigma maps, strategy lookups,
+prices and the power sums all run on its columns.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +61,7 @@ from .model import (
 from .parallel import map_ordered
 
 _SLOTS = 4  # uniforms per sample: the 4 doubles of one Philox4x64 block
-_CHUNK = 1 << 17
-SUB = 1 << 14  # samples per sub-block; see the module docstring
+_CHUNK = 1 << 15  # samples per chunk; see the module docstring
 _U_FLOOR = 1e-300  # keep ndtri finite if a uniform lands on exactly 0.0
 
 
@@ -105,21 +97,19 @@ class SimReport:
 class _Workspace:
     """One thread's Monte Carlo buffers, reused by every chunk it runs.
 
-    ``u`` is the (``SUB``, 4) uniform window of a sub-block, one Philox
+    ``u`` is the (``_CHUNK``, 4) uniform window of a chunk, one Philox
     block per row, and ``cols`` its columns of intermediate values (rows,
     each contiguous).  ``scratch`` is the strategy lookup's scratch;
-    ``flag``, its boolean column, is free between lookups.  ``sums``
-    holds the full-chunk values whose power sums are taken.
+    ``flag``, its boolean column, is free between lookups.
     """
 
-    __slots__ = ("u", "cols", "scratch", "flag", "sums")
+    __slots__ = ("u", "cols", "scratch", "flag")
 
     def __init__(self):
-        self.u = np.empty((SUB, _SLOTS))
-        self.cols = np.empty((8, SUB))
-        self.scratch = _lookup_scratch(SUB)
+        self.u = np.empty((_CHUNK, _SLOTS))
+        self.cols = np.empty((8, _CHUNK))
+        self.scratch = _lookup_scratch(_CHUNK)
         self.flag = self.scratch[3]
-        self.sums = np.empty((3, _CHUNK))
 
     def lookup(self, delta: Strategy, sigma: np.ndarray, out: np.ndarray) -> np.ndarray:
         """delta(sigma) written to ``out``, through the workspace's scratch."""
@@ -139,24 +129,17 @@ def _workspace() -> _Workspace:
     return ws
 
 
-def _uniforms(
-    seed: int, start: int, count: int, out: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The raw uniform windows of samples [start, start + count), one
-    sub-block of at most ``SUB`` samples at a time: yields (offset, u),
-    u being the sub-block's (n, 4) window written to ``out[:n]``.
+def _uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """The raw uniform window of samples [start, start + len(out)),
+    written to the (n, 4) ``out`` and returned.
 
     One Philox generator, advanced ``start`` blocks (one block per
-    sample), draws them all in order.
-    Values lie in [0, 1); callers floor the columns they pass to ``ndtri``
-    (see ``_normal``).
+    sample), draws it.  Values lie in [0, 1); callers floor the columns
+    they pass to ``ndtri`` (see ``_normal``).
     """
     bg = Philox(key=seed)
     bg.advance(start)
-    gen = Generator(bg)
-    for off in range(0, count, SUB):
-        n = min(SUB, count - off)
-        yield off, gen.random((n, _SLOTS), out=out[:n])
+    return Generator(bg).random(out.shape, out=out)
 
 
 def _normal(u_col: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -226,22 +209,19 @@ def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> Sim
     """Empirical spread / mid-error / trade statistics with standard errors."""
 
     def chunk(ws: _Workspace, start: int, count: int):
-        spread, mid_err, work = ws.sums[:, :count]
-        traded = 0
-        for off, u in _uniforms(sim.seed, start, count, ws.u):
-            n = len(u)
-            sigma_a, sigma_b, p_a, p_b = _market_draws(u, params, ws.cols[:4, :n])
-            da, db = ws.cols[4:6, :n]
-            p_a *= sigma_a  # p_a = sigma_a eps_a + delta(sigma_a)
-            p_a += ws.lookup(delta, sigma_a, da)
-            p_b *= sigma_b  # p_b = sigma_b eps_b - delta(sigma_b)
-            p_b -= ws.lookup(delta, sigma_b, db)
-            np.subtract(p_a, p_b, out=spread[off:off + n])
-            np.add(p_a, p_b, out=mid_err[off:off + n])
-            mid_err[off:off + n] *= 0.5
-            traded += np.count_nonzero(np.less_equal(p_a, p_b, out=ws.flag[:n]))
-        # mid_err's pack may use spread as its scratch once spread's is taken
-        return _moment_pack(spread, work), _moment_pack(mid_err, spread), float(traded)
+        u = _uniforms(sim.seed, start, ws.u[:count])
+        sigma_a, sigma_b, p_a, p_b = _market_draws(u, params, ws.cols[:4, :count])
+        da, db, spread, mid_err = ws.cols[4:, :count]
+        p_a *= sigma_a  # p_a = sigma_a eps_a + delta(sigma_a)
+        p_a += ws.lookup(delta, sigma_a, da)
+        p_b *= sigma_b  # p_b = sigma_b eps_b - delta(sigma_b)
+        p_b -= ws.lookup(delta, sigma_b, db)
+        np.subtract(p_a, p_b, out=spread)
+        np.add(p_a, p_b, out=mid_err)
+        mid_err *= 0.5
+        traded = np.count_nonzero(np.less_equal(p_a, p_b, out=ws.flag[:count]))
+        # the lookup columns are free once the prices hold them
+        return _moment_pack(spread, da), _moment_pack(mid_err, db), float(traded)
 
     packs = _map_chunks(sim.samples, chunk)
     spread_sums = np.sum([p[0] for p in packs], axis=0)
@@ -283,41 +263,40 @@ def _limit_estimate(
 
     ``mid_err`` is the clearing-mid error
     (x - d)/2 + w * sa sb sqrt(1-rho^2)/S + z S (1/2 - Q).  ``gain`` gets
-    sub-block arrays and a scratch ``out`` of their length, and returns
+    a chunk's columns and a scratch ``out`` of their length, and returns
     the gain: one of its inputs, or ``out`` written in place.
     """
     rho = params.rho
     root = math.sqrt(1.0 - rho * rho)
 
     def chunk(ws: _Workspace, start: int, count: int):
-        pay, work = ws.sums[:2, :count]
-        for off, u in _uniforms(sim.seed, start, count, ws.u):
-            n = len(u)
-            sb, z, w, d, sig, q, t1, t2 = ws.cols[:, :n]
-            flag = ws.flag[:n]
-            _sigma(u[:, 0], params, sb)
-            _normal(u[:, 1], z)
-            _normal(u[:, 2], w)
-            ws.lookup(delta, sb, d)
-            _sigma_rho_into(sigma_a, sb, rho, sig, t1, flag)
-            _q_rho_into(sigma_a, sb, rho, q, t1, t2, flag)
-            # mid_err = 0.5 (x - d) + w sa sb sqrt(1-rho^2)/S + z S (1/2 - Q), into t1
-            np.multiply(sb, sigma_a, out=t2)
-            t2 *= root
-            t2 /= sig
-            w *= t2
-            np.subtract(x, d, out=t1)
-            t1 *= 0.5
-            t1 += w
-            np.subtract(0.5, q, out=q)
-            q *= np.multiply(z, sig, out=t2)
-            t1 += q
-            # traded event z >= (x + d)/S
-            np.add(d, x, out=t2)
-            t2 /= sig
-            np.greater_equal(z, t2, out=flag)
-            np.multiply(gain(z, sig, d, t1, t2), flag, out=pay[off:off + n])
-        return np.array([pay.sum(), np.multiply(pay, pay, out=work).sum()])
+        u = _uniforms(sim.seed, start, ws.u[:count])
+        sb, z, w, d, sig, q, t1, t2 = ws.cols[:, :count]
+        flag = ws.flag[:count]
+        _sigma(u[:, 0], params, sb)
+        _normal(u[:, 1], z)
+        _normal(u[:, 2], w)
+        ws.lookup(delta, sb, d)
+        _sigma_rho_into(sigma_a, sb, rho, sig, t1, flag)
+        _q_rho_into(sigma_a, sb, rho, q, t1, t2, flag)
+        # mid_err = 0.5 (x - d) + w sa sb sqrt(1-rho^2)/S + z S (1/2 - Q), into t1
+        np.multiply(sb, sigma_a, out=t2)
+        t2 *= root
+        t2 /= sig
+        w *= t2
+        np.subtract(x, d, out=t1)
+        t1 *= 0.5
+        t1 += w
+        np.subtract(0.5, q, out=q)
+        q *= np.multiply(z, sig, out=t2)
+        t1 += q
+        # traded event z >= (x + d)/S
+        np.add(d, x, out=t2)
+        t2 /= sig
+        np.greater_equal(z, t2, out=flag)
+        # sb and w are free once mid_err holds their terms
+        pay = np.multiply(gain(z, sig, d, t1, t2), flag, out=w)
+        return np.array([pay.sum(), np.multiply(pay, pay, out=sb).sum()])
 
     sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
     return _mean_se(sums, sim.samples)

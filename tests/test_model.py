@@ -74,6 +74,10 @@ class TestPrecisionRatios:
         for a, b, r in zip(sa, sb, rho):
             worst = max(worst, abs(q_rho(a, b, r) + q_tilde_rho(a, b, r) - 1.0))
         assert worst <= 1e-14
+        # Q~ is Q with the roles swapped: the bits of its explicit formula
+        for a, b, r in ((sa, sb, rho), (sa[:100, None], sb[None, :100], 0.3)):
+            den = 1.0 / (a * a) + 1.0 / (b * b) - 2.0 * r / (a * b)
+            assert np.array_equal(q_tilde_rho(a, b, r), (1.0 / (a * a) - r / (a * b)) / den)
 
     @given(
         st.floats(min_value=0.1, max_value=1.1),
@@ -141,6 +145,10 @@ class TestStrategy:
         assert np.array_equal(s(q), np.interp(q, s.grid, s.values))
         assert type(s(0.55)) is float and type(s(np.float64(0.55))) is float
         assert type(s(np.array(0.55))) is np.ndarray
+        for seq in ([0.2, 0.5], (0.2, 0.5), [0.5]):
+            got = s(seq)
+            assert isinstance(got, np.ndarray) and got.shape == (len(seq),)
+            assert np.array_equal(got, s(np.array(seq)))
 
     def test_slack_clamps_to_end_values(self):
         s = Strategy(np.linspace(0.1, 1.1, 11), np.linspace(0.0, 1.0, 11) ** 2)

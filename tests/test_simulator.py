@@ -28,7 +28,6 @@ from ael.model import (
 from ael.payoff import PayoffContext, penalized_payoff
 from ael.simulator import (
     _CHUNK,
-    SUB,
     SimConfig,
     _market_draws,
     _moment_pack,
@@ -87,24 +86,24 @@ def test_limit_payoff_identical_across_thread_counts(monkeypatch):
 
 def test_stats_report_is_pinned():
     # pins the Philox stream, the slot layout and the chunked reduction
-    rep = estimate_stats(DELTA, MARKET, SimConfig(samples=2 * _CHUNK + 1, seed=11))
+    rep = estimate_stats(DELTA, MARKET, SimConfig(samples=262145, seed=11))
     assert astuple(rep.stats) == (
         0.6033498593196921,
-        0.8645905653329795,
-        -0.0006918706272571716,
-        0.22652036991835595,
+        0.8645905653329793,
+        -0.0006918706272571717,
+        0.22652036991835592,
         0.23138720936886076,
     )
     se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
     assert (se_sp_mean, se_me_mean, se_trade) == (
-        0.0018160743659629262,
-        0.0009295698161855289,
+        0.001816074365962926,
+        0.0009295698161855288,
         0.0008236689384501895,
     )
     # the variance errors come from third and fourth power sums, which may
     # round differently from one evaluation order to another
-    assert se_sp_var == pytest.approx(0.002887965152339769, rel=1e-14, abs=0.0)
-    assert se_me_var == pytest.approx(0.0007609574406949204, rel=1e-14, abs=0.0)
+    assert se_sp_var == pytest.approx(0.00288796515233977, rel=1e-14, abs=0.0)
+    assert se_me_var == pytest.approx(0.0007609574406949205, rel=1e-14, abs=0.0)
 
 
 def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
@@ -112,7 +111,7 @@ def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
     # this pins both estimators on delta = 0.1 + 0.25 sigma^2
     grid = np.linspace(MARKET.sigma_minus, MARKET.sigma_plus, 101)
     delta = Strategy(grid, 0.1 + 0.25 * grid * grid)
-    sim = SimConfig(samples=2 * _CHUNK + 1, seed=11)
+    sim = SimConfig(samples=262145, seed=11)
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("AEL_THREADS", threads)
@@ -121,10 +120,10 @@ def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
     assert runs[0] == runs[1]
     rep, limit = runs[0]
     assert astuple(rep.stats) == (
-        0.4248507470085873,
-        0.8808301801248237,
-        -0.0007253736190915535,
-        0.2305181870281003,
+        0.42485074700858727,
+        0.8808301801248238,
+        -0.0007253736190915534,
+        0.23051818702810029,
         0.3112437772988232,
     )
     se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
@@ -134,7 +133,7 @@ def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
         0.000904299555025006,
     )
     # as in test_stats_report_is_pinned: third and fourth power sums
-    assert se_sp_var == pytest.approx(0.0029365949654685955, rel=1e-14, abs=0.0)
+    assert se_sp_var == pytest.approx(0.002936594965468596, rel=1e-14, abs=0.0)
     assert se_me_var == pytest.approx(0.0007728248032113865, rel=1e-14, abs=0.0)
     assert limit == (0.025556836318388284, 0.00045873857650911094)
 
@@ -143,12 +142,10 @@ def test_zero_uniforms_stay_finite(monkeypatch):
     # the raw window may hold 0.0; only the ndtri inputs are floored
     drawn = []
 
-    def zeros(seed, start, count, out):
-        drawn.append(count)
-        for off in range(0, count, SUB):
-            u = out[:min(SUB, count - off)]
-            u.fill(0.0)
-            yield off, u
+    def zeros(seed, start, out):
+        drawn.append(len(out))
+        out.fill(0.0)
+        return out
 
     monkeypatch.setattr(simulator, "_uniforms", zeros)
     sim = SimConfig(samples=1000, seed=3)
@@ -176,18 +173,14 @@ def window(seed, start, count):
 
 
 @pytest.mark.parametrize("start, count", [
-    (0, SUB - 1), (0, SUB + 1), (0, _CHUNK + 1), (SUB - 1, SUB + 1), (_CHUNK, 1)])
+    (0, 1), (0, _CHUNK - 1), (0, _CHUNK), (_CHUNK - 1, 2), (_CHUNK - 1, _CHUNK), (_CHUNK, 1)])
 def test_uniforms_are_one_philox_block_per_sample(start, count):
-    # one generator walks the sub-blocks of a call; its windows are the
-    # stream's rows, and the bits of one generator per sub-block
-    out = np.empty((SUB, 4))
-    offsets, rows = zip(*((off, u.copy()) for off, u in _uniforms(11, start, count, out)))
-    assert offsets == tuple(range(0, count, SUB))
-    assert np.array_equal(np.vstack(rows), window(11, start, count))
-    for off, u in zip(offsets, rows):
-        bg = Philox(key=11)
-        bg.advance(start + off)
-        assert np.array_equal(u, Generator(bg).random(u.shape))
+    # the window is the stream's rows [start, start + count), also when it
+    # straddles a chunk edge
+    out = np.empty((count, 4))
+    u = _uniforms(11, start, out)
+    assert u is out
+    assert np.array_equal(u, window(11, start, count))
 
 
 def test_each_chunk_draws_one_block_per_sample_from_one_generator(monkeypatch):
@@ -198,7 +191,7 @@ def test_each_chunk_draws_one_block_per_sample_from_one_generator(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(simulator, "Philox", philox)
-    sim = SimConfig(samples=2 * _CHUNK + SUB + 1, seed=11)
+    sim = SimConfig(samples=2 * _CHUNK + 1, seed=11)
     estimate_stats(DELTA, MARKET, sim)
     # each chunk's generator starts at the chunk's first sample and stops
     # at its end, so the call takes exactly `samples` blocks
@@ -229,10 +222,10 @@ def test_estimated_stats_match_analytic_stats(sigma_minus, spread, rho_frac, lev
 
 # --- the one-shot chunk formulas, as a reference -------------------------------
 # Each chunk draws its whole uniform window at once with window(seed,
-# start, count) and evaluates every formula on full-chunk arrays.  The estimators
-# walk a chunk in sub-blocks of SUB samples and must reproduce these bits.
+# start, count) and evaluates every formula on fresh full-chunk arrays.  The
+# estimators write into a reused workspace and must reproduce these bits.
 
-SIZES = [1, SUB - 1, SUB + 1, _CHUNK + 1, 2 * _CHUNK + SUB + 1]
+SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
 GRID = np.linspace(0.1, 1.1, 101)
 CURVED = Strategy(GRID, 0.1 + 0.25 * GRID * GRID)
 
@@ -323,7 +316,7 @@ def test_concurrent_callers_keep_their_bits(monkeypatch, threads):
     # one thread each caller runs its chunks on its own workspace, on two
     # the callers' chunks share the pool's workers and their workspaces
     monkeypatch.setenv("AEL_THREADS", threads)
-    sim = SimConfig(samples=_CHUNK + SUB + 1, seed=5)
+    sim = SimConfig(samples=2 * _CHUNK + 1, seed=5)
     want = bits(oracle_stats(CURVED, MARKET, sim))
     got = []
 
