@@ -121,7 +121,7 @@ _SCHEMA: dict[str, tuple] = {
     "curve.n": (_p_count, 201),
     "curve.sigma_a": (_p_sigma_a, "mid"),
     "validate.samples": (_p_int, 200000),
-    "verify.x_samples": (_p_int, 256),
+    "verify.x_samples": (_p_int, 33),
     "output.path": (str, "out.csv"),
 }
 
@@ -555,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ael",
         description="Double-auction quoting game: equilibria, fee design, validation.",
         epilog="environment: AEL_THREADS caps the worker threads of the Monte Carlo "
-               "chunks and of the verify_ne row blocks (0 or unset: one per CPU); "
+               "chunks (0 or unset: one per CPU); "
                "every output is bit-identical at every thread count.",
         allow_abbrev=False,
     )

@@ -16,8 +16,9 @@ output rows is the argmax on the offsets the strategy plays.
 Without fees (and with the mid-price penalty alone) no equilibrium
 exists; ``no_ne_certificate`` returns the aggregated first-order-condition
 integral that witnesses this (half the trade probability, positive
-until the Gaussian tail underflows), and ``verify_ne`` measures the best
-deviation gain a player can realize against a candidate strategy.
+until the Gaussian tail underflows), and ``verify_ne`` returns the
+supremum of the gain a player can realize by deviating from a candidate
+strategy, over offsets up to three times its largest value.
 
 For a degenerate market (sigma_minus = sigma_plus) the equilibrium
 reduces to a scalar root of the one-dimensional first-order condition,
@@ -47,14 +48,14 @@ from .model import (
     sigma_rho,
     uniform_grid,
 )
-from .parallel import map_ordered
 from .payoff import PayoffContext, cross_deriv, payoff_terms
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
-_BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne block: 4 rows at the defaults
+_BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne call: 2.1 MB of kernel scratch
+_POLISH_STEPS = 8  # Newton steps per verify_ne bracket
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e''
 _CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
 
@@ -297,13 +298,15 @@ def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
     holds, is strictly concave in the offset at every row on
     (0, max(bound_C, 3 max rows)].
 
-    The upper end covers both the invariant set and the offsets
-    ``verify_ne`` scans on ``rows``.  The second derivative is sampled at
-    ``_CONCAVITY_OFFSETS`` offsets, one kernel call over all rows per
-    block of ``_CONCAVITY_BLOCK`` offsets, stopping at the first block
-    with a non-negative value.  Strict concavity there also rules out a
-    second sign change of the derivative, so each located root is the
-    argmax on that interval.
+    The upper end covers both the invariant set and the offsets over
+    which ``verify_ne`` takes its supremum on ``rows``.  The second
+    derivative is sampled at ``_CONCAVITY_OFFSETS`` offsets, one kernel
+    call over all rows per block of ``_CONCAVITY_BLOCK`` offsets,
+    stopping at the first block with a non-negative value.  Strict
+    concavity there also rules out a second sign change of the
+    derivative, so each located root is the argmax on that interval.
+    The check samples e''; it does not measure how far a row is from
+    its argmax, which is what ``verify_ne``'s gain does.
     """
     hi = max(bound_c, _DEVIATION_SPAN * rows.max_value())
     if not 0.0 < hi < math.inf:
@@ -394,24 +397,65 @@ def no_ne_certificate(delta: Strategy, params: MarketParams, n: int = 64) -> flo
     return 0.5 * _trade_prob(nodes, w, np.asarray(delta(nodes), dtype=float), params.rho)
 
 
+def _row_terms(ctx: PayoffContext, index: np.ndarray, x: np.ndarray, orders) -> list:
+    """``payoff_terms`` of the offsets ``x[i]`` (one row of offsets each)
+    against row ``index[i]`` of the row context ``ctx``, in kernel calls
+    of at most ``_BLOCK_ELEMENTS`` values (or one row)."""
+    step = max(1, _BLOCK_ELEMENTS // (x.shape[1] * ctx.nodes.size))
+    blocks = [payoff_terms(x[i:i + step], ctx.rows(index[i:i + step]), orders)
+              for i in range(0, index.size, step)]
+    return [np.concatenate(terms) for terms in zip(*blocks)]
+
+
+def _polish(ctx: PayoffContext, row, lo, up, d_lo, d_up, tol: float) -> np.ndarray:
+    """Local maximum of the payoff at row ``row[i]`` of ``ctx`` in each
+    bracket [lo[i], up[i]], where e' falls from d_lo > 0 to d_up <= 0.
+
+    All brackets take one kernel call per step: a Newton step on e' and
+    e'' from the secant point, kept only inside the bracket that the sign
+    of e' narrows, otherwise a bisection.  Stops once no step exceeds
+    ``tol``, or after ``_POLISH_STEPS`` steps.
+    """
+    x = lo + d_lo * (up - lo) / (d_lo - d_up)
+    if not row.size:
+        return x
+    for _ in range(_POLISH_STEPS):
+        d1, d2 = (t[:, 0] for t in _row_terms(ctx, row, x[:, None], (1, 2)))
+        lo = np.where(d1 > 0.0, x, lo)
+        up = np.where(d1 < 0.0, x, up)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - d1 / d2
+        step = np.where((lo <= newton) & (newton <= up), newton, 0.5 * (lo + up)) - x
+        x = x + step
+        if np.all(np.abs(step) <= tol):
+            break
+    return x
+
+
 def verify_ne(
     delta: Strategy,
     params: MarketParams,
     fees: FeeScheme,
-    x_samples: int = 256,
+    x_samples: int = 33,
     quad_n: int = 64,
 ) -> float:
-    """Largest deviation gain over sampled quote offsets.
+    """Largest gain a player can realize by deviating from ``delta``.
 
-    Scans x in [0, 3 * max(delta)] at every grid sigma_a and returns the
-    maximum of payoff(x) - payoff(delta(sigma_a)), floored at zero.  One
-    context holds every grid row; it is sliced (``PayoffContext.rows``)
-    into blocks of rows, each one batched kernel call on
-    (rows, x_samples + 1, nodes) values, with the rows sized so a block
-    holds at most ``_BLOCK_ELEMENTS`` values (or one row).  Blocks run on
-    up to ``AEL_THREADS`` worker threads and are reduced by ``max``, so
-    the result is bit-identical at every thread count.  A true
-    equilibrium yields a value at solver-tolerance level.
+    At every grid sigma_a, the supremum of payoff(x) over the offsets
+    x in [0, 3 * max(delta)], less payoff(delta(sigma_a)), maximized over
+    the rows; the held offset is a candidate, so the gain is >= 0.
+    ``x_samples`` evenly spaced offsets are scanned for e and e'.  Every
+    + -> - sign change of e' between neighbours brackets a local maximum,
+    polished by safeguarded Newton to a step of 1e-12 * (3 max delta), in
+    at most ``_POLISH_STEPS`` steps (``_polish``).  The supremum is the
+    largest of the scanned values and the polished maxima, so a maximum
+    is missed only when a scan interval hides two sign changes of e'.
+
+    One context holds every grid row and is sliced by
+    ``PayoffContext.rows``; each kernel call holds at most
+    ``_BLOCK_ELEMENTS`` values.  A true equilibrium yields a value at
+    rounding level, and a converged solve one of order e'' times the
+    squared distance between each row and its best response.
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
@@ -420,14 +464,13 @@ def verify_ne(
         hi = 1.0
     xs = np.linspace(0.0, hi, x_samples)
     ctx = PayoffContext(delta.grid[:, None], delta, params, fees, default_rule(params, quad_n))
-    rows = max(1, _BLOCK_ELEMENTS // ((x_samples + 1) * quad_n))
-
-    def block_gain(start: int) -> float:
-        held = delta.values[start:start + rows, None]
-        # each row: the sampled offsets, then the offset the strategy holds
-        offsets = np.append(np.broadcast_to(xs, (held.size, x_samples)), held, axis=1)
-        (vals,) = payoff_terms(offsets, ctx.rows(start, start + rows), (0,))
-        return float(np.max(vals[:, :-1].max(axis=1) - vals[:, -1]))
-
-    worst = max(map_ordered(block_gain, range(0, delta.grid.size, rows)))
-    return max(worst, 0.0)
+    rows = np.arange(delta.grid.size)
+    vals, slopes = _row_terms(ctx, rows, np.broadcast_to(xs, (rows.size, x_samples)), (0, 1))
+    at, j = np.nonzero((slopes[:, :-1] > 0.0) & (slopes[:, 1:] <= 0.0))
+    peaks = _polish(ctx, at, xs[j], xs[j + 1], slopes[at, j], slopes[at, j + 1], 1e-12 * hi)
+    # one call values the polished maxima, then the held offset of every row
+    (ends,) = _row_terms(ctx, np.append(at, rows), np.append(peaks, delta.values)[:, None], (0,))
+    held = ends[at.size:, 0]
+    best = np.maximum(vals.max(axis=1), held)
+    np.maximum.at(best, at, ends[:at.size, 0])
+    return float(np.max(best - held))

@@ -40,7 +40,7 @@ S, Q and Q~ do not depend on the strategy: ``PayoffContext.against``
 shares them (and the nodes and weights) with a context against other
 node values, re-deriving only the strategy's values, moments and
 second-derivative factors, and ``PayoffContext.rows`` shares the
-strategy's caches with a context on a block of the sigma_a rows.
+strategy's caches with a context on some of the sigma_a rows.
 Each call computes u and Phi'(u) once for a whole array of offsets, and
 1 - Phi(u) only when a requested order needs it: orders 0 and 1 always,
 order 2 only under half-linear demand.  The requested value and
@@ -91,7 +91,7 @@ class PayoffContext:
     ``against`` and ``rows`` derive contexts without rebuilding the
     x-free caches: the first shares S, Q and Q~ and re-derives what
     depends on the opponent's node values, the second shares those and
-    slices S, Q and Q~.
+    takes some rows of S, Q and Q~.
     """
 
     sigma_a: float | np.ndarray
@@ -144,14 +144,15 @@ class PayoffContext:
         ctx._point_at(np.asarray(values, dtype=float))
         return ctx
 
-    def rows(self, start: int, stop: int) -> "PayoffContext":
-        """This context on ``sigma_a[start:stop]`` of an array ``sigma_a``,
-        as if built on that slice."""
+    def rows(self, index) -> "PayoffContext":
+        """This context on ``sigma_a[index]`` of an array ``sigma_a``, as
+        if built on those rows; ``index`` is a slice or an integer array
+        along the first axis."""
         ctx = copy.copy(self)
         set_ = object.__setattr__
         for name in ("sigma_a", "sig", "q", "qt"):
-            set_(ctx, name, getattr(self, name)[start:stop])
-        set_(ctx, "e2_poly", tuple(a[start:stop] for a in self.e2_poly))
+            set_(ctx, name, getattr(self, name)[index])
+        set_(ctx, "e2_poly", tuple(a[index] for a in self.e2_poly))
         return ctx
 
 

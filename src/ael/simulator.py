@@ -23,8 +23,7 @@ fixed at zero.
 
 Chunks of ``_CHUNK`` samples run on the package's worker threads
 (``parallel.map_ordered``).  The environment variable ``AEL_THREADS``
-caps their number, here and in the row blocks of
-``equilibrium.verify_ne`` (0 or unset means one per usable CPU).  Chunk
+caps their number (0 or unset means one per usable CPU).  Chunk
 aggregates are reduced in index order, so every result is bit-identical
 at every thread count.
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.optimize
 
 import ael.equilibrium as equilibrium
+import ael.parallel as parallel
 from ael.errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
 from ael.gaussmath import norm_cdf, norm_pdf
 from ael.model import (
@@ -270,7 +271,9 @@ class TestVerifyNe:
 
     @staticmethod
     def per_point_gain(delta, params, fees, x_samples):
-        """Reference: one context and one kernel call per grid point."""
+        """Reference: the largest gain over ``x_samples`` evenly spaced
+        offsets, floored at 0, with one context and one kernel call per
+        grid point."""
         hi = 3.0 * delta.max_value()
         xs = np.linspace(0.0, hi if hi > 0.0 else 1.0, x_samples)
         rule = default_rule(params, 64)
@@ -281,40 +284,78 @@ class TestVerifyNe:
             worst = max(worst, float(vals[:-1].max() - vals[-1]))
         return max(worst, 0.0)
 
-    @pytest.mark.parametrize("x_samples", [16, 256, 3001])  # 3001: one row per block
-    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), MidQuad(0.5), NoFee(), LinearDemand(1.0, 0.3)],
-                             ids=lambda f: type(f).__name__)
-    def test_row_blocks_match_the_per_point_loop(self, fees, x_samples, monkeypatch):
-        # strategies off equilibrium, so every gain is positive and not floored
+    @pytest.mark.parametrize("x_samples", [16, 33])
+    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), SpreadQuad(0.13), MidQuad(0.5), NoFee(),
+                                      LinearDemand(1.0, 0.3)], ids=repr)
+    def test_gain_is_at_least_the_sampled_gain(self, fees, x_samples, monkeypatch):
+        # off-equilibrium strategies, and solved ones scaled off their
+        # equilibrium; the supremum may come out one rounding below a
+        # sampled value at the same offset
         market = MarketParams(0.1, 1.1, 0.02)
         cases = [(MarketParams(1.1, 1.1, 0.0), Strategy(np.array([1.1]), np.array([0.25])))]
-        # at 3001 samples every block is one row, and 11 rows already
-        # give each of 3 workers several blocks
-        for n in (2, 11, 31, 101) if x_samples < 3001 else (2, 11):
+        for n in (2, 11, 31, 101):
             grid = np.linspace(0.1, 1.1, n)
             cases.append((market, Strategy(grid, 0.03 + 0.1 * grid * grid)))
+        main = MarketParams(0.1, 1.1, 0.0)
+        for solved_fees in (SpreadQuad(2.0), SpreadQuad(0.13), LinearDemand(1.0, 0.3)):
+            rows = solved(main, solved_fees).strategy
+            for scale in (1.05, 1.001):
+                cases.append((main, Strategy(rows.grid, scale * rows.values)))
         for params, delta in cases:
-            want = self.per_point_gain(delta, params, fees, x_samples)
-            assert want > 0.0
+            want = self.per_point_gain(delta, params, fees, 256)
+            monkeypatch.delenv("AEL_THREADS", raising=False)
+            got = verify_ne(delta, params, fees, x_samples)
+            assert got >= want - 1e-15
             for threads in ("1", "2", "3"):
                 monkeypatch.setenv("AEL_THREADS", threads)
-                assert verify_ne(delta, params, fees, x_samples) == want
+                assert verify_ne(delta, params, fees, x_samples) == got
 
-    def test_block_memory_follows_x_samples(self, main_params, monkeypatch):
-        # at 4096 samples a block is one grid row, so each of the 2 workers
-        # holds the kernel's four (4097, 64) arrays; blocks of a fixed 4 rows
-        # would hold 32 such arrays
-        monkeypatch.setenv("AEL_THREADS", "2")
+    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), SpreadQuad(0.13), LinearDemand(1.0, 0.3)],
+                             ids=repr)
+    def test_converged_solves_gain_at_rounding_level(self, main_params, fees):
+        assert 0.0 <= verify_ne(solved(main_params, fees).strategy, main_params, fees) <= 1e-12
+
+    @pytest.mark.parametrize("x_samples", [16, 33])
+    @pytest.mark.parametrize("p1, m, p2", [(0.15, 0.4, 0.75), (0.15, 0.5, 0.75)],
+                             ids=["right_peak_higher", "left_peak_higher"])
+    def test_two_peaks(self, main_params, p1, m, p2, x_samples, monkeypatch):
+        # e'(x) = -sigma_a (x - p1)(x - m)(x - p2): local maxima at p1 and p2
+        # and a minimum at m, each in its own scan interval on [0, 0.9] and
+        # on no scan point, so only a polished peak meets the analytic gain
+        c3, c2, c1 = p1 + m + p2, p1 * m + p1 * p2 + m * p2, p1 * m * p2
+
+        def quartic(x):
+            return -(x**4 / 4 - c3 * x**3 / 3 + c2 * x**2 / 2 - c1 * x)
+
+        def fake_terms(x, ctx, orders):
+            x = np.asarray(x, dtype=float)
+            terms = {0: quartic(x), 1: -((x - p1) * (x - m) * (x - p2)),
+                     2: -(3 * x * x - 2 * c3 * x + c2)}
+            return [ctx.sigma_a * terms[k] for k in orders]
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        delta = Strategy.constant(0.3, main_params, 11)
+        xs = np.linspace(0.0, 0.9, x_samples)
+        assert len({np.searchsorted(xs, p) for p in (p1, m, p2)}) == 3
+        assert abs(quartic(p1) - quartic(p2)) > 1e-3
+        want = main_params.sigma_plus * (max(quartic(p1), quartic(p2)) - quartic(0.3))
+        got = verify_ne(delta, main_params, SpreadQuad(2.0), x_samples)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_scan_memory_is_one_row_at_a_time(self, main_params):
+        # at 4096 scan points a kernel call takes one grid row, so the peak
+        # holds the kernel's four (4096, 64) arrays; a call on all 11 rows
+        # would hold 44 such arrays
         grid = np.linspace(0.1, 1.1, 11)
         delta = Strategy(grid, 0.03 + 0.1 * grid * grid)
-        one_point = 4097 * 64 * 8
+        one_row = 4096 * 64 * 8
         tracemalloc.start()
         try:
             verify_ne(delta, main_params, SpreadQuad(2.0), x_samples=4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 6 * one_point
+        assert peak < 6 * one_row
 
 
 def scalar_best_response(delta, params, fees, quad_n=64):
@@ -433,7 +474,8 @@ class TestBatchedBestResponse:
         # and the concavity check share; the node loop makes one kernel call
         # and one cross_deriv call per evaluation of G and J (no halvings
         # here), and the concave payoff takes all 10 offset blocks of the
-        # check; verify_ne builds one context at any thread count
+        # check; verify_ne builds one context at any thread count and
+        # starts no worker
         calls = {"ctx": 0, "kernel": 0, "cross": 0, "node_kernel": None, "concavity": None}
         real_init = PayoffContext.__post_init__
         real_terms, real_cross = equilibrium.payoff_terms, equilibrium.cross_deriv
@@ -467,6 +509,12 @@ class TestBatchedBestResponse:
         assert rep.converged and calls["ctx"] == 2
         assert calls["node_kernel"] == calls["cross"] == rep.iterations
         assert calls["concavity"] == 10
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("verify_ne called map_ordered")
+
+        monkeypatch.setattr(parallel, "map_ordered", no_workers)
+        monkeypatch.setattr(equilibrium, "map_ordered", no_workers, raising=False)
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("AEL_THREADS", threads)
             calls["ctx"] = 0

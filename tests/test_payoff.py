@@ -337,9 +337,13 @@ class TestDerivedContexts:
     @given(context_cases(), st.data())
     def test_row_slice_is_a_fresh_one(self, case, data):
         params, fees, rule, rows, x, (values, _) = case
-        start = data.draw(st.integers(0, rows.shape[0] - 1))
-        stop = data.draw(st.integers(start + 1, rows.shape[0]))
+        n = rows.shape[0]
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        # a slice, or integer rows in any order with repeats
+        index = data.draw(st.sampled_from([slice(start, stop), np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))]))
         delta = Strategy(rule[0], values)
         full = PayoffContext(rows, delta, params, fees, rule)
-        fresh = PayoffContext(rows[start:stop], delta, params, fees, rule)
-        assert_same_context(full.rows(start, stop), fresh, x[start:stop])
+        fresh = PayoffContext(rows[index], delta, params, fees, rule)
+        assert_same_context(full.rows(index), fresh, x[index])
