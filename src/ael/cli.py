@@ -50,7 +50,7 @@ from .model import (
     analytic_stats,
     default_rule,
 )
-from .payoff import PayoffContext, payoff_deriv, payoff_terms, penalized_payoff
+from .payoff import PayoffContext, check_sigma_a, payoff_deriv, payoff_terms, penalized_payoff
 from .parallel import worker_count
 from .simulator import SimConfig, SimReport, estimate_limit_payoff, estimate_stats
 
@@ -121,7 +121,7 @@ _SCHEMA: dict[str, tuple] = {
     "curve.n": (_p_count, 201),
     "curve.sigma_a": (_p_sigma_a, "mid"),
     "validate.samples": (_p_int, 200000),
-    "verify.x_samples": (_p_int, 33),
+    "verify.x_samples": (_p_int, equilibrium.VERIFY_X_SAMPLES),
     "output.path": (str, "out.csv"),
 }
 
@@ -216,6 +216,9 @@ class RunConfig:
     def solver(self) -> equilibrium.SolverConfig:
         knobs = {f.name: self[f"solver.{f.name}"] for f in fields(equilibrium.SolverConfig)}
         return _checked("solver parameters", equilibrium.SolverConfig, **knobs)
+
+    def rule(self, market: MarketParams) -> tuple[np.ndarray, np.ndarray]:
+        return default_rule(market, self.solver().quad_n)
 
     def sim(self, samples: int | None = None) -> SimConfig:
         n = self["sim.samples"] if samples is None else samples
@@ -317,7 +320,7 @@ _STAT_COLS = tuple(f.name for f in fields(PairStats))  # astuple(PairStats) foll
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
-    stats = analytic_stats(delta, market, default_rule(market, cfg.solver().quad_n))
+    stats = analytic_stats(delta, market, cfg.rule(market))
     header = list(_STAT_COLS)
     row = list(astuple(stats))
     if args.simulate:
@@ -354,6 +357,9 @@ def cmd_solve_ne(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_optimal_fee(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if cfg["fees.scheme"] != "spread_quad":
+        raise ConfigError(f"key fees.scheme: optimal-fee prices spread_quad only, "
+                          f"got {cfg['fees.scheme']!r}")
     market = cfg.market()
     grid = cfg["sweep.gammas"] or tuple(
         np.linspace(cfg["sweep.gamma_min"], cfg["sweep.gamma_max"], cfg["sweep.count"])
@@ -382,8 +388,8 @@ def cmd_payoff_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
     sigma_a = cfg["curve.sigma_a"]
     if sigma_a == "mid":
         sigma_a = 0.5 * (market.sigma_minus + market.sigma_plus)
-    ctx = _checked("key curve.sigma_a", PayoffContext, sigma_a, delta, market, cfg.fees(),
-                   default_rule(market, cfg.solver().quad_n))
+    _checked("key curve.sigma_a", check_sigma_a, sigma_a, market)
+    ctx = PayoffContext(sigma_a, delta, market, cfg.fees(), cfg.rule(market))
     xs = np.linspace(cfg["curve.x_min"], cfg["curve.x_max"], cfg["curve.n"])
     rows = np.column_stack([xs, *payoff_terms(xs, ctx, (0, 1))]).tolist()
     write_csv(cfg["output.path"], "payoff-curve", cfg, ["x", "payoff", "deriv"], rows)
@@ -416,7 +422,7 @@ def _check_derivative_fd(cfg, market):
     rng = np.random.default_rng(2024)
     schemes = [NoFee(), SpreadQuad(2.0), MidQuad(0.5), LinearDemand(1.0, 0.3)]
     delta = Strategy.constant(0.3, market, 51)
-    rule = default_rule(market)
+    rule = cfg.rule(market)
     h, worst = 1e-4, 0.0
     for fees in schemes:
         for _ in range(12):
@@ -430,7 +436,7 @@ def _check_derivative_fd(cfg, market):
 
 def _check_payoff_mc(cfg, market):
     delta = Strategy.constant(0.3, market, 51)
-    rule = default_rule(market)
+    rule = cfg.rule(market)
     sim = SimConfig(samples=cfg["validate.samples"], seed=cfg["sim.seed"])
     worst = 0.0
     for i, (x, frac) in enumerate([(0.1, 0.2), (0.4, 0.5), (0.8, 0.9)]):
@@ -445,7 +451,7 @@ def _check_payoff_mc(cfg, market):
 
 def _check_stats_mc(cfg, market):
     delta = cfg.strategy(market)
-    stats = analytic_stats(delta, market, default_rule(market, cfg.solver().quad_n))
+    stats = analytic_stats(delta, market, cfg.rule(market))
     rep = estimate_stats(delta, market, cfg.sim(samples=cfg["validate.samples"]))
     worst = max(
         abs(e - a) / max(se, 1e-300)
@@ -469,17 +475,17 @@ def _check_degenerate_consistency(cfg, market):
 
 
 def _check_certificate(cfg, market):
-    zero = Strategy.constant(0.0, market, 31)
-    c0 = equilibrium.no_ne_certificate(zero, market)
-    shifted = Strategy.constant(0.5, market, 31)
-    c1 = equilibrium.no_ne_certificate(shifted, market)
+    quad_n = cfg.solver().quad_n
+    c0 = equilibrium.no_ne_certificate(Strategy.constant(0.0, market, 31), market, quad_n)
+    c1 = equilibrium.no_ne_certificate(Strategy.constant(0.5, market, 31), market, quad_n)
     ok = abs(c0 - 0.25) <= 1e-10 and c1 > 0.0
     return ok, f"cert(0)={c0:.12f} cert(0.5)={c1:.6f}"
 
 
 def _check_no_ne_gain(cfg, market):
     delta = Strategy.constant(0.3, market, 31)
-    gain = equilibrium.verify_ne(delta, market, NoFee(), x_samples=cfg["verify.x_samples"])
+    gain = equilibrium.verify_ne(delta, market, NoFee(), x_samples=cfg["verify.x_samples"],
+                                 quad_n=cfg.solver().quad_n)
     return gain > 0.0, f"deviation_gain={gain:.6f} (must be > 0)"
 
 

@@ -56,6 +56,7 @@ _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne call: 2.1 MB of kernel scratch
 _POLISH_STEPS = 8  # Newton steps per verify_ne bracket
+VERIFY_X_SAMPLES = 33  # default scan density of verify_ne
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e''
 _CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
 
@@ -64,7 +65,8 @@ _CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
 class SolverConfig:
     """Equilibrium solver knobs: ``quad_n`` quadrature nodes, which are
     the unknowns, and ``grid_n`` uniform rows of the returned strategy;
-    ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G."""
+    ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G.
+    ``quad_n`` is the package's only default node count of a sigma_b rule."""
 
     grid_n: int = 101
     tol: float = 1e-7
@@ -192,7 +194,7 @@ def solve_degenerate(params: MarketParams, fees: FeeScheme) -> float:
 
 
 def existence_bound(
-    params: MarketParams, fees: FeeScheme, quad_n: int = 64
+    params: MarketParams, fees: FeeScheme, quad_n: int = SolverConfig.quad_n
 ) -> tuple[float, float]:
     """Closed-form invariant-set bound C and penalty threshold gamma_min.
 
@@ -382,9 +384,11 @@ def solve_fixed_point(
     )
 
 
-def no_ne_certificate(delta: Strategy, params: MarketParams, n: int = 64) -> float:
-    """Normalized double average of (1/2) Phi(-(d_a + d_b)/Sigma_rho),
-    half the trade probability of ``delta``.
+def no_ne_certificate(
+    delta: Strategy, params: MarketParams, quad_n: int = SolverConfig.quad_n
+) -> float:
+    """Normalized double average of (1/2) Phi(-(d_a + d_b)/Sigma_rho) on
+    the ``quad_n``-node rule, half the trade probability of ``delta``.
 
     An unpenalized equilibrium would force this integral to zero, so a
     positive value certifies that ``delta`` cannot satisfy the
@@ -393,7 +397,7 @@ def no_ne_certificate(delta: Strategy, params: MarketParams, n: int = 64) -> flo
     strategy of 20 on the default market gives 2.3e-151, one of 30
     gives 0.
     """
-    nodes, w = default_rule(params, n)
+    nodes, w = default_rule(params, quad_n)
     return 0.5 * _trade_prob(nodes, w, np.asarray(delta(nodes), dtype=float), params.rho)
 
 
@@ -436,8 +440,8 @@ def verify_ne(
     delta: Strategy,
     params: MarketParams,
     fees: FeeScheme,
-    x_samples: int = 33,
-    quad_n: int = 64,
+    x_samples: int = VERIFY_X_SAMPLES,
+    quad_n: int = SolverConfig.quad_n,
 ) -> float:
     """Largest gain a player can realize by deviating from ``delta``.
 

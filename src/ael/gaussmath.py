@@ -209,14 +209,14 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(a: float, b: float, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the ``n``-node Gauss-Legendre rule
     mapped onto [a, b]; the weights sum to b - a.
 
     Exact for polynomials of degree <= 2n - 1.  The integrands this
-    package feeds it are smooth compositions of the normal CDF/PDF, for
-    which a fixed 64-node rule converges far below the tolerances used
-    anywhere else, while keeping every evaluation deterministic.
+    package feeds it are smooth compositions of the normal CDF/PDF; the
+    caller picks n (``SolverConfig.quad_n`` across the package), and a
+    fixed rule keeps every evaluation deterministic.
     """
     if n < 1:
         raise DomainError("need at least one node")

@@ -352,7 +352,7 @@ def q_tilde_rho(sa, sb, rho: float):
 # --- averaging over the sigma distribution ---------------------------------
 
 
-def default_rule(params: MarketParams, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def default_rule(params: MarketParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights, summing to one, of the ``n``-node
     Gauss-Legendre rule for the uniform average over [sigma_minus,
     sigma_plus].  A degenerate interval collapses to the one node
@@ -386,16 +386,15 @@ def _trade_prob(nodes: np.ndarray, w: np.ndarray, dvals: np.ndarray, rho: float)
 
 
 def analytic_stats(
-    delta: Strategy, params: MarketParams, rule: tuple[np.ndarray, np.ndarray] | None = None
+    delta: Strategy, params: MarketParams, rule: tuple[np.ndarray, np.ndarray]
 ) -> PairStats:
     """Closed-form market statistics for a fixed strategy.
 
-    Strategy moments are averages over ``rule``, the (nodes, weights) of
-    ``default_rule(params, n)``, which None stands for at the default n;
+    Strategy moments are averages over ``rule``, a ``default_rule`` pair;
     the uniform moments of sigma are closed-form.  The trade probability
     needs a double average over both players' sigma.
     """
-    nodes, w = default_rule(params) if rule is None else rule
+    nodes, w = rule
     dvals = delta(nodes)
     e_d = float(np.dot(w, dvals))
     e_d2 = float(np.dot(w, dvals * dvals))

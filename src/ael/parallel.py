@@ -1,4 +1,4 @@
-"""The worker threads every parallel loop of the package shares.
+"""The worker threads of the Monte Carlo chunks, the package's only parallel loop.
 
 ``AEL_THREADS`` caps their number (0 or unset means one per CPU the
 process may run on).  The workers form one pool per process, started by

@@ -33,12 +33,12 @@ volume-weighted variant
 One kernel, ``payoff_terms``, evaluates all of these.  A context built
 on an array of sigma_a caches S, Q and Q~ as matrices with one row per
 sigma_a and one column per quadrature node, once, together with the
-strategy values at the nodes, their moments and the x-free factors of
+strategy values at the nodes and the x-free factors of
 the second-derivative integrand: e'' is avg[Phi'(u) (a0 + x (a1 + x a2))],
 and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
 S, Q and Q~ do not depend on the strategy: ``PayoffContext.against``
 shares them (and the nodes and weights) with a context against other
-node values, re-deriving only the strategy's values, moments and
+node values, re-deriving only the strategy's values and
 second-derivative factors, and ``PayoffContext.rows`` shares the
 strategy's caches with a context on some of the sigma_a rows.
 Each call computes u and Phi'(u) once for a whole array of offsets, and
@@ -69,12 +69,22 @@ from .model import (
     NoFee,
     SpreadQuad,
     Strategy,
-    default_rule,
     q_rho,
     q_tilde_rho,
     sigma_rho,
     uniform_sigma_moments,
 )
+
+
+def check_sigma_a(sigma_a, params: MarketParams) -> None:
+    """Raise DomainError unless every ``sigma_a`` lies in [sigma_minus,
+    sigma_plus], with 1e-12 relative slack."""
+    slack = 1e-12 * max(1.0, params.sigma_plus)
+    sa = np.asarray(sigma_a, dtype=float)
+    if not np.all((params.sigma_minus - slack <= sa) & (sa <= params.sigma_plus + slack)):
+        raise DomainError(
+            f"sigma_a = {sigma_a} outside [{params.sigma_minus}, {params.sigma_plus}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,7 @@ class PayoffContext:
     node axis, and ``payoff_terms`` takes offsets that broadcast against
     that shape.  The opponent strategy ``delta`` is read once, at its
     node values ``delta_b``, and not stored.  ``rule`` is the ``default_rule``
-    pair the averages over sigma_b use; None stands for ``default_rule(params)``.
+    pair the averages over sigma_b use.
 
     ``against`` and ``rows`` derive contexts without rebuilding the
     x-free caches: the first shares S, Q and Q~ and re-derives what
@@ -98,7 +108,7 @@ class PayoffContext:
     delta: InitVar[Strategy]
     params: MarketParams
     fees: FeeScheme
-    rule: tuple[np.ndarray, np.ndarray] | None = None
+    rule: tuple[np.ndarray, np.ndarray]
 
     # caches, derived in __post_init__
     nodes: np.ndarray = field(init=False, repr=False)
@@ -107,20 +117,13 @@ class PayoffContext:
     sig: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
     qt: np.ndarray = field(init=False, repr=False)
-    e_delta: float = field(init=False, repr=False)
-    e_delta2: float = field(init=False, repr=False)
     e2_poly: tuple = field(init=False, repr=False)
 
     def __post_init__(self, delta: Strategy):
         p = self.params
-        slack = 1e-12 * max(1.0, p.sigma_plus)
-        sa = np.asarray(self.sigma_a, dtype=float)
-        if not np.all((p.sigma_minus - slack <= sa) & (sa <= p.sigma_plus + slack)):
-            raise DomainError(
-                f"sigma_a = {self.sigma_a} outside [{p.sigma_minus}, {p.sigma_plus}]"
-            )
-        nodes, w = default_rule(p) if self.rule is None else self.rule
-        sa = sa[..., None]
+        check_sigma_a(self.sigma_a, p)
+        nodes, w = self.rule
+        sa = np.asarray(self.sigma_a, dtype=float)[..., None]
         set_ = object.__setattr__
         set_(self, "nodes", nodes)
         set_(self, "w", w)
@@ -133,8 +136,6 @@ class PayoffContext:
         """Set the caches that depend on the opponent's node values."""
         set_ = object.__setattr__
         set_(self, "delta_b", delta_b)
-        set_(self, "e_delta", float(np.dot(self.w, delta_b)))
-        set_(self, "e_delta2", float(np.dot(self.w, delta_b**2)))
         set_(self, "e2_poly", _e2_poly(self))
 
     def against(self, values) -> "PayoffContext":
@@ -171,7 +172,8 @@ def _mid_quad_constant(ctx: PayoffContext):
     """x-free part of the mid-price penalty expectation (without gamma/4)."""
     e_sb, e_sb2 = uniform_sigma_moments(ctx.params)
     sa = np.asarray(ctx.sigma_a, dtype=float)
-    return ctx.e_delta2 + sa * sa + e_sb2 + 2.0 * ctx.params.rho * sa * e_sb
+    e_delta2 = float(np.dot(ctx.w, ctx.delta_b**2))
+    return e_delta2 + sa * sa + e_sb2 + 2.0 * ctx.params.rho * sa * e_sb
 
 
 # The exchange penalty a x^2 + b x + c each scheme subtracts from the payoff.
@@ -180,7 +182,9 @@ _PENALTY = {
     SpreadQuad: lambda f, ctx: (f.gamma, 0.0, 0.0),
     LinearDemand: lambda f, ctx: (f.gamma, 0.0, 0.0),
     MidQuad: lambda f, ctx: (
-        0.25 * f.gamma, -0.5 * f.gamma * ctx.e_delta, 0.25 * f.gamma * _mid_quad_constant(ctx)
+        0.25 * f.gamma,
+        -0.5 * f.gamma * float(np.dot(ctx.w, ctx.delta_b)),
+        0.25 * f.gamma * _mid_quad_constant(ctx),
     ),
 }
 

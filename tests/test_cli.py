@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ael
-from ael import cli
+from ael import cli, model
 from ael.cli import main
 from ael.model import MarketParams, SpreadQuad, Strategy, analytic_stats, default_rule
 from ael.payoff import PayoffContext, payoff_deriv, penalized_payoff
@@ -75,15 +75,29 @@ def test_solve_failure_exit_code(tmp_path, args):
      (["solve-ne", "--solve.gammas", "2,3,2"],
       "ael: config error: key solve.gammas: 2.0 and 2.0 share the column delta_gamma_2"),
      (["solve-ne", "--solve.gammas", "0.1234561,0.1234562"],
-      "ael: config error: key solve.gammas: 0.1234561 and 0.1234562 share the column")],
+      "ael: config error: key solve.gammas: 0.1234561 and 0.1234562 share the column"),
+     (["optimal-fee", "--fees.scheme", "linear_demand", "--fees.kbar", "3"],
+      "ael: config error: key fees.scheme: optimal-fee prices spread_quad only, "
+      "got 'linear_demand'"),
+     # a strategy narrower than the market fails alike in every command;
+     # only a sigma_a outside the market is a curve.sigma_a error
+     (["stats", "--strategy.file", "narrow.csv"], "ael: sigma outside strategy span [0.5, 0.9]"),
+     (["simulate", "--strategy.file", "narrow.csv", "--samples", "1000"],
+      "ael: sigma outside strategy span [0.5, 0.9]"),
+     (["payoff-curve", "--strategy.file", "narrow.csv"],
+      "ael: sigma outside strategy span [0.5, 0.9]"),
+     (["payoff-curve", "--strategy.file", "narrow.csv", "--curve.sigma_a", "5"],
+      "ael: config error: key curve.sigma_a: sigma_a = 5.0 outside [0.1, 1.1]")],
     ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma", "unknown_scheme", "bad_market",
          "bad_curve_sigma_a", "curve_sigma_a_out_of_range", "nan_strategy_sigma",
          "negative_sweep_count", "negative_curve_n", "repeated_solve_gamma",
-         "colliding_solve_gammas"],
+         "colliding_solve_gammas", "optimal_fee_other_scheme", "stats_strategy_span",
+         "simulate_strategy_span", "curve_strategy_span", "curve_sigma_a_outside_market"],
 )
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     Path("nan_sigma.csv").write_text("sigma,delta\n0.1,0.2\nnan,0.3\n1.1,0.4\n")
+    Path("narrow.csv").write_text("sigma,delta\n0.5,0.3\n0.9,0.3\n")
     out = tmp_path / "x.csv"
     assert main([*args, "-o", str(out), *TOY]) == 2
     assert not out.exists()
@@ -123,6 +137,35 @@ def test_validate_report_and_exit_code(capsys, rho, code):
     timings = [ln.split(" ") for ln in err.splitlines()]
     assert [t[:2] for t in timings] == [["validate:", name] for name in ran]
     assert all(len(t) == 4 and float(t[2]) >= 0.0 and t[3] == "ms" for t in timings)
+
+
+def test_validate_builds_every_rule_on_solver_quad_n(monkeypatch, capsys):
+    # record the node count of every sigma_b rule, and the check that built it
+    built, running = [], [None]
+    rule = model.default_rule
+
+    def spy(*args, **kwargs):
+        nodes, w = rule(*args, **kwargs)
+        built.append((running[0], nodes.size))
+        return nodes, w
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ael.") and getattr(module, "default_rule", None) is rule:
+            monkeypatch.setattr(module, "default_rule", spy)
+
+    def tagged(name, check):
+        def run(cfg, market):
+            running[0] = name
+            return check(cfg, market)
+        return run
+
+    monkeypatch.setattr(cli, "_CHECKS", [(name, tagged(name, check), needs)
+                                         for name, check, needs in cli._CHECKS])
+    assert main(["validate", *TOY, "--validate.samples", "20000"]) == 0
+    assert "OVERALL: PASS" in capsys.readouterr().out
+    numeric = {name for name, _, _ in cli._CHECKS} - {"rho_assumption"}
+    assert {name for name, _ in built} == numeric
+    assert {size for _, size in built} == {16}
 
 
 @pytest.mark.parametrize("seed, seeds", [(5, [5, 6, 7]), (2**64 - 1, [2**64 - 1, 0, 1])])

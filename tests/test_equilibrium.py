@@ -240,7 +240,8 @@ class TestNoNeCertificate:
     @pytest.mark.parametrize("value", [0.0, 0.3, 5.0, 10.0])
     def test_half_the_trade_probability(self, main_params, value):
         delta = Strategy.constant(value, main_params, 31)
-        half_trade = 0.5 * analytic_stats(delta, main_params).trade_prob
+        rule = default_rule(main_params, SolverConfig.quad_n)
+        half_trade = 0.5 * analytic_stats(delta, main_params, rule).trade_prob
         cert = no_ne_certificate(delta, main_params)
         assert cert == pytest.approx(half_trade, rel=1e-12, abs=0.0)
 
@@ -439,7 +440,7 @@ class TestBatchedBestResponse:
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
         delta = Strategy.constant(0.3, main_params, 11)
         ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
-                            default_rule(main_params))
+                            default_rule(main_params, SolverConfig.quad_n))
         assert not equilibrium._concavity_ok(delta, ctx, bound_c=0.0043)
 
     @pytest.mark.parametrize("where, kernel_calls", [("first", 1), ("last", 10), (None, 10)])
@@ -461,7 +462,7 @@ class TestBatchedBestResponse:
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
         ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
-                            default_rule(main_params))
+                            default_rule(main_params, SolverConfig.quad_n))
         assert equilibrium._concavity_ok(delta, ctx, bound_c=0.0043) is (where is None)
         assert calls == [(5, 1)] * kernel_calls
 
@@ -550,7 +551,7 @@ class TestNewtonSolve:
     def test_residual_is_the_node_correction(self, params, fees):
         rep = solved(params, fees)
         assert rep.converged
-        assert np.array_equal(rep.nodes.grid, default_rule(params)[0])
+        assert np.array_equal(rep.nodes.grid, default_rule(params, SolverConfig.quad_n)[0])
         g, jac = node_system(rep.nodes.values, params, fees)
         assert rep.residual == pytest.approx(float(np.max(np.abs(np.linalg.solve(jac, g)))),
                                              rel=1e-12)
@@ -595,7 +596,8 @@ class TestNewtonSolve:
         offsets = np.linspace(0.0, max(c, 3.0 * rep.strategy.max_value()), 51)[1:, None]
 
         def worst_d2(opponent):
-            ctx = PayoffContext(rep.strategy.grid, opponent, params, fees, default_rule(params))
+            ctx = PayoffContext(rep.strategy.grid, opponent, params, fees,
+                                default_rule(params, SolverConfig.quad_n))
             return float(np.max(payoff_terms(offsets, ctx, (2,))[0]))
 
         at_nodes, at_rows = worst_d2(rep.nodes), worst_d2(rep.strategy)

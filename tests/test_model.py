@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ael.equilibrium import SolverConfig
 from ael.errors import DomainError, OutOfDomain
+from ael.gaussmath import norm_cdf
 from ael.model import (
     MarketParams,
     Strategy,
@@ -205,14 +207,19 @@ def test_lookup_is_bit_identical_to_interp(kind, n, seed):
         assert np.array_equal(s(part), np.interp(part, grid, values))
 
 
+def default_stats(delta, params):
+    """analytic_stats on the rule of the default node count."""
+    return analytic_stats(delta, params, default_rule(params, SolverConfig.quad_n))
+
+
 class TestAnalyticStats:
     def test_zero_strategy_trades_half_the_time(self, main_params):
-        stats = analytic_stats(Strategy.constant(0.0, main_params), main_params)
+        stats = default_stats(Strategy.constant(0.0, main_params), main_params)
         assert stats.trade_prob == pytest.approx(0.5, abs=1e-13)
 
     def test_constant_strategy_closed_form(self, main_params):
         d = 0.3
-        stats = analytic_stats(Strategy.constant(d, main_params), main_params)
+        stats = default_stats(Strategy.constant(d, main_params), main_params)
         _, e_s2 = uniform_sigma_moments(main_params)
         assert stats.spread_mean == pytest.approx(2 * d, abs=1e-12)
         assert stats.spread_var == pytest.approx(2 * e_s2, abs=1e-12)
@@ -227,23 +234,24 @@ class TestAnalyticStats:
         rng = np.random.default_rng(5)
         grid = np.linspace(0.1, 1.1, 21)
         s = Strategy(grid, rng.uniform(0.0, 1.0, 21))
-        assert analytic_stats(s, main_params).mid_error_mean == 0.0
+        assert default_stats(s, main_params).mid_error_mean == 0.0
 
     def test_rho_zero_variance_ratio(self, main_params):
         # with rho = 0 both variances reduce to the same core expression
         s = Strategy.constant(0.25, main_params)
-        stats = analytic_stats(s, main_params)
+        stats = default_stats(s, main_params)
         assert stats.mid_error_var == pytest.approx(stats.spread_var / 4.0, abs=1e-13)
 
     def test_trade_prob_monotone_in_shift(self, main_params):
         probs = [
-            analytic_stats(Strategy.constant(c, main_params), main_params).trade_prob
+            default_stats(Strategy.constant(c, main_params), main_params).trade_prob
             for c in (0.0, 0.1, 0.3, 0.8)
         ]
         assert all(b < a for a, b in zip(probs, probs[1:]))
 
-    def test_explicit_rule_agrees_with_default(self, main_params):
+    def test_averages_use_the_given_rule(self, main_params):
+        # a one-node rule reduces the double average to its one node pair
         s = Strategy.constant(0.4, main_params)
-        a = analytic_stats(s, main_params)
-        b = analytic_stats(s, main_params, default_rule(main_params, 64))
-        assert a == b
+        stats = analytic_stats(s, main_params, (np.array([0.6]), np.array([1.0])))
+        assert stats.trade_prob == pytest.approx(norm_cdf(-0.8 / sigma_rho(0.6, 0.6, 0.0)),
+                                                 rel=1e-15, abs=0.0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from ael.equilibrium import SolverConfig
 from ael.gaussmath import gauss_legendre, norm_cdf, norm_pdf
 from ael.model import (
     LinearDemand,
@@ -28,12 +29,13 @@ from ael.payoff import (
 )
 
 ALL_SCHEMES = (NoFee(), SpreadQuad(2.0), MidQuad(0.5), LinearDemand(1.0, 0.3))
+QUAD_N = SolverConfig.quad_n
 
 
 def ctx_for(params, fees, delta_const=0.3, sigma_a=None, grid_n=51):
     sigma_a = 0.5 * (params.sigma_minus + params.sigma_plus) if sigma_a is None else sigma_a
     delta = Strategy.constant(delta_const, params, grid_n)
-    return PayoffContext(sigma_a, delta, params, fees, default_rule(params))
+    return PayoffContext(sigma_a, delta, params, fees, default_rule(params, QUAD_N))
 
 
 class TestBasePayoff:
@@ -200,7 +202,7 @@ class TestKernelOrders:
     def grid_ctx(params, fees):
         delta = Strategy(np.linspace(params.sigma_minus, params.sigma_plus, 21),
                          0.02 + 0.05 * np.linspace(0.0, 1.0, 21))
-        return PayoffContext(delta.grid, delta, params, fees, default_rule(params)), delta
+        return PayoffContext(delta.grid, delta, params, fees, default_rule(params, QUAD_N)), delta
 
     def test_second_derivative_skips_the_cdf(self, main_params, monkeypatch):
         ctx, delta = self.grid_ctx(main_params, SpreadQuad(2.0))
@@ -271,7 +273,7 @@ class TestInPlaceKernel:
         params = MarketParams(0.1, 1.1, rho)
         delta, cases = self.cases(params)
         for sigma_a, x in cases:
-            ctx = PayoffContext(sigma_a, delta, params, fees, default_rule(params))
+            ctx = PayoffContext(sigma_a, delta, params, fees, default_rule(params, QUAD_N))
             for orders in self.ORDERS:
                 got = payoff_terms(x, ctx, orders)
                 want = reference_terms(x, ctx, orders)

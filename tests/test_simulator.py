@@ -13,6 +13,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from ael import simulator
+from ael.equilibrium import SolverConfig
 from ael.errors import WrongScheme
 from ael.model import (
     LinearDemand,
@@ -42,10 +43,11 @@ FEES = LinearDemand(1.0, 0.3)
 DELTA = Strategy.constant(0.3, MARKET, 51)
 SIM = SimConfig(samples=200_000, seed=7)
 POINTS = [(0.1, 0.3), (0.4, 0.6), (0.8, 0.9)]
+QUAD_N = SolverConfig.quad_n
 
 
 def context(sigma_a, fees=FEES):
-    return PayoffContext(sigma_a, DELTA, MARKET, fees, default_rule(MARKET))
+    return PayoffContext(sigma_a, DELTA, MARKET, fees, default_rule(MARKET, QUAD_N))
 
 
 @pytest.mark.parametrize("x, sigma_a", POINTS)
@@ -214,7 +216,7 @@ def test_estimated_stats_match_analytic_stats(sigma_minus, spread, rho_frac, lev
     sigma_plus = sigma_minus * spread
     market = MarketParams(sigma_minus, sigma_plus, rho_frac * sigma_minus / sigma_plus)
     delta = Strategy.constant(level * sigma_minus, market, 11)
-    analytic = analytic_stats(delta, market, default_rule(market))
+    analytic = analytic_stats(delta, market, default_rule(market, QUAD_N))
     rep = estimate_stats(delta, market, SimConfig(samples=50_000, seed=seed))
     for a, e, se in zip(astuple(analytic), astuple(rep.stats), rep.std_errors):
         assert abs(e - a) <= 4.0 * se
