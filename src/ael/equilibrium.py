@@ -11,7 +11,10 @@ elsewhere is one best response against x, the Nystrom interpolant
 Kind, 1997, section 4.1).  Convergence is verified through the Newton
 correction max|J^-1 G|, a distance in delta; one concavity check against
 the solved nodes (``_concavity_ok``) decides whether each root of the
-output rows is the argmax on the offsets the strategy plays.
+output rows is the argmax on the offsets the strategy plays.  It proves
+a row strictly concave on that whole interval where a closed-form bound
+on e'' (``payoff.second_deriv_bound``) is negative, and samples e''
+on the other rows.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
 exists; ``no_ne_certificate`` returns the aggregated first-order-condition
@@ -48,7 +51,7 @@ from .model import (
     sigma_rho,
     uniform_grid,
 )
-from .payoff import PayoffContext, cross_deriv, payoff_terms
+from .payoff import PayoffContext, cross_deriv, payoff_terms, second_deriv_bound
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_NEWTON = 100  # Newton steps of a best response
@@ -57,7 +60,7 @@ _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne call: 2.1 MB of kernel scratch
 _POLISH_STEPS = 8  # Newton steps per verify_ne bracket
 VERIFY_X_SAMPLES = 33  # default scan density of verify_ne
-_CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e''
+_CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
 _CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
 
 
@@ -94,7 +97,9 @@ class EquilibriumReport:
     the Newton correction max|J^-1 G| at ``nodes``; ``iterations``: the
     evaluations of G and J.  ``concavity_ok``: the penalized payoff
     against ``nodes`` has a negative second derivative at every row on
-    the offsets (0, max(C, 3 max strategy)].  ``converged``: the residual
+    the offsets (0, max(C, 3 max strategy)], proven on the whole interval
+    at the rows where ``payoff.second_deriv_bound`` allows it and sampled
+    at the others.  ``converged``: the residual
     reached ``tol`` and ``concavity_ok`` holds.
     """
 
@@ -301,18 +306,25 @@ def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
     (0, max(bound_C, 3 max rows)].
 
     The upper end covers both the invariant set and the offsets over
-    which ``verify_ne`` takes its supremum on ``rows``.  The second
-    derivative is sampled at ``_CONCAVITY_OFFSETS`` offsets, one kernel
-    call over all rows per block of ``_CONCAVITY_BLOCK`` offsets,
-    stopping at the first block with a non-negative value.  Strict
-    concavity there also rules out a second sign change of the
-    derivative, so each located root is the argmax on that interval.
-    The check samples e''; it does not measure how far a row is from
-    its argmax, which is what ``verify_ne``'s gain does.
+    which ``verify_ne`` takes its supremum on ``rows``.  A row whose
+    closed-form bound on e'' (``payoff.second_deriv_bound``) is negative
+    is proven strictly concave on the whole interval.  On the other rows
+    e'' is sampled at ``_CONCAVITY_OFFSETS`` offsets, one kernel call
+    over those rows per block of ``_CONCAVITY_BLOCK`` offsets, stopping
+    at the first block with a non-negative value.  Strict concavity
+    also rules out a second sign change of the derivative, so each
+    located root is the argmax on that interval.  The check bounds or
+    samples e''; it does not measure how far a row is from its argmax,
+    which is what ``verify_ne``'s gain does.
     """
     hi = max(bound_c, _DEVIATION_SPAN * rows.max_value())
     if not 0.0 < hi < math.inf:
         return False
+    # a NaN bound proves nothing, so it is sampled too
+    unproven = np.flatnonzero(~(second_deriv_bound(ctx, hi) < 0.0))
+    if not unproven.size:
+        return True
+    ctx = ctx.rows(unproven)
     offsets = np.linspace(0.0, hi, _CONCAVITY_OFFSETS + 1)[1:]
     for block in offsets.reshape(-1, _CONCAVITY_BLOCK, 1):
         (d2,) = payoff_terms(block, ctx, (2,))

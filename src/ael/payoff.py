@@ -50,6 +50,13 @@ operation, with the operations of the formulas above in their order, so
 the bits are those of the plain expressions.  The fee scheme contributes
 one closed-form quadratic penalty.  Contexts are immutable and
 evaluations pure, hence freely shareable across workers.
+
+``second_deriv_bound`` bounds the penalized e'' (or h'') from above on a
+whole interval of offsets [0, hi], at every sigma_a, from the same
+caches: Phi'(u) by its largest value over the interval's range of u,
+the polynomial in x by the larger of its end values (it is linear or
+convex) floored at 0, and -(1 - Phi(u)) by its value at the top of the
+range.  It takes one (sigma_a, nodes) array per term and no offset axis.
 """
 
 from __future__ import annotations
@@ -189,6 +196,14 @@ _PENALTY = {
 }
 
 
+def _penalty(ctx: PayoffContext) -> tuple:
+    """The (a, b, c) of the exchange penalty of ``ctx.fees``."""
+    fees = ctx.fees
+    if type(fees) not in _PENALTY:
+        raise WrongScheme(f"unknown fee scheme {fees!r}")
+    return _PENALTY[type(fees)](fees, ctx)
+
+
 def _averages(x: np.ndarray, ctx: PayoffContext, orders) -> list:
     """Averages over sigma_b, one per order, of the base integrand (the
     half-linear one times kbar/2 under half-linear demand) and its x-derivatives.
@@ -285,14 +300,37 @@ def payoff_terms(x, ctx: PayoffContext, orders=(0, 1, 2)) -> list:
     ``x`` broadcasts against the shape of ``ctx.sigma_a``: one offset per
     sigma_a, or any array of offsets for a single sigma_a.
     """
-    fees = ctx.fees
-    if type(fees) not in _PENALTY:
-        raise WrongScheme(f"unknown fee scheme {fees!r}")
-    a, b, c = _PENALTY[type(fees)](fees, ctx)
+    a, b, c = _penalty(ctx)
     x = np.asarray(x, dtype=float)
     penalty = (lambda: x * (a * x + b) + c, lambda: 2.0 * a * x + b, lambda: 2.0 * a)
     avgs = _averages(x, ctx, orders)
     return [avg - penalty[k]() for k, avg in zip(orders, avgs)]
+
+
+def second_deriv_bound(ctx: PayoffContext, hi: float) -> np.ndarray:
+    """Upper bound, at every sigma_a of ``ctx``, on the penalized second
+    derivative over all offsets x in [0, hi].
+
+    u = (x + d)/S stays in [d/S, (hi + d)/S], so Phi'(u) is at most its
+    value at the point of that interval nearest 0.  The x-polynomial of
+    ``ctx.e2_poly`` is linear or convex (its x^2 factor Q~/S^3 is taken
+    as at least 0), so its maximum on [0, hi] lies at x = 0 or x = hi;
+    floored at 0, it times that Phi' bounds the Phi' term.  Under
+    half-linear demand -(1 - Phi(u)) is at most its value at the
+    largest u.  The bound takes one (sigma_a, nodes) array per term and
+    no offset axis.
+    """
+    a = _penalty(ctx)[0]
+    d, s = ctx.delta_b, ctx.sig
+    top = (hi + d) / s
+    *coef, lead = ctx.e2_poly
+    at_hi = np.maximum(lead, 0.0)
+    for c in reversed(coef):
+        at_hi = at_hi * hi + c
+    bound = norm_pdf(np.clip(0.0, d / s, top)) * np.maximum(np.maximum(coef[0], at_hi), 0.0)
+    if isinstance(ctx.fees, LinearDemand):
+        bound = 0.5 * ctx.fees.kbar * (bound - norm_cdf(-top))
+    return bound @ ctx.w - 2.0 * a
 
 
 def cross_deriv(x, ctx: PayoffContext) -> np.ndarray:

@@ -23,7 +23,13 @@ from ael.model import (
     q_rho,
     sigma_rho,
 )
-from ael.payoff import PayoffContext, cross_deriv, payoff_deriv, payoff_terms
+from ael.payoff import (
+    PayoffContext,
+    cross_deriv,
+    payoff_deriv,
+    payoff_terms,
+    second_deriv_bound,
+)
 from ael.equilibrium import (
     SolverConfig,
     best_response,
@@ -376,6 +382,12 @@ def scalar_best_response(delta, params, fees, quad_n=64):
     return np.array(out)
 
 
+def no_row_certified(ctx, hi):
+    """What ``payoff.second_deriv_bound`` says of a faked e'': it reads the
+    real context, so it proves no row, and every row is sampled."""
+    return np.zeros(np.shape(ctx.sigma_a))
+
+
 class TestBatchedBestResponse:
     @pytest.mark.parametrize(
         "params",
@@ -409,6 +421,7 @@ class TestBatchedBestResponse:
             return [{1: d1, 2: d2}[k] for k in orders]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         delta = Strategy.constant(0.1, main_params, 11)
         br = best_response(delta, main_params, SpreadQuad(2.0), FAST)
         assert np.max(np.abs(br.values - 0.2)) <= 1e-9
@@ -427,6 +440,7 @@ class TestBatchedBestResponse:
             return [t + bump if k == 2 else t for k, t in zip(orders, terms)]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", bumped)
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
         assert rep.residual <= FAST.tol
         assert not rep.converged
@@ -438,6 +452,7 @@ class TestBatchedBestResponse:
             return [np.asarray(x, dtype=float) - 0.1 for _ in orders]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         delta = Strategy.constant(0.3, main_params, 11)
         ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
                             default_rule(main_params, SolverConfig.quad_n))
@@ -461,6 +476,7 @@ class TestBatchedBestResponse:
             return [np.where(bump, 1.0, -1.0) for _ in orders]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
                             default_rule(main_params, SolverConfig.quad_n))
         assert equilibrium._concavity_ok(delta, ctx, bound_c=0.0043) is (where is None)
@@ -474,9 +490,9 @@ class TestBatchedBestResponse:
         # evaluation, and one output-row context that the row best response
         # and the concavity check share; the node loop makes one kernel call
         # and one cross_deriv call per evaluation of G and J (no halvings
-        # here), and the concave payoff takes all 10 offset blocks of the
-        # check; verify_ne builds one context at any thread count and
-        # starts no worker
+        # here), and the closed-form bound proves every row of the default
+        # market concave, so the check samples no offset block; verify_ne
+        # builds one context at any thread count and starts no worker
         calls = {"ctx": 0, "kernel": 0, "cross": 0, "node_kernel": None, "concavity": None}
         real_init = PayoffContext.__post_init__
         real_terms, real_cross = equilibrium.payoff_terms, equilibrium.cross_deriv
@@ -509,7 +525,7 @@ class TestBatchedBestResponse:
         rep = solve_fixed_point(main_params, fees, SolverConfig())
         assert rep.converged and calls["ctx"] == 2
         assert calls["node_kernel"] == calls["cross"] == rep.iterations
-        assert calls["concavity"] == 10
+        assert calls["concavity"] == 0
 
         def no_workers(*args, **kwargs):
             raise AssertionError("verify_ne called map_ordered")
@@ -700,6 +716,71 @@ class TestNewtonSolve:
         rep = solve_fixed_point(params, fees, cfg)
         assert rep.nodes.values.tobytes() == x.tobytes()
         assert rep.residual == residual and rep.iterations == iterations
+
+
+def concavity_args(params, fees):
+    """A solve and what it hands ``_concavity_ok``: the output rows, their
+    context against the solved nodes, and the invariant-set bound C."""
+    rep = solved(params, fees)
+    ctx = PayoffContext(rep.strategy.grid, rep.nodes, params, fees,
+                        default_rule(params, SolverConfig.quad_n))
+    return rep, (rep.strategy, ctx, existence_bound(params, fees)[0])
+
+
+class TestConcavityBound:
+    # the closed-form bound decides which rows the check samples, never
+    # the verdict
+
+    def assert_sampled_verdict(self, params, fees, monkeypatch):
+        rep, args = concavity_args(params, fees)
+        with_bound = equilibrium._concavity_ok(*args)
+        with monkeypatch.context() as m:
+            m.setattr(equilibrium, "second_deriv_bound", no_row_certified)
+            sampled = equilibrium._concavity_ok(*args)
+        assert with_bound is sampled is rep.concavity_ok
+
+    @SOLVER_CASES
+    @pytest.mark.parametrize("rho", [0.0, 0.03])
+    def test_verdict_is_the_sampled_one(self, params, fees, rho, monkeypatch):
+        self.assert_sampled_verdict(replace(params, rho=rho), fees, monkeypatch)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.1337, 0.5, 2.0])
+    def test_verdict_is_the_sampled_one_at_low_gamma(self, main_params, gamma, monkeypatch):
+        self.assert_sampled_verdict(main_params, SpreadQuad(gamma), monkeypatch)
+
+    @staticmethod
+    def sampled_rows(args, monkeypatch):
+        """The sigma_a of every kernel call of a concave ``_concavity_ok``."""
+        seen = []
+        real = equilibrium.payoff_terms
+
+        def spy(x, ctx, orders):
+            seen.append(ctx.sigma_a)
+            return real(x, ctx, orders)
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", spy)
+        assert equilibrium._concavity_ok(*args)
+        return seen
+
+    def test_only_the_unproven_rows_are_sampled(self, main_params, monkeypatch):
+        # at gamma = 0.1337 the bound proves about half the rows; the scan
+        # takes all 10 blocks on exactly the others
+        _, args = concavity_args(main_params, SpreadQuad(0.1337))
+        rows, ctx, bound_c = args
+        hi = max(bound_c, 3.0 * rows.max_value())
+        unproven = rows.grid[second_deriv_bound(ctx, hi) >= 0.0]
+        assert 0 < unproven.size < rows.grid.size
+        seen = self.sampled_rows(args, monkeypatch)
+        assert len(seen) == 10
+        assert all(np.array_equal(sigma_a, unproven) for sigma_a in seen)
+
+    def test_a_nan_bound_proves_no_row(self, main_params, monkeypatch):
+        _, args = concavity_args(main_params, SpreadQuad(2.0))
+        monkeypatch.setattr(equilibrium, "second_deriv_bound",
+                            lambda ctx, hi: np.full(np.shape(ctx.sigma_a), np.nan))
+        seen = self.sampled_rows(args, monkeypatch)
+        assert len(seen) == 10
+        assert all(np.array_equal(sigma_a, args[0].grid) for sigma_a in seen)
 
 
 class TestExistenceBoundQuadrature:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from ael.equilibrium import SolverConfig
+from ael.errors import WrongScheme
 from ael.gaussmath import gauss_legendre, norm_cdf, norm_pdf
 from ael.model import (
     LinearDemand,
@@ -349,3 +350,46 @@ class TestDerivedContexts:
         full = PayoffContext(rows, delta, params, fees, rule)
         fresh = PayoffContext(rows[index], delta, params, fees, rule)
         assert_same_context(full.rows(index), fresh, x[index])
+
+
+@st.composite
+def bound_cases(draw):
+    """(row context, hi) on a random market with 0 <= rho <= sigma_minus /
+    sigma_plus (or a degenerate one on its one-node rule), against random
+    node values of which one is negative, under any fee scheme."""
+    sm = draw(st.floats(0.05, 1.5))
+    degenerate = draw(st.booleans())
+    sp = sm if degenerate else sm + draw(st.floats(0.05, 2.0))
+    rho = min(draw(st.floats(0.0, 1.0)) * sm / sp, 0.99)
+    params = MarketParams(sm, sp, rho)
+    rule = default_rule(params, draw(st.integers(2, 12)))
+    n_nodes = rule[0].size
+    hi = draw(st.floats(0.01, 3.0))
+    values = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n_nodes, max_size=n_nodes)))
+    # below -hi the whole u interval is negative; above it, Phi' peaks at u = 0
+    values[draw(st.integers(0, n_nodes - 1))] = -draw(st.floats(0.01, 1.5)) * hi
+    gamma, kbar = draw(st.floats(0.01, 3.0)), draw(st.floats(0.2, 2.0))
+    fees = draw(st.sampled_from((NoFee(), SpreadQuad(gamma), MidQuad(gamma),
+                                 LinearDemand(kbar, gamma))))
+    rows = np.linspace(sm, sp, 1 if degenerate else draw(st.integers(1, 9)))
+    # a Strategy holds no negative value, but a re-pointed context does
+    ctx = PayoffContext(rows, Strategy(rule[0], np.zeros(n_nodes)), params, fees, rule)
+    return ctx.against(values), hi
+
+
+class TestSecondDerivBound:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bound_cases())
+    def test_bounds_every_sampled_second_derivative(self, case):
+        ctx, hi = case
+        (d2,) = payoff_terms(np.linspace(0.0, hi, 201)[:, None], ctx, (2,))
+        bound = payoff.second_deriv_bound(ctx, hi)
+        assert bound.shape == ctx.sigma_a.shape
+        scale = 1.0 + float(np.max(np.abs(d2)))
+        assert np.all(bound >= d2.max(axis=0) - 1e-12 * scale)
+
+    def test_unknown_scheme_rejected(self, main_params):
+        ctx = ctx_for(main_params, SpreadQuad(2.0))
+        object.__setattr__(ctx, "fees", object())
+        with pytest.raises(WrongScheme):
+            payoff.second_deriv_bound(ctx, 1.0)
