@@ -21,7 +21,11 @@ exists; ``no_ne_certificate`` returns the aggregated first-order-condition
 integral that witnesses this (half the trade probability, positive
 until the Gaussian tail underflows), and ``verify_ne`` returns the
 supremum of the gain a player can realize by deviating from a candidate
-strategy, over offsets up to three times its largest value.
+strategy, over offsets up to three times its largest value.  On the rows
+the same bound on e'' proves strictly concave there, that supremum is
+taken by Newton from the held offset; the other rows are scanned and
+polished, and only on those can a maximum be missed, when a scan
+interval hides two sign changes of e'.
 
 For a degenerate market (sigma_minus = sigma_plus) the equilibrium
 reduces to a scalar root of the one-dimensional first-order condition,
@@ -58,7 +62,7 @@ _MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne call: 2.1 MB of kernel scratch
-_POLISH_STEPS = 8  # Newton steps per verify_ne bracket
+_POLISH_STEPS = 8  # Newton steps per verify_ne bracket or proven row
 VERIFY_X_SAMPLES = 33  # default scan density of verify_ne
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
 _CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
@@ -448,6 +452,52 @@ def _polish(ctx: PayoffContext, row, lo, up, d_lo, d_up, tol: float) -> np.ndarr
     return x
 
 
+def _concave_sup(ctx: PayoffContext, x, terms, hi: float, tol: float):
+    """Supremum of the payoff over [0, hi] at every row of ``ctx``, each
+    strictly concave there, by safeguarded Newton on e' from the offsets
+    ``x``, where ``terms`` holds e, e' and e''.
+
+    e' falls on the whole interval, so its sign at each iterate narrows
+    the bracket of the one root.  Each step is one kernel call on all
+    rows: the Newton point clipped to [0, hi], or the midpoint where it
+    leaves the bracket between two iterates.  No end value is computed
+    unless an iterate is clipped to that end; if e' there still points
+    out of the interval, the next step is zero and the end is the
+    maximiser.  Stops once no step exceeds ``tol``, or after
+    ``_POLISH_STEPS`` steps.  Returns e at the last iterate and whether
+    each row's last step is within ``tol``; a row whose iterates go
+    non-finite fails that test.
+    """
+    lo = np.full(x.shape, np.nan)
+    up = np.full(x.shape, np.nan)
+    for steps in range(_POLISH_STEPS + 1):
+        vals, d1, d2 = terms
+        lo = np.where(d1 > 0.0, x, lo)
+        up = np.where(d1 < 0.0, x, up)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.clip(x - d1 / d2, 0.0, hi)
+        step = np.where((newton < lo) | (newton > up), 0.5 * (lo + up), newton) - x
+        done = np.abs(step) <= tol
+        if np.all(done) or steps == _POLISH_STEPS:
+            return vals, done
+        x = x + step
+        terms = payoff_terms(x, ctx, (0, 1, 2))
+
+
+def _scan_sup(ctx: PayoffContext, rows: np.ndarray, xs: np.ndarray, tol: float) -> np.ndarray:
+    """Supremum of the payoff over the offsets ``xs`` at rows ``rows`` of
+    ``ctx``: e and e' at every offset, then every + -> - sign change of
+    e' between neighbours polished to a local maximum (``_polish``)."""
+    vals, slopes = _row_terms(ctx, rows, np.broadcast_to(xs, (rows.size, xs.size)), (0, 1))
+    at, j = np.nonzero((slopes[:, :-1] > 0.0) & (slopes[:, 1:] <= 0.0))
+    peaks = _polish(ctx, rows[at], xs[j], xs[j + 1], slopes[at, j], slopes[at, j + 1], tol)
+    best = vals.max(axis=1)
+    if at.size:
+        (peak_vals,) = _row_terms(ctx, rows[at], peaks[:, None], (0,))
+        np.maximum.at(best, at, peak_vals[:, 0])
+    return best
+
+
 def verify_ne(
     delta: Strategy,
     params: MarketParams,
@@ -458,17 +508,26 @@ def verify_ne(
     """Largest gain a player can realize by deviating from ``delta``.
 
     At every grid sigma_a, the supremum of payoff(x) over the offsets
-    x in [0, 3 * max(delta)], less payoff(delta(sigma_a)), maximized over
-    the rows; the held offset is a candidate, so the gain is >= 0.
-    ``x_samples`` evenly spaced offsets are scanned for e and e'.  Every
-    + -> - sign change of e' between neighbours brackets a local maximum,
-    polished by safeguarded Newton to a step of 1e-12 * (3 max delta), in
-    at most ``_POLISH_STEPS`` steps (``_polish``).  The supremum is the
-    largest of the scanned values and the polished maxima, so a maximum
-    is missed only when a scan interval hides two sign changes of e'.
+    x in [0, hi], hi = 3 * max(delta), less payoff(delta(sigma_a)),
+    maximized over the rows; the held offset is a candidate, so the gain
+    is >= 0.  One kernel call gives e, e' and e'' at the held offset of
+    every row.
+
+    A row whose closed-form bound on e'' over [0, hi]
+    (``payoff.second_deriv_bound``) is negative is strictly concave
+    there, so its supremum is the one root of e' or an end of the
+    interval: safeguarded Newton from the held offset finds it to a step
+    of 1e-12 * hi, in at most ``_POLISH_STEPS`` steps on all such rows
+    together (``_concave_sup``).  Every other row, and a proven one whose
+    Newton does not reach that step, is scanned: ``x_samples`` evenly
+    spaced offsets for e and e', and every + -> - sign change of e'
+    between neighbours polished to the same step (``_scan_sup``).  A
+    scanned row's supremum is the largest of its scanned values and
+    polished maxima, so on scanned rows a maximum is missed only when a
+    scan interval hides two sign changes of e'.
 
     One context holds every grid row and is sliced by
-    ``PayoffContext.rows``; each kernel call holds at most
+    ``PayoffContext.rows``; each scan call holds at most
     ``_BLOCK_ELEMENTS`` values.  A true equilibrium yields a value at
     rounding level, and a converged solve one of order e'' times the
     squared distance between each row and its best response.
@@ -478,15 +537,18 @@ def verify_ne(
     hi = _DEVIATION_SPAN * delta.max_value()
     if not hi > 0.0:
         hi = 1.0
-    xs = np.linspace(0.0, hi, x_samples)
+    tol = 1e-12 * hi
     ctx = PayoffContext(delta.grid[:, None], delta, params, fees, default_rule(params, quad_n))
-    rows = np.arange(delta.grid.size)
-    vals, slopes = _row_terms(ctx, rows, np.broadcast_to(xs, (rows.size, x_samples)), (0, 1))
-    at, j = np.nonzero((slopes[:, :-1] > 0.0) & (slopes[:, 1:] <= 0.0))
-    peaks = _polish(ctx, at, xs[j], xs[j + 1], slopes[at, j], slopes[at, j + 1], 1e-12 * hi)
-    # one call values the polished maxima, then the held offset of every row
-    (ends,) = _row_terms(ctx, np.append(at, rows), np.append(peaks, delta.values)[:, None], (0,))
-    held = ends[at.size:, 0]
-    best = np.maximum(vals.max(axis=1), held)
-    np.maximum.at(best, at, ends[:at.size, 0])
-    return float(np.max(best - held))
+    x = delta.values[:, None]
+    terms = payoff_terms(x, ctx, (0, 1, 2))
+    held = terms[0][:, 0]
+    best = held.copy()
+    # a NaN bound proves nothing, so that row is scanned
+    proven = np.flatnonzero(second_deriv_bound(ctx, hi)[:, 0] < 0.0)
+    sup, done = _concave_sup(ctx.rows(proven), x[proven], [t[proven] for t in terms], hi, tol)
+    solved = proven[done[:, 0]]
+    best[solved] = sup[done]
+    scan = np.setdiff1d(np.arange(delta.grid.size), solved)
+    if scan.size:
+        best[scan] = _scan_sup(ctx, scan, np.linspace(0.0, hi, x_samples), tol)
+    return float(np.max(np.maximum(best, held) - held))

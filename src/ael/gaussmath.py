@@ -32,10 +32,13 @@ _EPS = np.finfo(float).eps
 
 
 def norm_cdf(x, out=None):
-    """Standard-normal CDF, accurate to ~1 ulp over the whole real line.
+    """Standard-normal CDF, 0.5 * erfc(-x / sqrt(2)).
 
-    Evaluated through scipy's complementary error function so the far
-    tails do not lose accuracy to cancellation.  Elementwise on arrays;
+    scipy's complementary error function keeps the lower tail free of
+    cancellation, but not of the rounding of x / sqrt(2) and of an
+    unsplit exp(-z^2): against 40-digit mpmath, 3001 points per range,
+    the relative error reaches 1034 eps on x in [-37, -10], 74 eps on
+    [-10, -3] and 10 eps on [-3, 0].  Elementwise on arrays;
     a scalar gives a numpy.float64.  With ``out`` every step writes
     there, so no temporary is allocated; ``out`` may be ``x`` itself.
     """

@@ -6,6 +6,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ael.equilibrium as equilibrium
 import ael.parallel as parallel
@@ -341,6 +343,7 @@ class TestVerifyNe:
             return [ctx.sigma_a * terms[k] for k in orders]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         delta = Strategy.constant(0.3, main_params, 11)
         xs = np.linspace(0.0, 0.9, x_samples)
         assert len({np.searchsorted(xs, p) for p in (p1, m, p2)}) == 3
@@ -349,10 +352,78 @@ class TestVerifyNe:
         got = verify_ne(delta, main_params, SpreadQuad(2.0), x_samples)
         assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
-    def test_scan_memory_is_one_row_at_a_time(self, main_params):
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_newton_sup_is_the_scanned_sup(self, data):
+        # a random market with rho within its bound, the spread penalty or
+        # half-linear demand, and a converged solve's rows: as solved, each
+        # moved by up to 1e-3, or all scaled, which puts some suprema at an
+        # end of [0, 3 max delta]; the real bound proves rows concave and
+        # takes their supremum by Newton, the faked one scans every row
+        sm = data.draw(st.floats(0.05, 1.5))
+        sp = sm + data.draw(st.floats(0.05, 2.0))
+        params = MarketParams(sm, sp, data.draw(st.floats(0.0, 1.0)) * sm / sp)
+        gamma = data.draw(st.floats(0.05, 3.0))
+        fees = data.draw(st.sampled_from(
+            [SpreadQuad(gamma), LinearDemand(data.draw(st.floats(0.2, 2.0)), gamma)]))
+        cfg = SolverConfig(grid_n=data.draw(st.integers(2, 60)), quad_n=data.draw(st.integers(4, 40)))
+        delta = solve_fixed_point(params, fees, cfg).strategy
+        how = data.draw(st.sampled_from(["solved", "moved", "scaled"]))
+        if how == "moved":
+            moves = data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=delta.grid.size,
+                                       max_size=delta.grid.size))
+            delta = Strategy(delta.grid, np.maximum(delta.values + moves, 0.0))
+        elif how == "scaled":
+            delta = Strategy(delta.grid, data.draw(st.floats(0.05, 2.0)) * delta.values)
+        got = verify_ne(delta, params, fees, quad_n=cfg.quad_n)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(equilibrium, "second_deriv_bound", no_row_certified)
+            scanned = verify_ne(delta, params, fees, quad_n=cfg.quad_n)
+        assert got >= 0.0 and scanned >= 0.0
+        assert got == pytest.approx(scanned, rel=0.0, abs=1e-15)
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """Spy on ``equilibrium.payoff_terms``: a list that gains, per call,
+        the offsets' shape, the context's sigma_a and its kernel values."""
+        calls, real = [], equilibrium.payoff_terms
+
+        def spy(x, ctx, orders):
+            values = np.broadcast(np.asarray(x)[..., None], ctx.sig).size
+            calls.append((np.shape(x), ctx.sigma_a, values))
+            return real(x, ctx, orders)
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", spy)
+        return calls
+
+    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.35)], ids=repr)
+    def test_proven_rows_take_no_scan(self, main_params, fees, monkeypatch):
+        # every row of these solves is proven concave, so every call holds
+        # one offset per row: the held offsets, then the Newton iterates
+        delta = solved(main_params, fees).strategy
+        calls = self.kernel_calls(monkeypatch)
+        verify_ne(delta, main_params, fees)
+        assert calls and all(shape[-1] == 1 for shape, _, _ in calls)
+        assert sum(values for _, _, values in calls) <= 6 * 101 * 64
+
+    def test_only_unproven_rows_are_scanned(self, main_params, monkeypatch):
+        fees = SpreadQuad(0.05)
+        delta = solved(main_params, fees).strategy
+        ctx = PayoffContext(delta.grid[:, None], delta, main_params, fees,
+                            default_rule(main_params, SolverConfig.quad_n))
+        bound = second_deriv_bound(ctx, 3.0 * delta.max_value())[:, 0]
+        unproven = delta.grid[bound >= 0.0]
+        assert 0 < unproven.size < delta.grid.size
+        calls = self.kernel_calls(monkeypatch)
+        verify_ne(delta, main_params, fees, x_samples=33)
+        scanned = [sigma_a for shape, sigma_a, _ in calls if shape[-1] == 33]
+        assert np.array_equal(np.concatenate(scanned)[:, 0], unproven)
+
+    def test_scan_memory_is_one_row_at_a_time(self, main_params, monkeypatch):
         # at 4096 scan points a kernel call takes one grid row, so the peak
         # holds the kernel's four (4096, 64) arrays; a call on all 11 rows
         # would hold 44 such arrays
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         grid = np.linspace(0.1, 1.1, 11)
         delta = Strategy(grid, 0.03 + 0.1 * grid * grid)
         one_row = 4096 * 64 * 8

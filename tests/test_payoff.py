@@ -355,8 +355,11 @@ class TestDerivedContexts:
 @st.composite
 def bound_cases(draw):
     """(row context, hi) on a random market with 0 <= rho <= sigma_minus /
-    sigma_plus (or a degenerate one on its one-node rule), against random
-    node values of which one is negative, under any fee scheme."""
+    sigma_plus (or a degenerate one on its one-node rule), under any fee
+    scheme.  The context is on rows of shape (n,) against random node
+    values of which one is negative, or, as ``verify_ne`` builds it, on
+    rows of shape (n, 1) against a piecewise-linear strategy on its own
+    grid."""
     sm = draw(st.floats(0.05, 1.5))
     degenerate = draw(st.booleans())
     sp = sm if degenerate else sm + draw(st.floats(0.05, 2.0))
@@ -372,6 +375,10 @@ def bound_cases(draw):
     fees = draw(st.sampled_from((NoFee(), SpreadQuad(gamma), MidQuad(gamma),
                                  LinearDemand(kbar, gamma))))
     rows = np.linspace(sm, sp, 1 if degenerate else draw(st.integers(1, 9)))
+    if draw(st.booleans()):
+        grid = np.linspace(sm, sp, 1 if degenerate else draw(st.integers(2, 12)))
+        strategy = draw(st.lists(st.floats(0.0, 2.0), min_size=grid.size, max_size=grid.size))
+        return PayoffContext(rows[:, None], Strategy(grid, strategy), params, fees, rule), hi
     # a Strategy holds no negative value, but a re-pointed context does
     ctx = PayoffContext(rows, Strategy(rule[0], np.zeros(n_nodes)), params, fees, rule)
     return ctx.against(values), hi
@@ -382,7 +389,9 @@ class TestSecondDerivBound:
     @given(bound_cases())
     def test_bounds_every_sampled_second_derivative(self, case):
         ctx, hi = case
-        (d2,) = payoff_terms(np.linspace(0.0, hi, 201)[:, None], ctx, (2,))
+        # one offset axis in front of the rows' shape
+        x = np.linspace(0.0, hi, 201).reshape(-1, *np.ones(ctx.sigma_a.ndim, int))
+        (d2,) = payoff_terms(x, ctx, (2,))
         bound = payoff.second_deriv_bound(ctx, hi)
         assert bound.shape == ctx.sigma_a.shape
         scale = 1.0 + float(np.max(np.abs(d2)))
