@@ -5,7 +5,7 @@ maximizes the penalized payoff against delta itself.  The opponent's
 strategy enters the payoff only through its values x at the q quadrature
 nodes sigma_i, so an equilibrium solves G_i(x) = e'(x_i; sigma_a =
 sigma_i, d = x) = 0, i = 1..q, by Newton's method on the analytic
-Jacobian J = diag(e'') + w * (``payoff.cross_deriv``).  The strategy
+Jacobian J = diag(e'') + w * (the kernel's cross term).  The strategy
 elsewhere is one best response against x, the Nystrom interpolant
 (Atkinson, The Numerical Solution of Integral Equations of the Second
 Kind, 1997, section 4.1).  Convergence is verified through the Newton
@@ -55,7 +55,7 @@ from .model import (
     sigma_rho,
     uniform_grid,
 )
-from .payoff import PayoffContext, cross_deriv, payoff_terms, second_deriv_bound
+from .payoff import PayoffContext, payoff_terms, second_deriv_bound
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_NEWTON = 100  # Newton steps of a best response
@@ -226,6 +226,8 @@ def existence_bound(
         b = (1.0 - rho * sp / sm) / (1.0 - (sm / sp) ** 2)
         lam = 1.0 / (2.0 * b + 1.0)
         c = 2.0 * lam * b * math.sqrt(0.5 * (1.0 - rho * rho) ** 2 * sm**4 / sp**2)
+        if not c > 0.0:  # rho = sigma_minus/sigma_plus: no finite gamma certifies {0}
+            return 0.0, math.inf
         u = c / (_SQRT2 * sp)
         gamma_min = (1.0 - norm_cdf(u)) / (4.0 * c) + norm_pdf(u) / (2.0 * _SQRT2 * sm)
         return c, gamma_min
@@ -372,12 +374,12 @@ def solve_fixed_point(
     nodes = rule[0]
     x = (np.full(nodes.shape, start) if init is None
          else init(np.clip(nodes, init.grid[0], init.grid[-1])))
-    node_ctx = PayoffContext(nodes, Strategy(nodes, x), params, fees, rule)
+    node_ctx = PayoffContext(nodes, None, params, fees, rule)
 
     def system(x):
         ctx = node_ctx.against(x)
-        g, d2 = payoff_terms(x, ctx, (1, 2))
-        jac = cross_deriv(x, ctx) * ctx.w
+        g, d2, jac = payoff_terms(x, ctx, (1, 2), cross=True)
+        jac *= ctx.w
         jac[np.diag_indices_from(jac)] += d2
         try:
             return g, np.linalg.solve(jac, g)

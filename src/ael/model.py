@@ -308,16 +308,20 @@ def sigma_rho(sa, sb, rho: float):
     return np.sqrt(rad)
 
 
-def _precision_den(sa, sb, rho: float):
-    return 1.0 / (sa * sa) + 1.0 / (sb * sb) - 2.0 * rho / (sa * sb)
+def q_rho_pair(sa, sb, rho: float):
+    """(q_rho, q_tilde_rho) from one precision denominator, which IEEE's
+    commutative + and * make the same whichever player comes first."""
+    inv_a2, inv_b2, ab = 1.0 / (sa * sa), 1.0 / (sb * sb), sa * sb
+    den = inv_a2 + inv_b2 - 2.0 * rho / ab
+    if np.any(np.asarray(den) <= 0.0):
+        raise DomainError("degenerate precision denominator")
+    r = rho / ab
+    return (inv_b2 - r) / den, (inv_a2 - r) / den
 
 
 def q_rho(sa, sb, rho: float):
     """Precision-ratio weight of player a's signal; scalar or vectorized."""
-    den = _precision_den(sa, sb, rho)
-    if np.any(np.asarray(den) <= 0.0):
-        raise DomainError("degenerate precision denominator")
-    return (1.0 / (sb * sb) - rho / (sa * sb)) / den
+    return q_rho_pair(sa, sb, rho)[0]
 
 
 def _sigma_rho_into(sa: float, sb: np.ndarray, rho: float, out, tmp, flag) -> None:
@@ -346,7 +350,7 @@ def _q_rho_into(sa: float, sb: np.ndarray, rho: float, out, tmp1, tmp2, flag) ->
 
 def q_tilde_rho(sa, sb, rho: float):
     """Precision-ratio weight of player b's signal; q_rho + q_tilde_rho = 1."""
-    return q_rho(sb, sa, rho)
+    return q_rho_pair(sa, sb, rho)[1]
 
 
 # --- averaging over the sigma distribution ---------------------------------

@@ -28,7 +28,9 @@ volume-weighted variant
                           + S (x - d)/2 * Phi'(u) ] - g x^2
     h'(x) = (kbar/2) avg[ -x (1 - Phi(u)) + S Q Phi'(u) ] - 2 g x.
 
-``cross_deriv`` gives the d-derivative of the e' or h' integrand.
+The node Newton system also needs the cross term, the d-derivative of
+the e' or h' integrand at each node, not averaged:
+Phi'(u)/S (Q - 1/2 - u (d Q - x Q~)/S), or (kbar/2) Phi'(u) (x/S - Q u).
 
 One kernel, ``payoff_terms``, evaluates all of these.  A context built
 on an array of sigma_a caches S, Q and Q~ as matrices with one row per
@@ -36,19 +38,19 @@ sigma_a and one column per quadrature node, once, together with the
 strategy values at the nodes and the x-free factors of
 the second-derivative integrand: e'' is avg[Phi'(u) (a0 + x (a1 + x a2))],
 and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
-S, Q and Q~ do not depend on the strategy: ``PayoffContext.against``
-shares them (and the nodes and weights) with a context against other
-node values, re-deriving only the strategy's values and
-second-derivative factors, and ``PayoffContext.rows`` shares the
-strategy's caches with a context on some of the sigma_a rows.
-Each call computes u and Phi'(u) once for a whole array of offsets, and
-1 - Phi(u) only when a requested order needs it: orders 0 and 1 always,
-order 2 only under half-linear demand.  The requested value and
-derivatives follow from these, evaluated in place (``out=`` ufuncs) in
-four arrays of the (offsets, nodes) shape rather than one temporary per
-operation, with the operations of the formulas above in their order, so
-the bits are those of the plain expressions.  The fee scheme contributes
-one closed-form quadratic penalty.  Contexts are immutable and
+S, Q, Q~ and the d-free parts of those factors do not depend on the
+strategy: ``PayoffContext.against`` shares them (and the nodes and
+weights) with a context against other node values, re-deriving only
+the rest, and ``PayoffContext.rows`` shares the strategy's caches with
+a context on some of the sigma_a rows.  Each call computes u and
+Phi'(u) once for a whole array of offsets, the cross term from them on
+request, and 1 - Phi(u) only when a requested order needs it: orders 0
+and 1 always, order 2 only under half-linear demand.  The requested
+terms follow in place (``out=`` ufuncs) in at most five arrays of the
+(offsets, nodes) shape rather than one temporary per operation, with
+the operations of the formulas above in their order, so the bits are
+those of the plain expressions.  The fee scheme contributes one
+closed-form quadratic penalty.  Contexts are immutable and
 evaluations pure, hence freely shareable across workers.
 
 ``second_deriv_bound`` bounds the penalized e'' (or h'') from above on a
@@ -76,8 +78,7 @@ from .model import (
     NoFee,
     SpreadQuad,
     Strategy,
-    q_rho,
-    q_tilde_rho,
+    q_rho_pair,
     sigma_rho,
     uniform_sigma_moments,
 )
@@ -102,17 +103,18 @@ class PayoffContext:
     With an array ``sigma_a`` the caches gain its shape in front of the
     node axis, and ``payoff_terms`` takes offsets that broadcast against
     that shape.  The opponent strategy ``delta`` is read once, at its
-    node values ``delta_b``, and not stored.  ``rule`` is the ``default_rule``
+    node values ``delta_b``, and not stored; built with None, the
+    context serves ``against`` only.  ``rule`` is the ``default_rule``
     pair the averages over sigma_b use.
 
     ``against`` and ``rows`` derive contexts without rebuilding the
-    x-free caches: the first shares S, Q and Q~ and re-derives what
-    depends on the opponent's node values, the second shares those and
-    takes some rows of S, Q and Q~.
+    x-free caches: the first shares S, Q, Q~ and the d-free factors of
+    ``e2_poly`` and re-derives what depends on the opponent's node
+    values, the second shares those and takes some rows of every cache.
     """
 
     sigma_a: float | np.ndarray
-    delta: InitVar[Strategy]
+    delta: InitVar[Strategy | None]
     params: MarketParams
     fees: FeeScheme
     rule: tuple[np.ndarray, np.ndarray]
@@ -124,26 +126,41 @@ class PayoffContext:
     sig: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
     qt: np.ndarray = field(init=False, repr=False)
+    e2_factors: tuple = field(init=False, repr=False)
     e2_poly: tuple = field(init=False, repr=False)
 
-    def __post_init__(self, delta: Strategy):
+    def __post_init__(self, delta: Strategy | None):
         p = self.params
         check_sigma_a(self.sigma_a, p)
         nodes, w = self.rule
         sa = np.asarray(self.sigma_a, dtype=float)[..., None]
-        set_ = object.__setattr__
-        set_(self, "nodes", nodes)
-        set_(self, "w", w)
-        set_(self, "sig", sigma_rho(sa, nodes, p.rho))
-        set_(self, "q", q_rho(sa, nodes, p.rho))
-        set_(self, "qt", q_tilde_rho(sa, nodes, p.rho))
-        self._point_at(np.asarray(delta(nodes), dtype=float))
+        s = sigma_rho(sa, nodes, p.rho)
+        q, qt = q_rho_pair(sa, nodes, p.rho)
+        if isinstance(self.fees, LinearDemand):
+            factors = -q, qt / s
+        else:
+            s2 = s * s
+            s3 = s2 * s
+            factors = s2, s3, 0.5 + qt, qt - q, qt / s3
+        for name, value in zip(("nodes", "w", "sig", "q", "qt", "e2_factors"),
+                               (nodes, w, s, q, qt, factors)):
+            object.__setattr__(self, name, value)
+        if delta is not None:
+            self._point_at(np.asarray(delta(nodes), dtype=float))
 
     def _point_at(self, delta_b: np.ndarray) -> None:
-        """Set the caches that depend on the opponent's node values."""
-        set_ = object.__setattr__
-        set_(self, "delta_b", delta_b)
-        set_(self, "e2_poly", _e2_poly(self))
+        """Set the opponent's node values and ``e2_poly``, the x-free
+        factors of the second-derivative integrand, lowest power first,
+        by the operations of the plain expressions of e'' and h''."""
+        d, s, q = delta_b, self.sig, self.q
+        if isinstance(self.fees, LinearDemand):
+            neg_q, qt_s = self.e2_factors
+            poly = neg_q * d / s, qt_s
+        else:
+            s2, s3, half_qt, qt_q, qt_s3 = self.e2_factors
+            poly = -(half_qt + q * d * d / s2) / s, qt_q * d / s3, qt_s3
+        object.__setattr__(self, "delta_b", delta_b)
+        object.__setattr__(self, "e2_poly", poly)
 
     def against(self, values) -> "PayoffContext":
         """This context against the opponent strategy that takes ``values``
@@ -157,22 +174,11 @@ class PayoffContext:
         if built on those rows; ``index`` is a slice or an integer array
         along the first axis."""
         ctx = copy.copy(self)
-        set_ = object.__setattr__
         for name in ("sigma_a", "sig", "q", "qt"):
-            set_(ctx, name, getattr(self, name)[index])
-        set_(ctx, "e2_poly", tuple(a[index] for a in self.e2_poly))
+            object.__setattr__(ctx, name, getattr(self, name)[index])
+        for name in ("e2_factors", "e2_poly"):
+            object.__setattr__(ctx, name, tuple(a[index] for a in getattr(self, name)))
         return ctx
-
-
-def _e2_poly(ctx: PayoffContext) -> tuple:
-    """x-free factors of the second-derivative integrand, lowest power
-    first: it is Phi'(u) times their polynomial in x, less 1 - Phi(u)
-    under half-linear demand."""
-    d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
-    if isinstance(ctx.fees, LinearDemand):
-        return -q * d / s, qt / s
-    s3 = s * s * s
-    return -(0.5 + qt + q * d * d / (s * s)) / s, (qt - q) * d / s3, qt / s3
 
 
 def _mid_quad_constant(ctx: PayoffContext):
@@ -204,39 +210,60 @@ def _penalty(ctx: PayoffContext) -> tuple:
     return _PENALTY[type(fees)](fees, ctx)
 
 
-def _averages(x: np.ndarray, ctx: PayoffContext, orders) -> list:
+def _averages(x: np.ndarray, ctx: PayoffContext, orders, cross=False) -> list:
     """Averages over sigma_b, one per order, of the base integrand (the
-    half-linear one times kbar/2 under half-linear demand) and its x-derivatives.
+    half-linear one times kbar/2 under half-linear demand) and its
+    x-derivatives, followed with ``cross`` by the unaveraged cross term.
 
     Orders 0 and 1 need Phi(u) and Phi'(u).  Order 2 is Phi'(u) times a
     polynomial in x with the factors ``ctx.e2_poly`` caches, less
     1 - Phi(u) under half-linear demand; the base order 2 needs no
     Phi(u) at all.
 
-    The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u) and
-    two work arrays r and t, views of one allocation: as four separate
-    ones, glibc's malloc handed the freed memory back to the system after
-    each call on a (4, 257, 64) block, and the next call page-faulted it
-    in again (12k minor faults per default ``verify_ne``).  Order 2 needs
-    no t, and without a tail u's array serves as r once Phi'(u) is
-    taken, so a base order-2 call allocates two arrays.
+    The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u), two
+    work arrays r and t, and the cross term, views of one allocation: as
+    separate ones, glibc's malloc handed the freed memory back to the
+    system after each call on a (4, 257, 64) block, and the next call
+    page-faulted it in again (12k minor faults per default ``verify_ne``).
+    Order 2 needs no t, and without a tail u's array serves as r once
+    Phi'(u) is taken, so a base order-2 call allocates two arrays.  The
+    cross term, taken before the tail overwrites u, uses r as scratch.
     """
     volume = isinstance(ctx.fees, LinearDemand)
     xx = x[..., None]
     d, s = ctx.delta_b, ctx.sig
     lower = min(orders) < 2
     with_tail = volume or lower
-    u, dens, *work = np.empty((2 + with_tail + lower, *np.broadcast(xx, s).shape))
+    shape = np.broadcast(xx, s).shape
+    u, dens, *work = np.empty((2 + max(with_tail + lower, cross) + cross, *shape))
     np.add(xx, d, out=u)
     u /= s
     norm_pdf(u, out=dens)
+    extra = [_cross_term(xx, ctx, u, dens, work.pop(), work[0])] if cross else []
     if with_tail:
         tail = np.subtract(1.0, norm_cdf(u, out=u), out=u)
     else:
         tail, work = None, [u]
     scale = 0.5 * ctx.fees.kbar if volume else 1.0
     integrand = _volume_integrand if volume else _base_integrand
-    return [scale * (integrand(k, xx, ctx, dens, tail, *work) @ ctx.w) for k in orders]
+    return [scale * (integrand(k, xx, ctx, dens, tail, *work) @ ctx.w) for k in orders] + extra
+
+
+def _cross_term(xx, ctx, u, dens, c, t):
+    """The cross term, written into c (t is scratch)."""
+    d, s, q = ctx.delta_b, ctx.sig, ctx.q
+    if isinstance(ctx.fees, LinearDemand):
+        np.divide(xx, s, out=c)
+        c -= np.multiply(q, u, out=t)
+        c *= np.multiply(dens, 0.5 * ctx.fees.kbar, out=t)
+    else:
+        np.multiply(xx, ctx.qt, out=c)
+        np.subtract(d * q, c, out=c)
+        c *= u
+        c /= s
+        np.subtract(q - 0.5, c, out=c)
+        c *= np.divide(dens, s, out=t)
+    return c
 
 
 def _base_integrand(k, xx, ctx, dens, tail, r, t=None):
@@ -293,18 +320,20 @@ def _volume_integrand(k, xx, ctx, dens, tail, r, t=None):
     return r
 
 
-def payoff_terms(x, ctx: PayoffContext, orders=(0, 1, 2)) -> list:
+def payoff_terms(x, ctx: PayoffContext, orders=(0, 1, 2), cross=False) -> list:
     """Penalized payoff (order 0) and its first and second x-derivatives
     (orders 1 and 2) at the offsets ``x``, one array per requested order.
 
     ``x`` broadcasts against the shape of ``ctx.sigma_a``: one offset per
-    sigma_a, or any array of offsets for a single sigma_a.
+    sigma_a, or any array of offsets for a single sigma_a.  With ``cross``
+    the list ends with the cross term: times ``ctx.w`` it is
+    d e'(x)/d delta_b, without the mid-price penalty's E[d].
     """
     a, b, c = _penalty(ctx)
     x = np.asarray(x, dtype=float)
     penalty = (lambda: x * (a * x + b) + c, lambda: 2.0 * a * x + b, lambda: 2.0 * a)
-    avgs = _averages(x, ctx, orders)
-    return [avg - penalty[k]() for k, avg in zip(orders, avgs)]
+    avgs = _averages(x, ctx, orders, cross)
+    return [avg - penalty[k]() for k, avg in zip(orders, avgs)] + avgs[len(orders):]
 
 
 def second_deriv_bound(ctx: PayoffContext, hi: float) -> np.ndarray:
@@ -331,21 +360,6 @@ def second_deriv_bound(ctx: PayoffContext, hi: float) -> np.ndarray:
     if isinstance(ctx.fees, LinearDemand):
         bound = 0.5 * ctx.fees.kbar * (bound - norm_cdf(-top))
     return bound @ ctx.w - 2.0 * a
-
-
-def cross_deriv(x, ctx: PayoffContext) -> np.ndarray:
-    """Derivative of the order-1 integrand in the opponent's value d at
-    each node, not averaged (times ``ctx.w``: d e'(x)/d delta_b, without
-    the mid-price penalty's E[d]).  With u = (x + d)/S it is
-    Phi'(u)/S (Q - 1/2 - u (d Q - x Q~)/S), or (kbar/2) Phi'(u) (x/S - Q u)
-    under half-linear demand."""
-    xx = np.asarray(x, dtype=float)[..., None]
-    d, s, q = ctx.delta_b, ctx.sig, ctx.q
-    u = (xx + d) / s
-    dens = norm_pdf(u)
-    if isinstance(ctx.fees, LinearDemand):
-        return 0.5 * ctx.fees.kbar * dens * (xx / s - q * u)
-    return dens / s * (q - 0.5 - u * (d * q - xx * ctx.qt) / s)
 
 
 # Kept only as span targets of bench/layers.py, which tests/test_bench_targets.py

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ael.equilibrium as equilibrium
 import ael.parallel as parallel
+import ael.payoff as payoff
 from ael.errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
 from ael.gaussmath import norm_cdf, norm_pdf
 from ael.model import (
@@ -27,7 +28,6 @@ from ael.model import (
 )
 from ael.payoff import (
     PayoffContext,
-    cross_deriv,
     payoff_deriv,
     payoff_terms,
     second_deriv_bound,
@@ -222,6 +222,14 @@ class TestExistenceBound:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateCase):
             existence_bound(MarketParams(1.1, 1.1, 0.0), SpreadQuad(1.0))
+
+    def test_rho_at_its_bound_certifies_no_gamma(self):
+        # rho = sigma_minus/sigma_plus makes C = 0: no finite gamma_min, and
+        # no division by zero (a RuntimeWarning is an error here); the solve
+        # starts from the degenerate root instead
+        params, fees = MarketParams(1.0, 2.0, 0.5), SpreadQuad(1.0)
+        assert existence_bound(params, fees, quad_n=4) == (0.0, math.inf)
+        assert solve_fixed_point(params, fees, SolverConfig(quad_n=4)).converged
 
 
 class TestNoNeCertificate:
@@ -484,12 +492,16 @@ class TestBatchedBestResponse:
 
     def test_two_crossings_are_non_concave(self, main_params, monkeypatch):
         # synthetic derivative (0.2 - x)(0.5 - x)(0.8 - x) at every grid point:
-        # the best response stops at the first root, the final check flags it
-        def fake_terms(x, ctx, orders):
+        # the best response stops at the first root, the final check flags it;
+        # the node system keeps the real cross term
+        real = equilibrium.payoff_terms
+
+        def fake_terms(x, ctx, orders, cross=False):
             x = np.asarray(x, dtype=float)
             d1 = (0.2 - x) * (0.5 - x) * (0.8 - x)
             d2 = -((0.5 - x) * (0.8 - x) + (0.2 - x) * (0.8 - x) + (0.2 - x) * (0.5 - x))
-            return [{1: d1, 2: d2}[k] for k in orders]
+            extra = real(x, ctx, (1,), cross=True)[1:] if cross else []
+            return [{1: d1, 2: d2}[k] for k in orders] + extra
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
         monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
@@ -505,10 +517,10 @@ class TestBatchedBestResponse:
         # (max delta is 0.06) but inside the checked 3 max delta
         real = equilibrium.payoff_terms
 
-        def bumped(x, ctx, orders):
-            terms = real(x, ctx, orders)
+        def bumped(x, ctx, orders, cross=False):
+            terms = real(x, ctx, orders, cross)
             bump = 10.0 * (np.asarray(x) > 0.1)
-            return [t + bump if k == 2 else t for k, t in zip(orders, terms)]
+            return [t + bump if k == 2 else t for k, t in zip(orders, terms)] + terms[len(orders):]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", bumped)
         monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
@@ -560,13 +572,14 @@ class TestBatchedBestResponse:
         # a solve builds two contexts: the node context, re-pointed at each
         # evaluation, and one output-row context that the row best response
         # and the concavity check share; the node loop makes one kernel call
-        # and one cross_deriv call per evaluation of G and J (no halvings
-        # here), and the closed-form bound proves every row of the default
-        # market concave, so the check samples no offset block; verify_ne
-        # builds one context at any thread count and starts no worker
+        # per evaluation of G and J (no halvings here), which returns the
+        # cross term, computed nowhere else; the closed-form bound proves
+        # every row of the default market concave, so the check samples no
+        # offset block; verify_ne builds one context at any thread count and
+        # starts no worker
         calls = {"ctx": 0, "kernel": 0, "cross": 0, "node_kernel": None, "concavity": None}
         real_init = PayoffContext.__post_init__
-        real_terms, real_cross = equilibrium.payoff_terms, equilibrium.cross_deriv
+        real_terms, real_cross = equilibrium.payoff_terms, payoff._cross_term
         real_concavity = equilibrium._concavity_ok
 
         def counted_init(self, *args):
@@ -591,7 +604,7 @@ class TestBatchedBestResponse:
 
         monkeypatch.setattr(PayoffContext, "__post_init__", counted_init)
         monkeypatch.setattr(equilibrium, "payoff_terms", counted_terms)
-        monkeypatch.setattr(equilibrium, "cross_deriv", counted_cross)
+        monkeypatch.setattr(payoff, "_cross_term", counted_cross)
         monkeypatch.setattr(equilibrium, "_concavity_ok", counted_concavity)
         rep = solve_fixed_point(main_params, fees, SolverConfig())
         assert rep.converged and calls["ctx"] == 2
@@ -629,8 +642,8 @@ def node_system(x, params, fees, quad_n=64):
     """G and the analytic J of the node equations at node values ``x``."""
     rule = nodes, _ = default_rule(params, quad_n)
     ctx = PayoffContext(nodes, Strategy(nodes, x), params, fees, rule)
-    g, d2 = payoff_terms(x, ctx, (1, 2))
-    return g, cross_deriv(x, ctx) * ctx.w + np.diag(d2)
+    g, d2, cross = payoff_terms(x, ctx, (1, 2), cross=True)
+    return g, cross * ctx.w + np.diag(d2)
 
 
 class TestNewtonSolve:

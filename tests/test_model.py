@@ -14,6 +14,7 @@ from ael.model import (
     analytic_stats,
     default_rule,
     q_rho,
+    q_rho_pair,
     q_tilde_rho,
     sigma_rho,
     uniform_sigma_moments,
@@ -80,6 +81,24 @@ class TestPrecisionRatios:
         for a, b, r in ((sa, sb, rho), (sa[:100, None], sb[None, :100], 0.3)):
             den = 1.0 / (a * a) + 1.0 / (b * b) - 2.0 * r / (a * b)
             assert np.array_equal(q_tilde_rho(a, b, r), (1.0 / (a * a) - r / (a * b)) / den)
+
+    @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(-0.95, 0.95),
+           st.integers(0, 2**32 - 1))
+    def test_shared_denominator_keeps_each_formulas_bits(self, a, b, rho, seed):
+        # Q and Q~ from one precision denominator hold the bits of each
+        # weight's own formula, Q~'s with the players swapped, for scalars
+        # and for a (sigma_a, sigma_b) matrix
+        def own(sa, sb, r):
+            den = 1.0 / (sa * sa) + 1.0 / (sb * sb) - 2.0 * r / (sa * sb)
+            return (1.0 / (sb * sb) - r / (sa * sb)) / den
+
+        rng = np.random.default_rng(seed)
+        matrix = rng.uniform(0.05, 3.0, (3, 1)), rng.uniform(0.05, 3.0, 8)
+        for sa, sb in ((a, b), matrix):
+            q, qt = q_rho_pair(sa, sb, rho)
+            for got, want in ((q, own(sa, sb, rho)), (qt, own(sb, sa, rho)),
+                              (q_rho(sa, sb, rho), q), (q_tilde_rho(sa, sb, rho), qt)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @given(
         st.floats(min_value=0.1, max_value=1.1),

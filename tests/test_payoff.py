@@ -22,7 +22,6 @@ from ael.model import (
 import ael.payoff as payoff
 from ael.payoff import (
     PayoffContext,
-    cross_deriv,
     payoff_deriv,
     payoff_second_deriv,
     payoff_terms,
@@ -225,12 +224,23 @@ class TestKernelOrders:
             assert np.array_equal(payoff_terms(x, ctx, (k,))[0], value)
 
 
+def reference_e2(ctx):
+    """The x-free second-derivative factors as plain expressions of
+    S, Q, Q~ and d: ``ctx.e2_poly``, derived from the cached d-free
+    factors, must hold these bits."""
+    d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
+    if isinstance(ctx.fees, LinearDemand):
+        return -q * d / s, qt / s
+    s3 = s * s * s
+    return -(0.5 + qt + q * d * d / (s * s)) / s, (qt - q) * d / s3, qt / s3
+
+
 def reference_terms(x, ctx, orders):
     """The kernel as plain (allocating) numpy expressions, with Phi and
     Phi' written out: the in-place kernel must return these bits."""
     x = np.asarray(x, dtype=float)
     xx = x[..., None]
-    d, s, q, qt, e2 = ctx.delta_b, ctx.sig, ctx.q, ctx.qt, ctx.e2_poly
+    d, s, q, qt, e2 = ctx.delta_b, ctx.sig, ctx.q, ctx.qt, reference_e2(ctx)
     u = (xx + d) / s
     dens = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * u * u)
     tail = 1.0 - 0.5 * erfc(-u / math.sqrt(2.0))
@@ -254,6 +264,19 @@ def reference_terms(x, ctx, orders):
     return [scale * (terms[k]() @ ctx.w) - penalty[k]() for k in orders]
 
 
+def reference_cross(x, ctx):
+    """The closed-form d-derivative of the order-1 integrand at each node,
+    not averaged, as plain numpy expressions: the kernel's cross term
+    must return these bits."""
+    xx = np.asarray(x, dtype=float)[..., None]
+    d, s, q = ctx.delta_b, ctx.sig, ctx.q
+    u = (xx + d) / s
+    dens = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * u * u)
+    if isinstance(ctx.fees, LinearDemand):
+        return 0.5 * ctx.fees.kbar * dens * (xx / s - q * u)
+    return dens / s * (q - 0.5 - u * (d * q - xx * ctx.qt) / s)
+
+
 class TestInPlaceKernel:
     ORDERS = ((0,), (1,), (2,), (1, 2), (0, 1, 2))
 
@@ -275,12 +298,15 @@ class TestInPlaceKernel:
         delta, cases = self.cases(params)
         for sigma_a, x in cases:
             ctx = PayoffContext(sigma_a, delta, params, fees, default_rule(params, QUAD_N))
+            assert same_bits(ctx.e2_poly, reference_e2(ctx))
             for orders in self.ORDERS:
-                got = payoff_terms(x, ctx, orders)
                 want = reference_terms(x, ctx, orders)
-                for g, w in zip(got, want):
+                got = payoff_terms(x, ctx, orders)
+                *fused, cross = payoff_terms(x, ctx, orders, cross=True)
+                for g, f, w in zip(got, fused, want):
                     assert np.shape(g) == np.shape(w)
-                    assert np.array_equal(g, w)
+                    assert np.array_equal(g, w) and np.array_equal(f, w)
+                assert same_bits(cross, reference_cross(x, ctx))
 
 
 def same_bits(a, b) -> bool:
@@ -299,7 +325,8 @@ def assert_same_context(got: PayoffContext, want: PayoffContext, x) -> None:
         assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
     for g, w in zip(payoff_terms(x, got), payoff_terms(x, want)):
         assert same_bits(g, w)
-    assert same_bits(cross_deriv(x, got), cross_deriv(x, want))
+    cross = [payoff_terms(x, c, (1,), cross=True)[1] for c in (got, want)]
+    assert same_bits(*cross)
 
 
 @st.composite
@@ -332,8 +359,11 @@ class TestDerivedContexts:
         fresh = PayoffContext(rows, Strategy(nodes, second), params, fees, rule)
         got = base.against(second)
         assert_same_context(got, fresh, x)
+        # one built with no opponent serves as well
+        assert_same_context(PayoffContext(rows, None, params, fees, rule).against(second),
+                            fresh, x)
         # the re-pointed context shares the strategy-free caches
-        for name in ("nodes", "w", "sig", "q", "qt"):
+        for name in ("nodes", "w", "sig", "q", "qt", "e2_factors"):
             assert getattr(got, name) is getattr(base, name)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -350,6 +380,24 @@ class TestDerivedContexts:
         full = PayoffContext(rows, delta, params, fees, rule)
         fresh = PayoffContext(rows[index], delta, params, fees, rule)
         assert_same_context(full.rows(index), fresh, x[index])
+
+    @pytest.mark.parametrize("fees", ALL_SCHEMES, ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("index", [slice(2, 6), np.array([5, 0, 3, 3])],
+                             ids=["slice", "int_array"])
+    def test_rows_and_against_in_either_order(self, fees, index):
+        # every scheme's cached factors, sliced and re-pointed in either
+        # order, from a context built with or without an opponent, hold
+        # the bits of a fresh build on those rows and values
+        params = MarketParams(0.1, 1.1, 0.03)
+        rule = nodes, _ = default_rule(params, 16)
+        rows = np.linspace(params.sigma_minus, params.sigma_plus, 7)
+        first, second = 0.05 + 0.2 * nodes, 0.3 - 0.1 * nodes
+        x = np.linspace(0.0, 0.8, 7)
+        full = PayoffContext(rows, Strategy(nodes, first), params, fees, rule)
+        fresh = PayoffContext(rows[index], Strategy(nodes, second), params, fees, rule)
+        for got in (full.rows(index).against(second), full.against(second).rows(index),
+                    PayoffContext(rows, None, params, fees, rule).against(second).rows(index)):
+            assert_same_context(got, fresh, x[index])
 
 
 @st.composite
