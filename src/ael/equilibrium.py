@@ -8,13 +8,15 @@ sigma_i, d = x) = 0, i = 1..q, by Newton's method on the analytic
 Jacobian J = diag(e'') + w * (the kernel's cross term).  The strategy
 elsewhere is one best response against x, the Nystrom interpolant
 (Atkinson, The Numerical Solution of Integral Equations of the Second
-Kind, 1997, section 4.1).  Convergence is verified through the Newton
-correction max|J^-1 G|, a distance in delta; one concavity check against
-the solved nodes (``_concavity_ok``) decides whether each root of the
-output rows is the argmax on the offsets the strategy plays.  It proves
-a row strictly concave on that whole interval where a closed-form bound
-on e'' (``payoff.second_deriv_bound``) is negative, and samples e''
-on the other rows.
+Kind, 1997, section 4.1).  Every per-row root of e' (the best-response
+rows, and the maxima ``verify_ne`` takes) is found by one safeguarded
+Newton on all rows at once, ``_row_newton``.  Convergence is verified
+through the Newton correction max|J^-1 G|, a distance in delta; one
+concavity check against the solved nodes (``_concavity_ok``) decides
+whether each root of the output rows is the argmax on the offsets the
+strategy plays.  It proves a row strictly concave on that whole interval
+where a closed-form bound on e'' (``payoff.second_deriv_bound``) is
+negative, and samples e'' on the other rows.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
 exists; ``no_ne_certificate`` returns the aggregated first-order-condition
@@ -23,9 +25,9 @@ until the Gaussian tail underflows), and ``verify_ne`` returns the
 supremum of the gain a player can realize by deviating from a candidate
 strategy, over offsets up to three times its largest value.  On the rows
 the same bound on e'' proves strictly concave there, that supremum is
-taken by Newton from the held offset; the other rows are scanned and
-polished, and only on those can a maximum be missed, when a scan
-interval hides two sign changes of e'.
+taken by Newton from the held offset; the other rows are scanned, with
+Newton from each bracketed sign change of e', and only on those can a
+maximum be missed, when a scan interval hides two sign changes of e'.
 
 For a degenerate market (sigma_minus = sigma_plus) the equilibrium
 reduces to a scalar root of the one-dimensional first-order condition,
@@ -62,7 +64,7 @@ _MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne call: 2.1 MB of kernel scratch
-_POLISH_STEPS = 8  # Newton steps per verify_ne bracket or proven row
+_POLISH_STEPS = 8  # Newton steps of verify_ne's proven rows and scan peaks
 VERIFY_X_SAMPLES = 33  # default scan density of verify_ne
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
 _CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
@@ -242,8 +244,10 @@ def existence_bound(
 
 
 def _newton(system, x: np.ndarray, tol: float, max_iter: int):
-    """Newton iteration from ``x`` on system(x) -> (G, J^-1 G), each step
-    x - t J^-1 G with t halved from 1 until x >= 0 and max|G| does not grow.
+    """Newton iteration of the node system from ``x`` on
+    system(x) -> (G, J^-1 G), each step x - t J^-1 G with t halved from 1
+    until x >= 0 and max|G| does not grow.  The rows' roots of e' take
+    ``_row_newton`` instead.
 
     Stops at max|J^-1 G| <= tol, at ``max_iter`` evaluations or when no
     halving is accepted, and returns (x, max|J^-1 G| at x, evaluations).
@@ -269,23 +273,52 @@ def _newton(system, x: np.ndarray, tol: float, max_iter: int):
     return x, residual, iterations
 
 
+def _row_newton(ctx: PayoffContext, x, lo, up, hi: float, tol: float, steps: int, orders,
+                terms=None):
+    """Safeguarded Newton on e' at every row of the row context ``ctx``,
+    one offset per row from ``x`` (Press et al., Numerical Recipes, 3rd
+    ed., section 9.4, ``rtsafe``).  ``orders`` ends in (1, 2); ``terms``,
+    if given, holds their ``payoff_terms`` at ``x``.
+
+    Each step is one kernel call on all rows.  The sign of e' at the
+    iterate narrows each row's bracket [lo, up], where NaN marks an end
+    not yet known.  Every row moves to its Newton point clipped to
+    [0, hi], or to its bracket's midpoint where that point leaves a
+    bracket whose two ends are known; with one end known the Newton
+    point stands.  Stops once no step exceeds ``tol``, after ``steps``
+    steps, or at a non-finite step.  Returns the last iterate, its terms
+    and whether each row's step there is within ``tol``.
+    """
+    for taken in range(steps + 1):
+        if terms is None:
+            terms = payoff_terms(x, ctx, orders)
+        d1, d2 = terms[-2:]
+        lo = np.where(d1 > 0.0, x, lo)
+        up = np.where(d1 < 0.0, x, up)
+        mid = 0.5 * (lo + up)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.minimum(np.maximum(x - d1 / d2, 0.0), hi)
+        new = np.where(((newton < lo) | (newton > up)) & ~np.isnan(mid), mid, newton)
+        step = new - x
+        done = np.abs(step) <= tol
+        if done.all() or taken == steps or not np.isfinite(step).all():
+            return x, terms, done
+        x = new
+        terms = None
+
+
 def _argmax_rows(ctx: PayoffContext, delta: Strategy, tol: float) -> np.ndarray:
     """Root of the first-order condition at every sigma_a of the row
-    context ``ctx`` (which plays against ``delta``): ``_newton`` with the
-    diagonal J = e'' from ``delta`` (flat past its grid) to a step within
-    max(tol * 1e-3, 1e-13), else NoConvergence."""
-
-    def system(x):
-        d1, d2 = payoff_terms(x, ctx, (1, 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return d1, d1 / d2
-
+    context ``ctx`` (which plays against ``delta``): ``_row_newton`` from
+    ``delta`` (flat past its grid), with no bracket and no upper end, to
+    a step within max(tol * 1e-3, 1e-13) at every row, else
+    NoConvergence."""
     argmax_tol = max(tol * 1e-3, 1e-13)
     start = delta(np.clip(ctx.sigma_a, delta.grid[0], delta.grid[-1]))
-    x, residual, evaluations = _newton(system, start, argmax_tol, _MAX_NEWTON)
-    if residual > argmax_tol:
-        raise NoConvergence(f"best response not located: Newton step {residual:.3e} "
-                            f"after {evaluations} evaluations")
+    x, _, done = _row_newton(ctx, start, np.nan, np.nan, math.inf, argmax_tol, _MAX_NEWTON, (1, 2))
+    if not np.all(done):
+        raise NoConvergence(f"best response not located at {np.count_nonzero(~done)} of "
+                            f"{done.size} rows")
     return x
 
 
@@ -294,9 +327,9 @@ def best_response(
 ) -> Strategy:
     """Pointwise argmax strategy against ``delta`` on ``cfg.grid_n`` uniform rows.
 
-    All rows are solved by one Newton loop on the batched kernel
-    (``_argmax_rows``).  This locates a root of the first-order condition
-    only; whether it is the argmax is the concavity verdict of
+    All rows are solved by one safeguarded Newton loop on the batched
+    kernel (``_argmax_rows``).  This locates a root of the first-order
+    condition only; whether it is the argmax is the concavity verdict of
     ``solve_fixed_point``.
     """
     _require_rho_bound(params)
@@ -356,8 +389,9 @@ def solve_fixed_point(
     stops at max|J^-1 G| <= ``tol`` or after ``max_iter`` evaluations.
     The report's ``nodes`` are the node values returned, with their
     residual.  One row context against them gives both the output rows
-    (the best response of ``_argmax_rows``) and the ``_concavity_ok``
-    verdict; a failed check reports converged=False, never raises.
+    (the best response of ``_argmax_rows``, one ``_row_newton`` from the
+    solved strategy on every row) and the ``_concavity_ok`` verdict; a
+    failed check reports converged=False, never raises.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
@@ -419,84 +453,27 @@ def no_ne_certificate(
     return 0.5 * _trade_prob(nodes, w, np.asarray(delta(nodes), dtype=float), params.rho)
 
 
-def _row_terms(ctx: PayoffContext, index: np.ndarray, x: np.ndarray, orders) -> list:
-    """``payoff_terms`` of the offsets ``x[i]`` (one row of offsets each)
-    against row ``index[i]`` of the row context ``ctx``, in kernel calls
-    of at most ``_BLOCK_ELEMENTS`` values (or one row)."""
-    step = max(1, _BLOCK_ELEMENTS // (x.shape[1] * ctx.nodes.size))
-    blocks = [payoff_terms(x[i:i + step], ctx.rows(index[i:i + step]), orders)
-              for i in range(0, index.size, step)]
-    return [np.concatenate(terms) for terms in zip(*blocks)]
-
-
-def _polish(ctx: PayoffContext, row, lo, up, d_lo, d_up, tol: float) -> np.ndarray:
-    """Local maximum of the payoff at row ``row[i]`` of ``ctx`` in each
-    bracket [lo[i], up[i]], where e' falls from d_lo > 0 to d_up <= 0.
-
-    All brackets take one kernel call per step: a Newton step on e' and
-    e'' from the secant point, kept only inside the bracket that the sign
-    of e' narrows, otherwise a bisection.  Stops once no step exceeds
-    ``tol``, or after ``_POLISH_STEPS`` steps.
-    """
-    x = lo + d_lo * (up - lo) / (d_lo - d_up)
-    if not row.size:
-        return x
-    for _ in range(_POLISH_STEPS):
-        d1, d2 = (t[:, 0] for t in _row_terms(ctx, row, x[:, None], (1, 2)))
-        lo = np.where(d1 > 0.0, x, lo)
-        up = np.where(d1 < 0.0, x, up)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - d1 / d2
-        step = np.where((lo <= newton) & (newton <= up), newton, 0.5 * (lo + up)) - x
-        x = x + step
-        if np.all(np.abs(step) <= tol):
-            break
-    return x
-
-
-def _concave_sup(ctx: PayoffContext, x, terms, hi: float, tol: float):
-    """Supremum of the payoff over [0, hi] at every row of ``ctx``, each
-    strictly concave there, by safeguarded Newton on e' from the offsets
-    ``x``, where ``terms`` holds e, e' and e''.
-
-    e' falls on the whole interval, so its sign at each iterate narrows
-    the bracket of the one root.  Each step is one kernel call on all
-    rows: the Newton point clipped to [0, hi], or the midpoint where it
-    leaves the bracket between two iterates.  No end value is computed
-    unless an iterate is clipped to that end; if e' there still points
-    out of the interval, the next step is zero and the end is the
-    maximiser.  Stops once no step exceeds ``tol``, or after
-    ``_POLISH_STEPS`` steps.  Returns e at the last iterate and whether
-    each row's last step is within ``tol``; a row whose iterates go
-    non-finite fails that test.
-    """
-    lo = np.full(x.shape, np.nan)
-    up = np.full(x.shape, np.nan)
-    for steps in range(_POLISH_STEPS + 1):
-        vals, d1, d2 = terms
-        lo = np.where(d1 > 0.0, x, lo)
-        up = np.where(d1 < 0.0, x, up)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.clip(x - d1 / d2, 0.0, hi)
-        step = np.where((newton < lo) | (newton > up), 0.5 * (lo + up), newton) - x
-        done = np.abs(step) <= tol
-        if np.all(done) or steps == _POLISH_STEPS:
-            return vals, done
-        x = x + step
-        terms = payoff_terms(x, ctx, (0, 1, 2))
-
-
-def _scan_sup(ctx: PayoffContext, rows: np.ndarray, xs: np.ndarray, tol: float) -> np.ndarray:
+def _scan_sup(ctx: PayoffContext, rows: np.ndarray, xs: np.ndarray, hi: float,
+              tol: float) -> np.ndarray:
     """Supremum of the payoff over the offsets ``xs`` at rows ``rows`` of
-    ``ctx``: e and e' at every offset, then every + -> - sign change of
-    e' between neighbours polished to a local maximum (``_polish``)."""
-    vals, slopes = _row_terms(ctx, rows, np.broadcast_to(xs, (rows.size, xs.size)), (0, 1))
+    ``ctx``: e and e' at every offset, in kernel calls of at most
+    ``_BLOCK_ELEMENTS`` values (or one row), then ``_row_newton`` from
+    the secant point of every + -> - sign change of e' between
+    neighbours, all such brackets in one kernel call per step."""
+    step = max(1, _BLOCK_ELEMENTS // (xs.size * ctx.nodes.size))
+    x = np.broadcast_to(xs, (rows.size, xs.size))
+    blocks = [payoff_terms(x[i:i + step], ctx.rows(rows[i:i + step]), (0, 1))
+              for i in range(0, rows.size, step)]
+    vals, slopes = (np.concatenate(terms) for terms in zip(*blocks))
     at, j = np.nonzero((slopes[:, :-1] > 0.0) & (slopes[:, 1:] <= 0.0))
-    peaks = _polish(ctx, rows[at], xs[j], xs[j + 1], slopes[at, j], slopes[at, j + 1], tol)
     best = vals.max(axis=1)
     if at.size:
-        (peak_vals,) = _row_terms(ctx, rows[at], peaks[:, None], (0,))
-        np.maximum.at(best, at, peak_vals[:, 0])
+        lo, up = xs[j, None], xs[j + 1, None]
+        d_lo, d_up = slopes[at, j, None], slopes[at, j + 1, None]
+        start = lo + d_lo * (up - lo) / (d_lo - d_up)
+        _, (peaks, _, _), _ = _row_newton(ctx.rows(rows[at]), start, lo, up, hi, tol,
+                                         _POLISH_STEPS, (0, 1, 2))
+        np.maximum.at(best, at, peaks[:, 0])
     return best
 
 
@@ -518,21 +495,23 @@ def verify_ne(
     A row whose closed-form bound on e'' over [0, hi]
     (``payoff.second_deriv_bound``) is negative is strictly concave
     there, so its supremum is the one root of e' or an end of the
-    interval: safeguarded Newton from the held offset finds it to a step
-    of 1e-12 * hi, in at most ``_POLISH_STEPS`` steps on all such rows
-    together (``_concave_sup``).  Every other row, and a proven one whose
-    Newton does not reach that step, is scanned: ``x_samples`` evenly
-    spaced offsets for e and e', and every + -> - sign change of e'
-    between neighbours polished to the same step (``_scan_sup``).  A
-    scanned row's supremum is the largest of its scanned values and
-    polished maxima, so on scanned rows a maximum is missed only when a
-    scan interval hides two sign changes of e'.
+    interval: ``_row_newton`` from the held offset finds it to a step of
+    1e-12 * hi, in at most ``_POLISH_STEPS`` steps on all such rows
+    together.  Every other row, and a proven one whose Newton does not
+    reach that step, is scanned (``_scan_sup``): ``x_samples`` evenly
+    spaced offsets for e and e', then ``_row_newton`` with the same step
+    and step cap from the secant point of every + -> - sign change of e'
+    between neighbours, inside that bracket.  A scanned row's supremum is
+    the largest of its scanned values and the maxima Newton finds, so on
+    scanned rows a maximum is missed only when a scan interval hides two
+    sign changes of e'.
 
     One context holds every grid row and is sliced by
     ``PayoffContext.rows``; each scan call holds at most
-    ``_BLOCK_ELEMENTS`` values.  A true equilibrium yields a value at
-    rounding level, and a converged solve one of order e'' times the
-    squared distance between each row and its best response.
+    ``_BLOCK_ELEMENTS`` values, and the peak Newton holds one offset per
+    peak.  A true equilibrium yields a value at rounding level, and a
+    converged solve one of order e'' times the squared distance between
+    each row and its best response.
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
@@ -547,10 +526,11 @@ def verify_ne(
     best = held.copy()
     # a NaN bound proves nothing, so that row is scanned
     proven = np.flatnonzero(second_deriv_bound(ctx, hi)[:, 0] < 0.0)
-    sup, done = _concave_sup(ctx.rows(proven), x[proven], [t[proven] for t in terms], hi, tol)
+    _, (sup, _, _), done = _row_newton(ctx.rows(proven), x[proven], np.nan, np.nan, hi, tol,
+                                       _POLISH_STEPS, (0, 1, 2), [t[proven] for t in terms])
     solved = proven[done[:, 0]]
     best[solved] = sup[done]
     scan = np.setdiff1d(np.arange(delta.grid.size), solved)
     if scan.size:
-        best[scan] = _scan_sup(ctx, scan, np.linspace(0.0, hi, x_samples), tol)
+        best[scan] = _scan_sup(ctx, scan, np.linspace(0.0, hi, x_samples), hi, tol)
     return float(np.max(np.maximum(best, held) - held))

@@ -304,7 +304,7 @@ class TestVerifyNe:
     @pytest.mark.parametrize("x_samples", [16, 33])
     @pytest.mark.parametrize("fees", [SpreadQuad(2.0), SpreadQuad(0.13), MidQuad(0.5), NoFee(),
                                       LinearDemand(1.0, 0.3)], ids=repr)
-    def test_gain_is_at_least_the_sampled_gain(self, fees, x_samples, monkeypatch):
+    def test_gain_is_at_least_the_sampled_gain(self, fees, x_samples):
         # off-equilibrium strategies, and solved ones scaled off their
         # equilibrium; the supremum may come out one rounding below a
         # sampled value at the same offset
@@ -320,12 +320,7 @@ class TestVerifyNe:
                 cases.append((main, Strategy(rows.grid, scale * rows.values)))
         for params, delta in cases:
             want = self.per_point_gain(delta, params, fees, 256)
-            monkeypatch.delenv("AEL_THREADS", raising=False)
-            got = verify_ne(delta, params, fees, x_samples)
-            assert got >= want - 1e-15
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("AEL_THREADS", threads)
-                assert verify_ne(delta, params, fees, x_samples) == got
+            assert verify_ne(delta, params, fees, x_samples) >= want - 1e-15
 
     @pytest.mark.parametrize("fees", [SpreadQuad(2.0), SpreadQuad(0.13), LinearDemand(1.0, 0.3)],
                              ids=repr)
@@ -338,7 +333,7 @@ class TestVerifyNe:
     def test_two_peaks(self, main_params, p1, m, p2, x_samples, monkeypatch):
         # e'(x) = -sigma_a (x - p1)(x - m)(x - p2): local maxima at p1 and p2
         # and a minimum at m, each in its own scan interval on [0, 0.9] and
-        # on no scan point, so only a polished peak meets the analytic gain
+        # on no scan point, so only a Newton peak meets the analytic gain
         c3, c2, c1 = p1 + m + p2, p1 * m + p1 * p2 + m * p2, p1 * m * p2
 
         def quartic(x):
@@ -482,18 +477,27 @@ class TestBatchedBestResponse:
         br = best_response(delta, params, fees, FAST)
         assert np.max(np.abs(br.values - scalar_best_response(delta, params, fees))) <= 1e-9
 
-    def test_no_fee_flat_derivative_is_bracket_failure(self, main_params):
+    def test_no_fee_flat_derivative_is_bracket_failure(self, main_params, monkeypatch):
         # against a strategy this wide every Phi and Phi' term underflows, so
-        # both unpenalized derivatives are exactly zero: a 0/0 Newton step
-        # raises a typed error and never returns NaN
+        # both unpenalized derivatives are exactly zero: the 0/0 Newton step
+        # at the start raises a typed error after one kernel call, and
+        # never returns NaN
+        calls, real = [], equilibrium.payoff_terms
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", counted)
         delta = Strategy.constant(100.0, main_params, 11)
         with pytest.raises(NoConvergence):
             best_response(delta, main_params, NoFee(), FAST)
+        assert len(calls) == 1
 
-    def test_two_crossings_are_non_concave(self, main_params, monkeypatch):
-        # synthetic derivative (0.2 - x)(0.5 - x)(0.8 - x) at every grid point:
-        # the best response stops at the first root, the final check flags it;
-        # the node system keeps the real cross term
+    @staticmethod
+    def three_roots(monkeypatch):
+        """Fake e' = (0.2 - x)(0.5 - x)(0.8 - x) at every grid point; the
+        node system keeps the real cross term."""
         real = equilibrium.payoff_terms
 
         def fake_terms(x, ctx, orders, cross=False):
@@ -504,6 +508,22 @@ class TestBatchedBestResponse:
             return [{1: d1, 2: d2}[k] for k in orders] + extra
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+
+    @pytest.mark.parametrize("start, root", [(0.35, 0.8), (0.45, 0.5), (0.65, 0.2)])
+    def test_non_concave_starts_reach_a_root(self, main_params, start, root, monkeypatch):
+        # e'' > 0 at each start: from 0.35 and 0.65 the Newton point leaves
+        # the one bracket end that e' there gives, and a midpoint with the
+        # other end unknown would be NaN; from 0.45 Newton overshoots 0.5,
+        # and the two known ends then bisect onto it
+        self.three_roots(monkeypatch)
+        delta = Strategy.constant(start, main_params, 11)
+        br = best_response(delta, main_params, SpreadQuad(2.0), FAST)
+        assert np.max(np.abs(br.values - root)) <= 1e-9
+
+    def test_two_crossings_are_non_concave(self, main_params, monkeypatch):
+        # with e' = (0.2 - x)(0.5 - x)(0.8 - x) the best response stops at the
+        # first root, the final check flags it
+        self.three_roots(monkeypatch)
         monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         delta = Strategy.constant(0.1, main_params, 11)
         br = best_response(delta, main_params, SpreadQuad(2.0), FAST)
@@ -615,7 +635,6 @@ class TestBatchedBestResponse:
             raise AssertionError("verify_ne called map_ordered")
 
         monkeypatch.setattr(parallel, "map_ordered", no_workers)
-        monkeypatch.setattr(equilibrium, "map_ordered", no_workers, raising=False)
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("AEL_THREADS", threads)
             calls["ctx"] = 0
