@@ -26,7 +26,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -437,13 +437,13 @@ def _check_derivative_fd(cfg, market):
 def _check_payoff_mc(cfg, market):
     delta = Strategy.constant(0.3, market, 51)
     rule = cfg.rule(market)
-    sim = SimConfig(samples=cfg["validate.samples"], seed=cfg["sim.seed"])
+    sim = cfg.sim(samples=cfg["validate.samples"])
     worst = 0.0
     for i, (x, frac) in enumerate([(0.1, 0.2), (0.4, 0.5), (0.8, 0.9)]):
         sa = market.sigma_minus + frac * (market.sigma_plus - market.sigma_minus)
         ctx = PayoffContext(sa, delta, market, NoFee(), rule)
         (ref,) = payoff_terms(x, ctx, (0,))
-        sim_i = SimConfig(samples=sim.samples, seed=(sim.seed + i) % 2**64)
+        sim_i = replace(sim, seed=(sim.seed + i) % 2**64)
         mean, se = estimate_limit_payoff(x, sa, delta, market, sim_i)
         worst = max(worst, abs(mean - ref) / max(se, 1e-300))
     return worst <= 4.0, f"max_dev={worst:.2f} SE (tol 4)"

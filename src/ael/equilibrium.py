@@ -63,11 +63,10 @@ _SQRT2 = math.sqrt(2.0)
 _MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
-_BLOCK_ELEMENTS = 4 * 257 * 64  # kernel values per verify_ne call: 2.1 MB of kernel scratch
+_BLOCK_ELEMENTS = 65792  # kernel values per _scan call unless one offset holds more: 2.1 MB
 _POLISH_STEPS = 8  # Newton steps of verify_ne's proven rows and scan peaks
 VERIFY_X_SAMPLES = 33  # default scan density of verify_ne
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
-_CONCAVITY_BLOCK = 5  # offsets per _concavity_ok kernel call
 
 
 @dataclass(frozen=True)
@@ -348,13 +347,12 @@ def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
     which ``verify_ne`` takes its supremum on ``rows``.  A row whose
     closed-form bound on e'' (``payoff.second_deriv_bound``) is negative
     is proven strictly concave on the whole interval.  On the other rows
-    e'' is sampled at ``_CONCAVITY_OFFSETS`` offsets, one kernel call
-    over those rows per block of ``_CONCAVITY_BLOCK`` offsets, stopping
-    at the first block with a non-negative value.  Strict concavity
-    also rules out a second sign change of the derivative, so each
-    located root is the argmax on that interval.  The check bounds or
-    samples e''; it does not measure how far a row is from its argmax,
-    which is what ``verify_ne``'s gain does.
+    e'' is sampled at ``_CONCAVITY_OFFSETS`` offsets by ``_scan``,
+    stopping at the first block with a non-negative value.  Strict
+    concavity also rules out a second sign change of the derivative, so
+    each located root is the argmax on that interval.  The check bounds
+    or samples e''; it does not measure how far a row is from its
+    argmax, which is what ``verify_ne``'s gain does.
     """
     hi = max(bound_c, _DEVIATION_SPAN * rows.max_value())
     if not 0.0 < hi < math.inf:
@@ -363,13 +361,8 @@ def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
     unproven = np.flatnonzero(~(second_deriv_bound(ctx, hi) < 0.0))
     if not unproven.size:
         return True
-    ctx = ctx.rows(unproven)
     offsets = np.linspace(0.0, hi, _CONCAVITY_OFFSETS + 1)[1:]
-    for block in offsets.reshape(-1, _CONCAVITY_BLOCK, 1):
-        (d2,) = payoff_terms(block, ctx, (2,))
-        if np.any(d2 >= 0.0):
-            return False
-    return True
+    return not any(np.any(d2 >= 0.0) for (d2,) in _scan(ctx.rows(unproven), offsets, (2,)))
 
 
 def solve_fixed_point(
@@ -453,27 +446,31 @@ def no_ne_certificate(
     return 0.5 * _trade_prob(nodes, w, np.asarray(delta(nodes), dtype=float), params.rho)
 
 
-def _scan_sup(ctx: PayoffContext, rows: np.ndarray, xs: np.ndarray, hi: float,
-              tol: float) -> np.ndarray:
-    """Supremum of the payoff over the offsets ``xs`` at rows ``rows`` of
-    ``ctx``: e and e' at every offset, in kernel calls of at most
-    ``_BLOCK_ELEMENTS`` values (or one row), then ``_row_newton`` from
-    the secant point of every + -> - sign change of e' between
-    neighbours, all such brackets in one kernel call per step."""
-    step = max(1, _BLOCK_ELEMENTS // (xs.size * ctx.nodes.size))
-    x = np.broadcast_to(xs, (rows.size, xs.size))
-    blocks = [payoff_terms(x[i:i + step], ctx.rows(rows[i:i + step]), (0, 1))
-              for i in range(0, rows.size, step)]
-    vals, slopes = (np.concatenate(terms) for terms in zip(*blocks))
+def _scan(ctx: PayoffContext, xs: np.ndarray, orders):
+    """``payoff_terms`` of ``orders`` at the offsets ``xs`` on every row of
+    the row context ``ctx``, one block of offsets per kernel call, each
+    yielded as arrays of shape (offsets, rows).  A block holds as many
+    offsets as fit in ``_BLOCK_ELEMENTS`` kernel values, and at least one."""
+    step = max(1, _BLOCK_ELEMENTS // ctx.sig.size)
+    for i in range(0, xs.size, step):
+        yield payoff_terms(xs[i:i + step, None], ctx, orders)
+
+
+def _scan_sup(ctx: PayoffContext, xs: np.ndarray, hi: float, tol: float) -> np.ndarray:
+    """Supremum of the payoff over the offsets ``xs`` at every row of the
+    row context ``ctx``: e and e' at every offset by ``_scan``, then
+    ``_row_newton`` from the secant point of every + -> - sign change of
+    e' between neighbours, all such brackets in one kernel call per step."""
+    vals, slopes = (np.concatenate(terms).T for terms in zip(*_scan(ctx, xs, (0, 1))))
     at, j = np.nonzero((slopes[:, :-1] > 0.0) & (slopes[:, 1:] <= 0.0))
     best = vals.max(axis=1)
     if at.size:
-        lo, up = xs[j, None], xs[j + 1, None]
-        d_lo, d_up = slopes[at, j, None], slopes[at, j + 1, None]
+        lo, up = xs[j], xs[j + 1]
+        d_lo, d_up = slopes[at, j], slopes[at, j + 1]
         start = lo + d_lo * (up - lo) / (d_lo - d_up)
-        _, (peaks, _, _), _ = _row_newton(ctx.rows(rows[at]), start, lo, up, hi, tol,
+        _, (peaks, _, _), _ = _row_newton(ctx.rows(at), start, lo, up, hi, tol,
                                          _POLISH_STEPS, (0, 1, 2))
-        np.maximum.at(best, at, peaks[:, 0])
+        np.maximum.at(best, at, peaks)
     return best
 
 
@@ -507,11 +504,12 @@ def verify_ne(
     sign changes of e'.
 
     One context holds every grid row and is sliced by
-    ``PayoffContext.rows``; each scan call holds at most
-    ``_BLOCK_ELEMENTS`` values, and the peak Newton holds one offset per
-    peak.  A true equilibrium yields a value at rounding level, and a
-    converged solve one of order e'' times the squared distance between
-    each row and its best response.
+    ``PayoffContext.rows``.  The held offsets, the proven rows' Newton
+    and the peak Newton take one offset per row; the scan takes blocks
+    of offsets against all scanned rows (``_scan``, which also samples
+    ``_concavity_ok``'s e'').  A true equilibrium yields a value at
+    rounding level, and a converged solve one of order e'' times the
+    squared distance between each row and its best response.
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
@@ -519,18 +517,18 @@ def verify_ne(
     if not hi > 0.0:
         hi = 1.0
     tol = 1e-12 * hi
-    ctx = PayoffContext(delta.grid[:, None], delta, params, fees, default_rule(params, quad_n))
-    x = delta.values[:, None]
+    ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, quad_n))
+    x = delta.values
     terms = payoff_terms(x, ctx, (0, 1, 2))
-    held = terms[0][:, 0]
+    held = terms[0]
     best = held.copy()
     # a NaN bound proves nothing, so that row is scanned
-    proven = np.flatnonzero(second_deriv_bound(ctx, hi)[:, 0] < 0.0)
+    proven = np.flatnonzero(second_deriv_bound(ctx, hi) < 0.0)
     _, (sup, _, _), done = _row_newton(ctx.rows(proven), x[proven], np.nan, np.nan, hi, tol,
                                        _POLISH_STEPS, (0, 1, 2), [t[proven] for t in terms])
-    solved = proven[done[:, 0]]
+    solved = proven[done]
     best[solved] = sup[done]
     scan = np.setdiff1d(np.arange(delta.grid.size), solved)
     if scan.size:
-        best[scan] = _scan_sup(ctx, scan, np.linspace(0.0, hi, x_samples), hi, tol)
+        best[scan] = _scan_sup(ctx.rows(scan), np.linspace(0.0, hi, x_samples), hi, tol)
     return float(np.max(np.maximum(best, held) - held))

@@ -41,12 +41,12 @@ and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
 S, Q, Q~ and the d-free parts of those factors do not depend on the
 strategy: ``PayoffContext.against`` shares them (and the nodes and
 weights) with a context against other node values, re-deriving only
-the rest, and ``PayoffContext.rows`` shares the strategy's caches with
-a context on some of the sigma_a rows.  Each call computes u and
-Phi'(u) once for a whole array of offsets, the cross term from them on
-request, and 1 - Phi(u) only when a requested order needs it: orders 0
-and 1 always, order 2 only under half-linear demand.  The requested
-terms follow in place (``out=`` ufuncs) in at most five arrays of the
+the rest, and ``PayoffContext.rows`` takes some sigma_a rows of the
+caches the kernel reads.  Each call computes u and Phi'(u) once for a
+whole array of offsets, the cross term from them on request, and
+1 - Phi(u) only when a requested order needs it: orders 0 and 1
+always, order 2 only under half-linear demand.  The requested terms
+follow in place (``out=`` ufuncs) in at most five arrays of the
 (offsets, nodes) shape rather than one temporary per operation, with
 the operations of the formulas above in their order, so the bits are
 those of the plain expressions.  The fee scheme contributes one
@@ -110,7 +110,8 @@ class PayoffContext:
     ``against`` and ``rows`` derive contexts without rebuilding the
     x-free caches: the first shares S, Q, Q~ and the d-free factors of
     ``e2_poly`` and re-derives what depends on the opponent's node
-    values, the second shares those and takes some rows of every cache.
+    values, the second takes some rows of the caches the kernel reads
+    and drops the d-free factors, so it cannot be re-pointed.
     """
 
     sigma_a: float | np.ndarray
@@ -126,7 +127,7 @@ class PayoffContext:
     sig: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
     qt: np.ndarray = field(init=False, repr=False)
-    e2_factors: tuple = field(init=False, repr=False)
+    e2_factors: tuple | None = field(init=False, repr=False)
     e2_poly: tuple = field(init=False, repr=False)
 
     def __post_init__(self, delta: Strategy | None):
@@ -172,12 +173,13 @@ class PayoffContext:
     def rows(self, index) -> "PayoffContext":
         """This context on ``sigma_a[index]`` of an array ``sigma_a``, as
         if built on those rows; ``index`` is a slice or an integer array
-        along the first axis."""
+        along the first axis.  It keeps no ``e2_factors``, so ``against``
+        raises on it."""
         ctx = copy.copy(self)
         for name in ("sigma_a", "sig", "q", "qt"):
             object.__setattr__(ctx, name, getattr(self, name)[index])
-        for name in ("e2_factors", "e2_poly"):
-            object.__setattr__(ctx, name, tuple(a[index] for a in getattr(self, name)))
+        object.__setattr__(ctx, "e2_factors", None)
+        object.__setattr__(ctx, "e2_poly", tuple(a[index] for a in self.e2_poly))
         return ctx
 
 

@@ -120,6 +120,15 @@ def test_quad_n_below_one_is_config_error(tmp_path, capsys, command):
         assert capsys.readouterr().err.splitlines()[-1] == f"ael: config error: {message}"
 
 
+def test_validate_rejects_a_bad_sample_count_alike_in_both_mc_checks(capsys):
+    # both Monte Carlo checks build their SimConfig through RunConfig.sim
+    args = [*TOY, "--validate.samples", "0", "--verify.x_samples", "16"]
+    assert main(["validate", *args]) == 4
+    report = dict(ln.split(maxsplit=1) for ln in capsys.readouterr().out.splitlines())
+    message = "FAIL  error: simulation parameters: samples must be >= 1"
+    assert report["payoff_mc"] == report["stats_mc"] == message
+
+
 @pytest.mark.parametrize("rho, code", [("0", 0), ("0.5", 4)])
 def test_validate_report_and_exit_code(capsys, rho, code):
     args = [*TOY, "--validate.samples", "20000", "--verify.x_samples", "16", "--market.rho", rho]

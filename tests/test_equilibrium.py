@@ -406,26 +406,30 @@ class TestVerifyNe:
         delta = solved(main_params, fees).strategy
         calls = self.kernel_calls(monkeypatch)
         verify_ne(delta, main_params, fees)
-        assert calls and all(shape[-1] == 1 for shape, _, _ in calls)
+        assert calls and all(shape == np.shape(sigma_a) for shape, sigma_a, _ in calls)
         assert sum(values for _, _, values in calls) <= 6 * 101 * 64
 
     def test_only_unproven_rows_are_scanned(self, main_params, monkeypatch):
         fees = SpreadQuad(0.05)
         delta = solved(main_params, fees).strategy
-        ctx = PayoffContext(delta.grid[:, None], delta, main_params, fees,
+        ctx = PayoffContext(delta.grid, delta, main_params, fees,
                             default_rule(main_params, SolverConfig.quad_n))
-        bound = second_deriv_bound(ctx, 3.0 * delta.max_value())[:, 0]
+        bound = second_deriv_bound(ctx, 3.0 * delta.max_value())
         unproven = delta.grid[bound >= 0.0]
         assert 0 < unproven.size < delta.grid.size
         calls = self.kernel_calls(monkeypatch)
         verify_ne(delta, main_params, fees, x_samples=33)
-        scanned = [sigma_a for shape, sigma_a, _ in calls if shape[-1] == 33]
-        assert np.array_equal(np.concatenate(scanned)[:, 0], unproven)
+        # a scan call takes a block of offsets, of shape (offsets, 1),
+        # against every scanned row; its blocks cover the 33 offsets once
+        scans = [(shape, sigma_a) for shape, sigma_a, _ in calls if len(shape) == 2]
+        assert sum(shape[0] for shape, _ in scans) == 33
+        assert all(np.array_equal(sigma_a, unproven) for _, sigma_a in scans)
 
-    def test_scan_memory_is_one_row_at_a_time(self, main_params, monkeypatch):
-        # at 4096 scan points a kernel call takes one grid row, so the peak
-        # holds the kernel's four (4096, 64) arrays; a call on all 11 rows
-        # would hold 44 such arrays
+    def test_scan_memory_is_one_block_at_a_time(self, main_params, monkeypatch):
+        # at 4096 scan points a kernel call takes a block of offsets on all
+        # 11 rows, at most _BLOCK_ELEMENTS values, so the peak stays below
+        # the kernel's four (4096, 64) arrays of one row; a call on every
+        # offset would hold 44 such arrays
         monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         grid = np.linspace(0.1, 1.1, 11)
         delta = Strategy(grid, 0.03 + 0.1 * grid * grid)
@@ -565,9 +569,11 @@ class TestBatchedBestResponse:
     def test_concavity_scan_stops_at_the_first_non_concave_block(
         self, main_params, where, kernel_calls, monkeypatch
     ):
-        # 50 offsets up to hi = 3 * 0.3 in blocks of 5; e'' is positive only
-        # at the first offset, only at the last one, or nowhere
+        # 50 offsets up to hi = 3 * 0.3, the block cap set to 5 offsets on
+        # the 11 rows; e'' is positive only at the first offset, only at
+        # the last one, or nowhere
         delta = Strategy.constant(0.3, main_params, 11)
+        monkeypatch.setattr(equilibrium, "_BLOCK_ELEMENTS", 5 * 11 * SolverConfig.quad_n)
         hi = 3.0 * delta.max_value()
         step = hi / 50
         calls = []
@@ -852,38 +858,59 @@ class TestConcavityBound:
         self.assert_sampled_verdict(main_params, SpreadQuad(gamma), monkeypatch)
 
     @staticmethod
-    def sampled_rows(args, monkeypatch):
-        """The sigma_a of every kernel call of a concave ``_concavity_ok``."""
+    def sampled_calls(args, monkeypatch):
+        """The offsets' shape, the sigma_a and the kernel values of every
+        kernel call of a concave ``_concavity_ok``."""
         seen = []
         real = equilibrium.payoff_terms
 
         def spy(x, ctx, orders):
-            seen.append(ctx.sigma_a)
+            seen.append((np.shape(x), ctx.sigma_a, np.broadcast(x[..., None], ctx.sig).size))
             return real(x, ctx, orders)
 
         monkeypatch.setattr(equilibrium, "payoff_terms", spy)
         assert equilibrium._concavity_ok(*args)
         return seen
 
+    @staticmethod
+    def blocks(n_rows):
+        """The offset blocks in which all 50 offsets are sampled on
+        ``n_rows`` rows: as many as the cap allows per kernel call."""
+        step = max(1, equilibrium._BLOCK_ELEMENTS // (n_rows * SolverConfig.quad_n))
+        return [(min(step, 50 - i), 1) for i in range(0, 50, step)]
+
     def test_only_the_unproven_rows_are_sampled(self, main_params, monkeypatch):
         # at gamma = 0.1337 the bound proves about half the rows; the scan
-        # takes all 10 blocks on exactly the others
+        # takes all its blocks on exactly the others
         _, args = concavity_args(main_params, SpreadQuad(0.1337))
         rows, ctx, bound_c = args
         hi = max(bound_c, 3.0 * rows.max_value())
         unproven = rows.grid[second_deriv_bound(ctx, hi) >= 0.0]
         assert 0 < unproven.size < rows.grid.size
-        seen = self.sampled_rows(args, monkeypatch)
-        assert len(seen) == 10
-        assert all(np.array_equal(sigma_a, unproven) for sigma_a in seen)
+        seen = self.sampled_calls(args, monkeypatch)
+        assert [shape for shape, _, _ in seen] == self.blocks(unproven.size)
+        assert all(np.array_equal(sigma_a, unproven) for _, sigma_a, _ in seen)
 
     def test_a_nan_bound_proves_no_row(self, main_params, monkeypatch):
         _, args = concavity_args(main_params, SpreadQuad(2.0))
         monkeypatch.setattr(equilibrium, "second_deriv_bound",
                             lambda ctx, hi: np.full(np.shape(ctx.sigma_a), np.nan))
-        seen = self.sampled_rows(args, monkeypatch)
-        assert len(seen) == 10
-        assert all(np.array_equal(sigma_a, args[0].grid) for sigma_a in seen)
+        seen = self.sampled_calls(args, monkeypatch)
+        assert [shape for shape, _, _ in seen] == self.blocks(args[0].grid.size)
+        assert all(np.array_equal(sigma_a, args[0].grid) for _, sigma_a, _ in seen)
+
+    def test_a_sampled_block_holds_at_most_the_cap(self, main_params, monkeypatch):
+        # with no row proven, one offset on 2001 rows already holds more
+        # than _BLOCK_ELEMENTS values, so each call takes one offset
+        fees = SpreadQuad(2.0)
+        rep, (rows, _, bound_c) = concavity_args(main_params, fees)
+        ctx = PayoffContext(np.linspace(0.1, 1.1, 2001), rep.nodes, main_params, fees,
+                            default_rule(main_params, SolverConfig.quad_n))
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
+        seen = self.sampled_calls((rows, ctx, bound_c), monkeypatch)
+        assert [shape for shape, _, _ in seen] == self.blocks(2001) == [(1, 1)] * 50
+        assert all(values <= max(equilibrium._BLOCK_ELEMENTS, 2001 * 64)
+                   for _, _, values in seen)
 
 
 class TestExistenceBoundQuadrature:

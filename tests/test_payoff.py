@@ -320,9 +320,14 @@ def same_bits(a, b) -> bool:
     return a is b
 
 
-def assert_same_context(got: PayoffContext, want: PayoffContext, x) -> None:
+def assert_same_context(got: PayoffContext, want: PayoffContext, x, row_slice=False) -> None:
+    """Every field and kernel value of ``got`` is that of ``want``; a row
+    slice keeps no ``e2_factors``, which only ``against`` reads."""
     for f in fields(PayoffContext):
-        assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+        if row_slice and f.name == "e2_factors":
+            assert got.e2_factors is None
+        else:
+            assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
     for g, w in zip(payoff_terms(x, got), payoff_terms(x, want)):
         assert same_bits(g, w)
     cross = [payoff_terms(x, c, (1,), cross=True)[1] for c in (got, want)]
@@ -331,8 +336,8 @@ def assert_same_context(got: PayoffContext, want: PayoffContext, x) -> None:
 
 @st.composite
 def context_cases(draw):
-    """(params, fees, rule, sigma_a rows, offsets per row, two opponent
-    node-value arrays) on a small rule, or on a degenerate market."""
+    """(params, fees, rule, sigma_a rows, offsets, two opponent node-value
+    arrays) on a small rule, or on a degenerate market."""
     rho = draw(st.sampled_from((0.0, 0.03)))
     degenerate = draw(st.booleans())
     params = MarketParams(1.1, 1.1, rho) if degenerate else MarketParams(0.1, 1.1, rho)
@@ -340,9 +345,9 @@ def context_cases(draw):
     n_nodes = 1 if degenerate else 8
     n_rows = 1 if degenerate else draw(st.integers(1, 7))
     rows = np.linspace(params.sigma_minus, params.sigma_plus, n_rows)
-    # column rows take a block of offsets each, as verify_ne does
-    shape = (n_rows, 3) if draw(st.booleans()) else (n_rows,)
-    rows = rows[:, None] if len(shape) == 2 else rows
+    # one offset per row, or a block of offsets against every row, as
+    # equilibrium._scan takes them
+    shape = (3, 1) if draw(st.booleans()) else (n_rows,)
     offsets = st.lists(st.floats(-0.5, 2.0), min_size=math.prod(shape), max_size=math.prod(shape))
     values = st.lists(st.floats(0.0, 2.0), min_size=n_nodes, max_size=n_nodes)
     return (params, draw(st.sampled_from(ALL_SCHEMES)), rule, rows,
@@ -379,15 +384,16 @@ class TestDerivedContexts:
         delta = Strategy(rule[0], values)
         full = PayoffContext(rows, delta, params, fees, rule)
         fresh = PayoffContext(rows[index], delta, params, fees, rule)
-        assert_same_context(full.rows(index), fresh, x[index])
+        assert_same_context(full.rows(index), fresh, x[index] if x.shape == rows.shape else x,
+                            row_slice=True)
 
     @pytest.mark.parametrize("fees", ALL_SCHEMES, ids=lambda f: type(f).__name__)
     @pytest.mark.parametrize("index", [slice(2, 6), np.array([5, 0, 3, 3])],
                              ids=["slice", "int_array"])
     def test_rows_and_against_in_either_order(self, fees, index):
-        # every scheme's cached factors, sliced and re-pointed in either
-        # order, from a context built with or without an opponent, hold
-        # the bits of a fresh build on those rows and values
+        # every scheme's cached factors, re-pointed then sliced, from a
+        # context built with or without an opponent, hold the bits of a
+        # fresh build on those rows and values; a slice cannot be re-pointed
         params = MarketParams(0.1, 1.1, 0.03)
         rule = nodes, _ = default_rule(params, 16)
         rows = np.linspace(params.sigma_minus, params.sigma_plus, 7)
@@ -395,9 +401,11 @@ class TestDerivedContexts:
         x = np.linspace(0.0, 0.8, 7)
         full = PayoffContext(rows, Strategy(nodes, first), params, fees, rule)
         fresh = PayoffContext(rows[index], Strategy(nodes, second), params, fees, rule)
-        for got in (full.rows(index).against(second), full.against(second).rows(index),
+        for got in (full.against(second).rows(index),
                     PayoffContext(rows, None, params, fees, rule).against(second).rows(index)):
-            assert_same_context(got, fresh, x[index])
+            assert_same_context(got, fresh, x[index], row_slice=True)
+        with pytest.raises(TypeError):
+            full.rows(index).against(second)
 
 
 @st.composite
@@ -405,9 +413,8 @@ def bound_cases(draw):
     """(row context, hi) on a random market with 0 <= rho <= sigma_minus /
     sigma_plus (or a degenerate one on its one-node rule), under any fee
     scheme.  The context is on rows of shape (n,) against random node
-    values of which one is negative, or, as ``verify_ne`` builds it, on
-    rows of shape (n, 1) against a piecewise-linear strategy on its own
-    grid."""
+    values of which one is negative, or, as ``verify_ne`` builds it,
+    against a piecewise-linear strategy on its own grid."""
     sm = draw(st.floats(0.05, 1.5))
     degenerate = draw(st.booleans())
     sp = sm if degenerate else sm + draw(st.floats(0.05, 2.0))
@@ -426,7 +433,7 @@ def bound_cases(draw):
     if draw(st.booleans()):
         grid = np.linspace(sm, sp, 1 if degenerate else draw(st.integers(2, 12)))
         strategy = draw(st.lists(st.floats(0.0, 2.0), min_size=grid.size, max_size=grid.size))
-        return PayoffContext(rows[:, None], Strategy(grid, strategy), params, fees, rule), hi
+        return PayoffContext(rows, Strategy(grid, strategy), params, fees, rule), hi
     # a Strategy holds no negative value, but a re-pointed context does
     ctx = PayoffContext(rows, Strategy(rule[0], np.zeros(n_nodes)), params, fees, rule)
     return ctx.against(values), hi
@@ -437,8 +444,8 @@ class TestSecondDerivBound:
     @given(bound_cases())
     def test_bounds_every_sampled_second_derivative(self, case):
         ctx, hi = case
-        # one offset axis in front of the rows' shape
-        x = np.linspace(0.0, hi, 201).reshape(-1, *np.ones(ctx.sigma_a.ndim, int))
+        # one offset axis in front of the rows
+        x = np.linspace(0.0, hi, 201)[:, None]
         (d2,) = payoff_terms(x, ctx, (2,))
         bound = payoff.second_deriv_bound(ctx, hi)
         assert bound.shape == ctx.sigma_a.shape
