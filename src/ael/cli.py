@@ -434,6 +434,14 @@ def _check_derivative_fd(cfg, market):
     return worst <= 1e-6, f"max_err={worst:.3e} (tol 1e-06)"
 
 
+def _dev_in_se(dev: float, se: float) -> float:
+    """|dev| in standard errors.  A zero SE (one sample, or samples that
+    all agree) reads 0 when dev is 0 too, and inf otherwise."""
+    if se > 0.0:
+        return dev / se
+    return 0.0 if dev == 0.0 else math.inf
+
+
 def _check_payoff_mc(cfg, market):
     delta = Strategy.constant(0.3, market, 51)
     rule = cfg.rule(market)
@@ -445,7 +453,7 @@ def _check_payoff_mc(cfg, market):
         (ref,) = payoff_terms(x, ctx, (0,))
         sim_i = replace(sim, seed=(sim.seed + i) % 2**64)
         mean, se = estimate_limit_payoff(x, sa, delta, market, sim_i)
-        worst = max(worst, abs(mean - ref) / max(se, 1e-300))
+        worst = max(worst, _dev_in_se(abs(mean - ref), se))
     return worst <= 4.0, f"max_dev={worst:.2f} SE (tol 4)"
 
 
@@ -454,7 +462,7 @@ def _check_stats_mc(cfg, market):
     stats = analytic_stats(delta, market, cfg.rule(market))
     rep = estimate_stats(delta, market, cfg.sim(samples=cfg["validate.samples"]))
     worst = max(
-        abs(e - a) / max(se, 1e-300)
+        _dev_in_se(abs(e - a), se)
         for a, e, se in zip(astuple(stats), astuple(rep.stats), rep.std_errors)
     )
     return worst <= 4.0, f"max_dev={worst:.2f} SE (tol 4)"

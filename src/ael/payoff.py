@@ -348,19 +348,26 @@ def second_deriv_bound(ctx: PayoffContext, hi: float) -> np.ndarray:
     as at least 0), so its maximum on [0, hi] lies at x = 0 or x = hi;
     floored at 0, it times that Phi' bounds the Phi' term.  Under
     half-linear demand -(1 - Phi(u)) is at most its value at the
-    largest u.  The bound takes one (sigma_a, nodes) array per term and
-    no offset axis.
+    largest u.  The bound has no offset axis, and is formed in place in
+    at most three (sigma_a, nodes) arrays.
     """
     a = _penalty(ctx)[0]
     d, s = ctx.delta_b, ctx.sig
-    top = (hi + d) / s
+    top = np.divide(hi + d, s)
+    u = np.divide(d, s)
+    np.clip(0.0, u, top, out=u)  # the point of [d/S, top] nearest 0
+    bound = norm_pdf(u, out=np.empty_like(u))
+    # u is free: the polynomial at hi, floored at its value at 0 and at 0
     *coef, lead = ctx.e2_poly
-    at_hi = np.maximum(lead, 0.0)
+    poly = np.maximum(lead, 0.0, out=u)
     for c in reversed(coef):
-        at_hi = at_hi * hi + c
-    bound = norm_pdf(np.clip(0.0, d / s, top)) * np.maximum(np.maximum(coef[0], at_hi), 0.0)
+        poly *= hi
+        poly += c
+    np.maximum(coef[0], poly, out=poly)
+    bound *= np.maximum(poly, 0.0, out=poly)
     if isinstance(ctx.fees, LinearDemand):
-        bound = 0.5 * ctx.fees.kbar * (bound - norm_cdf(-top))
+        bound -= norm_cdf(np.negative(top, out=top), out=top)
+        bound *= 0.5 * ctx.fees.kbar
     return bound @ ctx.w - 2.0 * a
 
 

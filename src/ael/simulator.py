@@ -1,14 +1,23 @@
 """Monte Carlo engine for the auction game.
 
-Random numbers come from a counter-based Philox stream: every sample
-owns a fixed window of ``_SLOTS`` = 4 uniform draws, one Philox4x64
-block, addressed directly by its draw index.  A sample is therefore a
-pure function of (seed, draw_index), results are bit-identical however
-the work is sharded, and disjoint index ranges give independent
-substreams.  Normal variates are produced by applying the inverse
-normal CDF to the uniforms, which keeps the counter addressing exact.
-The raw window may hold 0.0; the ``_U_FLOOR`` clamp is applied only to
-the columns that ``ndtri`` reads, so the sigma columns keep their bits.
+Random numbers come from one PCG64DXSM stream per call (O'Neill, "PCG:
+A family of simple fast space-efficient statistically good algorithms
+for random number generation", HMC-CS-2014-0905), seeded through
+numpy's ``SeedSequence`` so every seed in [0, 2**64) is valid.  Every
+sample owns a fixed window of ``_SLOTS`` = 4 consecutive doubles of
+that stream: sample i reads draws [4 i, 4 i + 4), reached by
+``advance(4 i)``, a jump of O(log i) steps.  A sample is therefore a
+pure function of (seed, index), results are bit-identical however the
+work is sharded, and disjoint index ranges are disjoint stretches of
+one stream.  What this gives up against a counter-based generator such
+as Philox (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11) is the keyed mixing of each counter: PCG's windows are
+successive outputs of one linear congruential state, not independent
+hashes of their index; in exchange a window fills in about half the
+time.  Normal variates are produced by applying the inverse normal CDF
+to the uniforms, which keeps the addressing exact.  The raw window may
+hold 0.0; the ``_U_FLOOR`` clamp is applied only to the columns that
+``ndtri`` reads, so the sigma columns keep their bits.
 
 Slot layout per draw window (unused slots are reserved):
 
@@ -31,11 +40,10 @@ A chunk is also the unit of memory: it allocates no array of its size.
 Each thread that runs chunks (a pool worker, or the caller when one
 thread runs them all) keeps one ``_Workspace`` of chunk-length columns,
 small enough to stay in cache, for as long as the thread lives.  One
-Philox generator, set to the chunk's first sample, draws the chunk's
+generator, advanced to the chunk's first sample, draws the chunk's
 window into it; the floors, ``ndtri``, sigma maps, strategy lookups,
 prices and the power sums all run on its columns.
 """
-
 from __future__ import annotations
 
 import math
@@ -43,7 +51,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator
 from scipy.special import ndtri
 
 from .errors import DomainError, WrongScheme
@@ -59,7 +67,7 @@ from .model import (
 )
 from .parallel import map_ordered
 
-_SLOTS = 4  # uniforms per sample: the 4 doubles of one Philox4x64 block
+_SLOTS = 4  # uniforms per sample: 4 consecutive doubles of the stream
 _CHUNK = 1 << 15  # samples per chunk; see the module docstring
 _U_FLOOR = 1e-300  # keep ndtri finite if a uniform lands on exactly 0.0
 
@@ -96,10 +104,11 @@ class SimReport:
 class _Workspace:
     """One thread's Monte Carlo buffers, reused by every chunk it runs.
 
-    ``u`` is the (``_CHUNK``, 4) uniform window of a chunk, one Philox
-    block per row, and ``cols`` its columns of intermediate values (rows,
-    each contiguous).  ``scratch`` is the strategy lookup's scratch;
-    ``flag``, its boolean column, is free between lookups.
+    ``u`` is the (``_CHUNK``, 4) uniform window of a chunk, one
+    sample's ``_SLOTS`` consecutive stream draws per row, and ``cols``
+    its columns of intermediate values (rows, each contiguous).
+    ``scratch`` is the strategy lookup's scratch; ``flag``, its boolean
+    column, is free between lookups.
     """
 
     __slots__ = ("u", "cols", "scratch", "flag")
@@ -132,12 +141,13 @@ def _uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     """The raw uniform window of samples [start, start + len(out)),
     written to the (n, 4) ``out`` and returned.
 
-    One Philox generator, advanced ``start`` blocks (one block per
-    sample), draws it.  Values lie in [0, 1); callers floor the columns
-    they pass to ``ndtri`` (see ``_normal``).
+    One PCG64DXSM generator, seeded with ``seed`` and advanced
+    ``_SLOTS * start`` draws (``_SLOTS`` per sample), draws it row by
+    row.  Values lie in [0, 1); callers floor the columns they pass to
+    ``ndtri`` (see ``_normal``).
     """
-    bg = Philox(key=seed)
-    bg.advance(start)
+    bg = PCG64DXSM(seed)
+    bg.advance(_SLOTS * start)
     return Generator(bg).random(out.shape, out=out)
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -196,6 +197,18 @@ def test_validate_payoff_mc_seeds_wrap_at_2_64(monkeypatch, capsys, seed, seeds)
     assert verdicts["payoff_mc"] == "PASS"
 
 
+def test_validate_reads_a_zero_standard_error_as_an_infinite_deviation(capsys):
+    # one sample has a zero SE: a nonzero deviation from it is infinite,
+    # not a quotient by a tiny floor
+    args = [*TOY, "--validate.samples", "1", "--verify.x_samples", "16"]
+    assert main(["validate", *args]) == 4
+    details = dict(ln.split(None, 1) for ln in capsys.readouterr().out.splitlines())
+    assert details["payoff_mc"] == details["stats_mc"] == "FAIL  max_dev=inf SE (tol 4)"
+    assert cli._dev_in_se(0.0, 0.0) == 0.0
+    assert cli._dev_in_se(1e-12, 0.0) == math.inf
+    assert cli._dev_in_se(3.0, 1.5) == 2.0
+
+
 def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):
     args = [*TOY, "--strategy.constant", "0.3", "--market.rho", "0.03", "--samples", "50000"]
     assert main(["stats", "--simulate", "-o", str(tmp_path / "stats.csv"), *args]) == 0
@@ -228,6 +241,26 @@ def test_simulation_throughput_goes_to_stderr(tmp_path, monkeypatch, capsys, com
     # the log changes with the thread count; the output file does not
     assert csvs[0] == csvs[1]
     assert b"samples/s" not in csvs[0]
+
+
+def test_simulate_is_byte_identical_across_processes(tmp_path, monkeypatch):
+    # the integer seed reaches the stream only through SeedSequence
+    # hashing; a run in a fresh process, which would draw other OS
+    # entropy, must write the same bytes at every thread count
+    src = str(Path(ael.__file__).resolve().parent.parent)
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "-o", str(out), "--samples", "70001", "--seed", "9"]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, AEL_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "ael", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(out.read_bytes())
+        monkeypatch.setenv("AEL_THREADS", threads)
+        assert main(args) == 0
+        runs.append(out.read_bytes())
+    assert runs == [runs[0]] * 4
 
 
 def test_single_sample_simulate_has_zero_standard_errors(tmp_path):

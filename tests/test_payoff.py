@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -451,6 +452,47 @@ class TestSecondDerivBound:
         assert bound.shape == ctx.sigma_a.shape
         scale = 1.0 + float(np.max(np.abs(d2)))
         assert np.all(bound >= d2.max(axis=0) - 1e-12 * scale)
+
+    @staticmethod
+    def plain_bound(ctx, hi):
+        # the bound as plain expressions, each term a fresh array
+        d, s = ctx.delta_b, ctx.sig
+        top = (hi + d) / s
+        *coef, lead = ctx.e2_poly
+        at_hi = np.maximum(lead, 0.0)
+        for c in reversed(coef):
+            at_hi = at_hi * hi + c
+        bound = norm_pdf(np.clip(0.0, d / s, top)) * np.maximum(np.maximum(coef[0], at_hi), 0.0)
+        if isinstance(ctx.fees, LinearDemand):
+            bound = 0.5 * ctx.fees.kbar * (bound - norm_cdf(-top))
+        return bound @ ctx.w - 2.0 * payoff._penalty(ctx)[0]
+
+    @pytest.mark.parametrize("fees", ALL_SCHEMES + (SpreadQuad(0.1337),), ids=repr)
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    def test_in_place_bound_is_bit_identical_to_the_plain_expressions(self, fees, rho):
+        params = MarketParams(0.1, 1.1, rho)
+        grid = np.linspace(0.1, 1.1, 101)
+        ctx = PayoffContext(grid, Strategy(grid, 0.05 + 0.3 * grid * grid), params, fees,
+                            default_rule(params, QUAD_N))
+        for hi in (0.1, 1.0, 3.0):
+            want = self.plain_bound(ctx, hi)
+            assert payoff.second_deriv_bound(ctx, hi).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fees", [SpreadQuad(0.1337), LinearDemand(1.0, 0.3)], ids=repr)
+    def test_bound_holds_at_most_three_row_arrays(self, main_params, fees):
+        # the bound is formed in place; the plain expressions hold five
+        # (rows, nodes) arrays at once, six under half-linear demand
+        grid = np.linspace(main_params.sigma_minus, main_params.sigma_plus, 20001)
+        ctx = PayoffContext(grid, Strategy(grid, 0.05 + 0.3 * grid * grid), main_params, fees,
+                            default_rule(main_params, QUAD_N))
+        one = ctx.sig.nbytes
+        tracemalloc.start()
+        try:
+            payoff.second_deriv_bound(ctx, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * one
 
     def test_unknown_scheme_rejected(self, main_params):
         ctx = ctx_for(main_params, SpreadQuad(2.0))

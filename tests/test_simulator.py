@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator
 from scipy.special import ndtri
 
 from ael import simulator
@@ -87,25 +87,25 @@ def test_limit_payoff_identical_across_thread_counts(monkeypatch):
 
 
 def test_stats_report_is_pinned():
-    # pins the Philox stream, the slot layout and the chunked reduction
+    # pins the PCG64DXSM stream, the slot layout and the chunked reduction
     rep = estimate_stats(DELTA, MARKET, SimConfig(samples=262145, seed=11))
     assert astuple(rep.stats) == (
-        0.6033498593196921,
-        0.8645905653329793,
-        -0.0006918706272571717,
-        0.22652036991835592,
-        0.23138720936886076,
+        0.5999566227531667,
+        0.8660940784964836,
+        -0.00029892937609728756,
+        0.22766527084088967,
+        0.23206622289191098,
     )
     se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
     assert (se_sp_mean, se_me_mean, se_trade) == (
-        0.001816074365962926,
-        0.0009295698161855288,
-        0.0008236689384501895,
+        0.0018176527464022255,
+        0.0009319160156693237,
+        0.0008245121554196349,
     )
     # the variance errors come from third and fourth power sums, which may
     # round differently from one evaluation order to another
-    assert se_sp_var == pytest.approx(0.00288796515233977, rel=1e-14, abs=0.0)
-    assert se_me_var == pytest.approx(0.0007609574406949205, rel=1e-14, abs=0.0)
+    assert se_sp_var == pytest.approx(0.0029107888003888868, rel=1e-14, abs=0.0)
+    assert se_me_var == pytest.approx(0.0007671856461417415, rel=1e-14, abs=0.0)
 
 
 def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
@@ -122,22 +122,22 @@ def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
     assert runs[0] == runs[1]
     rep, limit = runs[0]
     assert astuple(rep.stats) == (
-        0.42485074700858727,
-        0.8808301801248238,
-        -0.0007253736190915534,
-        0.23051818702810029,
-        0.3112437772988232,
+        0.4217318284168414,
+        0.8815576155079442,
+        -0.0002191857206273266,
+        0.23158988134967373,
+        0.3127162448263366,
     )
     se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade = rep.std_errors
     assert (se_sp_mean, se_me_mean, se_trade) == (
-        0.0018330506933024533,
-        0.0009377368441141059,
-        0.000904299555025006,
+        0.0018338074514006313,
+        0.0009399141168303323,
+        0.0009054666754935532,
     )
     # as in test_stats_report_is_pinned: third and fourth power sums
-    assert se_sp_var == pytest.approx(0.002936594965468596, rel=1e-14, abs=0.0)
-    assert se_me_var == pytest.approx(0.0007728248032113865, rel=1e-14, abs=0.0)
-    assert limit == (0.025556836318388284, 0.00045873857650911094)
+    assert se_sp_var == pytest.approx(0.002953386836701864, rel=1e-14, abs=0.0)
+    assert se_me_var == pytest.approx(0.0007788154453725824, rel=1e-14, abs=0.0)
+    assert limit == (0.02559835283822472, 0.00046315789921250715)
 
 
 def test_zero_uniforms_stay_finite(monkeypatch):
@@ -169,14 +169,14 @@ def test_moment_pack_matches_exact_power_sums():
 
 
 def window(seed, start, count):
-    """Rows [start, start + count) of the seed's Philox stream drawn four
-    doubles (one block) per row from the stream's start."""
-    return Generator(Philox(key=seed)).random((start + count, 4))[start:]
+    """Rows [start, start + count) of the seed's PCG64DXSM stream drawn
+    four doubles per row from the stream's start."""
+    return Generator(PCG64DXSM(seed)).random((start + count, 4))[start:]
 
 
 @pytest.mark.parametrize("start, count", [
     (0, 1), (0, _CHUNK - 1), (0, _CHUNK), (_CHUNK - 1, 2), (_CHUNK - 1, _CHUNK), (_CHUNK, 1)])
-def test_uniforms_are_one_philox_block_per_sample(start, count):
+def test_uniforms_are_four_stream_draws_per_sample(start, count):
     # the window is the stream's rows [start, start + count), also when it
     # straddles a chunk edge
     out = np.empty((count, 4))
@@ -188,17 +188,25 @@ def test_uniforms_are_one_philox_block_per_sample(start, count):
 def test_each_chunk_draws_one_block_per_sample_from_one_generator(monkeypatch):
     made = []
 
-    def philox(key):
-        made.append(Philox(key=key))
+    def pcg(seed):
+        made.append(PCG64DXSM(seed))
         return made[-1]
 
-    monkeypatch.setattr(simulator, "Philox", philox)
+    monkeypatch.setattr(simulator, "PCG64DXSM", pcg)
     sim = SimConfig(samples=2 * _CHUNK + 1, seed=11)
     estimate_stats(DELTA, MARKET, sim)
     # each chunk's generator starts at the chunk's first sample and stops
-    # at its end, so the call takes exactly `samples` blocks
-    ends = sorted(int(bg.state["state"]["counter"][0]) for bg in made)
-    assert ends == [_CHUNK, 2 * _CHUNK, sim.samples]
+    # at its end, in the state of the seed's stream advanced 4 draws per
+    # sample up to that end, so the call takes exactly `samples` windows
+    def state_at(end):
+        bg = PCG64DXSM(sim.seed)
+        bg.advance(4 * end)
+        return bg.state["state"]
+
+    ends = [_CHUNK, 2 * _CHUNK, sim.samples]
+    got = [bg.state["state"] for bg in made]
+    assert len(got) == len(ends)
+    assert all(state_at(end) in got for end in ends)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
