@@ -1,6 +1,7 @@
 """Numerical primitives: the standard-normal CDF/PDF, bracketed root
 finding, concave 1-D maximization, and the nodes and weights of
-fixed-node Gauss-Legendre quadrature.  Everything in this module is a
+fixed-node Gauss-Legendre quadrature with the polynomial interpolant
+through them.  Everything in this module is a
 pure function of its arguments, so all of it is safe to call from any
 number of concurrent workers.
 
@@ -230,3 +231,27 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = a + half * (x + 1.0), w * half
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def legendre_interpolate(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through ``values`` at the Gauss-Legendre ``nodes`` of
+    any interval (ascending, as ``gauss_legendre`` gives them), at ``x``.
+
+    Second-kind barycentric formula with the weights (-1)^j sqrt((1 -
+    t_j^2) lambda_j) of the rule on [-1, 1] (Wang, Huybrechs and
+    Vandewalle, Math. Comp. 83, 2014); an affine map of the nodes scales
+    every weight alike, so the formula takes ``nodes`` as they are.  It
+    is stable wherever the interpolation problem is well conditioned
+    (Berrut and Trefethen, SIAM Rev. 46, 2004).  A point equal to a node
+    takes that node's value.
+    """
+    t, lam = _legendre(nodes.size)
+    w = np.sqrt((1.0 - t * t) * lam)
+    w[1::2] *= -1.0
+    diff = x[:, None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = w / diff
+        out = (c @ values) / c.sum(axis=1)
+    at, j = np.nonzero(diff == 0.0)
+    out[at] = values[j]
+    return out

@@ -209,8 +209,9 @@ def _mean_var_ses(sums: np.ndarray, n: int) -> tuple[float, float, float, float]
     m4 = s4 / n - 4.0 * mean * s3 / n + 6.0 * mean * mean * s2 / n - 3.0 * mean**4
     var = m2 * n / (n - 1) if n > 1 else 0.0
     se_mean = math.sqrt(m2 / n)
-    # at n == 1, m4 holds only the cancellation of the raw sums
-    se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n) if n > 1 else 0.0
+    # one sample has no spread, and two deviate by +-d, so m4 = m2^2
+    # exactly: at n <= 2, m4 - m2^2 holds only the cancellation of the raw sums
+    se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n) if n > 2 else 0.0
     return mean, var, se_mean, se_var
 
 

@@ -274,6 +274,18 @@ def test_single_sample_simulate_has_zero_standard_errors(tmp_path):
     assert all(v == 0.0 for h, v in values.items() if h.startswith("se_"))
 
 
+def test_two_sample_simulate_has_zero_variance_standard_errors(tmp_path):
+    # two samples deviate from their mean by +-d, so m4 = m2^2 exactly
+    # and the SE of each variance is 0, while the variances are not
+    out = tmp_path / "sim.csv"
+    args = ["--samples", "2", "--seed", "12345", "--strategy.constant", "0"]
+    assert main(["simulate", "-o", str(out), *args]) == 0
+    header, (row,) = data_rows(out)
+    values = dict(zip(header, row))
+    assert values["emp_spread_var"] > 0.0 and values["emp_mid_error_var"] > 0.0
+    assert values["se_spread_var"] == values["se_mid_error_var"] == 0.0
+
+
 def test_payoff_curve_matches_scalar_functions(tmp_path):
     out = tmp_path / "curve.csv"
     args = ["--strategy.constant", "0.3", "--curve.n", "41"]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -43,6 +44,7 @@ from ael.equilibrium import (
 )
 
 FAST = SolverConfig(grid_n=41, tol=1e-7)
+ARGMAX_TOL = max(SolverConfig.tol * 1e-3, 1e-13)  # the row Newton's step bound at the default tol
 
 
 def spread_foc(x, sigma, rho, gamma):
@@ -680,8 +682,16 @@ class TestNewtonSolve:
         g, jac = node_system(rep.nodes.values, params, fees)
         assert rep.residual == pytest.approx(float(np.max(np.abs(np.linalg.solve(jac, g)))),
                                              rel=1e-12)
-        rows = best_response(rep.nodes, params, fees, SolverConfig())
-        assert np.array_equal(rows.values, rep.strategy.values)
+        # the rows are the best response to the nodes: each row's Newton
+        # step against them is within the argmax tolerance, so the rows
+        # agree with a best response started elsewhere to twice that
+        rows = rep.strategy
+        ctx = PayoffContext(rows.grid, rep.nodes, params, fees,
+                            default_rule(params, SolverConfig.quad_n))
+        d1, d2 = payoff_terms(rows.values, ctx, (1, 2))
+        assert np.max(np.abs(np.maximum(rows.values - d1 / d2, 0.0) - rows.values)) <= ARGMAX_TOL
+        again = best_response(rep.nodes, params, fees, SolverConfig())
+        assert np.max(np.abs(again.values - rows.values)) <= 2.0 * ARGMAX_TOL
 
     @SOLVER_CASES
     def test_residual_measures_the_node_error(self, params, fees):
@@ -798,7 +808,7 @@ class TestNewtonSolve:
             g = np.arctan(x - 10.0)
             return g, g * (1.0 + (x - 10.0) ** 2)
 
-        x, residual, iterations = equilibrium._newton(system, np.array([14.0]), 1e-12, 50)
+        x, residual, iterations, _ = equilibrium._newton(system, np.array([14.0]), 1e-12, 50)
         assert residual <= 1e-12 and abs(x[0] - 10.0) <= 1e-12
         assert len(seen) > iterations and all(v[0] >= 0.0 for v in seen)
 
@@ -820,11 +830,107 @@ class TestNewtonSolve:
         bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
         start = (0.5 * bound_c if fees.gamma >= gamma_min
                  else equilibrium._degenerate_root(fees, params.sigma_plus, rho))
-        x, residual, iterations = equilibrium._newton(
+        x, residual, iterations, _ = equilibrium._newton(
             fresh_system, np.full(cfg.quad_n, start), cfg.tol, cfg.max_iter)
         rep = solve_fixed_point(params, fees, cfg)
         assert rep.nodes.values.tobytes() == x.tobytes()
         assert rep.residual == residual and rep.iterations == iterations
+
+
+class TestSpectralRowStart:
+    @staticmethod
+    def row_kernel_calls(monkeypatch):
+        """Count ``payoff_terms`` calls made inside ``_argmax_rows``."""
+        calls, inside = [0], [False]
+        real_terms, real_argmax = equilibrium.payoff_terms, equilibrium._argmax_rows
+
+        def terms(*args, **kwargs):
+            calls[0] += inside[0]
+            return real_terms(*args, **kwargs)
+
+        def argmax(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_argmax(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", terms)
+        monkeypatch.setattr(equilibrium, "_argmax_rows", argmax)
+        return calls
+
+    @pytest.mark.parametrize(
+        "params, fees",
+        [(MarketParams(0.1, 1.1, rho), fees)
+         for rho in (0.0, 0.05)
+         for fees in (SpreadQuad(1.5), SpreadQuad(3.0), LinearDemand(1.0, 0.2),
+                      LinearDemand(1.0, 0.5))]
+        + [(MarketParams(1.1 - 1e-6, 1.1, 0.0), SpreadQuad(2.0))],
+        ids=repr,
+    )
+    def test_row_phase_is_one_kernel_call(self, params, fees, monkeypatch):
+        # the interpolated node best responses are already within the
+        # argmax step, so the row Newton accepts its start at once
+        calls = self.row_kernel_calls(monkeypatch)
+        rep = solve_fixed_point(params, fees, SolverConfig())
+        assert rep.converged and calls[0] == 1
+
+    @pytest.mark.parametrize("grid_n", [101, 1001])
+    def test_a_row_on_a_node_is_finite(self, main_params, grid_n):
+        # an odd rule and an odd grid share the interval's centre
+        cfg = SolverConfig(quad_n=15, grid_n=grid_n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = solve_fixed_point(main_params, SpreadQuad(2.0), cfg)
+        assert np.intersect1d(rep.nodes.grid, rep.strategy.grid).size == 1
+        assert rep.converged and np.all(np.isfinite(rep.strategy.values))
+        again = best_response(rep.nodes, main_params, SpreadQuad(2.0), cfg)
+        assert np.max(np.abs(again.values - rep.strategy.values)) <= 2.0 * ARGMAX_TOL
+
+    def test_a_node_without_a_maximum_starts_at_its_value(self, main_params, monkeypatch):
+        # where the last evaluation's e'' is >= 0 or not finite, the node
+        # gives its own value to the interpolant; the row Newton corrects it
+        fees, broken = SpreadQuad(2.0), [3, 10, 31, 50]
+        real_newton, real_interp = equilibrium._newton, equilibrium.legendre_interpolate
+        seen = {}
+
+        def newton(*args):
+            x, residual, iterations, (g, step, d2) = real_newton(*args)
+            d2 = d2.copy()
+            d2[broken] = [0.0, 1.0, np.nan, -np.inf]
+            seen["x"] = x
+            return x, residual, iterations, (g, step, d2)
+
+        def interp(nodes, values, at):
+            seen["b"] = values
+            return real_interp(nodes, values, at)
+
+        monkeypatch.setattr(equilibrium, "_newton", newton)
+        monkeypatch.setattr(equilibrium, "legendre_interpolate", interp)
+        rep = solve_fixed_point(main_params, fees, SolverConfig())
+        assert np.array_equal(seen["b"][broken], seen["x"][broken])
+        kept = np.setdiff1d(np.arange(seen["x"].size), broken)
+        assert not np.array_equal(seen["b"][kept], seen["x"][kept])
+        want = solved(main_params, fees).strategy.values
+        assert rep.converged and np.max(np.abs(rep.strategy.values - want)) <= 2.0 * ARGMAX_TOL
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rows_match_a_linear_start(self, data):
+        # a random market with rho within its bound, either scheme, any
+        # node and row count: the published rows stay within the argmax
+        # step (1e-10) of a best response started from the nodes' linear
+        # interpolant
+        sm = data.draw(st.floats(0.05, 1.5))
+        sp = sm + data.draw(st.floats(0.05, 2.0))
+        params = MarketParams(sm, sp, data.draw(st.floats(0.0, 1.0)) * sm / sp)
+        gamma = data.draw(st.floats(0.05, 3.0))
+        fees = data.draw(st.sampled_from(
+            [SpreadQuad(gamma), LinearDemand(data.draw(st.floats(0.2, 2.0)), gamma)]))
+        cfg = SolverConfig(grid_n=data.draw(st.integers(2, 101)), quad_n=data.draw(st.integers(8, 64)))
+        rep = solve_fixed_point(params, fees, cfg)
+        linear = best_response(rep.nodes, params, fees, cfg)
+        assert np.max(np.abs(linear.values - rep.strategy.values)) <= ARGMAX_TOL
 
 
 def concavity_args(params, fees):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from ael.gaussmath import (
     Bracket,
     find_root,
     gauss_legendre,
+    legendre_interpolate,
     maximize_concave,
     norm_cdf,
     norm_pdf,
@@ -177,6 +180,48 @@ class TestQuadrature:
             gauss_legendre(1.0, 1.0, 8)
         with pytest.raises(DomainError):
             gauss_legendre(0.0, 1.0, 0)
+
+
+class TestLegendreInterpolate:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_reproduces_polynomials_below_the_node_count(self, n):
+        # the interpolant of a degree n - 1 polynomial is that polynomial,
+        # also past the outer nodes, where the rows of a strategy grid lie
+        nodes, _ = gauss_legendre(0.1, 1.1, n)
+        coef = np.random.default_rng(n).standard_normal(n)
+        x = np.linspace(0.1, 1.1, 101)
+        got = legendre_interpolate(nodes, np.polynomial.polynomial.polyval(nodes, coef), x)
+        want = np.polynomial.polynomial.polyval(x, coef)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_matches_scipy_barycentric(self):
+        nodes, _ = gauss_legendre(-2.0, 3.0, 24)
+        values = np.exp(-nodes) * np.sin(3.0 * nodes)
+        x = np.linspace(-2.0, 3.0, 57)
+        want = scipy.interpolate.BarycentricInterpolator(nodes, values)(x)
+        assert legendre_interpolate(nodes, values, x) == pytest.approx(want, abs=1e-12)
+
+    def test_converges_spectrally_on_analytic_functions(self):
+        x = np.linspace(0.1, 1.1, 101)
+        errs = []
+        for n in (8, 16, 32):
+            nodes, _ = gauss_legendre(0.1, 1.1, n)
+            got = legendre_interpolate(nodes, np.exp(-nodes) * np.sin(3.0 * nodes), x)
+            errs.append(np.max(np.abs(got - np.exp(-x) * np.sin(3.0 * x))))
+        assert errs[0] < 1e-4 and errs[1] < 1e-12 and errs[2] < 1e-14
+
+    def test_a_point_on_a_node_takes_its_value(self):
+        # an odd rule has its middle node at the interval's centre, which
+        # an odd uniform grid also holds; no division by zero is warned of
+        nodes, _ = gauss_legendre(0.1, 1.1, 15)
+        x = np.linspace(0.1, 1.1, 101)
+        assert nodes[7] == x[50]
+        values = np.cos(nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = legendre_interpolate(nodes, values, x)
+        assert got[50] == values[7] and np.all(np.isfinite(got))
+        assert np.array_equal(legendre_interpolate(nodes, values, nodes), values)
 
 
 class TestDefaultRule:
