@@ -5,8 +5,13 @@ maximizes the penalized payoff against delta itself.  The opponent's
 strategy enters the payoff only through its values x at the q quadrature
 nodes sigma_i, so an equilibrium solves G_i(x) = e'(x_i; sigma_a =
 sigma_i, d = x) = 0, i = 1..q, by Newton's method on the analytic
-Jacobian J = diag(e'') + w * (the kernel's cross term).  The strategy
-elsewhere is one best response against x, the Nystrom interpolant
+Jacobian J = diag(e'') + w * (the kernel's cross term).  A cold solve
+first solves the same system on floor(q/4) nodes and starts the q-node
+Newton from the polynomial through that solution (nested iteration).
+The node values converge spectrally in q, so on the markets tried that
+start is already within the tolerance and the q-node system is
+evaluated once; the nodes and every output stay the q-node ones.  The
+strategy elsewhere is one best response against x, the Nystrom interpolant
 (Atkinson, The Numerical Solution of Integral Equations of the Second
 Kind, 1997, section 4.1).  That best response is analytic in sigma_a, so
 its rows start from the polynomial through the node best responses
@@ -71,13 +76,16 @@ _BLOCK_ELEMENTS = 65792  # kernel values per _scan call unless one offset holds 
 _POLISH_STEPS = 8  # Newton steps of verify_ne's proven rows and scan peaks
 VERIFY_X_SAMPLES = 33  # default scan density of verify_ne
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
+_COARSE_RATIO = 4  # a cold solve first solves the node system on quad_n // 4 nodes
+_COARSE_MIN = 8  # fewest nodes of that coarse level; below it, no coarse level
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Equilibrium solver knobs: ``quad_n`` quadrature nodes, which are
     the unknowns, and ``grid_n`` uniform rows of the returned strategy;
-    ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G.
+    ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G at
+    each node level of a solve.
     ``quad_n`` is the package's only default node count of a sigma_b rule."""
 
     grid_n: int = 101
@@ -105,7 +113,8 @@ class EquilibriumReport:
     ``nodes`` on ``grid_n`` rows, the published output, each row within a
     Newton step of max(tol * 1e-3, 1e-13) of its root of e'.  ``residual``:
     the Newton correction max|J^-1 G| at ``nodes``; ``iterations``: the
-    evaluations of G and J.  ``concavity_ok``: the penalized payoff
+    evaluations of G and J on the ``quad_n`` nodes, not counting a cold
+    solve's coarse level.  ``concavity_ok``: the penalized payoff
     against ``nodes`` has a negative second derivative at every row on
     the offsets (0, max(C, 3 max strategy)], proven on the whole interval
     at the rows where ``payoff.second_deriv_bound`` allows it and sampled
@@ -344,6 +353,52 @@ def best_response(
                                        cfg.tol))
 
 
+def _node_system(params: MarketParams, fees: FeeScheme, rule):
+    """The node system of ``rule`` for ``_newton``: x -> (G, J^-1 G, e''),
+    one node context built here and re-pointed (``PayoffContext.against``)
+    at each evaluation, one kernel call with the cross term per
+    evaluation.  A singular J raises NoConvergence."""
+    node_ctx = PayoffContext(rule[0], None, params, fees, rule)
+
+    def system(x):
+        ctx = node_ctx.against(x)
+        g, d2, jac = payoff_terms(x, ctx, (1, 2), cross=True)
+        jac *= ctx.w
+        jac.flat[::jac.shape[0] + 1] += d2
+        try:
+            return g, np.linalg.solve(jac, g), d2
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"singular equilibrium Jacobian: {exc}") from None
+
+    return system
+
+
+def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig, start: float,
+                nodes: np.ndarray) -> np.ndarray:
+    """Start of a solve without ``init`` at ``nodes``, the ``cfg.quad_n``
+    nodes: the node system of the floor(q/4)-node rule solved by the
+    same ``_newton`` from the constant ``start``, to ``cfg.tol`` within
+    ``cfg.max_iter`` evaluations, then its polynomial interpolant at
+    ``nodes`` (``legendre_interpolate``) clipped at 0 (nested iteration:
+    Hackbusch, Multi-Grid Methods and Applications, 1985, section 5.3).
+    The plain constant ``start`` instead on a degenerate market, below
+    ``_COARSE_MIN`` coarse nodes, and where the coarse solve raises
+    NoConvergence or stops above ``tol``."""
+    plain = np.full(nodes.shape, start)
+    coarse_n = cfg.quad_n // _COARSE_RATIO
+    if params.is_degenerate or coarse_n < _COARSE_MIN:
+        return plain
+    coarse_rule = default_rule(params, coarse_n)
+    try:
+        x, residual, _, _ = _newton(_node_system(params, fees, coarse_rule),
+                                    np.full(coarse_n, start), cfg.tol, cfg.max_iter)
+    except NoConvergence:
+        return plain
+    if residual > cfg.tol:
+        return plain
+    return np.maximum(legendre_interpolate(coarse_rule[0], x, nodes), 0.0)
+
+
 def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
     """Whether the penalized payoff of the row context ``ctx``, on the
     sigma_a of ``rows`` against the node strategy whose roots ``rows``
@@ -381,16 +436,20 @@ def solve_fixed_point(
     """Newton solve of G(x) = 0 on the q = ``quad_n`` quadrature nodes.
 
     The node values start at ``init`` read at the nodes (clamped to its
-    grid), else at the constant C/2 when gamma clears the analytic
-    threshold, otherwise at the degenerate-market root for sigma_plus
-    (the threshold is far from tight); a degenerate market is one
-    unit-weight node.  The node context is built once and re-pointed
-    (``PayoffContext.against``) at each evaluation of G and J.  ``_newton``
-    stops at max|J^-1 G| <= ``tol`` or after ``max_iter`` evaluations.
-    The report's ``nodes`` are the node values returned, with their
-    residual.  One row context against them gives both the output rows
-    and the ``_concavity_ok`` verdict; a failed check reports
-    converged=False, never raises.  The rows are the best response of
+    grid).  Without ``init`` the plain start is the constant C/2 when
+    gamma clears the analytic threshold, otherwise the degenerate-market
+    root for sigma_plus (the threshold is far from tight); a degenerate
+    market is one unit-weight node.  ``_cold_start`` refines that start
+    by a coarse level: the same node system on floor(q/4) nodes, solved
+    to the same ``tol``, read at the q nodes.  The coarse level builds
+    no row context and runs no check, and it falls back to the plain
+    start where it fails.  Each level builds one node context and
+    re-points it (``PayoffContext.against``) at each evaluation of G and
+    J; ``_newton`` stops at max|J^-1 G| <= ``tol`` or after ``max_iter``
+    evaluations.  The report's ``nodes`` are the q node values returned,
+    with their residual and their evaluations.  One row context against
+    them gives both the output rows and the ``_concavity_ok`` verdict; a
+    failed check reports converged=False, never raises.  The rows are the best response of
     ``_argmax_rows``, one ``_row_newton`` on every row, started from
     ``gaussmath.legendre_interpolate`` of the node best responses b = x -
     G/e'', a diagonal Newton step from the G and e'' that ``_newton``
@@ -412,21 +471,10 @@ def solve_fixed_point(
 
     rule = default_rule(params, cfg.quad_n)
     nodes = rule[0]
-    x = (np.full(nodes.shape, start) if init is None
+    x = (_cold_start(params, fees, cfg, start, nodes) if init is None
          else init(np.clip(nodes, init.grid[0], init.grid[-1])))
-    node_ctx = PayoffContext(nodes, None, params, fees, rule)
-
-    def system(x):
-        ctx = node_ctx.against(x)
-        g, d2, jac = payoff_terms(x, ctx, (1, 2), cross=True)
-        jac *= ctx.w
-        jac[np.diag_indices_from(jac)] += d2
-        try:
-            return g, np.linalg.solve(jac, g), d2
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular equilibrium Jacobian: {exc}") from None
-
-    x, residual, iterations, (g, _, d2) = _newton(system, x, cfg.tol, cfg.max_iter)
+    x, residual, iterations, (g, _, d2) = _newton(
+        _node_system(params, fees, rule), x, cfg.tol, cfg.max_iter)
     solved = Strategy(nodes, x)
     # each node's best response against x, one diagonal Newton step away;
     # where e'' proves no maximum, the node value itself

@@ -14,7 +14,7 @@ import ael.equilibrium as equilibrium
 import ael.parallel as parallel
 import ael.payoff as payoff
 from ael.errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
-from ael.gaussmath import norm_cdf, norm_pdf
+from ael.gaussmath import legendre_interpolate, norm_cdf, norm_pdf
 from ael.model import (
     LinearDemand,
     MarketParams,
@@ -597,23 +597,24 @@ class TestBatchedBestResponse:
         "fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)], ids=["spread_quad", "linear_demand"]
     )
     def test_kernel_calls_per_newton_step(self, main_params, fees, monkeypatch):
-        # a solve builds two contexts: the node context, re-pointed at each
-        # evaluation, and one output-row context that the row best response
-        # and the concavity check share; the node loop makes one kernel call
-        # per evaluation of G and J (no halvings here), which returns the
-        # cross term, computed nowhere else; the closed-form bound proves
-        # every row of the default market concave, so the check samples no
-        # offset block; verify_ne builds one context at any thread count and
-        # starts no worker
-        calls = {"ctx": 0, "kernel": 0, "cross": 0, "node_kernel": None, "concavity": None}
+        # a cold solve builds three contexts: the coarse and the fine node
+        # contexts, each re-pointed at each evaluation of its level, and one
+        # output-row context that the row best response and the concavity
+        # check share; each node level makes one kernel call per evaluation
+        # of G and J (no halvings here), which returns the cross term,
+        # computed nowhere else; the closed-form bound proves every row of
+        # the default market concave, so the check samples no offset block;
+        # verify_ne builds one context at any thread count and starts no
+        # worker
+        calls = {"ctx": 0, "kernel": 0, "cross": 0, "concavity": None}
+        kernel_at_ctx, evaluations = [], []
         real_init = PayoffContext.__post_init__
         real_terms, real_cross = equilibrium.payoff_terms, payoff._cross_term
-        real_concavity = equilibrium._concavity_ok
+        real_concavity, real_newton = equilibrium._concavity_ok, equilibrium._newton
 
         def counted_init(self, *args):
             calls["ctx"] += 1
-            if calls["ctx"] == 2:
-                calls["node_kernel"] = calls["kernel"]
+            kernel_at_ctx.append(calls["kernel"])
             real_init(self, *args)
 
         def counted_terms(*args, **kwargs):
@@ -630,13 +631,22 @@ class TestBatchedBestResponse:
             calls["concavity"] = calls["kernel"] - before
             return ok
 
+        def counted_newton(*args):
+            out = real_newton(*args)
+            evaluations.append(out[2])
+            return out
+
         monkeypatch.setattr(PayoffContext, "__post_init__", counted_init)
         monkeypatch.setattr(equilibrium, "payoff_terms", counted_terms)
         monkeypatch.setattr(payoff, "_cross_term", counted_cross)
         monkeypatch.setattr(equilibrium, "_concavity_ok", counted_concavity)
+        monkeypatch.setattr(equilibrium, "_newton", counted_newton)
         rep = solve_fixed_point(main_params, fees, SolverConfig())
-        assert rep.converged and calls["ctx"] == 2
-        assert calls["node_kernel"] == calls["cross"] == rep.iterations
+        assert rep.converged and calls["ctx"] == 3
+        coarse, fine = evaluations
+        assert fine == rep.iterations
+        assert kernel_at_ctx == [0, coarse, coarse + fine]
+        assert calls["cross"] == coarse + fine
         assert calls["concavity"] == 0
 
         def no_workers(*args, **kwargs):
@@ -653,6 +663,29 @@ class TestBatchedBestResponse:
 @lru_cache(maxsize=None)
 def solved(params, fees, tol=SolverConfig.tol):
     return solve_fixed_point(params, fees, SolverConfig(tol=tol))
+
+
+def plain_start(params, fees, quad_n=SolverConfig.quad_n):
+    """The constant a cold solve starts its node values at: C/2 when gamma
+    clears the existence threshold, else the degenerate root at sigma_plus."""
+    bound_c, gamma_min = existence_bound(params, fees, quad_n)
+    return (0.5 * bound_c if fees.gamma >= gamma_min
+            else equilibrium._degenerate_root(fees, params.sigma_plus, params.rho))
+
+
+def plain_solve(params, fees, cfg=SolverConfig()):
+    """The solve from the plain start on the fine nodes, given as ``init``,
+    so no coarse level runs."""
+    nodes, _ = default_rule(params, cfg.quad_n)
+    init = Strategy(nodes, np.full(nodes.size, plain_start(params, fees, cfg.quad_n)))
+    return solve_fixed_point(params, fees, cfg, init=init)
+
+
+def report_bytes(rep):
+    """Every field of an ``EquilibriumReport``, arrays as bytes."""
+    return (rep.nodes.grid.tobytes(), rep.nodes.values.tobytes(), rep.strategy.grid.tobytes(),
+            rep.strategy.values.tobytes(), rep.residual, rep.iterations, rep.converged,
+            rep.concavity_ok)
 
 
 SOLVER_CASES = pytest.mark.parametrize(
@@ -778,13 +811,12 @@ class TestNewtonSolve:
         assert len(pairs) >= 2
         assert all(b <= 10.0 * a * a for a, b in pairs)
 
-    @pytest.mark.parametrize(
-        "fees, iterations", [(SpreadQuad(2.0), 3), (LinearDemand(1.0, 0.3), 5)],
-        ids=["spread_quad", "linear_demand"],
-    )
-    def test_newton_step_counts(self, main_params, fees, iterations):
+    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)],
+                             ids=["spread_quad", "linear_demand"])
+    def test_newton_step_counts(self, main_params, fees):
+        # the evaluations on the 64 fine nodes, after the 16-node coarse solve
         rep = solve_fixed_point(main_params, fees, SolverConfig())
-        assert rep.converged and rep.iterations == iterations
+        assert rep.converged and rep.iterations == 1
 
     @pytest.mark.parametrize("fees", [SpreadQuad(0.1), LinearDemand(1.0, 0.3)],
                              ids=["spread_quad", "linear_demand"])
@@ -818,23 +850,113 @@ class TestNewtonSolve:
         ids=["spread_quad", "spread_quad_low_gamma", "linear_demand"],
     )
     def test_repointed_node_context_matches_fresh_contexts(self, fees, rho):
-        # oracle: the node system with a fresh context per evaluation, from
-        # the solver's start, through the same Newton loop
+        # oracle: the node system with a fresh context per evaluation, through
+        # the same Newton loop, on the coarse nodes from the solver's plain
+        # start, then on the fine nodes from the coarse solution's interpolant
         params = MarketParams(0.1, 1.1, rho)
         cfg = SolverConfig()
 
-        def fresh_system(x):
-            g, jac = node_system(x, params, fees, cfg.quad_n)
-            return g, np.linalg.solve(jac, g)
+        def fresh_newton(quad_n, x):
+            def fresh_system(x):
+                g, jac = node_system(x, params, fees, quad_n)
+                return g, np.linalg.solve(jac, g)
 
-        bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
-        start = (0.5 * bound_c if fees.gamma >= gamma_min
-                 else equilibrium._degenerate_root(fees, params.sigma_plus, rho))
-        x, residual, iterations, _ = equilibrium._newton(
-            fresh_system, np.full(cfg.quad_n, start), cfg.tol, cfg.max_iter)
+            return equilibrium._newton(fresh_system, x, cfg.tol, cfg.max_iter)
+
+        coarse, _ = default_rule(params, cfg.quad_n // 4)
+        x, residual, _, _ = fresh_newton(coarse.size,
+                                         np.full(coarse.size, plain_start(params, fees)))
+        assert residual <= cfg.tol
+        fine, _ = default_rule(params, cfg.quad_n)
+        start = np.maximum(legendre_interpolate(coarse, x, fine), 0.0)
+        x, residual, iterations, _ = fresh_newton(cfg.quad_n, start)
         rep = solve_fixed_point(params, fees, cfg)
         assert rep.nodes.values.tobytes() == x.tobytes()
         assert rep.residual == residual and rep.iterations == iterations
+
+
+class TestCoarseStart:
+    # a cold solve first solves the node system on quad_n // 4 nodes and
+    # starts the fine Newton from that solution's interpolant
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.data())
+    def test_a_bench_range_solve_is_one_fine_evaluation(self, data):
+        # SpreadQuad gamma in [1.5, 3] or LinearDemand(1, gamma in [0.2,
+        # 0.5]) on sigma in [0.1, 1.1], rho in [0, 0.05]: the interpolated
+        # coarse solve is already within tol at the fine nodes, and the rows
+        # are those of the solve from the plain start
+        params = MarketParams(0.1, 1.1, data.draw(st.floats(0.0, 0.05)))
+        fees = data.draw(st.one_of(st.floats(1.5, 3.0).map(SpreadQuad),
+                                   st.floats(0.2, 0.5).map(lambda g: LinearDemand(1.0, g))))
+        rep = solve_fixed_point(params, fees)
+        assert rep.converged and rep.residual <= SolverConfig.tol and rep.iterations == 1
+        plain = plain_solve(params, fees)
+        assert plain.converged and plain.iterations > 1
+        assert np.max(np.abs(rep.strategy.values - plain.strategy.values)) <= 1e-10
+
+    @pytest.mark.parametrize("failure", ["raises", "above_tol"])
+    @pytest.mark.parametrize("fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)],
+                             ids=["spread_quad", "linear_demand"])
+    def test_a_failed_coarse_solve_leaves_the_plain_start(self, main_params, fees, failure,
+                                                           monkeypatch):
+        real_newton, coarse = equilibrium._newton, []
+
+        def newton(system, x, tol, max_iter):
+            if x.size == SolverConfig.quad_n:
+                return real_newton(system, x, tol, max_iter)
+            if failure == "raises":
+                coarse.append(None)
+                raise NoConvergence("planted coarse failure")
+            out = real_newton(system, x, tol, 1)
+            coarse.append(out[1])
+            return out
+
+        monkeypatch.setattr(equilibrium, "_newton", newton)
+        rep = solve_fixed_point(main_params, fees)
+        assert len(coarse) == 1
+        if failure == "above_tol":
+            assert coarse[0] > SolverConfig.tol
+        monkeypatch.undo()
+        assert report_bytes(rep) == report_bytes(plain_solve(main_params, fees))
+
+    @pytest.mark.parametrize("case", ["init", "degenerate", "quad_n_31", "quad_n_16", "quad_n_32"])
+    def test_where_no_coarse_rule_is_built(self, main_params, case, monkeypatch):
+        # with init, on a degenerate market and below 8 coarse nodes the
+        # solve builds its fine rule only; 32 fine nodes take 8 coarse ones
+        fees, params, cfg, init = SpreadQuad(2.0), main_params, SolverConfig(), None
+        if case == "init":
+            init = solved(main_params, fees).nodes
+        elif case == "degenerate":
+            params = MarketParams(1.1, 1.1, 0.0)
+        else:
+            cfg = SolverConfig(quad_n=int(case.rsplit("_", 1)[1]))
+        sizes, real_rule = [], equilibrium.default_rule
+
+        def rule(params, n):
+            sizes.append(n)
+            return real_rule(params, n)
+
+        monkeypatch.setattr(equilibrium, "default_rule", rule)
+        rep = solve_fixed_point(params, fees, cfg, init=init)
+        assert rep.converged
+        assert set(sizes) == ({cfg.quad_n, 8} if case == "quad_n_32" else {cfg.quad_n})
+
+    def test_a_solve_does_not_recurse(self, main_params, monkeypatch):
+        # the coarse level is a node solve, not a nested solve_fixed_point:
+        # no second row phase, concavity check, best response or verify_ne
+        counts = dict.fromkeys(
+            ["solve_fixed_point", "_concavity_ok", "_argmax_rows", "best_response", "verify_ne",
+             "_newton"], 0)
+        for name in counts:
+            def counted(*args, _real=getattr(equilibrium, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(equilibrium, name, counted)
+        assert equilibrium.solve_fixed_point(main_params, SpreadQuad(2.0)).converged
+        assert counts == {"solve_fixed_point": 1, "_concavity_ok": 1, "_argmax_rows": 1,
+                          "best_response": 0, "verify_ne": 0, "_newton": 2}
 
 
 class TestSpectralRowStart:
@@ -888,13 +1010,16 @@ class TestSpectralRowStart:
         assert np.max(np.abs(again.values - rep.strategy.values)) <= 2.0 * ARGMAX_TOL
 
     def test_a_node_without_a_maximum_starts_at_its_value(self, main_params, monkeypatch):
-        # where the last evaluation's e'' is >= 0 or not finite, the node
-        # gives its own value to the interpolant; the row Newton corrects it
+        # where the last fine evaluation's e'' is >= 0 or not finite, the
+        # node gives its own value to the interpolant; the row Newton
+        # corrects it
         fees, broken = SpreadQuad(2.0), [3, 10, 31, 50]
         real_newton, real_interp = equilibrium._newton, equilibrium.legendre_interpolate
         seen = {}
 
         def newton(*args):
+            if args[1].size != SolverConfig.quad_n:  # the coarse level
+                return real_newton(*args)
             x, residual, iterations, (g, step, d2) = real_newton(*args)
             d2 = d2.copy()
             d2[broken] = [0.0, 1.0, np.nan, -np.inf]
