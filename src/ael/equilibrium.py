@@ -7,7 +7,9 @@ nodes sigma_i, so an equilibrium solves G_i(x) = e'(x_i; sigma_a =
 sigma_i, d = x) = 0, i = 1..q, by Newton's method on the analytic
 Jacobian J = diag(e'') + w * (the kernel's cross term).  A cold solve
 first solves the same system on floor(q/4) nodes and starts the q-node
-Newton from the polynomial through that solution (nested iteration).
+Newton from the polynomial through that solution (nested iteration);
+the coarse Newton starts at each node's degenerate-market root, the
+same rule at every gamma > 0.
 The node values converge spectrally in q, so on the markets tried that
 start is already within the tolerance and the q-node system is
 evaluated once; the nodes and every output stay the q-node ones.  The
@@ -40,7 +42,9 @@ maximum be missed, when a scan interval hides two sign changes of e'.
 
 For a degenerate market (sigma_minus = sigma_plus) the equilibrium
 reduces to a scalar root of the one-dimensional first-order condition,
-solved to near machine precision by ``solve_degenerate``.
+which is positive at 0, decreasing and convex, so Newton's method from
+0 rises monotonically to it with no bracket (``_degenerate_root``, one
+routine for ``solve_degenerate`` and for every cold start's node roots).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
-from .gaussmath import Bracket, find_root, legendre_interpolate, norm_cdf, norm_pdf
+from .gaussmath import legendre_interpolate, norm_cdf, norm_pdf
 from .model import (
     FeeScheme,
     LinearDemand,
@@ -69,7 +73,7 @@ from .model import (
 from .payoff import PayoffContext, payoff_terms, second_deriv_bound
 
 _SQRT2 = math.sqrt(2.0)
-_MAX_NEWTON = 100  # Newton steps of a best response
+_MAX_NEWTON = 100  # Newton steps of a best response or of the degenerate roots
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 65792  # kernel values per _scan call unless one offset holds more: 2.1 MB
@@ -148,73 +152,61 @@ def _require_rho_bound(params: MarketParams) -> None:
         )
 
 
-def _degenerate_foc(fees: FeeScheme, sigma: float, rho: float):
-    """Scalar first-order condition of the symmetric degenerate game, its
-    slope, and an upper end hi > 0 of a sign-change bracket [0, hi]."""
-    se = sigma * math.sqrt(1.0 - rho)
+def _degenerate_foc(fees: FeeScheme, x, sigma, rho: float):
+    """First-order condition of the symmetric degenerate game at the
+    offsets ``x`` and its slope, elementwise in ``x`` and ``sigma``.
+
+    The Gaussian tail is Phi(-u), which keeps its relative precision deep
+    in the tail, where 1 - Phi(u) is a multiple of eps/2.  Both schemes'
+    conditions are positive at 0, strictly decreasing and convex on
+    [0, inf)."""
+    se = np.multiply(sigma, math.sqrt(1.0 - rho))
+    u = _SQRT2 * x / se
+    tail = norm_cdf(-u)
     g = fees.gamma
     if isinstance(fees, SpreadQuad):
-
-        def f(x: float) -> float:
-            return 0.5 * (1.0 - norm_cdf(_SQRT2 * x / se)) - 2.0 * g * x
-
-        def df(x: float) -> float:
-            return -0.5 * norm_pdf(_SQRT2 * x / se) * _SQRT2 / se - 2.0 * g
-
-        # f(x) <= 1/2 - 2 g x, which is negative past 1/(4 g)
-        hi = 0.25 / g + se
-        return f, df, hi
-
+        return 0.5 * tail - 2.0 * g * x, -0.5 * norm_pdf(u) * _SQRT2 / se - 2.0 * g
     kbar = fees.kbar
-
-    def f(x: float) -> float:
-        u = _SQRT2 * x / se
-        return 0.5 * kbar * (
-            -x * (1.0 - norm_cdf(u)) + (se / _SQRT2) * norm_pdf(u)
-        ) - 2.0 * g * x
-
-    def df(x: float) -> float:
-        # the two Phi' terms cancel along the diagonal, leaving a strictly
-        # negative slope for every x
-        u = _SQRT2 * x / se
-        return -0.5 * kbar * (1.0 - norm_cdf(u)) - 2.0 * g
-
-    # for x >= 0, f(x) <= kbar se Phi'(0) / (2 sqrt 2) - 2 g x, which is
-    # negative past kbar se Phi'(0) / (4 sqrt 2 g)
-    hi = kbar * se * norm_pdf(0.0) / (4.0 * _SQRT2 * g) + se
-    return f, df, hi
+    # the two Phi' terms of the slope cancel along the diagonal
+    return (0.5 * kbar * (-x * tail + (se / _SQRT2) * norm_pdf(u)) - 2.0 * g * x,
+            -0.5 * kbar * tail - 2.0 * g)
 
 
-def _degenerate_root(fees: FeeScheme, sigma: float, rho: float) -> float:
-    f, df, hi = _degenerate_foc(fees, sigma, rho)
-    root = find_root(f, Bracket.scan(f, 0.0, hi), tol=1e-15)
-    # two guarded Newton steps push the FOC residual to machine level
-    for _ in range(2):
-        slope = df(root)
-        if slope == 0.0:
-            break
-        step = f(root) / slope
-        cand = root - step
-        if 0.0 < cand < hi:
-            root = cand
-    return root
+def _degenerate_root(fees: FeeScheme, sigma, rho: float):
+    """Root of the degenerate first-order condition at every ``sigma`` (a
+    float or an array), by Newton's method from 0 on all of them at once.
+
+    The condition is positive at 0, decreasing and convex, so every
+    Newton iterate stays below the root and rises to it (Ortega and
+    Rheinboldt, Iterative Solution of Nonlinear Equations in Several
+    Variables, 1970, section 13.3): no bracket is needed.  An iterate
+    that would fall, which rounding alone can cause, is kept, and the
+    iteration stops once none rises.  NoConvergence after ``_MAX_NEWTON``
+    evaluations."""
+    x = np.zeros(np.shape(sigma))
+    for _ in range(_MAX_NEWTON):
+        f, df = _degenerate_foc(fees, x, sigma, rho)
+        new = x - f / df
+        if not np.any(new > x):
+            return x
+        x = np.maximum(x, new)
+    raise NoConvergence(f"degenerate root still rising after {_MAX_NEWTON} Newton steps")
 
 
 def solve_degenerate(params: MarketParams, fees: FeeScheme) -> float:
     """Scalar equilibrium half-spread of a degenerate market.
 
-    Only the spread-penalty and half-linear schemes admit one.  The
-    first-order condition is positive at 0 and strictly decreasing past
-    its root; both schemes bracket it on [0, hi] with hi in closed form
-    (the FOC is bounded above by a line of slope -2 gamma), and Brent
-    iteration plus two Newton steps locate it to
-    |FOC| <= 1e-12 * max(1, gamma).
+    Only the spread-penalty and half-linear schemes admit one.  Their
+    first-order condition is positive at 0, strictly decreasing and
+    convex on [0, inf), with the Gaussian tail written Phi(-u), so
+    Newton's method from 0 (``_degenerate_root``) rises monotonically to
+    its root, which it locates to a few ulp.
     """
     if not params.is_degenerate:
         raise DomainError("solve_degenerate requires sigma_minus = sigma_plus")
     _require_solvable(fees)
     _require_rho_bound(params)
-    return _degenerate_root(fees, params.sigma_plus, params.rho)
+    return float(_degenerate_root(fees, params.sigma_plus, params.rho))
 
 
 def existence_bound(
@@ -373,30 +365,30 @@ def _node_system(params: MarketParams, fees: FeeScheme, rule):
     return system
 
 
-def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig, start: float,
+def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig,
                 nodes: np.ndarray) -> np.ndarray:
     """Start of a solve without ``init`` at ``nodes``, the ``cfg.quad_n``
     nodes: the node system of the floor(q/4)-node rule solved by the
-    same ``_newton`` from the constant ``start``, to ``cfg.tol`` within
-    ``cfg.max_iter`` evaluations, then its polynomial interpolant at
-    ``nodes`` (``legendre_interpolate``) clipped at 0 (nested iteration:
-    Hackbusch, Multi-Grid Methods and Applications, 1985, section 5.3).
-    The plain constant ``start`` instead on a degenerate market, below
+    same ``_newton`` from the degenerate root at each coarse node's own
+    sigma (``_degenerate_root``), to ``cfg.tol`` within ``cfg.max_iter``
+    evaluations, then its polynomial interpolant at ``nodes``
+    (``legendre_interpolate``) clipped at 0 (nested iteration: Hackbusch,
+    Multi-Grid Methods and Applications, 1985, section 5.3).  The
+    degenerate roots at ``nodes`` instead on a degenerate market, below
     ``_COARSE_MIN`` coarse nodes, and where the coarse solve raises
     NoConvergence or stops above ``tol``."""
-    plain = np.full(nodes.shape, start)
     coarse_n = cfg.quad_n // _COARSE_RATIO
-    if params.is_degenerate or coarse_n < _COARSE_MIN:
-        return plain
-    coarse_rule = default_rule(params, coarse_n)
-    try:
-        x, residual, _, _ = _newton(_node_system(params, fees, coarse_rule),
-                                    np.full(coarse_n, start), cfg.tol, cfg.max_iter)
-    except NoConvergence:
-        return plain
-    if residual > cfg.tol:
-        return plain
-    return np.maximum(legendre_interpolate(coarse_rule[0], x, nodes), 0.0)
+    if not params.is_degenerate and coarse_n >= _COARSE_MIN:
+        coarse_rule = coarse, _ = default_rule(params, coarse_n)
+        try:
+            x, residual, _, _ = _newton(_node_system(params, fees, coarse_rule),
+                                        _degenerate_root(fees, coarse, params.rho),
+                                        cfg.tol, cfg.max_iter)
+        except NoConvergence:
+            residual = math.inf
+        if residual <= cfg.tol:
+            return np.maximum(legendre_interpolate(coarse, x, nodes), 0.0)
+    return _degenerate_root(fees, nodes, params.rho)
 
 
 def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
@@ -436,14 +428,13 @@ def solve_fixed_point(
     """Newton solve of G(x) = 0 on the q = ``quad_n`` quadrature nodes.
 
     The node values start at ``init`` read at the nodes (clamped to its
-    grid).  Without ``init`` the plain start is the constant C/2 when
-    gamma clears the analytic threshold, otherwise the degenerate-market
-    root for sigma_plus (the threshold is far from tight); a degenerate
-    market is one unit-weight node.  ``_cold_start`` refines that start
-    by a coarse level: the same node system on floor(q/4) nodes, solved
-    to the same ``tol``, read at the q nodes.  The coarse level builds
-    no row context and runs no check, and it falls back to the plain
-    start where it fails.  Each level builds one node context and
+    grid).  Without ``init``, ``_cold_start`` solves a coarse level, the
+    same node system on floor(q/4) nodes, to the same ``tol`` from the
+    degenerate-market root at each coarse node's own sigma, and reads it
+    at the q nodes; a degenerate market is one unit-weight node.  The
+    coarse level builds no row context and runs no check, and where it
+    fails the q-node Newton starts from the degenerate roots at its own
+    nodes.  Each level builds one node context and
     re-points it (``PayoffContext.against``) at each evaluation of G and
     J; ``_newton`` stops at max|J^-1 G| <= ``tol`` or after ``max_iter``
     evaluations.  The report's ``nodes`` are the q node values returned,
@@ -461,17 +452,11 @@ def solve_fixed_point(
     _require_solvable(fees)
     _require_rho_bound(params)
 
-    if params.is_degenerate:
-        start = _degenerate_root(fees, params.sigma_plus, params.rho)
-        bound_c = 2.0 * start
-    else:
-        bound_c, gamma_min = existence_bound(params, fees, cfg.quad_n)
-        start = (0.5 * bound_c if fees.gamma >= gamma_min
-                 else _degenerate_root(fees, params.sigma_plus, params.rho))
-
+    bound_c = (2.0 * float(_degenerate_root(fees, params.sigma_plus, params.rho))
+               if params.is_degenerate else existence_bound(params, fees, cfg.quad_n)[0])
     rule = default_rule(params, cfg.quad_n)
     nodes = rule[0]
-    x = (_cold_start(params, fees, cfg, start, nodes) if init is None
+    x = (_cold_start(params, fees, cfg, nodes) if init is None
          else init(np.clip(nodes, init.grid[0], init.grid[-1])))
     x, residual, iterations, (g, _, d2) = _newton(
         _node_system(params, fees, rule), x, cfg.tol, cfg.max_iter)

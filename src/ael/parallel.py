@@ -73,11 +73,8 @@ def map_ordered(fn, items) -> list:
     workers = worker_count()
     if min(workers, len(items)) <= 1 or getattr(_local, "worker", False):
         return [fn(item) for item in items]
+    # Executor.map submits every item before it returns, and its iterator
+    # cancels the unstarted ones when a result raises
     with _lock:
-        pool = _shared_pool(workers)
-        futures = [pool.submit(fn, item) for item in items]
-    try:
-        return [f.result() for f in futures]
-    finally:
-        for f in futures:
-            f.cancel()
+        results = _shared_pool(workers).map(fn, items)
+    return list(results)

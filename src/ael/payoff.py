@@ -38,14 +38,14 @@ sigma_a and one column per quadrature node, once, together with the
 strategy values at the nodes and the x-free factors of
 the second-derivative integrand: e'' is avg[Phi'(u) (a0 + x (a1 + x a2))],
 and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
-S, Q, Q~ and the d-free parts of those factors do not depend on the
-strategy: ``PayoffContext.against`` shares them (and the nodes and
-weights) with a context against other node values, re-deriving only
-the rest, and ``PayoffContext.rows`` takes some sigma_a rows of the
-caches the kernel reads.  Each call computes u and Phi'(u) once for a
-whole array of offsets, the cross term from them on request, and
-1 - Phi(u) only when a requested order needs it: orders 0 and 1
-always, order 2 only under half-linear demand.  The requested terms
+S, Q and Q~ do not depend on the strategy: ``PayoffContext.against``
+shares them (and the nodes and weights) with a context against other
+node values, re-deriving only the rest, and ``PayoffContext.rows``
+takes some sigma_a rows of the caches the kernel reads.  Each call
+computes u and Phi'(u) once for a whole array of offsets, the cross
+term from them on request, and 1 - Phi(u) only when a requested order
+needs it: orders 0 and 1 always, order 2 only under half-linear
+demand.  The requested terms
 follow in place (``out=`` ufuncs) in at most five arrays of the
 (offsets, nodes) shape rather than one temporary per operation, with
 the operations of the formulas above in their order, so the bits are
@@ -108,10 +108,9 @@ class PayoffContext:
     pair the averages over sigma_b use.
 
     ``against`` and ``rows`` derive contexts without rebuilding the
-    x-free caches: the first shares S, Q, Q~ and the d-free factors of
-    ``e2_poly`` and re-derives what depends on the opponent's node
-    values, the second takes some rows of the caches the kernel reads
-    and drops the d-free factors, so it cannot be re-pointed.
+    x-free caches: the first shares S, Q and Q~ and re-derives what
+    depends on the opponent's node values, the second takes some rows
+    of every cache, and either may follow the other.
     """
 
     sigma_a: float | np.ndarray
@@ -127,7 +126,6 @@ class PayoffContext:
     sig: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
     qt: np.ndarray = field(init=False, repr=False)
-    e2_factors: tuple | None = field(init=False, repr=False)
     e2_poly: tuple = field(init=False, repr=False)
 
     def __post_init__(self, delta: Strategy | None):
@@ -137,14 +135,7 @@ class PayoffContext:
         sa = np.asarray(self.sigma_a, dtype=float)[..., None]
         s = sigma_rho(sa, nodes, p.rho)
         q, qt = q_rho_pair(sa, nodes, p.rho)
-        if isinstance(self.fees, LinearDemand):
-            factors = -q, qt / s
-        else:
-            s2 = s * s
-            s3 = s2 * s
-            factors = s2, s3, 0.5 + qt, qt - q, qt / s3
-        for name, value in zip(("nodes", "w", "sig", "q", "qt", "e2_factors"),
-                               (nodes, w, s, q, qt, factors)):
+        for name, value in zip(("nodes", "w", "sig", "q", "qt"), (nodes, w, s, q, qt)):
             object.__setattr__(self, name, value)
         if delta is not None:
             self._point_at(np.asarray(delta(nodes), dtype=float))
@@ -153,13 +144,12 @@ class PayoffContext:
         """Set the opponent's node values and ``e2_poly``, the x-free
         factors of the second-derivative integrand, lowest power first,
         by the operations of the plain expressions of e'' and h''."""
-        d, s, q = delta_b, self.sig, self.q
+        d, s, q, qt = delta_b, self.sig, self.q, self.qt
         if isinstance(self.fees, LinearDemand):
-            neg_q, qt_s = self.e2_factors
-            poly = neg_q * d / s, qt_s
+            poly = -q * d / s, qt / s
         else:
-            s2, s3, half_qt, qt_q, qt_s3 = self.e2_factors
-            poly = -(half_qt + q * d * d / s2) / s, qt_q * d / s3, qt_s3
+            s3 = s * s * s
+            poly = -(0.5 + qt + q * d * d / (s * s)) / s, (qt - q) * d / s3, qt / s3
         object.__setattr__(self, "delta_b", delta_b)
         object.__setattr__(self, "e2_poly", poly)
 
@@ -173,12 +163,10 @@ class PayoffContext:
     def rows(self, index) -> "PayoffContext":
         """This context on ``sigma_a[index]`` of an array ``sigma_a``, as
         if built on those rows; ``index`` is a slice or an integer array
-        along the first axis.  It keeps no ``e2_factors``, so ``against``
-        raises on it."""
+        along the first axis."""
         ctx = copy.copy(self)
         for name in ("sigma_a", "sig", "q", "qt"):
             object.__setattr__(ctx, name, getattr(self, name)[index])
-        object.__setattr__(ctx, "e2_factors", None)
         object.__setattr__(ctx, "e2_poly", tuple(a[index] for a in self.e2_poly))
         return ctx
 

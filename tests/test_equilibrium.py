@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -58,6 +59,18 @@ def linear_demand_foc(x, sigma, rho, kbar, gamma):
     return 0.5 * kbar * (-x * (1.0 - norm_cdf(u)) + se / math.sqrt(2.0) * norm_pdf(u)) - 2.0 * gamma * x
 
 
+def tail_foc(x, fees, sigma, rho):
+    """The degenerate first-order condition of either scheme with its tail
+    written Phi(-u), in scalar math."""
+    se = sigma * math.sqrt(1.0 - rho)
+    u = math.sqrt(2.0) * x / se
+    tail = 0.5 * math.erfc(u / math.sqrt(2.0))
+    if isinstance(fees, SpreadQuad):
+        return 0.5 * tail - 2.0 * fees.gamma * x
+    dens = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return 0.5 * fees.kbar * (-x * tail + se / math.sqrt(2.0) * dens) - 2.0 * fees.gamma * x
+
+
 class TestSolveDegenerate:
     def test_root_residual_and_oracle(self):
         p = MarketParams(1.1, 1.1, 0.0)
@@ -114,6 +127,50 @@ class TestSolveDegenerate:
             MarketParams(1.1 * c, 1.1 * c, 0.0), SpreadQuad(gamma / c)
         )
         assert scaled == pytest.approx(c * base, abs=1e-10)
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+    @pytest.mark.parametrize("fees", [SpreadQuad(1.0), LinearDemand(0.01, 1.0),
+                                      LinearDemand(1.0, 1.0), LinearDemand(100.0, 1.0)],
+                             ids=["spread_quad", "kbar0.01", "kbar1", "kbar100"])
+    def test_monotone_newton_matches_brent(self, fees, rho, monkeypatch):
+        # Newton from 0 on a whole sigma array against Brent on each root of
+        # the FOC with its tail written Phi(-u), within 30 evaluations (with
+        # 1 - Phi(u) it creeps near deep roots); the array call holds the
+        # bits of its elementwise calls
+        calls, real_foc = [0], equilibrium._degenerate_foc
+
+        def counted(*args):
+            calls[0] += 1
+            return real_foc(*args)
+
+        monkeypatch.setattr(equilibrium, "_degenerate_foc", counted)
+        sigma = np.geomspace(1e-3, 10.0, 9)
+        for gamma in np.geomspace(1e-8, 1e4, 13):
+            at = replace(fees, gamma=gamma)
+            calls[0] = 0
+            roots = equilibrium._degenerate_root(at, sigma, rho)
+            assert calls[0] <= 30
+            for s, root in zip(sigma, roots):
+                assert equilibrium._degenerate_root(at, s, rho) == root
+                foc = functools.partial(tail_foc, fees=at, sigma=s, rho=rho)
+                hi = 1.0
+                while foc(hi) > 0.0:
+                    hi *= 2.0
+                oracle = scipy.optimize.brentq(foc, 0.0, hi, xtol=1e-300, rtol=1e-15)
+                assert root == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "sigma, rho, fees, exact",
+        [(1.1, 0.9, SpreadQuad(1e-7), 1.2049590198211502),
+         (1.1, 0.0, SpreadQuad(1e-7), 3.637891160003733),
+         (0.1, 0.0, SpreadQuad(1e-5), 0.2987487361148003),
+         (1.1, 0.9, LinearDemand(1.0, 1e-7), 1.0602954257301171),
+         (1.1, 0.0, LinearDemand(100.0, 1e-6), 3.700904508348759)],
+    )
+    def test_tail_roots_match_mpmath(self, sigma, rho, fees, exact):
+        # roots deep in the Gaussian tail, pinned from 60-digit mpmath
+        root = solve_degenerate(MarketParams(sigma, sigma, rho), fees)
+        assert root == pytest.approx(exact, rel=1e-14)
 
 
 class TestBestResponse:
@@ -227,8 +284,7 @@ class TestExistenceBound:
 
     def test_rho_at_its_bound_certifies_no_gamma(self):
         # rho = sigma_minus/sigma_plus makes C = 0: no finite gamma_min, and
-        # no division by zero (a RuntimeWarning is an error here); the solve
-        # starts from the degenerate root instead
+        # no division by zero (a RuntimeWarning is an error here)
         params, fees = MarketParams(1.0, 2.0, 0.5), SpreadQuad(1.0)
         assert existence_bound(params, fees, quad_n=4) == (0.0, math.inf)
         assert solve_fixed_point(params, fees, SolverConfig(quad_n=4)).converged
@@ -665,20 +721,19 @@ def solved(params, fees, tol=SolverConfig.tol):
     return solve_fixed_point(params, fees, SolverConfig(tol=tol))
 
 
-def plain_start(params, fees, quad_n=SolverConfig.quad_n):
-    """The constant a cold solve starts its node values at: C/2 when gamma
-    clears the existence threshold, else the degenerate root at sigma_plus."""
-    bound_c, gamma_min = existence_bound(params, fees, quad_n)
-    return (0.5 * bound_c if fees.gamma >= gamma_min
-            else equilibrium._degenerate_root(fees, params.sigma_plus, params.rho))
+def plain_start(params, fees, nodes):
+    """The degenerate-market root at each of ``nodes``, where a cold solve
+    starts the node values of its coarse level, or of its fine level when
+    the coarse one is skipped or fails."""
+    return equilibrium._degenerate_root(fees, nodes, params.rho)
 
 
 def plain_solve(params, fees, cfg=SolverConfig()):
     """The solve from the plain start on the fine nodes, given as ``init``,
     so no coarse level runs."""
     nodes, _ = default_rule(params, cfg.quad_n)
-    init = Strategy(nodes, np.full(nodes.size, plain_start(params, fees, cfg.quad_n)))
-    return solve_fixed_point(params, fees, cfg, init=init)
+    return solve_fixed_point(params, fees, cfg,
+                             init=Strategy(nodes, plain_start(params, fees, nodes)))
 
 
 def report_bytes(rep):
@@ -796,16 +851,20 @@ class TestNewtonSolve:
         assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize(
-        "params, fees",
-        [(MarketParams(0.1, 1.1, 0.0), SpreadQuad(2.0)),
-         (MarketParams(0.1, 1.1, 0.0), SpreadQuad(0.13)),
-         (MarketParams(0.1, 1.1, 0.0), LinearDemand(1.0, 0.3)),
-         (MarketParams(0.1, 1.1, 0.05), LinearDemand(1.0, 0.2))],
+        "params, fees, start",
+        [(MarketParams(0.1, 1.1, 0.0), SpreadQuad(2.0), None),
+         (MarketParams(0.1, 1.1, 0.0), SpreadQuad(0.13), None),
+         (MarketParams(0.1, 1.1, 0.0), LinearDemand(1.0, 0.3), 0.0),
+         (MarketParams(0.1, 1.1, 0.05), LinearDemand(1.0, 0.2), None)],
         ids=["spread_quad", "spread_quad_low_gamma", "linear_demand", "linear_demand_rho"],
     )
-    def test_convergence_is_quadratic(self, params, fees):
-        # residuals of max_iter = 1, 2, ... solves, down to the rounding floor
-        residuals = [solve_fixed_point(params, fees, SolverConfig(tol=1e-15, max_iter=k)).residual
+    def test_convergence_is_quadratic(self, params, fees, start):
+        # residuals of max_iter = 1, 2, ... solves, down to the rounding
+        # floor; the cold start of LinearDemand(1, 0.3) is two steps from
+        # that floor, so it starts from 0 instead
+        init = None if start is None else Strategy.constant(start, params, 2)
+        residuals = [solve_fixed_point(params, fees, SolverConfig(tol=1e-15, max_iter=k),
+                                       init=init).residual
                      for k in range(1, 9)]
         pairs = [(a, b) for a, b in zip(residuals, residuals[1:]) if a <= 2e-2 and b > 1e-15]
         assert len(pairs) >= 2
@@ -851,8 +910,8 @@ class TestNewtonSolve:
     )
     def test_repointed_node_context_matches_fresh_contexts(self, fees, rho):
         # oracle: the node system with a fresh context per evaluation, through
-        # the same Newton loop, on the coarse nodes from the solver's plain
-        # start, then on the fine nodes from the coarse solution's interpolant
+        # the same Newton loop, on the coarse nodes from their degenerate
+        # roots, then on the fine nodes from the coarse solution's interpolant
         params = MarketParams(0.1, 1.1, rho)
         cfg = SolverConfig()
 
@@ -864,8 +923,7 @@ class TestNewtonSolve:
             return equilibrium._newton(fresh_system, x, cfg.tol, cfg.max_iter)
 
         coarse, _ = default_rule(params, cfg.quad_n // 4)
-        x, residual, _, _ = fresh_newton(coarse.size,
-                                         np.full(coarse.size, plain_start(params, fees)))
+        x, residual, _, _ = fresh_newton(coarse.size, plain_start(params, fees, coarse))
         assert residual <= cfg.tol
         fine, _ = default_rule(params, cfg.quad_n)
         start = np.maximum(legendre_interpolate(coarse, x, fine), 0.0)
@@ -919,6 +977,17 @@ class TestCoarseStart:
             assert coarse[0] > SolverConfig.tol
         monkeypatch.undo()
         assert report_bytes(rep) == report_bytes(plain_solve(main_params, fees))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    def test_low_gamma_cold_solves_reach_tol(self, rho):
+        # from each node's own degenerate root the node solves converge down
+        # to gamma = 1e-4; the concavity verdict on the rows stays false
+        # there, and at gamma = 1e-5 the cold Newton still diverges
+        params = MarketParams(0.1, 1.1, rho)
+        for gamma in (1e-4, 1e-3):
+            rep = solve_fixed_point(params, SpreadQuad(gamma))
+            assert rep.residual <= SolverConfig.tol and not rep.converged
+        assert solve_fixed_point(params, SpreadQuad(1e-5)).residual > SolverConfig.tol
 
     @pytest.mark.parametrize("case", ["init", "degenerate", "quad_n_31", "quad_n_16", "quad_n_32"])
     def test_where_no_coarse_rule_is_built(self, main_params, case, monkeypatch):

@@ -227,8 +227,7 @@ class TestKernelOrders:
 
 def reference_e2(ctx):
     """The x-free second-derivative factors as plain expressions of
-    S, Q, Q~ and d: ``ctx.e2_poly``, derived from the cached d-free
-    factors, must hold these bits."""
+    S, Q, Q~ and d: ``ctx.e2_poly`` must hold these bits."""
     d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
     if isinstance(ctx.fees, LinearDemand):
         return -q * d / s, qt / s
@@ -321,14 +320,10 @@ def same_bits(a, b) -> bool:
     return a is b
 
 
-def assert_same_context(got: PayoffContext, want: PayoffContext, x, row_slice=False) -> None:
-    """Every field and kernel value of ``got`` is that of ``want``; a row
-    slice keeps no ``e2_factors``, which only ``against`` reads."""
+def assert_same_context(got: PayoffContext, want: PayoffContext, x) -> None:
+    """Every field and kernel value of ``got`` is that of ``want``."""
     for f in fields(PayoffContext):
-        if row_slice and f.name == "e2_factors":
-            assert got.e2_factors is None
-        else:
-            assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+        assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
     for g, w in zip(payoff_terms(x, got), payoff_terms(x, want)):
         assert same_bits(g, w)
     cross = [payoff_terms(x, c, (1,), cross=True)[1] for c in (got, want)]
@@ -369,7 +364,7 @@ class TestDerivedContexts:
         assert_same_context(PayoffContext(rows, None, params, fees, rule).against(second),
                             fresh, x)
         # the re-pointed context shares the strategy-free caches
-        for name in ("nodes", "w", "sig", "q", "qt", "e2_factors"):
+        for name in ("nodes", "w", "sig", "q", "qt"):
             assert getattr(got, name) is getattr(base, name)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -385,16 +380,15 @@ class TestDerivedContexts:
         delta = Strategy(rule[0], values)
         full = PayoffContext(rows, delta, params, fees, rule)
         fresh = PayoffContext(rows[index], delta, params, fees, rule)
-        assert_same_context(full.rows(index), fresh, x[index] if x.shape == rows.shape else x,
-                            row_slice=True)
+        assert_same_context(full.rows(index), fresh, x[index] if x.shape == rows.shape else x)
 
     @pytest.mark.parametrize("fees", ALL_SCHEMES, ids=lambda f: type(f).__name__)
     @pytest.mark.parametrize("index", [slice(2, 6), np.array([5, 0, 3, 3])],
                              ids=["slice", "int_array"])
     def test_rows_and_against_in_either_order(self, fees, index):
-        # every scheme's cached factors, re-pointed then sliced, from a
-        # context built with or without an opponent, hold the bits of a
-        # fresh build on those rows and values; a slice cannot be re-pointed
+        # every scheme's cached factors, re-pointed then sliced or sliced
+        # then re-pointed, from a context built with or without an
+        # opponent, hold the bits of a fresh build on those rows and values
         params = MarketParams(0.1, 1.1, 0.03)
         rule = nodes, _ = default_rule(params, 16)
         rows = np.linspace(params.sigma_minus, params.sigma_plus, 7)
@@ -403,10 +397,9 @@ class TestDerivedContexts:
         full = PayoffContext(rows, Strategy(nodes, first), params, fees, rule)
         fresh = PayoffContext(rows[index], Strategy(nodes, second), params, fees, rule)
         for got in (full.against(second).rows(index),
-                    PayoffContext(rows, None, params, fees, rule).against(second).rows(index)):
-            assert_same_context(got, fresh, x[index], row_slice=True)
-        with pytest.raises(TypeError):
-            full.rows(index).against(second)
+                    PayoffContext(rows, None, params, fees, rule).against(second).rows(index),
+                    full.rows(index).against(second)):
+            assert_same_context(got, fresh, x[index])
 
 
 @st.composite
