@@ -26,7 +26,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -444,16 +444,14 @@ def _dev_in_se(dev: float, se: float) -> float:
 
 def _check_payoff_mc(cfg, market):
     delta = Strategy.constant(0.3, market, 51)
-    rule = cfg.rule(market)
+    x = np.array([0.1, 0.4, 0.8])
+    sa = market.sigma_minus + np.array([0.2, 0.5, 0.9]) * (market.sigma_plus - market.sigma_minus)
+    ctx = PayoffContext(sa, delta, market, NoFee(), cfg.rule(market))
+    (ref,) = payoff_terms(x, ctx, (0,))
+    # one call: the three points share their draws, each keeps its own SE
     sim = cfg.sim(samples=cfg["validate.samples"])
-    worst = 0.0
-    for i, (x, frac) in enumerate([(0.1, 0.2), (0.4, 0.5), (0.8, 0.9)]):
-        sa = market.sigma_minus + frac * (market.sigma_plus - market.sigma_minus)
-        ctx = PayoffContext(sa, delta, market, NoFee(), rule)
-        (ref,) = payoff_terms(x, ctx, (0,))
-        sim_i = replace(sim, seed=(sim.seed + i) % 2**64)
-        mean, se = estimate_limit_payoff(x, sa, delta, market, sim_i)
-        worst = max(worst, _dev_in_se(abs(mean - ref), se))
+    mean, se = estimate_limit_payoff(x, sa, delta, market, sim)
+    worst = max(_dev_in_se(abs(m - r), s) for m, r, s in zip(mean, ref, se))
     return worst <= 4.0, f"max_dev={worst:.2f} SE (tol 4)"
 
 

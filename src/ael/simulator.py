@@ -43,6 +43,17 @@ small enough to stay in cache, for as long as the thread lives.  One
 generator, advanced to the chunk's first sample, draws the chunk's
 window into it; the floors, ``ndtri``, sigma maps, strategy lookups,
 prices and the power sums all run on its columns.
+
+The points of one limit-payoff call share their draws: a chunk draws
+(sigma_b, z, w) and looks up delta(sigma_b) once, and each point (x,
+sigma_a) runs only its own part on those columns.  These are common
+random numbers (Glasserman, "Monte Carlo Methods in Financial
+Engineering", 2003).  Each point's estimate has the bits of a one-point
+call at the same seed, so its mean and standard error stay exact; the
+estimates of one call are correlated.  A test of every point at k SE
+therefore keeps each point's power, and, the estimates being close to
+jointly normal, the largest of their |z| scores exceeds k no more often
+than if they were independent (Sidak, JASA 62, 1967).
 """
 from __future__ import annotations
 
@@ -66,6 +77,7 @@ from .model import (
     _sigma_rho_into,
 )
 from .parallel import map_ordered
+from .payoff import check_sigma_a
 
 _SLOTS = 4  # uniforms per sample: 4 consecutive doubles of the stream
 _CHUNK = 1 << 15  # samples per chunk; see the module docstring
@@ -258,24 +270,37 @@ def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> Sim
     )
 
 
-def _mean_se(sums: np.ndarray, n: int) -> tuple[float, float]:
-    s1, s2 = sums
+def _mean_se(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and its standard error from the sums of x and x^2 in the last
+    axis of ``sums``, one pair per leading index."""
+    s1, s2 = sums.T
     mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1) if n > 1 else 1.0)
-    return mean, math.sqrt(var / n)
+    var = np.maximum(s2 / n - mean * mean, 0.0) * (n / (n - 1) if n > 1 else 1.0)
+    return mean, np.sqrt(var / n)
 
 
 def _limit_estimate(
-    x: float, sigma_a: float, delta: Strategy, params: MarketParams, sim: SimConfig, gain
-) -> tuple[float, float]:
-    """Mean and standard error of gain(z, sig, d, mid_err) on the traded
-    event z >= (x + d)/sig, over the limit-regime draws (sigma_b, z, w).
+    x, sigma_a, delta: Strategy, params: MarketParams, sim: SimConfig, gain
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors of gain(x, z, sig, d, mid_err) on the
+    traded event z >= (x + d)/sig, over the limit-regime draws
+    (sigma_b, z, w), at each point of the broadcast (x, sigma_a).
 
     ``mid_err`` is the clearing-mid error
     (x - d)/2 + w * sa sb sqrt(1-rho^2)/S + z S (1/2 - Q).  ``gain`` gets
-    a chunk's columns and a scratch ``out`` of their length, and returns
-    the gain: one of its inputs, or ``out`` written in place.
+    a point's offset, a chunk's columns and a scratch ``out`` of their
+    length, and returns the gain: one of its inputs, or ``out`` written
+    in place.  A chunk draws (sigma_b, z, w) and looks up d = delta(sigma_b)
+    once, then runs each point's own operations on those columns, so a
+    point's result does not depend on the other points of the call.
     """
+    xs, sas = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(sigma_a, dtype=float))
+    if xs.ndim > 1:
+        raise DomainError("x and sigma_a must be scalars or 1-D arrays")
+    if not np.isfinite(xs).all():
+        raise DomainError(f"x = {x} is not finite")
+    check_sigma_a(sas, params)  # a NaN sigma_a fails it too
+    points = list(zip(xs.ravel().tolist(), sas.ravel().tolist()))
     rho = params.rho
     root = math.sqrt(1.0 - rho * rho)
 
@@ -287,34 +312,43 @@ def _limit_estimate(
         _normal(u[:, 1], z)
         _normal(u[:, 2], w)
         ws.lookup(delta, sb, d)
-        _sigma_rho_into(sigma_a, sb, rho, sig, t1, flag)
-        _q_rho_into(sigma_a, sb, rho, q, t1, t2, flag)
-        # mid_err = 0.5 (x - d) + w sa sb sqrt(1-rho^2)/S + z S (1/2 - Q), into t1
-        np.multiply(sb, sigma_a, out=t2)
-        t2 *= root
-        t2 /= sig
-        w *= t2
-        np.subtract(x, d, out=t1)
-        t1 *= 0.5
-        t1 += w
-        np.subtract(0.5, q, out=q)
-        q *= np.multiply(z, sig, out=t2)
-        t1 += q
-        # traded event z >= (x + d)/S
-        np.add(d, x, out=t2)
-        t2 /= sig
-        np.greater_equal(z, t2, out=flag)
-        # sb and w are free once mid_err holds their terms
-        pay = np.multiply(gain(z, sig, d, t1, t2), flag, out=w)
-        return np.array([pay.sum(), np.multiply(pay, pay, out=sb).sum()])
+        # the lookup's float scratch is free once d holds its values
+        wt = ws.scratch[0][:count]
+        sums = np.empty((len(points), 2))
+        for i, (xi, sa) in enumerate(points):
+            _sigma_rho_into(sa, sb, rho, sig, t1, flag)
+            _q_rho_into(sa, sb, rho, q, t1, t2, flag)
+            # mid_err = 0.5 (x - d) + w sa sb sqrt(1-rho^2)/S + z S (1/2 - Q), into t1
+            np.multiply(sb, sa, out=t2)
+            t2 *= root
+            t2 /= sig
+            np.multiply(w, t2, out=wt)
+            np.subtract(xi, d, out=t1)
+            t1 *= 0.5
+            t1 += wt
+            np.subtract(0.5, q, out=q)
+            q *= np.multiply(z, sig, out=t2)
+            t1 += q
+            # traded event z >= (x + d)/S
+            np.add(d, xi, out=t2)
+            t2 /= sig
+            np.greater_equal(z, t2, out=flag)
+            # q and wt are free once mid_err holds their terms
+            pay = np.multiply(gain(xi, z, sig, d, t1, t2), flag, out=q)
+            sums[i] = pay.sum(), np.multiply(pay, pay, out=wt).sum()
+        return sums
 
     sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
-    return _mean_se(sums, sim.samples)
+    mean, se = _mean_se(sums, sim.samples)
+    return mean.reshape(xs.shape), se.reshape(xs.shape)
 
 
-def estimate_limit_payoff(
-    x: float, sigma_a: float, delta: Strategy, params: MarketParams, sim: SimConfig
-) -> tuple[float, float]:
+def _as_given(mean: np.ndarray, se: np.ndarray):
+    """Floats for scalar points, the arrays themselves for 1-D ones."""
+    return (float(mean), float(se)) if mean.ndim == 0 else (mean, se)
+
+
+def estimate_limit_payoff(x, sigma_a, delta: Strategy, params: MarketParams, sim: SimConfig):
     """Monte Carlo estimate of the limit-regime expected payoff.
 
     Samples the expectation representation of the payoff directly: with
@@ -325,24 +359,32 @@ def estimate_limit_payoff(
 
     Its mean equals the quadrature payoff, providing the independent
     cross-check used by the validation suite.
+
+    ``x`` and ``sigma_a`` are floats, giving a float mean and SE, or 1-D
+    arrays that broadcast together, giving an array of each, one entry
+    per point.  The points share their draws (see the module docstring).
+    Raises DomainError for a non-finite x, or a sigma_a outside
+    [sigma_minus, sigma_plus].
     """
-    return _limit_estimate(x, sigma_a, delta, params, sim, lambda z, sig, d, mid_err, out: mid_err)
+    return _as_given(*_limit_estimate(
+        x, sigma_a, delta, params, sim, lambda x, z, sig, d, mid_err, out: mid_err))
 
 
 def estimate_half_linear_payoff(
-    x: float,
-    sigma_a: float,
+    x,
+    sigma_a,
     delta: Strategy,
     params: MarketParams,
     fees: FeeScheme,
     sim: SimConfig,
-) -> tuple[float, float]:
+):
     """Limit-regime volume-weighted payoff under half-linear demand.
 
     Samples (kbar/2)(P_b - P_a)(clearing mid - efficient price) on the
     traded event through the same (sigma_b, z, w) representation as
     ``estimate_limit_payoff``; the deterministic penalty gamma x^2 is
-    subtracted from the mean.
+    subtracted from each point's mean.  Takes and returns scalars or
+    arrays, and raises, as ``estimate_limit_payoff`` does.
     """
     if not isinstance(fees, LinearDemand):
         raise WrongScheme(
@@ -351,7 +393,7 @@ def estimate_half_linear_payoff(
         )
     scale = 0.5 * fees.kbar
 
-    def gain(z, sig, d, mid_err, out):
+    def gain(x, z, sig, d, mid_err, out):
         # (kbar/2) (sig z - d - x) mid_err
         np.multiply(sig, z, out=out)
         out -= d
@@ -361,4 +403,5 @@ def estimate_half_linear_payoff(
         return out
 
     mean, se = _limit_estimate(x, sigma_a, delta, params, sim, gain)
-    return mean - fees.gamma * x * x, se
+    x = np.asarray(x, dtype=float)
+    return _as_given(mean - fees.gamma * x * x, se)

@@ -178,23 +178,54 @@ def test_validate_builds_every_rule_on_solver_quad_n(monkeypatch, capsys):
     assert {size for _, size in built} == {16}
 
 
-@pytest.mark.parametrize("seed, seeds", [(5, [5, 6, 7]), (2**64 - 1, [2**64 - 1, 0, 1])])
-def test_validate_payoff_mc_seeds_wrap_at_2_64(monkeypatch, capsys, seed, seeds):
-    # the three payoff checks take sim.seed + i, reduced mod 2**64 so a
-    # seed near the top of the range stays valid
-    used = []
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_validate_payoff_mc_seeds_wrap_at_2_64(monkeypatch, capsys, seed):
+    # the three payoff points share one estimator call at sim.seed itself,
+    # so a seed at the top of the range stays valid with no wrap
+    calls = []
     estimate = cli.estimate_limit_payoff
 
     def spy(x, sigma_a, delta, market, sim):
-        used.append(sim.seed)
+        calls.append((sim.seed, np.shape(x), np.shape(sigma_a)))
         return estimate(x, sigma_a, delta, market, sim)
 
     monkeypatch.setattr(cli, "estimate_limit_payoff", spy)
     args = [*TOY, "--validate.samples", "20000", "--verify.x_samples", "16"]
     assert main(["validate", *args, "--seed", str(seed)]) == 0
-    assert used == seeds
+    assert calls == [(seed, (3,), (3,))]
     verdicts = dict(ln.split()[:2] for ln in capsys.readouterr().out.splitlines())
     assert verdicts["payoff_mc"] == "PASS"
+
+
+@pytest.mark.parametrize("point", [0, 1, 2])
+def test_validate_payoff_mc_fails_a_reference_off_by_ten_se(monkeypatch, capsys, point):
+    # the shared draws correlate the three estimates but leave each its own
+    # exact SE: moving any one reference payoff by 10 SE fails the check
+    args = [*TOY, "--validate.samples", "20000", "--verify.x_samples", "16"]
+    ses = []
+    estimate, terms = cli.estimate_limit_payoff, cli.payoff_terms
+
+    def record(*call):
+        mean, se = estimate(*call)
+        ses.append(se)
+        return mean, se
+
+    monkeypatch.setattr(cli, "estimate_limit_payoff", record)
+    assert main(["validate", *args]) == 0
+    (se,) = ses
+    shift = np.zeros(3)
+    shift[point] = 10.0 * se[point]
+
+    def shifted(x, ctx, orders, cross=False):
+        (ref,) = terms(x, ctx, orders, cross)
+        return [ref + shift]
+
+    monkeypatch.setattr(cli, "payoff_terms", shifted)
+    capsys.readouterr()
+    assert main(["validate", *args]) == 4
+    verdicts = dict(ln.split()[:2] for ln in capsys.readouterr().out.splitlines())
+    assert verdicts.pop("payoff_mc") == verdicts.pop("OVERALL:") == "FAIL"
+    assert set(verdicts.values()) == {"PASS"}
 
 
 def test_validate_reads_a_zero_standard_error_as_an_infinite_deviation(capsys):

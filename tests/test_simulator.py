@@ -14,7 +14,7 @@ from scipy.special import ndtri
 
 from ael import simulator
 from ael.equilibrium import SolverConfig
-from ael.errors import WrongScheme
+from ael.errors import DomainError, WrongScheme
 from ael.model import (
     LinearDemand,
     MarketParams,
@@ -65,6 +65,32 @@ def test_limit_estimate_matches_quadrature(x, sigma_a):
 def test_half_linear_estimate_needs_linear_demand():
     with pytest.raises(WrongScheme):
         estimate_half_linear_payoff(0.1, 0.3, DELTA, MARKET, SpreadQuad(2.0), SIM)
+
+
+@pytest.mark.parametrize("estimate", [
+    estimate_limit_payoff,
+    lambda x, sigma_a, delta, market, sim: estimate_half_linear_payoff(
+        x, sigma_a, delta, market, FEES, sim),
+], ids=["limit", "half_linear"])
+@pytest.mark.parametrize("x, sigma_a", [(0.4, 5.0), (0.4, -1.0), (0.4, 0.0), (math.nan, 0.6)])
+def test_limit_estimates_reject_impossible_points(estimate, x, sigma_a):
+    # a sigma_a off [sigma_minus, sigma_plus] or a non-finite x raises before
+    # any draw, also as one entry of an array, instead of returning a number,
+    # dividing by zero or returning NaN
+    with pytest.raises(DomainError):
+        estimate(x, sigma_a, DELTA, MARKET, SIM)
+    with pytest.raises(DomainError):
+        estimate(np.array([0.1, x]), np.array([0.3, sigma_a]), DELTA, MARKET, SIM)
+
+
+def test_limit_estimates_take_scalars_or_1d_arrays():
+    mean, se = estimate_limit_payoff(0.4, 0.6, DELTA, MARKET, SIM)
+    assert type(mean) is float and type(se) is float
+    # one x against two sigma_a broadcasts to two points
+    mean, se = estimate_limit_payoff(0.4, np.array([0.3, 0.6]), DELTA, MARKET, SIM)
+    assert mean.shape == se.shape == (2,)
+    with pytest.raises(DomainError):
+        estimate_limit_payoff(np.full((2, 2), 0.4), 0.6, DELTA, MARKET, SIM)
 
 
 def test_stats_identical_across_thread_counts(monkeypatch):
@@ -156,6 +182,10 @@ def test_zero_uniforms_stay_finite(monkeypatch):
     assert np.all(np.isfinite(astuple(rep.stats))) and np.all(np.isfinite(rep.std_errors))
     assert np.all(np.isfinite(estimate_limit_payoff(0.4, 0.6, DELTA, MARKET, sim)))
     assert drawn == [1000, 1000]
+    # three points draw one window between them
+    batched = estimate_limit_payoff(np.full(3, 0.4), np.array([0.3, 0.6, 0.9]), DELTA, MARKET, sim)
+    assert np.all(np.isfinite(batched))
+    assert drawn == [1000, 1000, 1000]
     sigma_a, sigma_b, eps_a, eps_b = _market_draws(np.zeros((4, 4)), MARKET, np.empty((4, 4)))
     assert np.all(sigma_a == MARKET.sigma_minus) and np.all(sigma_b == MARKET.sigma_minus)
     assert np.all(np.isfinite(eps_a)) and np.all(np.isfinite(eps_b))
@@ -321,6 +351,24 @@ def test_estimators_match_the_one_shot_chunk_formulas(monkeypatch, samples, rho)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("rho", [0.0, 0.03])
+def test_each_point_of_a_batched_call_has_the_bits_of_a_one_point_call(monkeypatch, rho, threads):
+    # three chunks, the last holding a single sample; the points share
+    # their draws, and each runs a one-point call's operations on them
+    monkeypatch.setenv("AEL_THREADS", threads)
+    market = MarketParams(0.1, 1.1, rho)
+    sim = SimConfig(samples=2 * _CHUNK + 1, seed=11)
+    x, sigma_a = np.array([0.1, 0.4, 0.8]), np.array([0.3, 0.6, 0.9])
+    limit = estimate_limit_payoff(x, sigma_a, CURVED, market, sim)
+    half = estimate_half_linear_payoff(x, sigma_a, CURVED, market, FEES, sim)
+    for i in range(3):
+        one = estimate_limit_payoff(x[i], sigma_a[i], CURVED, market, sim)
+        assert bits(one) == bits((limit[0][i], limit[1][i]))
+        one = estimate_half_linear_payoff(x[i], sigma_a[i], CURVED, market, FEES, sim)
+        assert bits(one) == bits((half[0][i], half[1][i]))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_concurrent_callers_keep_their_bits(monkeypatch, threads):
     # more calling threads than cores, under a short switch interval: on
     # one thread each caller runs its chunks on its own workspace, on two
@@ -363,3 +411,5 @@ def test_warm_estimates_allocate_under_a_megabyte(monkeypatch):
     sim = SimConfig(samples=4 * _CHUNK, seed=3)
     assert peak_bytes(lambda: estimate_stats(CURVED, MARKET, sim)) < 1 << 20
     assert peak_bytes(lambda: estimate_limit_payoff(0.4, 0.6, CURVED, MARKET, sim)) < 1 << 20
+    x, sigma_a = np.array([0.1, 0.4, 0.8]), np.array([0.3, 0.6, 0.9])
+    assert peak_bytes(lambda: estimate_limit_payoff(x, sigma_a, CURVED, MARKET, sim)) < 1 << 20
