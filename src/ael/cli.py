@@ -4,17 +4,20 @@ Configuration is flat ``key=value`` text with dotted section prefixes
 (``market.sigma_minus=0.1``); any key can be overridden on the command
 line with a flag of the same dotted name (``--market.sigma_minus 0.2``
 or ``--market.sigma_minus=0.2``).  Outputs are CSV files with a
-'#'-prefixed header block that echoes the full effective configuration
-(itself valid config syntax), 17-significant-digit scientific notation
-for floats, and no timestamps, so identical runs produce identical
-bytes.
+'#'-prefixed header block that echoes every configuration key (itself
+valid config syntax), 17-significant-digit scientific notation for
+floats, and no timestamps.  Every key fixes the numbers; the output
+path is an argument (``-o``, default out.csv), not a key, so one run
+writes the same bytes to any path.
 
-Subcommands: stats, solve-ne, optimal-fee, payoff-curve, simulate,
-validate.  validate prints PASS, FAIL or SKIP per check; a check that
-assumes rho <= sigma_minus/sigma_plus is a SKIP when rho exceeds that
-bound, and OVERALL reads only the checks that ran.  Exit codes: 0
-success, 2 configuration error, 3 convergence failure under --strict or
-a fee scheme that admits no equilibrium, 4 validation failure.
+Subcommands: stats (closed forms), solve-ne, optimal-fee, payoff-curve,
+simulate (the one Monte Carlo command), validate.  Every subcommand
+takes the same flags.  validate prints PASS, FAIL or SKIP per check; a
+check that assumes rho <= sigma_minus/sigma_plus is a SKIP when rho
+exceeds that bound, and OVERALL reads only the checks that ran.  Exit
+codes: 0 success, 2 configuration error, 3 convergence failure under
+--strict or a fee scheme that admits no equilibrium, 4 validation
+failure.
 stdout stays empty except for the validate report; progress goes to
 stderr, with one ``validate: <check> <ms> ms`` line per validate check
 that ran.
@@ -52,7 +55,7 @@ from .model import (
 )
 from .payoff import PayoffContext, check_sigma_a, payoff_deriv, payoff_terms, penalized_payoff
 from .parallel import worker_count
-from .simulator import SimConfig, SimReport, estimate_limit_payoff, estimate_stats
+from .simulator import SimConfig, estimate_limit_payoff, estimate_stats
 
 
 # --- configuration schema ---------------------------------------------------
@@ -122,7 +125,6 @@ _SCHEMA: dict[str, tuple] = {
     "curve.sigma_a": (_p_sigma_a, "mid"),
     "validate.samples": (_p_int, 200000),
     "verify.x_samples": (_p_int, equilibrium.VERIFY_X_SAMPLES),
-    "output.path": (str, "out.csv"),
 }
 
 # fees.scheme name -> constructor of (gamma, kbar)
@@ -301,17 +303,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _simulate(command: str, delta: Strategy, market: MarketParams, sim: SimConfig) -> SimReport:
-    """estimate_stats, logging its throughput to stderr."""
-    workers = worker_count()
-    start = time.perf_counter()
-    rep = estimate_stats(delta, market, sim)
-    seconds = time.perf_counter() - start
-    _log(f"ael {command}: {sim.samples} samples in {seconds:.3f} s "
-         f"({sim.samples / max(seconds, 1e-9):.4g} samples/s, worker cap {workers})")
-    return rep
-
-
 # --- subcommands ------------------------------------------------------------
 
 _STAT_COLS = tuple(f.name for f in fields(PairStats))  # astuple(PairStats) follows this order
@@ -321,13 +312,7 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
     stats = analytic_stats(delta, market, cfg.rule(market))
-    header = list(_STAT_COLS)
-    row = list(astuple(stats))
-    if args.simulate:
-        rep = _simulate("stats", delta, market, cfg.sim())
-        header += ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS]
-        row += [*astuple(rep.stats), *rep.std_errors]
-    write_csv(cfg["output.path"], "stats", cfg, header, [row])
+    write_csv(args.output, "stats", cfg, _STAT_COLS, [astuple(stats)])
     return 0
 
 
@@ -349,7 +334,7 @@ def cmd_solve_ne(cfg: RunConfig, args: argparse.Namespace) -> int:
     footer = [f"{key}_{name}={_fmt_cell(getattr(r, key))}"
               for name, r in zip(names, reports)
               for key in ("residual", "iterations", "converged", "concavity_ok")]
-    write_csv(cfg["output.path"], "solve-ne", cfg, header, rows.tolist(), footer)
+    write_csv(args.output, "solve-ne", cfg, header, rows.tolist(), footer)
     if args.strict and not all(r.converged for r in reports):
         _log("ael solve-ne: at least one gamma failed to converge")
         return 3
@@ -375,7 +360,7 @@ def cmd_optimal_fee(cfg: RunConfig, args: argparse.Namespace) -> int:
         ]
     points = exchange.revenue_curve(grid, market, cfg.solver())
     rows = [[p.gamma, p.revenue, p.converged] for p in points]
-    write_csv(cfg["output.path"], "optimal-fee", cfg, ["gamma", "revenue", "converged"], rows, footer)
+    write_csv(args.output, "optimal-fee", cfg, ["gamma", "revenue", "converged"], rows, footer)
     if args.strict and not all(p.converged for p in points):
         _log("ael optimal-fee: at least one gamma failed to converge")
         return 3
@@ -392,17 +377,21 @@ def cmd_payoff_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
     ctx = PayoffContext(sigma_a, delta, market, cfg.fees(), cfg.rule(market))
     xs = np.linspace(cfg["curve.x_min"], cfg["curve.x_max"], cfg["curve.n"])
     rows = np.column_stack([xs, *payoff_terms(xs, ctx, (0, 1))]).tolist()
-    write_csv(cfg["output.path"], "payoff-curve", cfg, ["x", "payoff", "deriv"], rows)
+    write_csv(args.output, "payoff-curve", cfg, ["x", "payoff", "deriv"], rows)
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     market = cfg.market()
     delta = cfg.strategy(market)
-    rep = _simulate("simulate", delta, market, cfg.sim())
-    header = ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS] + ["samples", "seed"]
-    row = [*astuple(rep.stats), *rep.std_errors, rep.samples, rep.seed]
-    write_csv(cfg["output.path"], "simulate", cfg, header, [row])
+    sim = cfg.sim()
+    start = time.perf_counter()
+    rep = estimate_stats(delta, market, sim)
+    seconds = time.perf_counter() - start
+    _log(f"ael simulate: {sim.samples} samples in {seconds:.3f} s "
+         f"({sim.samples / max(seconds, 1e-9):.4g} samples/s, worker cap {worker_count()})")
+    header = ["emp_" + c for c in _STAT_COLS] + ["se_" + c for c in _STAT_COLS]
+    write_csv(args.output, "simulate", cfg, header, [[*astuple(rep.stats), *rep.std_errors]])
     return 0
 
 
@@ -575,14 +564,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("-c", "--config", default=None, help="config file path")
-        p.add_argument("-o", "--output", default=None, help="output CSV path")
+        p.add_argument("-o", "--output", default="out.csv", help="output CSV path")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 when any requested solve fails to converge")
         p.add_argument("--samples", type=int, default=None, help="override sim.samples")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        if name == "stats":
-            p.add_argument("--simulate", action="store_true",
-                           help="append Monte Carlo columns")
     return parser
 
 
@@ -594,8 +580,6 @@ def main(argv=None) -> int:
             overrides.append(("sim.samples", str(args.samples)))
         if args.seed is not None:
             overrides.append(("sim.seed", str(args.seed)))
-        if args.output is not None:
-            overrides.append(("output.path", args.output))
         cfg = RunConfig.build(args.config, overrides)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -43,8 +43,8 @@ maximum be missed, when a scan interval hides two sign changes of e'.
 For a degenerate market (sigma_minus = sigma_plus) the equilibrium
 reduces to a scalar root of the one-dimensional first-order condition,
 which is positive at 0, decreasing and convex, so Newton's method from
-0 rises monotonically to it with no bracket (``_degenerate_root``, one
-routine for ``solve_degenerate`` and for every cold start's node roots).
+0 rises monotonically to it with no bracket (``gaussmath.monotone_newton``
+in ``_degenerate_root``, for ``solve_degenerate`` and every cold start).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
-from .gaussmath import legendre_interpolate, norm_cdf, norm_pdf
+from .gaussmath import legendre_interpolate, monotone_newton, norm_cdf, norm_pdf
 from .model import (
     FeeScheme,
     LinearDemand,
@@ -73,7 +73,7 @@ from .model import (
 from .payoff import PayoffContext, payoff_terms, second_deriv_bound
 
 _SQRT2 = math.sqrt(2.0)
-_MAX_NEWTON = 100  # Newton steps of a best response or of the degenerate roots
+_MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 65792  # kernel values per _scan call unless one offset holds more: 2.1 MB
@@ -122,8 +122,10 @@ class EquilibriumReport:
     against ``nodes`` has a negative second derivative at every row on
     the offsets (0, max(C, 3 max strategy)], proven on the whole interval
     at the rows where ``payoff.second_deriv_bound`` allows it and sampled
-    at the others.  ``converged``: the residual
-    reached ``tol`` and ``concavity_ok`` holds.
+    at the others; C is ``existence_bound``'s (0 on a degenerate market),
+    and ``_concavity_ok`` says when the verdict certifies the global
+    argmax.  ``converged``: the residual reached ``tol`` and
+    ``concavity_ok`` holds.
     """
 
     nodes: Strategy
@@ -174,33 +176,18 @@ def _degenerate_foc(fees: FeeScheme, x, sigma, rho: float):
 
 def _degenerate_root(fees: FeeScheme, sigma, rho: float):
     """Root of the degenerate first-order condition at every ``sigma`` (a
-    float or an array), by Newton's method from 0 on all of them at once.
-
-    The condition is positive at 0, decreasing and convex, so every
-    Newton iterate stays below the root and rises to it (Ortega and
-    Rheinboldt, Iterative Solution of Nonlinear Equations in Several
-    Variables, 1970, section 13.3): no bracket is needed.  An iterate
-    that would fall, which rounding alone can cause, is kept, and the
-    iteration stops once none rises.  NoConvergence after ``_MAX_NEWTON``
-    evaluations."""
-    x = np.zeros(np.shape(sigma))
-    for _ in range(_MAX_NEWTON):
-        f, df = _degenerate_foc(fees, x, sigma, rho)
-        new = x - f / df
-        if not np.any(new > x):
-            return x
-        x = np.maximum(x, new)
-    raise NoConvergence(f"degenerate root still rising after {_MAX_NEWTON} Newton steps")
+    float or an array), by ``monotone_newton`` from 0 on all of them at
+    once: the condition is positive at 0, decreasing and convex."""
+    return monotone_newton(lambda x: _degenerate_foc(fees, x, sigma, rho),
+                           np.zeros(np.shape(sigma)))
 
 
 def solve_degenerate(params: MarketParams, fees: FeeScheme) -> float:
     """Scalar equilibrium half-spread of a degenerate market.
 
-    Only the spread-penalty and half-linear schemes admit one.  Their
-    first-order condition is positive at 0, strictly decreasing and
-    convex on [0, inf), with the Gaussian tail written Phi(-u), so
-    Newton's method from 0 (``_degenerate_root``) rises monotonically to
-    its root, which it locates to a few ulp.
+    Only the spread-penalty and half-linear schemes admit one; its root
+    of the first-order condition (``_degenerate_root``) is located to a
+    few ulp.
     """
     if not params.is_degenerate:
         raise DomainError("solve_degenerate requires sigma_minus = sigma_plus")
@@ -217,11 +204,14 @@ def existence_bound(
     For the spread penalty, strategies within [0, C] keep every payoff
     strictly concave on (0, C), and gamma >= gamma_min forces the best
     response back into [0, C]; the threshold is conservative by
-    construction.  For half-linear demand the threshold is
+    construction.  C says nothing about offsets past it (0.0043 on the
+    default market).  For half-linear demand the threshold is
     (kbar/2) * max_z(z Phi'(z) - (1 - Phi(z))), attained at z = sqrt(2),
-    and C scales like kbar/(4 gamma) times the averaged slope of the
-    derivative at zero offset (maximized over 33 sigma_a, averaged with a
-    ``quad_n``-node rule).
+    and C = kbar Phi'(0) max avg[S Q] / (4 gamma), the max over 33
+    sigma_a and the average by a ``quad_n``-node rule.  Q >= 0 under
+    rho <= sigma_minus/sigma_plus, so at offsets and strategy values
+    x, d >= 0, h'(x) <= (kbar/2) Phi'(0) avg[S Q] - 2 gamma x, which is
+    negative past C: no payoff has a maximum beyond C.
     """
     if params.is_degenerate:
         raise DegenerateCase("existence bounds apply to sigma_minus < sigma_plus only")
@@ -397,16 +387,20 @@ def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
     holds, is strictly concave in the offset at every row on
     (0, max(bound_C, 3 max rows)].
 
-    The upper end covers both the invariant set and the offsets over
-    which ``verify_ne`` takes its supremum on ``rows``.  A row whose
-    closed-form bound on e'' (``payoff.second_deriv_bound``) is negative
-    is proven strictly concave on the whole interval.  On the other rows
-    e'' is sampled at ``_CONCAVITY_OFFSETS`` offsets by ``_scan``,
-    stopping at the first block with a non-negative value.  Strict
-    concavity also rules out a second sign change of the derivative, so
-    each located root is the argmax on that interval.  The check bounds
-    or samples e''; it does not measure how far a row is from its
-    argmax, which is what ``verify_ne``'s gain does.
+    The upper end covers both ``existence_bound``'s C (0 on a degenerate
+    market) and the offsets over which ``verify_ne`` takes its supremum
+    on ``rows``.  A row whose closed-form bound on e''
+    (``payoff.second_deriv_bound``) is negative is proven strictly
+    concave on the whole interval.  On the other rows e'' is sampled at
+    ``_CONCAVITY_OFFSETS`` offsets by ``_scan``, stopping at the first
+    block with a non-negative value.  Strict concavity also rules out a
+    second sign change of the derivative, so each located root is the
+    argmax on that interval.  Under half-linear demand h' < 0 past C at
+    every row, so that argmax is the global one; under the spread
+    penalty C is only the invariant-set bound, and nothing covers the
+    offsets past the interval.  The check bounds or samples e''; it does
+    not measure how far a row is from its argmax, which is what
+    ``verify_ne``'s gain does.
     """
     hi = max(bound_c, _DEVIATION_SPAN * rows.max_value())
     if not 0.0 < hi < math.inf:
@@ -452,8 +446,7 @@ def solve_fixed_point(
     _require_solvable(fees)
     _require_rho_bound(params)
 
-    bound_c = (2.0 * float(_degenerate_root(fees, params.sigma_plus, params.rho))
-               if params.is_degenerate else existence_bound(params, fees, cfg.quad_n)[0])
+    bound_c = 0.0 if params.is_degenerate else existence_bound(params, fees, cfg.quad_n)[0]
     rule = default_rule(params, cfg.quad_n)
     nodes = rule[0]
     x = (_cold_start(params, fees, cfg, nodes) if init is None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AelError, DomainError, NoEquilibrium
-from .gaussmath import Bracket, find_root, norm_cdf, norm_pdf
+from .gaussmath import monotone_newton, norm_cdf, norm_pdf
 from .model import MarketParams, SpreadQuad, Strategy, default_rule
 from .equilibrium import SolverConfig, solve_degenerate, solve_fixed_point
 
@@ -51,18 +51,16 @@ class RevenuePoint:
     converged: bool
 
 
-def y_star(tol: float = 1e-15) -> float:
-    """Unique root of 1 - Phi(y) - y Phi'(y), bracketed on [0.1, 3]."""
+def y_star() -> float:
+    """Unique positive root of f(y) = 1 - Phi(y) - y Phi'(y), by
+    ``monotone_newton`` from 0: f(0) = 1/2, and f' = (y^2 - 2) Phi'(y)
+    and f'' = y (4 - y^2) Phi'(y) make f decreasing and convex on
+    [0, sqrt 2], which holds the root."""
 
-    def f(y: float) -> float:
-        return 1.0 - norm_cdf(y) - y * norm_pdf(y)
+    def f_df(y):
+        return 1.0 - norm_cdf(y) - y * norm_pdf(y), (y * y - 2.0) * norm_pdf(y)
 
-    root = find_root(f, Bracket.scan(f, 0.1, 3.0), tol=tol)
-    # one Newton polish: f'(y) = (y^2 - 2) Phi'(y)
-    slope = (root * root - 2.0) * norm_pdf(root)
-    if slope != 0.0:
-        root -= f(root) / slope
-    return root
+    return float(monotone_newton(f_df, 0.0))
 
 
 def optimal_gamma_degenerate(sigma: float, rho: float = 0.0) -> FeeDesignResult:

@@ -1,17 +1,17 @@
-"""Numerical primitives: the standard-normal CDF/PDF, bracketed root
-finding, concave 1-D maximization, and the nodes and weights of
-fixed-node Gauss-Legendre quadrature with the polynomial interpolant
-through them.  Everything in this module is a
-pure function of its arguments, so all of it is safe to call from any
-number of concurrent workers.
+"""Numerical primitives: the standard-normal CDF/PDF, the monotone
+Newton root of a decreasing convex function, bracketed root finding,
+concave 1-D maximization, and the nodes and weights of fixed-node
+Gauss-Legendre quadrature with the polynomial interpolant through them.
+Everything in this module is a pure function of its arguments, so all
+of it is safe to call from any number of concurrent workers.
 
 The normal CDF/PDF have one numpy path for scalars and arrays alike, so
 a scalar closed form and the batched payoff kernel see the same bits.
-The root finder is a guarded Brent-style iteration: bisection refined by
-secant / inverse-quadratic steps, with the bracket maintained at every
-step.  The maximizer does not search function values; it locates the
-unique zero of the supplied derivative, which gives quadratic accuracy
-in the argmax whenever an analytic derivative is available.
+Every scalar root the package takes (the degenerate equilibria, each
+cold start's node roots, y*) comes from ``monotone_newton``.  The
+Brent-style ``find_root`` on a ``Bracket`` serves only
+``maximize_concave``, which only the benchmark's spans and the tests
+reach (as span targets and as references).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import DomainError, NoConvergence, NonConcave, NoSignChange
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
+_MONOTONE_STEPS = 100  # evaluations of a monotone_newton before NoConvergence
 
 
 def norm_cdf(x, out=None):
@@ -147,6 +148,28 @@ def find_root(
     raise NoConvergence(f"root not located within {max_iter} iterations")
 
 
+def monotone_newton(f_df: Callable, x):
+    """Root of f at every element of ``x`` (a float or an array), by
+    Newton's method from ``x`` on all of them at once; ``f_df(x)``
+    returns (f, f') elementwise.
+
+    Where f is positive at the start, decreasing and convex up to the
+    root, every Newton iterate stays below the root and rises to it
+    (Ortega and Rheinboldt, Iterative Solution of Nonlinear Equations in
+    Several Variables, 1970, section 13.3): no bracket is needed.  An
+    iterate that would fall, which rounding alone can cause, is kept,
+    and the iteration stops once none rises.  NoConvergence after
+    ``_MONOTONE_STEPS`` evaluations.
+    """
+    for _ in range(_MONOTONE_STEPS):
+        f, df = f_df(x)
+        new = x - f / df
+        if not np.any(new > x):
+            return x
+        x = np.maximum(x, new)
+    raise NoConvergence(f"root still rising after {_MONOTONE_STEPS} Newton steps")
+
+
 def _sign_changes(values: np.ndarray):
     """Count strict sign flips along the last axis, ignoring exact zeros."""
     signs = np.sign(values)
@@ -157,7 +180,6 @@ def _sign_changes(values: np.ndarray):
     return np.count_nonzero((signs[..., 1:] != signs[..., :-1]) & (signs[..., :-1] != 0.0), axis=-1)
 
 
-# Only bench/layers.py's spans and tests/test_bench_targets.py still need this.
 def maximize_concave(
     f: Callable[[float], float],
     f_prime: Callable[[float], float],

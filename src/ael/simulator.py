@@ -104,13 +104,12 @@ class SimReport:
 
     ``std_errors`` follows the field order of PairStats: spread mean,
     spread variance, mid-error mean, mid-error variance, trade
-    probability.
+    probability.  The sample count and seed are the caller's
+    ``SimConfig``; the report does not repeat them.
     """
 
     stats: PairStats
     std_errors: tuple[float, float, float, float, float]
-    samples: int
-    seed: int
 
 
 class _Workspace:
@@ -265,8 +264,6 @@ def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> Sim
             trade_prob=p_trade,
         ),
         std_errors=(se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade),
-        samples=n,
-        seed=sim.seed,
     )
 
 

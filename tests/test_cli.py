@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +40,37 @@ def test_echoed_config_reproduces_the_output(tmp_path):
     header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     config = tmp_path / "echo.cfg"
     config.write_text("\n".join(ln[2:] for ln in lines[1:header]) + "\n")
-    out.unlink()
-    assert main(["solve-ne", "-c", str(config)]) == 0
-    assert out.read_bytes() == first
+    rerun = tmp_path / "rerun.csv"
+    assert main(["solve-ne", "-c", str(config), "-o", str(rerun)]) == 0
+    assert rerun.read_bytes() == first
+
+
+@pytest.mark.parametrize("command", [
+    ["stats", "--strategy.constant", "0.3"],
+    ["solve-ne"],
+    ["optimal-fee", "--sweep.gammas", "2,3"],
+    ["payoff-curve", "--strategy.constant", "0.3", "--curve.n", "11"],
+    ["simulate", "--samples", "1000"],
+], ids=lambda command: command[0])
+def test_output_bytes_do_not_depend_on_the_path(tmp_path, command):
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        assert main([*command, "-o", str(tmp_path / name), *TOY]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"output" not in outputs[0]
+
+
+def test_output_path_is_not_a_config_key(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("output.path=x.csv\n")
+    assert main(["stats", "-c", str(config), "-o", str(tmp_path / "stats.csv")]) == 2
+
+
+def test_stats_takes_no_simulate_flag(tmp_path):
+    out = tmp_path / "stats.csv"
+    assert main(["stats", "--simulate", "-o", str(out), *TOY]) == 2
+    assert not out.exists()
 
 
 def test_unknown_key_is_config_error(tmp_path):
@@ -240,32 +268,33 @@ def test_validate_reads_a_zero_standard_error_as_an_infinite_deviation(capsys):
     assert cli._dev_in_se(3.0, 1.5) == 2.0
 
 
-def test_stats_columns_match_analytic_stats_and_simulate(tmp_path):
-    args = [*TOY, "--strategy.constant", "0.3", "--market.rho", "0.03", "--samples", "50000"]
-    assert main(["stats", "--simulate", "-o", str(tmp_path / "stats.csv"), *args]) == 0
-    assert main(["simulate", "-o", str(tmp_path / "sim.csv"), *args]) == 0
+def test_stats_columns_match_analytic_stats(tmp_path):
+    args = [*TOY, "--strategy.constant", "0.3", "--market.rho", "0.03"]
+    assert main(["stats", "-o", str(tmp_path / "stats.csv"), *args]) == 0
     header, (row,) = data_rows(tmp_path / "stats.csv")
     market = MarketParams(0.1, 1.1, 0.03)
     analytic = asdict(analytic_stats(Strategy.constant(0.3, market, 11), market,
                                      default_rule(market, 16)))
-    assert {h: v for h, v in zip(header, row) if h in analytic} == analytic
-    empirical = {h: v for h, v in zip(header, row) if h not in analytic}
-    sim_header, (sim_row,) = data_rows(tmp_path / "sim.csv")
-    assert len(empirical) == 10
-    assert {h: v for h, v in zip(sim_header, sim_row) if h in empirical} == empirical
+    assert dict(zip(header, row)) == analytic
 
 
-@pytest.mark.parametrize("command", [["simulate"], ["stats", "--simulate"]])
-def test_simulation_throughput_goes_to_stderr(tmp_path, monkeypatch, capsys, command):
+def test_simulate_columns_are_the_estimates_and_their_errors(tmp_path):
+    assert main(["simulate", "-o", str(tmp_path / "sim.csv"), *TOY, "--samples", "1000"]) == 0
+    header, _ = data_rows(tmp_path / "sim.csv")
+    names = [f.name for f in fields(model.PairStats)]
+    assert header == ["emp_" + n for n in names] + ["se_" + n for n in names]
+
+
+def test_simulation_throughput_goes_to_stderr(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sim.csv"
     csvs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("AEL_THREADS", threads)
-        assert main([*command, "-o", str(out), *TOY, "--samples", "20000"]) == 0
+        assert main(["simulate", "-o", str(out), *TOY, "--samples", "20000"]) == 0
         csvs.append(out.read_bytes())
         (line,) = capsys.readouterr().err.splitlines()
         words = line.split()
-        assert words[:4] == ["ael", f"{command[0]}:", "20000", "samples"]
+        assert words[:4] == ["ael", "simulate:", "20000", "samples"]
         assert words[4] == "in" and float(words[5]) > 0.0 and words[6] == "s"
         assert float(words[7].lstrip("(")) > 0.0 and words[8] == "samples/s,"
         assert words[9:] == ["worker", "cap", f"{threads})"]

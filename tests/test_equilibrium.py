@@ -278,6 +278,29 @@ class TestExistenceBound:
         )
         assert gamma_min == pytest.approx(0.5 * 0.12890414518515479, abs=1e-9)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.0909])
+    @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("kbar", [0.5, 1.0, 3.0])
+    def test_linear_demand_has_no_maximum_past_c(self, kbar, gamma, rho):
+        # Q >= 0 under rho <= sigma_minus/sigma_plus, so for x, d >= 0
+        # h'(x) <= (kbar/2) Phi'(0) avg[S Q] - 2 gamma x, and C is where
+        # that bound's largest value over the rows meets 0: h' < 0 past C
+        # at every row, against any strategy
+        params, fees = MarketParams(0.1, 1.1, rho), LinearDemand(kbar, gamma)
+        c, _ = existence_bound(params, fees)
+        rows = np.linspace(0.1, 1.1, 101)
+        nodes, w = rule = default_rule(params, SolverConfig.quad_n)
+        q = q_rho(rows[:, None], nodes, rho)
+        assert np.all(q >= 0.0)
+        slope_at_zero = 0.5 * kbar * norm_pdf(0.0) * ((sigma_rho(rows[:, None], nodes, rho) * q) @ w)
+        assert np.all(slope_at_zero <= 2.0 * gamma * c * (1.0 + 1e-12))
+        xs = c * np.linspace(1.0, 10.0, 91)[:, None]
+        for value in (0.0, c, 3.0 * c):
+            ctx = PayoffContext(rows, Strategy.constant(value, params, 11), params, fees, rule)
+            (d1,) = payoff_terms(xs, ctx, (1,))
+            assert np.all(d1 <= slope_at_zero - 2.0 * gamma * xs)
+            assert np.max(d1) < 0.0
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateCase):
             existence_bound(MarketParams(1.1, 1.1, 0.0), SpreadQuad(1.0))

@@ -26,6 +26,10 @@ class TestYStar:
         assert abs(1.0 - norm_cdf(ys) - ys * norm_pdf(ys)) <= 1e-14
         assert 0.7 < ys < 0.8
 
+    def test_pinned_bits(self):
+        # the value the bracketed Brent root with a Newton polish gave
+        assert y_star() == 0.7517915246935645
+
     def test_against_independent_solver(self):
         oracle = scipy.optimize.brentq(
             lambda y: 1.0 - norm_cdf(y) - y * norm_pdf(y), 0.1, 3.0, xtol=1e-15

@@ -8,13 +8,15 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ael.errors import DomainError, NonConcave, NoSignChange
+import ael.gaussmath as gaussmath
+from ael.errors import DomainError, NoConvergence, NonConcave, NoSignChange
 from ael.gaussmath import (
     Bracket,
     find_root,
     gauss_legendre,
     legendre_interpolate,
     maximize_concave,
+    monotone_newton,
     norm_cdf,
     norm_pdf,
 )
@@ -97,6 +99,27 @@ class TestFindRoot:
     def test_rejects_tampered_bracket(self):
         with pytest.raises(NoSignChange):
             Bracket(0.0, 1.0, 1.0, 2.0)
+
+
+class TestMonotoneNewton:
+    def test_rises_to_each_root_from_below(self):
+        # 1/(1 + x) - a is positive at 0, decreasing and convex; root 1/a - 1
+        a = np.array([0.9, 0.5, 0.1, 1e-3])
+        seen = []
+
+        def f_df(x):
+            seen.append(np.array(x))
+            return 1.0 / (1.0 + x) - a, -1.0 / (1.0 + x) ** 2
+
+        roots = monotone_newton(f_df, np.zeros(4))
+        assert roots == pytest.approx(1.0 / a - 1.0, rel=1e-14)
+        assert all(np.all(b >= p) for p, b in zip(seen, seen[1:]))
+        assert all(np.all(x <= 1.0 / a - 1.0 + 1e-9) for x in seen)
+
+    def test_gives_up_while_still_rising(self, monkeypatch):
+        monkeypatch.setattr(gaussmath, "_MONOTONE_STEPS", 3)
+        with pytest.raises(NoConvergence):
+            monotone_newton(lambda x: (1.0 / (1.0 + x) - 1e-6, -1.0 / (1.0 + x) ** 2), 0.0)
 
 
 class TestMaximizeConcave:
