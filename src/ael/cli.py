@@ -15,9 +15,10 @@ simulate (the one Monte Carlo command), validate.  Every subcommand
 takes the same flags.  validate prints PASS, FAIL or SKIP per check; a
 check that assumes rho <= sigma_minus/sigma_plus is a SKIP when rho
 exceeds that bound, and OVERALL reads only the checks that ran.  Exit
-codes: 0 success, 2 configuration error, 3 convergence failure under
---strict or a fee scheme that admits no equilibrium, 4 validation
-failure.
+codes: 0 success, 2 configuration error, 3 under --strict a solve not
+converged (residual above solver.tol, or a row gaining more than
+equilibrium.GAIN_TOL by deviating) or a fee scheme that admits no
+equilibrium, 4 validation failure.
 stdout stays empty except for the validate report; progress goes to
 stderr, with one ``validate: <check> <ms> ms`` line per validate check
 that ran.
@@ -333,7 +334,7 @@ def cmd_solve_ne(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = np.column_stack([reports[0].strategy.grid, *(r.strategy.values for r in reports)])
     footer = [f"{key}_{name}={_fmt_cell(getattr(r, key))}"
               for name, r in zip(names, reports)
-              for key in ("residual", "iterations", "converged", "concavity_ok")]
+              for key in ("residual", "iterations", "converged", "concavity_ok", "deviation_gain")]
     write_csv(args.output, "solve-ne", cfg, header, rows.tolist(), footer)
     if args.strict and not all(r.converged for r in reports):
         _log("ael solve-ne: at least one gamma failed to converge")

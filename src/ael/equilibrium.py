@@ -19,26 +19,26 @@ Kind, 1997, section 4.1).  That best response is analytic in sigma_a, so
 its rows start from the polynomial through the node best responses
 (x less one diagonal Newton step, from the last evaluation of G), which
 converges spectrally and usually leaves the rows nothing to step.  Every
-per-row root of e' (the best-response rows, and the maxima ``verify_ne``
+per-row root of e' (the best-response rows, and the maxima ``_row_sup``
 takes) is found by one safeguarded Newton on all rows at once,
-``_row_newton``.  Convergence is verified
-through the Newton correction max|J^-1 G|, a distance in delta; one
-concavity check against the solved nodes (``_concavity_ok``) decides
-whether each root of the output rows is the argmax on the offsets the
-strategy plays.  It proves a row strictly concave on that whole interval
-where a closed-form bound on e'' (``payoff.second_deriv_bound``) is
-negative, and samples e'' on the other rows.
+``_row_newton``.  Convergence is verified through the Newton correction
+max|J^-1 G|, a distance in delta, and the deviation gain: one routine,
+``_row_sup``, decides whether each row is a best response, by the most
+it gains at offsets up to max(C, 3 max delta), at most ``GAIN_TOL``
+in a converged solve.  Rows that a closed-form bound on e''
+(``payoff.second_deriv_bound``) proves strictly concave there take Newton
+from the held offset; the others are scanned, with Newton from each
+bracketed sign change of e', and only there can a maximum hide, in a
+scan interval with two sign changes of e'.  The concavity flag
+(``_concavity_ok``) is reported: sufficient for the argmax, not necessary.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
 exists; ``no_ne_certificate`` returns the aggregated first-order-condition
 integral that witnesses this (half the trade probability, positive
 until the Gaussian tail underflows), and ``verify_ne`` returns the
-supremum of the gain a player can realize by deviating from a candidate
-strategy, over offsets up to three times its largest value.  On the rows
-the same bound on e'' proves strictly concave there, that supremum is
-taken by Newton from the held offset; the other rows are scanned, with
-Newton from each bracketed sign change of e', and only on those can a
-maximum be missed, when a scan interval hides two sign changes of e'.
+largest gain a player can realize by deviating from a candidate
+strategy, over offsets up to three times its largest value, by the same
+``_row_sup``.
 
 For a degenerate market (sigma_minus = sigma_plus) the equilibrium
 reduces to a scalar root of the one-dimensional first-order condition,
@@ -77,8 +77,9 @@ _MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 65792  # kernel values per _scan call unless one offset holds more: 2.1 MB
-_POLISH_STEPS = 8  # Newton steps of verify_ne's proven rows and scan peaks
-VERIFY_X_SAMPLES = 33  # default scan density of verify_ne
+_POLISH_STEPS = 8  # Newton steps of _row_sup's proven rows and scan peaks
+VERIFY_X_SAMPLES = 33  # scan density of a solve's verdict and verify_ne's default
+GAIN_TOL = 1e-12  # largest deviation gain of a converged solve: 1e5 times e's rounding
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
 _COARSE_RATIO = 4  # a cold solve first solves the node system on quad_n // 4 nodes
 _COARSE_MIN = 8  # fewest nodes of that coarse level; below it, no coarse level
@@ -96,6 +97,11 @@ class SolverConfig:
     tol: float = 1e-7
     max_iter: int = 200
     quad_n: int = 64
+
+    @property
+    def row_tol(self) -> float:
+        """Newton step bound of the output rows' best response."""
+        return max(self.tol * 1e-3, 1e-13)
 
     def __post_init__(self):
         if self.grid_n < 2:
@@ -115,17 +121,16 @@ class EquilibriumReport:
     ``nodes``: the solved node values x, as ``Strategy(nodes, x)`` on the
     ``quad_n`` quadrature nodes.  ``strategy``: the best response against
     ``nodes`` on ``grid_n`` rows, the published output, each row within a
-    Newton step of max(tol * 1e-3, 1e-13) of its root of e'.  ``residual``:
-    the Newton correction max|J^-1 G| at ``nodes``; ``iterations``: the
-    evaluations of G and J on the ``quad_n`` nodes, not counting a cold
-    solve's coarse level.  ``concavity_ok``: the penalized payoff
-    against ``nodes`` has a negative second derivative at every row on
-    the offsets (0, max(C, 3 max strategy)], proven on the whole interval
-    at the rows where ``payoff.second_deriv_bound`` allows it and sampled
-    at the others; C is ``existence_bound``'s (0 on a degenerate market),
-    and ``_concavity_ok`` says when the verdict certifies the global
-    argmax.  ``converged``: the residual reached ``tol`` and
-    ``concavity_ok`` holds.
+    Newton step of ``SolverConfig.row_tol`` of its root of e'.
+    ``residual``: the Newton correction max|J^-1 G| at ``nodes``;
+    ``iterations``: the evaluations of G and J on the ``quad_n`` nodes,
+    not counting a cold solve's coarse level.  ``deviation_gain``: the
+    most any row gains against ``nodes`` at an offset in [0, max(C, 3 max
+    strategy)] (``_row_sup``), C being ``existence_bound``'s (0 on a
+    degenerate market).  ``converged``: the residual reached ``tol`` and
+    the gain ``GAIN_TOL``.  ``concavity_ok``, reported only: e'' < 0
+    against ``nodes`` at every row on (0, max(C, 3 max strategy)]
+    (``_concavity_ok``).
     """
 
     nodes: Strategy
@@ -134,6 +139,7 @@ class EquilibriumReport:
     iterations: int
     converged: bool
     concavity_ok: bool
+    deviation_gain: float
 
 
 def _require_solvable(fees: FeeScheme) -> None:
@@ -303,17 +309,18 @@ def _row_newton(ctx: PayoffContext, x, lo, up, hi: float, tol: float, steps: int
         terms = None
 
 
-def _argmax_rows(ctx: PayoffContext, start: np.ndarray, tol: float) -> np.ndarray:
+def _argmax_rows(ctx: PayoffContext, start: np.ndarray, tol: float):
     """Root of the first-order condition at every sigma_a of the row
     context ``ctx``: ``_row_newton`` from the caller's ``start``, with no
-    bracket and no upper end, to a step within max(tol * 1e-3, 1e-13) at
-    every row, else NoConvergence."""
-    argmax_tol = max(tol * 1e-3, 1e-13)
-    x, _, done = _row_newton(ctx, start, np.nan, np.nan, math.inf, argmax_tol, _MAX_NEWTON, (1, 2))
+    bracket and no upper end, to a step within ``tol`` at every row, else
+    NoConvergence.  Returns the roots and their ``payoff_terms`` of
+    orders (0, 1, 2)."""
+    x, terms, done = _row_newton(ctx, start, np.nan, np.nan, math.inf, tol, _MAX_NEWTON,
+                                 (0, 1, 2))
     if not np.all(done):
         raise NoConvergence(f"best response not located at {np.count_nonzero(~done)} of "
                             f"{done.size} rows")
-    return x
+    return x, terms
 
 
 def best_response(
@@ -331,8 +338,8 @@ def best_response(
     _require_rho_bound(params)
     rows = uniform_grid(params, cfg.grid_n)
     ctx = PayoffContext(rows, delta, params, fees, default_rule(params, cfg.quad_n))
-    return Strategy(rows, _argmax_rows(ctx, delta(np.clip(rows, delta.grid[0], delta.grid[-1])),
-                                       cfg.tol))
+    start = delta(np.clip(rows, delta.grid[0], delta.grid[-1]))
+    return Strategy(rows, _argmax_rows(ctx, start, cfg.row_tol)[0])
 
 
 def _node_system(params: MarketParams, fees: FeeScheme, rule):
@@ -381,32 +388,27 @@ def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig,
     return _degenerate_root(fees, nodes, params.rho)
 
 
-def _concavity_ok(rows: Strategy, ctx: PayoffContext, bound_c: float) -> bool:
-    """Whether the penalized payoff of the row context ``ctx``, on the
-    sigma_a of ``rows`` against the node strategy whose roots ``rows``
-    holds, is strictly concave in the offset at every row on
-    (0, max(bound_C, 3 max rows)].
+def _concavity_ok(ctx: PayoffContext, hi: float, proven: np.ndarray) -> bool:
+    """Whether the penalized payoff of the row context ``ctx`` is strictly
+    concave in the offset at every row on (0, hi]; ``proven`` marks the
+    rows whose closed-form bound on e'' (``payoff.second_deriv_bound``)
+    is negative there, strictly concave on the whole interval.
 
-    The upper end covers both ``existence_bound``'s C (0 on a degenerate
-    market) and the offsets over which ``verify_ne`` takes its supremum
-    on ``rows``.  A row whose closed-form bound on e''
-    (``payoff.second_deriv_bound``) is negative is proven strictly
-    concave on the whole interval.  On the other rows e'' is sampled at
-    ``_CONCAVITY_OFFSETS`` offsets by ``_scan``, stopping at the first
-    block with a non-negative value.  Strict concavity also rules out a
-    second sign change of the derivative, so each located root is the
-    argmax on that interval.  Under half-linear demand h' < 0 past C at
-    every row, so that argmax is the global one; under the spread
-    penalty C is only the invariant-set bound, and nothing covers the
-    offsets past the interval.  The check bounds or samples e''; it does
-    not measure how far a row is from its argmax, which is what
-    ``verify_ne``'s gain does.
+    A solve passes the interval of its deviation gain, hi = max(C, 3 max
+    rows) with ``existence_bound``'s C (0 on a degenerate market).  On
+    the unproven rows e'' is sampled at ``_CONCAVITY_OFFSETS`` offsets by
+    ``_scan``, stopping at the first block with a non-negative value.
+    Strict concavity rules out a second sign change of the derivative,
+    so each located root is the argmax on the interval, and under
+    half-linear demand, where h' < 0 past C at every row, the global
+    one.  The flag suffices but is not necessary: a row whose e' changes
+    sign once is maximized at its root though a convex stretch lies past
+    it, as on the low-sigma rows at low gamma.  So it is reported, and
+    the gain of ``_row_sup`` decides convergence.
     """
-    hi = max(bound_c, _DEVIATION_SPAN * rows.max_value())
     if not 0.0 < hi < math.inf:
         return False
-    # a NaN bound proves nothing, so it is sampled too
-    unproven = np.flatnonzero(~(second_deriv_bound(ctx, hi) < 0.0))
+    unproven = np.flatnonzero(~proven)
     if not unproven.size:
         return True
     offsets = np.linspace(0.0, hi, _CONCAVITY_OFFSETS + 1)[1:]
@@ -433,8 +435,12 @@ def solve_fixed_point(
     J; ``_newton`` stops at max|J^-1 G| <= ``tol`` or after ``max_iter``
     evaluations.  The report's ``nodes`` are the q node values returned,
     with their residual and their evaluations.  One row context against
-    them gives both the output rows and the ``_concavity_ok`` verdict; a
-    failed check reports converged=False, never raises.  The rows are the best response of
+    them gives the output rows, their deviation gain (``_row_sup`` on
+    [0, max(C, 3 max rows)], ``VERIFY_X_SAMPLES`` scan offsets) and the
+    ``concavity_ok`` flag, one e'' bound serving both; a gain above
+    ``GAIN_TOL`` reports converged=False, never raises.  The gain steps to
+    ``SolverConfig.row_tol``, where the rows' Newton stopped, so a proven
+    row takes no step and no kernel call.  The rows are the best response of
     ``_argmax_rows``, one ``_row_newton`` on every row, started from
     ``gaussmath.legendre_interpolate`` of the node best responses b = x -
     G/e'', a diagonal Newton step from the G and e'' that ``_newton``
@@ -461,15 +467,20 @@ def solve_fixed_point(
     rows = uniform_grid(params, cfg.grid_n)
     row_ctx = PayoffContext(rows, solved, params, fees, rule)
     start = np.maximum(legendre_interpolate(nodes, b, rows), 0.0)
-    delta = Strategy(rows, _argmax_rows(row_ctx, start, cfg.tol))
-    concavity = _concavity_ok(delta, row_ctx, bound_c)
+    best, terms = _argmax_rows(row_ctx, start, cfg.row_tol)
+    delta = Strategy(rows, best)
+    hi = max(bound_c, _DEVIATION_SPAN * delta.max_value())
+    proven = second_deriv_bound(row_ctx, hi) < 0.0  # a NaN bound proves nothing
+    gain = float(np.max(_row_sup(row_ctx, best, hi, cfg.row_tol, proven, terms,
+                                 VERIFY_X_SAMPLES)))
     return EquilibriumReport(
         nodes=solved,
         strategy=delta,
         residual=residual,
         iterations=iterations,
-        converged=residual <= cfg.tol and concavity,
-        concavity_ok=concavity,
+        converged=residual <= cfg.tol and gain <= GAIN_TOL,
+        concavity_ok=_concavity_ok(row_ctx, hi, proven),
+        deviation_gain=gain,
     )
 
 
@@ -518,6 +529,39 @@ def _scan_sup(ctx: PayoffContext, xs: np.ndarray, hi: float, tol: float) -> np.n
     return best
 
 
+def _row_sup(ctx: PayoffContext, x: np.ndarray, hi: float, tol: float, proven: np.ndarray,
+             terms, x_samples: int) -> np.ndarray:
+    """Gain at every row of the row context ``ctx`` from its best offset in
+    [0, hi] over the held offset ``x``, whose ``payoff_terms`` of orders
+    (0, 1, 2) are ``terms``; the held offset is a candidate, so each gain
+    is >= 0.
+
+    A row ``proven`` strictly concave on [0, hi] has its supremum at the
+    one root of e' or an end: ``_row_newton`` from the held offset finds
+    it to a step of ``tol`` in at most ``_POLISH_STEPS`` steps on all such
+    rows together, and a row already within ``tol`` takes no step.  The
+    other rows, and a proven one whose Newton does not reach that step,
+    are scanned (``_scan_sup``): e and e' at ``x_samples`` evenly spaced
+    offsets, then ``_row_newton`` with the same step and cap from the
+    secant point of every + -> - sign change of e' between neighbours,
+    inside that bracket.  A scanned row's supremum is the largest of its
+    scanned values and those maxima, so only there is a maximum missed,
+    when a scan interval hides two sign changes of e'.
+    """
+    held = terms[0]
+    best = held.copy()
+    at = np.flatnonzero(proven)
+    sub = ctx if at.size == x.size else ctx.rows(at)  # a slice copies the context's arrays
+    _, (sup, _, _), done = _row_newton(sub, x[at], np.nan, np.nan, hi, tol, _POLISH_STEPS,
+                                       (0, 1, 2), [t[at] for t in terms])
+    best[at[done]] = sup[done]
+    scan = ~proven
+    scan[at[~done]] = True
+    if scan.any():
+        best[scan] = _scan_sup(ctx.rows(scan), np.linspace(0.0, hi, x_samples), hi, tol)
+    return np.maximum(best, held) - held
+
+
 def verify_ne(
     delta: Strategy,
     params: MarketParams,
@@ -527,52 +571,21 @@ def verify_ne(
 ) -> float:
     """Largest gain a player can realize by deviating from ``delta``.
 
-    At every grid sigma_a, the supremum of payoff(x) over the offsets
-    x in [0, hi], hi = 3 * max(delta), less payoff(delta(sigma_a)),
-    maximized over the rows; the held offset is a candidate, so the gain
-    is >= 0.  One kernel call gives e, e' and e'' at the held offset of
-    every row.
-
-    A row whose closed-form bound on e'' over [0, hi]
-    (``payoff.second_deriv_bound``) is negative is strictly concave
-    there, so its supremum is the one root of e' or an end of the
-    interval: ``_row_newton`` from the held offset finds it to a step of
-    1e-12 * hi, in at most ``_POLISH_STEPS`` steps on all such rows
-    together.  Every other row, and a proven one whose Newton does not
-    reach that step, is scanned (``_scan_sup``): ``x_samples`` evenly
-    spaced offsets for e and e', then ``_row_newton`` with the same step
-    and step cap from the secant point of every + -> - sign change of e'
-    between neighbours, inside that bracket.  A scanned row's supremum is
-    the largest of its scanned values and the maxima Newton finds, so on
-    scanned rows a maximum is missed only when a scan interval hides two
-    sign changes of e'.
-
-    One context holds every grid row and is sliced by
-    ``PayoffContext.rows``.  The held offsets, the proven rows' Newton
-    and the peak Newton take one offset per row; the scan takes blocks
-    of offsets against all scanned rows (``_scan``, which also samples
-    ``_concavity_ok``'s e'').  A true equilibrium yields a value at
-    rounding level, and a converged solve one of order e'' times the
-    squared distance between each row and its best response.
+    The largest ``_row_sup`` gain over [0, hi], hi = 3 * max(delta), at
+    every grid sigma_a against ``delta``, with a Newton step of 1e-12 * hi
+    and ``x_samples`` scan offsets: one context, one kernel call for e,
+    e' and e'' at the held offsets, and ``payoff.second_deriv_bound`` on
+    [0, hi] for the rows Newton alone takes.  A true equilibrium yields a
+    value at rounding level, and a converged solve one of order e'' times
+    the squared distance between each row and its best response.
     """
     if x_samples < 2:
         raise DomainError("x_samples must be >= 2")
     hi = _DEVIATION_SPAN * delta.max_value()
     if not hi > 0.0:
         hi = 1.0
-    tol = 1e-12 * hi
     ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, quad_n))
-    x = delta.values
-    terms = payoff_terms(x, ctx, (0, 1, 2))
-    held = terms[0]
-    best = held.copy()
+    terms = payoff_terms(delta.values, ctx, (0, 1, 2))
     # a NaN bound proves nothing, so that row is scanned
-    proven = np.flatnonzero(second_deriv_bound(ctx, hi) < 0.0)
-    _, (sup, _, _), done = _row_newton(ctx.rows(proven), x[proven], np.nan, np.nan, hi, tol,
-                                       _POLISH_STEPS, (0, 1, 2), [t[proven] for t in terms])
-    solved = proven[done]
-    best[solved] = sup[done]
-    scan = np.setdiff1d(np.arange(delta.grid.size), solved)
-    if scan.size:
-        best[scan] = _scan_sup(ctx.rows(scan), np.linspace(0.0, hi, x_samples), hi, tol)
-    return float(np.max(np.maximum(best, held) - held))
+    return float(np.max(_row_sup(ctx, delta.values, hi, 1e-12 * hi,
+                                 second_deriv_bound(ctx, hi) < 0.0, terms, x_samples)))

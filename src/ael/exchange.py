@@ -29,7 +29,7 @@ import numpy as np
 from .errors import AelError, DomainError, NoEquilibrium
 from .gaussmath import monotone_newton, norm_cdf, norm_pdf
 from .model import MarketParams, SpreadQuad, Strategy, default_rule
-from .equilibrium import SolverConfig, solve_degenerate, solve_fixed_point
+from .equilibrium import GAIN_TOL, SolverConfig, solve_degenerate, solve_fixed_point
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -88,18 +88,20 @@ def _solve_revenue(
     SpreadQuad(gamma), with x the node values ``report.nodes`` carries; a
     degenerate market has the scalar root and no strategy to carry.
 
-    Raises NoEquilibrium when the equilibrium solve does not converge.
+    Raises NoEquilibrium when the equilibrium solve does not converge,
+    naming the test that failed: the residual, or the deviation gain.
     """
     fees = SpreadQuad(gamma)
     if params.is_degenerate:
         root = solve_degenerate(params, fees)
         return gamma * root * root, None
     report = solve_fixed_point(params, fees, cfg, init=init)
+    if not report.residual <= cfg.tol:
+        raise NoEquilibrium(f"fixed point did not converge at gamma = {gamma} (residual "
+                            f"{report.residual:.3e} after {report.iterations} iterations)")
     if not report.converged:
-        raise NoEquilibrium(
-            f"fixed point did not converge at gamma = {gamma} "
-            f"(residual {report.residual:.3e} after {report.iterations} iterations)"
-        )
+        raise NoEquilibrium(f"solved rows are not best responses at gamma = {gamma} "
+                            f"(deviation gain {report.deviation_gain:.3e} above {GAIN_TOL:g})")
     _, w = default_rule(params, cfg.quad_n)
     x = report.nodes.values
     return gamma * float(np.dot(w, x * x)), report.nodes

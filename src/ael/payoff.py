@@ -162,8 +162,8 @@ class PayoffContext:
 
     def rows(self, index) -> "PayoffContext":
         """This context on ``sigma_a[index]`` of an array ``sigma_a``, as
-        if built on those rows; ``index`` is a slice or an integer array
-        along the first axis."""
+        if built on those rows; ``index`` is a slice, an integer array or a
+        boolean mask along the first axis."""
         ctx = copy.copy(self)
         for name in ("sigma_a", "sig", "q", "qt"):
             object.__setattr__(ctx, name, getattr(self, name)[index])

@@ -8,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.optimize
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from ael.payoff import (
     second_deriv_bound,
 )
 from ael.equilibrium import (
+    GAIN_TOL,
     SolverConfig,
     best_response,
     existence_bound,
@@ -580,19 +582,25 @@ class TestBatchedBestResponse:
         assert len(calls) == 1
 
     @staticmethod
-    def three_roots(monkeypatch):
-        """Fake e' = (0.2 - x)(0.5 - x)(0.8 - x) at every grid point; the
-        node system keeps the real cross term."""
-        real = equilibrium.payoff_terms
-
-        def fake_terms(x, ctx, orders, cross=False):
+    def fake_payoff(monkeypatch, *orders):
+        """Fake e, e' and e'' (functions of x, in ``orders``) at every row; e'
+        does not depend on the opponent, so the node system's cross term is
+        0.  The real bound on e'' reads the real context, so it is faked to
+        prove no row."""
+        def fake_terms(x, ctx, wanted, cross=False):
             x = np.asarray(x, dtype=float)
-            d1 = (0.2 - x) * (0.5 - x) * (0.8 - x)
-            d2 = -((0.5 - x) * (0.8 - x) + (0.2 - x) * (0.8 - x) + (0.2 - x) * (0.5 - x))
-            extra = real(x, ctx, (1,), cross=True)[1:] if cross else []
-            return [{1: d1, 2: d2}[k] for k in orders] + extra
+            extra = [np.zeros(x.shape + ctx.w.shape)] if cross else []
+            return [orders[k](x) + 0.0 * ctx.sigma_a for k in wanted] + extra
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
+        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
+
+    def three_roots(self, monkeypatch, roots=(0.2, 0.5, 0.8)):
+        """Fake e' = (a - x)(b - x)(c - x), with maxima at a and c."""
+        a, b, c = roots
+        self.fake_payoff(monkeypatch, -Polynomial.fromroots(roots).integ(),
+                         lambda x: (a - x) * (b - x) * (c - x),
+                         lambda x: -((b - x) * (c - x) + (a - x) * (c - x) + (a - x) * (b - x)))
 
     @pytest.mark.parametrize("start, root", [(0.35, 0.8), (0.45, 0.5), (0.65, 0.2)])
     def test_non_concave_starts_reach_a_root(self, main_params, start, root, monkeypatch):
@@ -606,45 +614,82 @@ class TestBatchedBestResponse:
         assert np.max(np.abs(br.values - root)) <= 1e-9
 
     def test_two_crossings_are_non_concave(self, main_params, monkeypatch):
-        # with e' = (0.2 - x)(0.5 - x)(0.8 - x) the best response stops at the
-        # first root, the final check flags it
-        self.three_roots(monkeypatch)
-        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
+        # with e' = (0.2 - x)(0.3 - x)(0.55 - x) the best response stops at
+        # the first root, and the far maximum at 0.55, inside 3 max delta, is
+        # higher: the gain flags the solve, as does the concavity flag
+        self.three_roots(monkeypatch, (0.2, 0.3, 0.55))
         delta = Strategy.constant(0.1, main_params, 11)
         br = best_response(delta, main_params, SpreadQuad(2.0), FAST)
         assert np.max(np.abs(br.values - 0.2)) <= 1e-9
         rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
+        assert rep.residual <= FAST.tol and np.max(np.abs(rep.strategy.values - 0.2)) <= 1e-9
+        e = -Polynomial.fromroots((0.2, 0.3, 0.55)).integ()
+        assert rep.deviation_gain == pytest.approx(e(0.55) - e(0.2), rel=1e-9)
+        assert rep.deviation_gain > GAIN_TOL
         assert not rep.converged
         assert not rep.concavity_ok
 
-    def test_non_concave_kernel_flags_the_solve(self, main_params, monkeypatch):
-        # e'' turns positive past x = 0.1, above every offset the solve plays
-        # (max delta is 0.06) but inside the checked 3 max delta
+    def test_one_crossing_with_a_convex_stretch_converges(self, main_params, monkeypatch):
+        # e' = (0.2 - x)((x - 0.45)^2 + 0.001) changes sign once, at 0.2, so
+        # that root is every row's maximum, but e'' > 0 on part of (0.2,
+        # 0.45), inside 3 max delta: the flag is false, the solve converged
+        d1 = Polynomial([0.2, -1.0]) * (Polynomial.fromroots([0.45, 0.45]) + 0.001)
+        self.fake_payoff(monkeypatch, d1.integ(), d1, d1.deriv())
+        rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
+        assert np.max(np.abs(rep.strategy.values - 0.2)) <= 1e-9
+        assert rep.converged and 0.0 <= rep.deviation_gain <= GAIN_TOL
+        assert not rep.concavity_ok
+
+    @pytest.mark.parametrize("bump", ["second_derivative", "higher_peak"])
+    def test_non_concave_kernel_flags_the_solve(self, main_params, bump, monkeypatch):
+        # e'' alone turns positive past x = 0.1, above every offset the solve
+        # plays (max delta is 0.06) but inside the checked 3 max delta: the
+        # flag is false, yet every row's root is its maximum; or e, e' and
+        # e'' gain a narrow peak at 0.15, higher than every row's payoff
         real = equilibrium.payoff_terms
+        at, width, height = 0.15, 0.01, 0.1
 
         def bumped(x, ctx, orders, cross=False):
             terms = real(x, ctx, orders, cross)
-            bump = 10.0 * (np.asarray(x) > 0.1)
-            return [t + bump if k == 2 else t for k, t in zip(orders, terms)] + terms[len(orders):]
+            x = np.asarray(x, dtype=float)
+            if bump == "second_derivative":
+                add = {0: 0.0, 1: 0.0, 2: 10.0 * (x > 0.1)}
+            else:
+                z = (x - at) / width
+                peak = height * np.exp(-0.5 * z * z)
+                add = {0: peak, 1: -z / width * peak, 2: (z * z - 1.0) / width**2 * peak}
+            return [t + add[k] for k, t in zip(orders, terms)] + terms[len(orders):]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", bumped)
         monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
-        assert rep.residual <= FAST.tol
-        assert not rep.converged
+        assert rep.residual <= FAST.tol and rep.strategy.max_value() < 0.1
         assert not rep.concavity_ok
+        if bump == "second_derivative":
+            assert rep.converged and rep.deviation_gain <= GAIN_TOL
+        else:
+            assert not rep.converged and rep.deviation_gain > 0.5 * height
 
     def test_concavity_check_covers_the_played_offsets(self, main_params, monkeypatch):
-        # e'' = x - 0.1 is negative on (0, bound_C) but not up to 3 * 0.3
-        def fake_terms(x, ctx, orders):
-            return [np.asarray(x, dtype=float) - 0.1 for _ in orders]
+        # the flag and the gain both look up to max(C, 3 max rows), past C
+        # (0.0043) to the offsets the rows play
+        seen = {}
+        real_ok, real_sup = equilibrium._concavity_ok, equilibrium._row_sup
 
-        monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
-        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
-        delta = Strategy.constant(0.3, main_params, 11)
-        ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
-                            default_rule(main_params, SolverConfig.quad_n))
-        assert not equilibrium._concavity_ok(delta, ctx, bound_c=0.0043)
+        def concavity_ok(ctx, hi, proven):
+            seen["flag"] = hi
+            return real_ok(ctx, hi, proven)
+
+        def row_sup(ctx, x, hi, *args):
+            seen["gain"] = hi
+            return real_sup(ctx, x, hi, *args)
+
+        monkeypatch.setattr(equilibrium, "_concavity_ok", concavity_ok)
+        monkeypatch.setattr(equilibrium, "_row_sup", row_sup)
+        rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
+        c, _ = existence_bound(main_params, SpreadQuad(2.0))
+        assert c < 3.0 * rep.strategy.max_value()
+        assert seen == dict.fromkeys(("flag", "gain"), 3.0 * rep.strategy.max_value())
 
     @pytest.mark.parametrize("where, kernel_calls", [("first", 1), ("last", 10), (None, 10)])
     def test_concavity_scan_stops_at_the_first_non_concave_block(
@@ -666,10 +711,9 @@ class TestBatchedBestResponse:
             return [np.where(bump, 1.0, -1.0) for _ in orders]
 
         monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
-        monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
         ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
                             default_rule(main_params, SolverConfig.quad_n))
-        assert equilibrium._concavity_ok(delta, ctx, bound_c=0.0043) is (where is None)
+        assert equilibrium._concavity_ok(ctx, hi, np.zeros(11, bool)) is (where is None)
         assert calls == [(5, 1)] * kernel_calls
 
     @pytest.mark.parametrize(
@@ -682,9 +726,10 @@ class TestBatchedBestResponse:
         # check share; each node level makes one kernel call per evaluation
         # of G and J (no halvings here), which returns the cross term,
         # computed nowhere else; the closed-form bound proves every row of
-        # the default market concave, so the check samples no offset block;
-        # verify_ne builds one context at any thread count and starts no
-        # worker
+        # the default market concave, so the verdict samples no offset block
+        # and steps no row: the row phase and the verdict together make one
+        # kernel call; verify_ne builds one context at any thread count and
+        # starts no worker
         calls = {"ctx": 0, "kernel": 0, "cross": 0, "concavity": None}
         kernel_at_ctx, evaluations = [], []
         real_init = PayoffContext.__post_init__
@@ -726,6 +771,7 @@ class TestBatchedBestResponse:
         assert fine == rep.iterations
         assert kernel_at_ctx == [0, coarse, coarse + fine]
         assert calls["cross"] == coarse + fine
+        assert calls["kernel"] == coarse + fine + 1
         assert calls["concavity"] == 0
 
         def no_workers(*args, **kwargs):
@@ -763,7 +809,7 @@ def report_bytes(rep):
     """Every field of an ``EquilibriumReport``, arrays as bytes."""
     return (rep.nodes.grid.tobytes(), rep.nodes.values.tobytes(), rep.strategy.grid.tobytes(),
             rep.strategy.values.tobytes(), rep.residual, rep.iterations, rep.converged,
-            rep.concavity_ok)
+            rep.concavity_ok, rep.deviation_gain)
 
 
 SOLVER_CASES = pytest.mark.parametrize(
@@ -1004,13 +1050,22 @@ class TestCoarseStart:
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     def test_low_gamma_cold_solves_reach_tol(self, rho):
         # from each node's own degenerate root the node solves converge down
-        # to gamma = 1e-4; the concavity verdict on the rows stays false
-        # there, and at gamma = 1e-5 the cold Newton still diverges
+        # to gamma = 1e-4, and the rows are best responses, though the
+        # concavity flag on the rows stays false there; at gamma = 1e-5 the
+        # cold Newton still diverges
         params = MarketParams(0.1, 1.1, rho)
         for gamma in (1e-4, 1e-3):
             rep = solve_fixed_point(params, SpreadQuad(gamma))
-            assert rep.residual <= SolverConfig.tol and not rep.converged
+            assert rep.residual <= SolverConfig.tol and rep.converged and not rep.concavity_ok
         assert solve_fixed_point(params, SpreadQuad(1e-5)).residual > SolverConfig.tol
+
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 0.005, 0.1337, 2.0])
+    def test_report_gain_is_at_rounding_level(self, rho, gamma):
+        # the deviation gain of the rows against the solved nodes, from the
+        # lowest gammas that converge cold up to the bench's range
+        rep = solve_fixed_point(MarketParams(0.1, 1.1, rho), SpreadQuad(gamma))
+        assert rep.converged and 0.0 <= rep.deviation_gain <= GAIN_TOL
 
     @pytest.mark.parametrize("case", ["init", "degenerate", "quad_n_31", "quad_n_16", "quad_n_32"])
     def test_where_no_coarse_rule_is_built(self, main_params, case, monkeypatch):
@@ -1038,8 +1093,8 @@ class TestCoarseStart:
         # the coarse level is a node solve, not a nested solve_fixed_point:
         # no second row phase, concavity check, best response or verify_ne
         counts = dict.fromkeys(
-            ["solve_fixed_point", "_concavity_ok", "_argmax_rows", "best_response", "verify_ne",
-             "_newton"], 0)
+            ["solve_fixed_point", "_concavity_ok", "_row_sup", "_argmax_rows", "best_response",
+             "verify_ne", "_newton"], 0)
         for name in counts:
             def counted(*args, _real=getattr(equilibrium, name), _name=name, **kwargs):
                 counts[_name] += 1
@@ -1047,8 +1102,8 @@ class TestCoarseStart:
 
             monkeypatch.setattr(equilibrium, name, counted)
         assert equilibrium.solve_fixed_point(main_params, SpreadQuad(2.0)).converged
-        assert counts == {"solve_fixed_point": 1, "_concavity_ok": 1, "_argmax_rows": 1,
-                          "best_response": 0, "verify_ne": 0, "_newton": 2}
+        assert counts == {"solve_fixed_point": 1, "_concavity_ok": 1, "_row_sup": 1,
+                          "_argmax_rows": 1, "best_response": 0, "verify_ne": 0, "_newton": 2}
 
 
 class TestSpectralRowStart:
@@ -1151,12 +1206,18 @@ class TestSpectralRowStart:
 
 
 def concavity_args(params, fees):
-    """A solve and what it hands ``_concavity_ok``: the output rows, their
-    context against the solved nodes, and the invariant-set bound C."""
+    """A solve and the output rows' context against its nodes and the
+    upper end max(C, 3 max rows) of the offsets its verdict checks."""
     rep = solved(params, fees)
     ctx = PayoffContext(rep.strategy.grid, rep.nodes, params, fees,
                         default_rule(params, SolverConfig.quad_n))
-    return rep, (rep.strategy, ctx, existence_bound(params, fees)[0])
+    return rep, (ctx, max(existence_bound(params, fees)[0], 3.0 * rep.strategy.max_value()))
+
+
+def concavity_verdict(ctx, hi):
+    """``_concavity_ok`` as a solve calls it, on the rows the bound (as
+    patched into ``equilibrium``) proves on (0, hi]."""
+    return equilibrium._concavity_ok(ctx, hi, equilibrium.second_deriv_bound(ctx, hi) < 0.0)
 
 
 class TestConcavityBound:
@@ -1165,10 +1226,10 @@ class TestConcavityBound:
 
     def assert_sampled_verdict(self, params, fees, monkeypatch):
         rep, args = concavity_args(params, fees)
-        with_bound = equilibrium._concavity_ok(*args)
+        with_bound = concavity_verdict(*args)
         with monkeypatch.context() as m:
             m.setattr(equilibrium, "second_deriv_bound", no_row_certified)
-            sampled = equilibrium._concavity_ok(*args)
+            sampled = concavity_verdict(*args)
         assert with_bound is sampled is rep.concavity_ok
 
     @SOLVER_CASES
@@ -1192,7 +1253,7 @@ class TestConcavityBound:
             return real(x, ctx, orders)
 
         monkeypatch.setattr(equilibrium, "payoff_terms", spy)
-        assert equilibrium._concavity_ok(*args)
+        assert concavity_verdict(*args)
         return seen
 
     @staticmethod
@@ -1206,31 +1267,38 @@ class TestConcavityBound:
         # at gamma = 0.1337 the bound proves about half the rows; the scan
         # takes all its blocks on exactly the others
         _, args = concavity_args(main_params, SpreadQuad(0.1337))
-        rows, ctx, bound_c = args
-        hi = max(bound_c, 3.0 * rows.max_value())
-        unproven = rows.grid[second_deriv_bound(ctx, hi) >= 0.0]
-        assert 0 < unproven.size < rows.grid.size
+        ctx, hi = args
+        unproven = ctx.sigma_a[second_deriv_bound(ctx, hi) >= 0.0]
+        assert 0 < unproven.size < ctx.sigma_a.size
         seen = self.sampled_calls(args, monkeypatch)
         assert [shape for shape, _, _ in seen] == self.blocks(unproven.size)
         assert all(np.array_equal(sigma_a, unproven) for _, sigma_a, _ in seen)
 
     def test_a_nan_bound_proves_no_row(self, main_params, monkeypatch):
-        _, args = concavity_args(main_params, SpreadQuad(2.0))
+        # a solve hands the flag and the gain no proven row: the flag samples
+        # every row, and the gain scans every row, both still passing
+        seen, real_ok = [], equilibrium._concavity_ok
+
+        def concavity_ok(ctx, hi, proven):
+            seen.append(proven)
+            return real_ok(ctx, hi, proven)
+
         monkeypatch.setattr(equilibrium, "second_deriv_bound",
                             lambda ctx, hi: np.full(np.shape(ctx.sigma_a), np.nan))
-        seen = self.sampled_calls(args, monkeypatch)
-        assert [shape for shape, _, _ in seen] == self.blocks(args[0].grid.size)
-        assert all(np.array_equal(sigma_a, args[0].grid) for _, sigma_a, _ in seen)
+        monkeypatch.setattr(equilibrium, "_concavity_ok", concavity_ok)
+        rep = solve_fixed_point(main_params, SpreadQuad(2.0))
+        assert len(seen) == 1 and seen[0].shape == (101,) and not seen[0].any()
+        assert rep.concavity_ok and rep.converged
 
     def test_a_sampled_block_holds_at_most_the_cap(self, main_params, monkeypatch):
         # with no row proven, one offset on 2001 rows already holds more
         # than _BLOCK_ELEMENTS values, so each call takes one offset
         fees = SpreadQuad(2.0)
-        rep, (rows, _, bound_c) = concavity_args(main_params, fees)
+        rep, (_, hi) = concavity_args(main_params, fees)
         ctx = PayoffContext(np.linspace(0.1, 1.1, 2001), rep.nodes, main_params, fees,
                             default_rule(main_params, SolverConfig.quad_n))
         monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
-        seen = self.sampled_calls((rows, ctx, bound_c), monkeypatch)
+        seen = self.sampled_calls((ctx, hi), monkeypatch)
         assert [shape for shape, _, _ in seen] == self.blocks(2001) == [(1, 1)] * 50
         assert all(values <= max(equilibrium._BLOCK_ELEMENTS, 2001 * 64)
                    for _, _, values in seen)

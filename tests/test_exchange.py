@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 import ael.exchange as exchange
-from ael.errors import DomainError, NoConvergence
+from ael.errors import DomainError, NoConvergence, NoEquilibrium
 from ael.gaussmath import norm_cdf, norm_pdf
 from ael.model import MarketParams, SpreadQuad, default_rule
-from ael.equilibrium import SolverConfig, solve_degenerate, solve_fixed_point
+from ael.equilibrium import GAIN_TOL, SolverConfig, solve_degenerate, solve_fixed_point
 from ael.exchange import (
     optimal_gamma_degenerate,
     optimal_gamma_numeric,
@@ -150,6 +151,14 @@ class TestRevenueCurve:
         ok = revenue_curve([2.0], main_params, FAST)
         assert ok[0].converged is True and ok[0].revenue > 0.0
 
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    def test_lowest_gammas_have_a_revenue(self, rho):
+        # the solves at these gammas are equilibria whose rows are not all
+        # concave past their maxima; the warm sweep prices each one
+        points = revenue_curve([1e-4, 1e-3, 0.005], MarketParams(0.1, 1.1, rho))
+        assert all(p.converged and math.isfinite(p.revenue) and p.revenue > 0.0
+                   for p in points)
+
     def test_warm_sweep_independent_of_grid_n(self, main_params):
         grid = np.linspace(0.08, 0.2, 7)
         coarse, fine = (revenue_curve(grid, main_params, SolverConfig(grid_n=n))
@@ -217,6 +226,31 @@ class TestRevenueCurveErrors:
         points = revenue_curve([1.0, 2.0], main_params, self.CFG)
         assert [p.converged for p in points] == [False, True]
         assert math.isnan(points[0].revenue) and points[1].revenue > 0.0
+
+
+class TestNoEquilibriumMessage:
+    # a point fails on its residual or on its deviation gain, and the
+    # message names the one that failed, with its value
+
+    @pytest.mark.parametrize("failure", ["residual", "gain"])
+    def test_message_names_the_failed_test(self, main_params, failure, monkeypatch):
+        real = exchange.solve_fixed_point
+
+        def failing(params, fees, cfg, init=None):
+            rep = real(params, fees, cfg, init=init)
+            if failure == "residual":
+                return replace(rep, residual=1e-3, converged=False)
+            return replace(rep, deviation_gain=2.5e-6, converged=False)
+
+        monkeypatch.setattr(exchange, "solve_fixed_point", failing)
+        with pytest.raises(NoEquilibrium) as err:
+            revenue(2.0, main_params, TestRevenueCurveErrors.CFG)
+        msg = str(err.value)
+        if failure == "residual":
+            assert "residual 1.000e-03" in msg and "deviation gain" not in msg
+        else:
+            assert f"deviation gain 2.500e-06 above {GAIN_TOL:g}" in msg
+            assert "residual" not in msg
 
 
 class TestRevenueMatchesCurve:
