@@ -12,20 +12,60 @@ cold start's node roots, y*) comes from ``monotone_newton``.  The
 Brent-style ``find_root`` on a ``Bracket`` serves only
 ``maximize_concave``, which only the benchmark's spans and the tests
 reach (as span targets and as references).
+
+The package takes two of scipy's special functions, ``erfc`` here and
+``ndtri`` in ``simulator``, and both come from this module.  Both live
+in the compiled extension ``scipy.special._ufuncs``, which loads in
+about 20 ms; ``import scipy.special`` runs the package ``__init__``,
+whose array-API support alone pulls in ``array_api_compat`` and
+``numpy.f2py`` and costs about 0.3 s, more than half of every CLI
+command's wall time.  So ``_special_ufuncs`` imports the extension
+under a stand-in ``scipy.special``: a module made from the package's
+own spec but never executed, registered only for that import.  This
+relies on scipy's private layout (an importable ``_ufuncs`` in the
+``special`` package directory that holds both ufuncs); where that
+fails with an import error, the plain package import runs instead.
+Either way these are scipy's own ufunc objects, so results do not
+depend on the path taken, and a later ``import scipy.special`` hands
+out the same objects.  Never test ``hasattr(scipy, "special")`` here:
+scipy's module ``__getattr__`` answers it by importing the whole
+package.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc
 
 from .errors import DomainError, NoConvergence, NonConcave, NoSignChange
+
+
+def _special_ufuncs():
+    """scipy.special's ufunc module, or the package where it has run
+    already or the stand-in import fails (see the module docstring)."""
+    if "scipy.special" not in sys.modules:
+        try:
+            spec = importlib.util.find_spec("scipy.special")
+            sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+            try:
+                return importlib.import_module("scipy.special._ufuncs")
+            finally:
+                del sys.modules["scipy.special"]
+        except (ImportError, AttributeError, OSError):
+            pass  # a failed import leaves only complete modules, which the package reuses
+    return importlib.import_module("scipy.special")
+
+
+_ufuncs = _special_ufuncs()
+erfc = _ufuncs.erfc
+ndtri = _ufuncs.ndtri
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

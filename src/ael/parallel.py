@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import DomainError
 
 _lock = threading.Lock()  # guards _pool and _pool_size
-_pool: ThreadPoolExecutor | None = None
+_pool = None  # the ThreadPoolExecutor, once a parallel call has started it
 _pool_size = 0
 _local = threading.local()
 
@@ -51,8 +50,12 @@ def _mark_worker() -> None:
     _local.worker = True
 
 
-def _shared_pool(workers: int) -> ThreadPoolExecutor:
+def _shared_pool(workers: int):
     """The process's pool with ``workers`` threads; call with _lock held."""
+    # imported here, where a pool is first needed: most commands start none,
+    # and the import costs each process a few milliseconds
+    from concurrent.futures import ThreadPoolExecutor
+
     global _pool, _pool_size
     if _pool is None or _pool_size != workers:
         if _pool is not None:

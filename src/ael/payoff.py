@@ -49,9 +49,10 @@ demand.  The requested terms
 follow in place (``out=`` ufuncs) in at most five arrays of the
 (offsets, nodes) shape rather than one temporary per operation, with
 the operations of the formulas above in their order, so the bits are
-those of the plain expressions.  The fee scheme contributes one
-closed-form quadratic penalty.  Contexts are immutable and
-evaluations pure, hence freely shareable across workers.
+those of the plain expressions.  Those arrays are views of one block
+per calling thread, kept from call to call.  The fee scheme
+contributes one closed-form quadratic penalty.  Contexts are immutable
+and evaluations pure, hence freely shareable across workers.
 
 ``second_deriv_bound`` bounds the penalized e'' (or h'') from above on a
 whole interval of offsets [0, hi], at every sigma_a, from the same
@@ -64,6 +65,8 @@ range.  It takes one (sigma_a, nodes) array per term and no offset axis.
 from __future__ import annotations
 
 import copy
+import math
+import threading
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -200,6 +203,24 @@ def _penalty(ctx: PayoffContext) -> tuple:
     return _PENALTY[type(fees)](fees, ctx)
 
 
+_scratch = threading.local()
+
+
+def _scratch_block(n: int, shape: tuple) -> np.ndarray:
+    """n arrays of ``shape`` in one block that this thread reuses from
+    call to call, grown when a call needs more.  A fresh block per call
+    is handed back to the system by glibc's malloc whenever the top of
+    the heap passes its trim threshold, which depends on everything the
+    process allocated before, and each call then page-faults its block
+    in again (81 minor faults per default solve where scipy.special's
+    package init has not run)."""
+    size = n * math.prod(shape)
+    block = getattr(_scratch, "block", None)
+    if block is None or block.size < size:
+        block = _scratch.block = np.empty(size)
+    return block[:size].reshape(n, *shape)
+
+
 def _averages(x: np.ndarray, ctx: PayoffContext, orders, cross=False) -> list:
     """Averages over sigma_b, one per order, of the base integrand (the
     half-linear one times kbar/2 under half-linear demand) and its
@@ -211,13 +232,11 @@ def _averages(x: np.ndarray, ctx: PayoffContext, orders, cross=False) -> list:
     Phi(u) at all.
 
     The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u), two
-    work arrays r and t, and the cross term, views of one allocation: as
-    separate ones, glibc's malloc handed the freed memory back to the
-    system after each call on a (4, 257, 64) block, and the next call
-    page-faulted it in again (12k minor faults per default ``verify_ne``).
-    Order 2 needs no t, and without a tail u's array serves as r once
-    Phi'(u) is taken, so a base order-2 call allocates two arrays.  The
-    cross term, taken before the tail overwrites u, uses r as scratch.
+    work arrays r and t, and the cross term, views of the calling
+    thread's ``_scratch_block``.  Order 2 needs no t, and without a tail
+    u's array serves as r once Phi'(u) is taken, so a base order-2 call
+    takes two arrays.  The cross term, taken before the tail overwrites
+    u, uses r as scratch, and is returned as a copy.
     """
     volume = isinstance(ctx.fees, LinearDemand)
     xx = x[..., None]
@@ -225,11 +244,11 @@ def _averages(x: np.ndarray, ctx: PayoffContext, orders, cross=False) -> list:
     lower = min(orders) < 2
     with_tail = volume or lower
     shape = np.broadcast(xx, s).shape
-    u, dens, *work = np.empty((2 + max(with_tail + lower, cross) + cross, *shape))
+    u, dens, *work = _scratch_block(2 + max(with_tail + lower, cross) + cross, shape)
     np.add(xx, d, out=u)
     u /= s
     norm_pdf(u, out=dens)
-    extra = [_cross_term(xx, ctx, u, dens, work.pop(), work[0])] if cross else []
+    extra = [_cross_term(xx, ctx, u, dens, work.pop(), work[0]).copy()] if cross else []
     if with_tail:
         tail = np.subtract(1.0, norm_cdf(u, out=u), out=u)
     else:

@@ -15,9 +15,11 @@ as Philox (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 successive outputs of one linear congruential state, not independent
 hashes of their index; in exchange a window fills in about half the
 time.  Normal variates are produced by applying the inverse normal CDF
-to the uniforms, which keeps the addressing exact.  The raw window may
-hold 0.0; the ``_U_FLOOR`` clamp is applied only to the columns that
-``ndtri`` reads, so the sigma columns keep their bits.
+to the uniforms, which keeps the addressing exact: scipy's ``ndtri``,
+taken from ``gaussmath``, which loads it without the rest of
+``scipy.special``.  The raw window may hold 0.0; the ``_U_FLOOR``
+clamp is applied only to the columns that ``ndtri`` reads, so the
+sigma columns keep their bits.
 
 Slot layout per draw window (unused slots are reserved):
 
@@ -63,9 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
-from scipy.special import ndtri
 
 from .errors import DomainError, WrongScheme
+from .gaussmath import ndtri
 from .model import (
     FeeScheme,
     LinearDemand,

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -307,6 +309,49 @@ class TestInPlaceKernel:
                     assert np.shape(g) == np.shape(w)
                     assert np.array_equal(g, w) and np.array_equal(f, w)
                 assert same_bits(cross, reference_cross(x, ctx))
+
+    def kernel_calls(self):
+        """A ``payoff_terms`` call with the cross term on every case, under
+        both schemes, so the work arrays take several shapes."""
+        params = MarketParams(0.1, 1.1, 0.05)
+        delta, cases = self.cases(params)
+        return [lambda c=PayoffContext(sigma_a, delta, params, fees, default_rule(params, QUAD_N)),
+                x=x: payoff_terms(x, c, (0, 1, 2), cross=True)
+                for fees in (SpreadQuad(2.0), LinearDemand(1.3, 0.3)) for sigma_a, x in cases]
+
+    def test_results_outlive_later_calls(self):
+        # the work arrays are views of a block each thread reuses from call
+        # to call; no returned array, the cross term included, may be one
+        held, bits = [], []
+        for call in self.kernel_calls():
+            held.append(call())
+            bits.append([t.tobytes() for t in held[-1]])
+        assert [[t.tobytes() for t in terms] for terms in held] == bits
+
+    def test_concurrent_callers_keep_their_bits(self):
+        # more calling threads than cores, under a short switch interval:
+        # each thread's calls must run on its own block
+        calls = self.kernel_calls()
+        want = [[t.tobytes() for t in call()] for call in calls]
+        got = []
+
+        def run(k):
+            order = calls[k:] + calls[:k]
+            for _ in range(20):
+                got.append([[t.tobytes() for t in call()] for call in order] == want[k:] + want[:k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [True] * 80
 
 
 def same_bits(a, b) -> bool:
