@@ -8,8 +8,8 @@ sigma_i, d = x) = 0, i = 1..q, by Newton's method on the analytic
 Jacobian J = diag(e'') + w * (the kernel's cross term).  A cold solve
 first solves the same system on floor(q/4) nodes and starts the q-node
 Newton from the polynomial through that solution (nested iteration);
-the coarse Newton starts at each node's degenerate-market root, the
-same rule at every gamma > 0.
+the coarse Newton starts at each node's degenerate-market root, and one
+that fails climbs to 10^k gamma and walks back down (``_cold_start``).
 The node values converge spectrally in q, so on the markets tried that
 start is already within the tolerance and the q-node system is
 evaluated once; the nodes and every output stay the q-node ones.  The
@@ -50,7 +50,7 @@ in ``_degenerate_root``, for ``solve_degenerate`` and every cold start).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,14 +83,15 @@ GAIN_TOL = 1e-12  # largest deviation gain of a converged solve: 1e5 times e's r
 _CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
 _COARSE_RATIO = 4  # a cold solve first solves the node system on quad_n // 4 nodes
 _COARSE_MIN = 8  # fewest nodes of that coarse level; below it, no coarse level
+_DECADES = 8  # a failed cold coarse solve is retried at up to 10**_DECADES times gamma
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Equilibrium solver knobs: ``quad_n`` quadrature nodes, which are
     the unknowns, and ``grid_n`` uniform rows of the returned strategy;
-    ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G at
-    each node level of a solve.
+    ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G of each
+    Newton run; a cold solve's coarse level makes up to 2 ``_DECADES`` + 1.
     ``quad_n`` is the package's only default node count of a sigma_b rule."""
 
     grid_n: int = 101
@@ -365,25 +366,33 @@ def _node_system(params: MarketParams, fees: FeeScheme, rule):
 def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig,
                 nodes: np.ndarray) -> np.ndarray:
     """Start of a solve without ``init`` at ``nodes``, the ``cfg.quad_n``
-    nodes: the node system of the floor(q/4)-node rule solved by the
-    same ``_newton`` from the degenerate root at each coarse node's own
-    sigma (``_degenerate_root``), to ``cfg.tol`` within ``cfg.max_iter``
-    evaluations, then its polynomial interpolant at ``nodes``
-    (``legendre_interpolate``) clipped at 0 (nested iteration: Hackbusch,
-    Multi-Grid Methods and Applications, 1985, section 5.3).  The
-    degenerate roots at ``nodes`` instead on a degenerate market, below
-    ``_COARSE_MIN`` coarse nodes, and where the coarse solve raises
-    NoConvergence or stops above ``tol``."""
+    nodes: the floor(q/4)-node system solved by ``_newton`` to ``cfg.tol``
+    and read at ``nodes`` by its interpolant (``legendre_interpolate``)
+    clipped at 0 (nested iteration: Hackbusch, Multi-Grid Methods and
+    Applications, 1985, section 5.3).  It is solved cold, from each coarse
+    node's degenerate root, at 10^k gamma for k = 0, 1, ... ``_DECADES``
+    until one reaches ``tol``, then down a decade at a time to ``fees``,
+    each from the last (natural-parameter continuation: Allgower and
+    Georg, Introduction to Numerical Continuation Methods, 2003, ch. 1).
+    The degenerate roots at ``nodes`` instead on a degenerate market, below
+    ``_COARSE_MIN`` coarse nodes, and where every cold solve, or one on the
+    way down, raises NoConvergence or stops above ``tol``."""
     coarse_n = cfg.quad_n // _COARSE_RATIO
     if not params.is_degenerate and coarse_n >= _COARSE_MIN:
-        coarse_rule = coarse, _ = default_rule(params, coarse_n)
-        try:
-            x, residual, _, _ = _newton(_node_system(params, fees, coarse_rule),
-                                        _degenerate_root(fees, coarse, params.rho),
-                                        cfg.tol, cfg.max_iter)
-        except NoConvergence:
-            residual = math.inf
-        if residual <= cfg.tol:
+        rule = coarse, _ = default_rule(params, coarse_n)
+        x, k = None, 0  # x: the last coarse solution, None while climbing
+        while 0 <= k <= _DECADES:
+            at = replace(fees, gamma=fees.gamma * 10**k) if k else fees
+            start = _degenerate_root(at, coarse, params.rho) if x is None else x
+            try:
+                y, residual = _newton(_node_system(params, at, rule), start, cfg.tol,
+                                      cfg.max_iter)[:2]
+            except NoConvergence:
+                residual = math.inf
+            if residual > cfg.tol and x is not None:
+                break  # a solve on the way down failed
+            x, k = (y, k - 1) if residual <= cfg.tol else (None, k + 1)
+        if k < 0:
             return np.maximum(legendre_interpolate(coarse, x, nodes), 0.0)
     return _degenerate_root(fees, nodes, params.rho)
 
@@ -424,13 +433,13 @@ def solve_fixed_point(
     """Newton solve of G(x) = 0 on the q = ``quad_n`` quadrature nodes.
 
     The node values start at ``init`` read at the nodes (clamped to its
-    grid).  Without ``init``, ``_cold_start`` solves a coarse level, the
-    same node system on floor(q/4) nodes, to the same ``tol`` from the
-    degenerate-market root at each coarse node's own sigma, and reads it
-    at the q nodes; a degenerate market is one unit-weight node.  The
-    coarse level builds no row context and runs no check, and where it
-    fails the q-node Newton starts from the degenerate roots at its own
-    nodes.  Each level builds one node context and
+    grid), a start kept public as the tests' reference.  Without ``init``,
+    ``_cold_start`` solves a coarse level, the same node system on floor(q/4)
+    nodes to the same ``tol``, climbing in gamma where it fails cold, and
+    reads it at the q nodes; a degenerate market is one unit-weight node.
+    The coarse level builds no row context and runs no check, and where
+    its climb fails the q-node Newton starts from the degenerate roots at
+    its nodes.  Each Newton run builds one node context and
     re-points it (``PayoffContext.against``) at each evaluation of G and
     J; ``_newton`` stops at max|J^-1 G| <= ``tol`` or after ``max_iter``
     evaluations.  The report's ``nodes`` are the q node values returned,

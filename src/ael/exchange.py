@@ -15,7 +15,7 @@ reproduces the degenerate first-order condition exactly).
 
 For a non-degenerate market there is no closed form; revenue reads the
 solved node values (``EquilibriumReport.nodes``), never the output rows.
-``revenue_curve`` sweeps a gamma grid with per-point convergence flags
+``revenue_curve`` solves each gamma of a grid cold, with convergence flags,
 and ``optimal_gamma_numeric`` golden-section searches the converged region.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AelError, DomainError, NoEquilibrium
 from .gaussmath import monotone_newton, norm_cdf, norm_pdf
-from .model import MarketParams, SpreadQuad, Strategy, default_rule
+from .model import MarketParams, SpreadQuad, default_rule
 from .equilibrium import GAIN_TOL, SolverConfig, solve_degenerate, solve_fixed_point
 
 _SQRT2 = math.sqrt(2.0)
@@ -46,6 +46,8 @@ class FeeDesignResult:
 
 @dataclass(frozen=True)
 class RevenuePoint:
+    """``revenue(gamma)``, bit for bit; NaN and not converged where it raised an AelError."""
+
     gamma: float
     revenue: float
     converged: bool
@@ -81,12 +83,10 @@ def optimal_gamma_degenerate(sigma: float, rho: float = 0.0) -> FeeDesignResult:
     )
 
 
-def _solve_revenue(
-    gamma: float, params: MarketParams, cfg: SolverConfig, init: Strategy | None
-) -> tuple[float, Strategy | None]:
-    """(gamma * w . x^2, the solved node strategy) at the equilibrium for
-    SpreadQuad(gamma), with x the node values ``report.nodes`` carries; a
-    degenerate market has the scalar root and no strategy to carry.
+def _solve_revenue(gamma: float, params: MarketParams, cfg: SolverConfig) -> float:
+    """gamma * w . x^2 at the equilibrium for SpreadQuad(gamma), solved cold,
+    with x the node values ``report.nodes`` carries; a degenerate market
+    has the scalar root.
 
     Raises NoEquilibrium when the equilibrium solve does not converge,
     naming the test that failed: the residual, or the deviation gain.
@@ -94,8 +94,8 @@ def _solve_revenue(
     fees = SpreadQuad(gamma)
     if params.is_degenerate:
         root = solve_degenerate(params, fees)
-        return gamma * root * root, None
-    report = solve_fixed_point(params, fees, cfg, init=init)
+        return gamma * root * root
+    report = solve_fixed_point(params, fees, cfg)
     if not report.residual <= cfg.tol:
         raise NoEquilibrium(f"fixed point did not converge at gamma = {gamma} (residual "
                             f"{report.residual:.3e} after {report.iterations} iterations)")
@@ -104,7 +104,7 @@ def _solve_revenue(
                             f"(deviation gain {report.deviation_gain:.3e} above {GAIN_TOL:g})")
     _, w = default_rule(params, cfg.quad_n)
     x = report.nodes.values
-    return gamma * float(np.dot(w, x * x)), report.nodes
+    return gamma * float(np.dot(w, x * x))
 
 
 def revenue(
@@ -116,7 +116,7 @@ def revenue(
     Raises DomainError for gamma <= 0 and NoEquilibrium when the
     equilibrium solve does not converge at this gamma.
     """
-    return _solve_revenue(gamma, params, cfg, None)[0]
+    return _solve_revenue(gamma, params, cfg)
 
 
 def revenue_curve(
@@ -124,17 +124,13 @@ def revenue_curve(
     params: MarketParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> list[RevenuePoint]:
-    """Revenue at each gamma with convergence flags.
+    """Revenue at each gamma, each solved cold as ``revenue`` solves it
+    alone, so a point's value depends on its gamma only.
 
     The grid must be non-empty, positive and strictly increasing
     (DomainError otherwise).  A gamma whose solve raises an ``AelError``
     (NoEquilibrium included) is recorded as not converged and the sweep
     goes on; any other exception is a bug and propagates.
-
-    Each non-degenerate solve warm-starts at the node values of the
-    previous converged point, which it reads back exactly; this changes
-    only the Newton path, not the root it converges to, and results stay
-    deterministic for a given grid.
     """
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
@@ -144,16 +140,11 @@ def revenue_curve(
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise DomainError("gamma grid must be strictly increasing")
     points: list[RevenuePoint] = []
-    carry: Strategy | None = None
     for g in gammas:
         try:
-            value, solved = _solve_revenue(g, params, cfg, carry)
+            points.append(RevenuePoint(g, _solve_revenue(g, params, cfg), True))
         except AelError:
             points.append(RevenuePoint(g, math.nan, False))
-            carry = None
-            continue
-        points.append(RevenuePoint(g, value, True))
-        carry = solved
     return points
 
 

@@ -61,6 +61,20 @@ def test_output_bytes_do_not_depend_on_the_path(tmp_path, command):
     assert b"output" not in outputs[0]
 
 
+def test_solve_ne_column_does_not_depend_on_the_gamma_order(tmp_path):
+    # every gamma is solved cold, its coarse level climbing in gamma where
+    # the cold solve fails (as at 1e-5), so a column is a function of its
+    # gamma alone
+    columns = []
+    for gammas in ("1e-5,2", "2,1e-5"):
+        out = tmp_path / "ne.csv"
+        assert main(["solve-ne", "--strict", "-o", str(out), "--solver.grid_n", "11",
+                     "--solve.gammas", gammas]) == 0
+        header, rows = data_rows(out)
+        columns.append([row[header.index("delta_gamma_1e-05")] for row in rows])
+    assert columns[0] == columns[1]
+
+
 def test_output_path_is_not_a_config_key(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("output.path=x.csv\n")

@@ -792,8 +792,8 @@ def solved(params, fees, tol=SolverConfig.tol):
 
 def plain_start(params, fees, nodes):
     """The degenerate-market root at each of ``nodes``, where a cold solve
-    starts the node values of its coarse level, or of its fine level when
-    the coarse one is skipped or fails."""
+    starts the node values of its coarse level at each decade of gamma it
+    tries, or of its fine level when the coarse one is skipped or fails."""
     return equilibrium._degenerate_root(fees, nodes, params.rho)
 
 
@@ -1027,37 +1027,75 @@ class TestCoarseStart:
                              ids=["spread_quad", "linear_demand"])
     def test_a_failed_coarse_solve_leaves_the_plain_start(self, main_params, fees, failure,
                                                            monkeypatch):
+        # every decade's cold coarse solve fails, at 10^k gamma for k = 0 ...
+        # _DECADES, each from the degenerate roots at its own gamma; above
+        # tol is one Newton step that reports at least twice tol
         real_newton, coarse = equilibrium._newton, []
 
         def newton(system, x, tol, max_iter):
             if x.size == SolverConfig.quad_n:
                 return real_newton(system, x, tol, max_iter)
+            coarse.append(x)
             if failure == "raises":
-                coarse.append(None)
                 raise NoConvergence("planted coarse failure")
-            out = real_newton(system, x, tol, 1)
-            coarse.append(out[1])
-            return out
+            x, residual, iterations, at = real_newton(system, x, tol, 1)
+            return x, max(residual, 2.0 * tol), iterations, at
 
         monkeypatch.setattr(equilibrium, "_newton", newton)
         rep = solve_fixed_point(main_params, fees)
-        assert len(coarse) == 1
-        if failure == "above_tol":
-            assert coarse[0] > SolverConfig.tol
+        assert len(coarse) == 1 + equilibrium._DECADES
+        nodes, _ = default_rule(main_params, SolverConfig.quad_n // 4)
+        for k, start in enumerate(coarse):
+            at = replace(fees, gamma=fees.gamma * 10**k)
+            assert np.array_equal(start, plain_start(main_params, at, nodes))
         monkeypatch.undo()
         assert report_bytes(rep) == report_bytes(plain_solve(main_params, fees))
+
+    @pytest.mark.parametrize("gamma, decades", [(1e-7, 3), (2.0, 0)])
+    def test_the_climb_takes_the_decades_it_needs(self, gamma, decades, monkeypatch):
+        # at rho 0.05 the cold coarse solves at 1e-7, 1e-6 and 1e-5 fail and
+        # the one at 1e-4 converges; then 1e-5, 1e-6 and 1e-7 are solved,
+        # each from the last; at gamma 2 the first cold solve converges
+        params = MarketParams(0.1, 1.1, 0.05)
+        nodes, _ = default_rule(params, SolverConfig.quad_n // 4)
+        real_system, real_newton = equilibrium._node_system, equilibrium._newton
+        gammas, calls = [], []  # (gamma, started cold, reached tol) per coarse solve
+
+        def node_system(params, fees, rule):
+            gammas.append(fees.gamma)
+            return real_system(params, fees, rule)
+
+        def newton(system, x, tol, max_iter):
+            out = real_newton(system, x, tol, max_iter)
+            if x.size == nodes.size:
+                cold = np.array_equal(x, plain_start(params, SpreadQuad(gammas[-1]), nodes))
+                calls.append((gammas[-1], cold, out[1] <= tol))
+            return out
+
+        monkeypatch.setattr(equilibrium, "_node_system", node_system)
+        monkeypatch.setattr(equilibrium, "_newton", newton)
+        rep = solve_fixed_point(params, SpreadQuad(gamma))
+        assert rep.converged and rep.deviation_gain <= GAIN_TOL
+        ks = [*range(decades + 1), *reversed(range(decades))]
+        assert [g for g, _, _ in calls] == pytest.approx([gamma * 10**k for k in ks], rel=1e-12)
+        assert calls[-1][0] == gamma  # the walk down ends on the fees themselves
+        assert [cold for _, cold, _ in calls] == [i <= decades for i in range(len(ks))]
+        assert [ok for _, _, ok in calls] == [i >= decades for i in range(len(ks))]
 
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     def test_low_gamma_cold_solves_reach_tol(self, rho):
         # from each node's own degenerate root the node solves converge down
         # to gamma = 1e-4, and the rows are best responses, though the
-        # concavity flag on the rows stays false there; at gamma = 1e-5 the
-        # cold Newton still diverges
+        # concavity flag on the rows stays false there; below, the coarse
+        # level climbs to a gamma that converges cold and walks back down
         params = MarketParams(0.1, 1.1, rho)
         for gamma in (1e-4, 1e-3):
             rep = solve_fixed_point(params, SpreadQuad(gamma))
             assert rep.residual <= SolverConfig.tol and rep.converged and not rep.concavity_ok
-        assert solve_fixed_point(params, SpreadQuad(1e-5)).residual > SolverConfig.tol
+        low = [SpreadQuad(1e-5), LinearDemand(1.0, 1e-5)]
+        for fees in low + ([SpreadQuad(1e-6), SpreadQuad(1e-7)] if rho else []):
+            rep = solve_fixed_point(params, fees)
+            assert rep.converged and rep.deviation_gain <= GAIN_TOL
 
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 0.005, 0.1337, 2.0])

@@ -154,12 +154,12 @@ class TestRevenueCurve:
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     def test_lowest_gammas_have_a_revenue(self, rho):
         # the solves at these gammas are equilibria whose rows are not all
-        # concave past their maxima; the warm sweep prices each one
+        # concave past their maxima; the sweep, each point cold, prices each one
         points = revenue_curve([1e-4, 1e-3, 0.005], MarketParams(0.1, 1.1, rho))
         assert all(p.converged and math.isfinite(p.revenue) and p.revenue > 0.0
                    for p in points)
 
-    def test_warm_sweep_independent_of_grid_n(self, main_params):
+    def test_sweep_independent_of_grid_n(self, main_params):
         grid = np.linspace(0.08, 0.2, 7)
         coarse, fine = (revenue_curve(grid, main_params, SolverConfig(grid_n=n))
                         for n in (11, 101))
@@ -254,8 +254,13 @@ class TestNoEquilibriumMessage:
 
 
 class TestRevenueMatchesCurve:
+    # each point of a curve is solved cold, so it equals its gamma priced
+    # alone, bit for bit, whatever the grid around it
+    @pytest.mark.parametrize("grid", [[2.0], [1e-5, 0.1337, 2.0]], ids=["one", "three"])
     @pytest.mark.parametrize("market", [(0.1, 1.1), (1.1, 1.1)], ids=["main", "degenerate"])
-    def test_single_point_curve_equals_revenue(self, market):
+    def test_curve_points_equal_revenue(self, market, grid):
         params = MarketParams(*market, 0.0)
-        cfg = TestRevenueCurveErrors.CFG
-        assert revenue(2.0, params, cfg) == revenue_curve([2.0], params, cfg)[0].revenue
+        cfg = SolverConfig(grid_n=11)
+        points = revenue_curve(grid, params, cfg)
+        assert all(p.converged for p in points)
+        assert [p.revenue for p in points] == [revenue(g, params, cfg) for g in grid]
