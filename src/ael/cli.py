@@ -11,14 +11,16 @@ path is an argument (``-o``, default out.csv), not a key, so one run
 writes the same bytes to any path.
 
 Subcommands: stats (closed forms), solve-ne, optimal-fee, payoff-curve,
-simulate (the one Monte Carlo command), validate.  Every subcommand
-takes the same flags.  validate prints PASS, FAIL or SKIP per check; a
-check that assumes rho <= sigma_minus/sigma_plus is a SKIP when rho
-exceeds that bound, and OVERALL reads only the checks that ran.  Exit
-codes: 0 success, 2 configuration error, 3 under --strict a solve not
-converged (residual above solver.tol, or a row gaining more than
-equilibrium.GAIN_TOL by deviating) or a fee scheme that admits no
-equilibrium, 4 validation failure.
+simulate (the one Monte Carlo command), validate.  They all take the
+same flags, so one parser serves them, and flags may precede the
+command (a key override there must read ``--key=value``).  validate
+prints PASS, FAIL or SKIP per check; a check that assumes rho <=
+sigma_minus/sigma_plus is a SKIP when rho exceeds that bound, and
+OVERALL reads only the checks that ran.  Exit codes: 0 success, 2
+configuration error, 3 under --strict a solve not converged (residual
+above solver.tol, or a row gaining more than equilibrium.GAIN_TOL by
+deviating) or a fee scheme that admits no equilibrium, 4 validation
+failure.
 stdout stays empty except for the validate report; progress goes to
 stderr, with one ``validate: <check> <ms> ms`` line per validate check
 that ran.
@@ -278,12 +280,12 @@ def load_strategy_csv(path: str, column: str = "") -> Strategy:
 
 
 def _fmt_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):  # first: floats fill the rows; bool is no float
+        return f"{float(v):.16e}"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.16e}"
     return str(v)
 
 
@@ -291,7 +293,7 @@ def write_csv(path, command, cfg, header, rows, footer=()):
     lines = [f"# ael {command}"]
     lines += [f"# {line}" for line in cfg.config_lines()]
     lines.append(",".join(header))
-    lines += [",".join(_fmt_cell(c) for c in row) for row in rows]
+    lines += [",".join(map(_fmt_cell, row)) for row in rows]
     lines += [f"# {line}" for line in footer]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -561,15 +563,13 @@ def _build_parser() -> argparse.ArgumentParser:
                "every output is bit-identical at every thread count.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("-c", "--config", default=None, help="config file path")
-        p.add_argument("-o", "--output", default="out.csv", help="output CSV path")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when any requested solve fails to converge")
-        p.add_argument("--samples", type=int, default=None, help="override sim.samples")
-        p.add_argument("--seed", type=int, default=None, help="override sim.seed")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("-c", "--config", default=None, help="config file path")
+    parser.add_argument("-o", "--output", default="out.csv", help="output CSV path")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit 3 when any requested solve fails to converge")
+    parser.add_argument("--samples", type=int, default=None, help="override sim.samples")
+    parser.add_argument("--seed", type=int, default=None, help="override sim.seed")
     return parser
 
 

@@ -64,7 +64,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64DXSM, Generator
 
 from .errors import DomainError, WrongScheme
 from .gaussmath import ndtri
@@ -159,6 +158,10 @@ def _uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     row.  Values lie in [0, 1); callers floor the columns they pass to
     ``ndtri`` (see ``_normal``).
     """
+    # imported on the first draw: most commands draw none, and the import
+    # costs each process several milliseconds
+    from numpy.random import PCG64DXSM, Generator
+
     bg = PCG64DXSM(seed)
     bg.advance(_SLOTS * start)
     return Generator(bg).random(out.shape, out=out)

@@ -91,6 +91,64 @@ def test_unknown_key_is_config_error(tmp_path):
     assert main(["solve-ne", "-o", str(tmp_path / "x.csv"), "--solver.no_such_key", "1"]) == 2
 
 
+def parse(argv):
+    args, extras = cli._build_parser().parse_known_args(argv)
+    return vars(args), cli._parse_overrides(extras)
+
+
+def namespace(command, config=None, output="out.csv", strict=False, samples=None, seed=None):
+    return dict(command=command, config=config, output=output, strict=strict,
+                samples=samples, seed=seed)
+
+
+# each argv with the namespace and key overrides that one subparser per
+# command gave it
+@pytest.mark.parametrize("argv, args, overrides", [
+    (["stats"], namespace("stats"), []),
+    (["solve-ne", "-c", "run.cfg", "-o", "ne.csv", "--strict", "--samples", "7", "--seed", "3"],
+     namespace("solve-ne", "run.cfg", "ne.csv", True, 7, 3), []),
+    (["optimal-fee", "--config=run.cfg", "--output=fee.csv", "--samples=7", "--seed=3",
+      "--sweep.gammas=2,3"],
+     namespace("optimal-fee", "run.cfg", "fee.csv", False, 7, 3), [("sweep.gammas", "2,3")]),
+    (["payoff-curve", "--curve.x_min", "-0.5", "--curve.x_max=-0.1", "-o", "-"],
+     namespace("payoff-curve", output="-"), [("curve.x_min", "-0.5"), ("curve.x_max", "-0.1")]),
+    (["simulate", "--samples", "10", "--market.rho", "-0.02", "--seed", "-1"],
+     namespace("simulate", samples=10, seed=-1), [("market.rho", "-0.02")]),
+    (["validate", "--strict", "--solve.gammas", "2,3", "--solver.tol=1e-9"],
+     namespace("validate", strict=True), [("solve.gammas", "2,3"), ("solver.tol", "1e-9")]),
+], ids=["stats", "solve-ne", "optimal-fee", "payoff-curve", "simulate", "validate"])
+def test_parse_matches_the_per_command_parsers(argv, args, overrides):
+    assert parse(argv) == (args, overrides)
+
+
+@pytest.mark.parametrize("before, after", [
+    (["-o", "x.csv", "--strict", "stats"], ["stats", "-o", "x.csv", "--strict"]),
+    (["--seed=3", "-c", "run.cfg", "--market.rho=-0.05", "solve-ne", "--fees.gamma", "1.5"],
+     ["solve-ne", "--seed=3", "-c", "run.cfg", "--market.rho=-0.05", "--fees.gamma", "1.5"]),
+], ids=["flags", "flags_and_keys"])
+def test_flags_may_precede_the_command(before, after):
+    assert parse(before) == parse(after)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["nosuch"], 2), (["--help"], 0), (["solve-ne", "--help"], 0),
+], ids=["no_command", "unknown_command", "help", "command_help"])
+def test_usage_exits(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert "usage: ael" in captured.out + captured.err
+
+
+def test_csv_cells_keep_their_text(tmp_path):
+    out = tmp_path / "cells.csv"
+    row = [True, 3, np.int64(3), 0.1, np.float64(0.1), np.float32(0.1), "mid"]
+    cli.write_csv(out, "cells", cli.RunConfig.build(None, []), list("abcdefg"), [row])
+    assert out.read_text().splitlines()[-1] == (
+        "true,3,3,1.0000000000000001e-01,1.0000000000000001e-01,1.0000000149011612e-01,mid")
+
+
 @pytest.mark.parametrize(
     "args",
     [["--fees.scheme", "none"], ["--strict", "--solver.max_iter", "1"]],

@@ -5,7 +5,8 @@ Importing the package must also stay free of ``scipy.optimize`` and of
 ``scipy.special``'s package ``__init__``, each of whose imports alone
 costs more start-up time than the rest of the package: ``gaussmath``
 loads scipy's ``erfc`` and ``ndtri`` from the compiled
-``scipy.special._ufuncs`` alone.  These checks run in fresh
+``scipy.special._ufuncs`` alone.  Commands that draw no sample must
+also leave ``numpy.random`` unloaded.  These checks run in fresh
 interpreters, because pytest's own process has imported scipy.special
 already.
 """
@@ -55,6 +56,14 @@ def run_python(args) -> str:
 
 def test_package_import_leaves_out_scipy_optimize():
     assert run_python(["-c", "import sys, ael; print('scipy.optimize' in sys.modules)"]) == "False\n"
+
+
+def test_import_and_solve_ne_leave_out_numpy_random(tmp_path):
+    # only the simulator draws samples, and it imports numpy.random then
+    code = ("import sys, ael; from ael.cli import main; "
+            "assert main(['solve-ne', '-o', sys.argv[1]]) == 0; "
+            "print('numpy.random' in sys.modules)")
+    assert run_python(["-c", code, str(tmp_path / "ne.csv")]) == "False\n"
 
 
 # which of scipy.special, its _ufuncs extension and concurrent.futures are

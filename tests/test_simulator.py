@@ -222,7 +222,7 @@ def test_each_chunk_draws_one_block_per_sample_from_one_generator(monkeypatch):
         made.append(PCG64DXSM(seed))
         return made[-1]
 
-    monkeypatch.setattr(simulator, "PCG64DXSM", pcg)
+    monkeypatch.setattr("numpy.random.PCG64DXSM", pcg)
     sim = SimConfig(samples=2 * _CHUNK + 1, seed=11)
     estimate_stats(DELTA, MARKET, sim)
     # each chunk's generator starts at the chunk's first sample and stops
