@@ -2,8 +2,9 @@
 Newton root of a decreasing convex function, bracketed root finding,
 concave 1-D maximization, and the nodes and weights of fixed-node
 Gauss-Legendre quadrature with the polynomial interpolant through them.
-Everything in this module is a pure function of its arguments, so all
-of it is safe to call from any number of concurrent workers.
+Everything in this module but ``load_ndtri`` is a pure function of
+its arguments, and that one loads under a lock, so all of it is safe to
+call from any number of concurrent workers.
 
 The normal CDF/PDF have one numpy path for scalars and arrays alike, so
 a scalar closed form and the batched payoff kernel see the same bits.
@@ -13,23 +14,30 @@ Brent-style ``find_root`` on a ``Bracket`` serves only
 ``maximize_concave``, which only the benchmark's spans and the tests
 reach (as span targets and as references).
 
-The package takes two of scipy's special functions, ``erfc`` here and
-``ndtri`` in ``simulator``, and both come from this module.  Both live
-in the compiled extension ``scipy.special._ufuncs``, which loads in
-about 20 ms; ``import scipy.special`` runs the package ``__init__``,
+The package takes two of scipy's special functions, ``erfc`` and
+``ndtri``, from this module, each from the smallest extension that
+defines it.  ``import scipy.special`` runs the package ``__init__``,
 whose array-API support alone pulls in ``array_api_compat`` and
-``numpy.f2py`` and costs about 0.3 s, more than half of every CLI
-command's wall time.  So ``_special_ufuncs`` imports the extension
-under a stand-in ``scipy.special``: a module made from the package's
-own spec but never executed, registered only for that import.  This
-relies on scipy's private layout (an importable ``_ufuncs`` in the
-``special`` package directory that holds both ufuncs); where that
-fails with an import error, the plain package import runs instead.
-Either way these are scipy's own ufunc objects, so results do not
-depend on the path taken, and a later ``import scipy.special`` hands
-out the same objects.  Never test ``hasattr(scipy, "special")`` here:
-scipy's module ``__getattr__`` answers it by importing the whole
-package.
+``numpy.f2py`` and costs about 0.3 s; ``import scipy`` runs scipy's own
+``__init__``, which imports ``subprocess`` through its test utilities.
+``_scipy_ufunc`` imports an extension under stand-ins for whichever of
+the packages it names are not imported yet: modules made from each
+package's own spec but never executed, registered only for that import
+and removed after it.  ``erfc`` comes at import from
+``scipy.special._special_ufuncs``, which needs nothing else of scipy
+and loads in about 1 ms, under a stand-in ``scipy`` and
+``scipy.special``; nothing else is ever loaded under a stand-in
+``scipy``.  ``ndtri``, which only the Monte Carlo draws use, comes from
+``scipy.special._ufuncs`` on its first use (``load_ndtri``).  That
+extension imports ``scipy._lib``, so this load runs scipy's own
+``__init__`` and stands in ``scipy.special`` alone; in a fresh process
+it takes 17-20 ms (2-CPU host).  This relies on scipy's private layout;
+where a stand-in import fails with an import error, the plain package
+import runs instead.  Either way these are scipy's own ufunc objects,
+so results do not depend on the path taken, and a later ``import
+scipy.special`` hands out the same objects.  Never test
+``hasattr(scipy, "special")`` here: scipy's module ``__getattr__``
+answers it by importing the whole package.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import functools
 import importlib.util
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,25 +56,49 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError, NoConvergence, NonConcave, NoSignChange
 
 
-def _special_ufuncs():
-    """scipy.special's ufunc module, or the package where it has run
-    already or the stand-in import fails (see the module docstring)."""
-    if "scipy.special" not in sys.modules:
-        try:
-            spec = importlib.util.find_spec("scipy.special")
-            sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
-            try:
-                return importlib.import_module("scipy.special._ufuncs")
-            finally:
-                del sys.modules["scipy.special"]
-        except (ImportError, AttributeError, OSError):
-            pass  # a failed import leaves only complete modules, which the package reuses
-    return importlib.import_module("scipy.special")
+def _scipy_ufunc(name: str, module: str, stand_ins: tuple[str, ...]):
+    """scipy.special's ufunc ``name`` from its extension ``module``,
+    imported under a stand-in for each package of ``stand_ins`` not yet
+    imported, or from the package where that import fails (see the
+    module docstring)."""
+    added = []
+    try:
+        for package in stand_ins:
+            if package not in sys.modules:
+                # under a stand-in scipy, find_spec reads its __path__ and runs nothing
+                spec = importlib.util.find_spec(package)
+                sys.modules[package] = importlib.util.module_from_spec(spec)
+                added.append(package)
+        return getattr(importlib.import_module(module), name)
+    except (ImportError, AttributeError, OSError):
+        pass  # a failed import leaves only complete modules, which the package reuses
+    finally:
+        for package in added:
+            del sys.modules[package]
+    return getattr(importlib.import_module("scipy.special"), name)
 
 
-_ufuncs = _special_ufuncs()
-erfc = _ufuncs.erfc
-ndtri = _ufuncs.ndtri
+erfc = _scipy_ufunc("erfc", "scipy.special._special_ufuncs", ("scipy", "scipy.special"))
+_ndtri_lock = threading.Lock()
+
+
+def load_ndtri():
+    """scipy's ``ndtri``, loaded on the first call and then bound as this
+    module's ``ndtri``.  Under a lock: however many threads call at once,
+    one runs the loader and all get the same ufunc."""
+    global ndtri
+    with _ndtri_lock:
+        if "ndtri" not in globals():
+            ndtri = _scipy_ufunc("ndtri", "scipy.special._ufuncs", ("scipy.special",))
+    return ndtri
+
+
+def __getattr__(name: str):
+    # ``ndtri`` is not bound until its first use (see load_ndtri)
+    if name == "ndtri":
+        return load_ndtri()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -16,10 +16,11 @@ successive outputs of one linear congruential state, not independent
 hashes of their index; in exchange a window fills in about half the
 time.  Normal variates are produced by applying the inverse normal CDF
 to the uniforms, which keeps the addressing exact: scipy's ``ndtri``,
-taken from ``gaussmath``, which loads it without the rest of
-``scipy.special``.  The raw window may hold 0.0; the ``_U_FLOOR``
-clamp is applied only to the columns that ``ndtri`` reads, so the
-sigma columns keep their bits.
+taken from ``gaussmath``, which loads it from ``scipy.special._ufuncs``
+without the package ``__init__`` the first time a call maps its chunks
+(``_map_chunks``), on the calling thread and before any worker starts.
+The raw window may hold 0.0; the ``_U_FLOOR`` clamp is applied only to
+the columns that ``ndtri`` reads, so the sigma columns keep their bits.
 
 Slot layout per draw window (unused slots are reserved):
 
@@ -65,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gaussmath
 from .errors import DomainError, WrongScheme
-from .gaussmath import ndtri
 from .model import (
     FeeScheme,
     LinearDemand,
@@ -170,7 +171,7 @@ def _uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
 def _normal(u_col: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Standard normals from one uniform column, floored so ndtri stays finite."""
     np.maximum(u_col, _U_FLOOR, out=out)
-    return ndtri(out, out=out)
+    return gaussmath.ndtri(out, out=out)
 
 
 def _sigma(u_col: np.ndarray, params: MarketParams, out: np.ndarray) -> np.ndarray:
@@ -183,7 +184,10 @@ def _sigma(u_col: np.ndarray, params: MarketParams, out: np.ndarray) -> np.ndarr
 
 def _map_chunks(total: int, fn):
     """Apply fn(ws, start, count) over fixed-size chunks, ws being the
-    running thread's workspace; ordered results."""
+    running thread's workspace; ordered results.  Every chunk draws
+    normals, so ``ndtri`` is loaded first, here on the calling thread,
+    before any worker could start its loader."""
+    gaussmath.load_ndtri()
     spans = [(s, min(s + _CHUNK, total) - s) for s in range(0, total, _CHUNK)]
     return map_ordered(lambda sc: fn(_workspace(), *sc), spans)
 
