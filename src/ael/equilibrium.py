@@ -30,7 +30,9 @@ in a converged solve.  Rows that a closed-form bound on e''
 from the held offset; the others are scanned, with Newton from each
 bracketed sign change of e', and only there can a maximum hide, in a
 scan interval with two sign changes of e'.  The concavity flag
-(``_concavity_ok``) is reported: sufficient for the argmax, not necessary.
+(``_concavity_ok``) reads the same scan's e': a scanned row whose e'
+does not fall between two neighbouring offsets fails it.  It is
+reported: sufficient for the argmax, not necessary.
 
 Without fees (and with the mid-price penalty alone) no equilibrium
 exists; ``no_ne_certificate`` returns the aggregated first-order-condition
@@ -76,11 +78,10 @@ _SQRT2 = math.sqrt(2.0)
 _MAX_NEWTON = 100  # Newton steps of a best response
 _MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
-_BLOCK_ELEMENTS = 65792  # kernel values per _scan call unless one offset holds more: 2.1 MB
+_BLOCK_ELEMENTS = 65792  # kernel values per scan call unless one offset holds more: 2.1 MB
 _POLISH_STEPS = 8  # Newton steps of _row_sup's proven rows and scan peaks
-VERIFY_X_SAMPLES = 33  # scan density of a solve's verdict and verify_ne's default
+VERIFY_X_SAMPLES = 33  # scan offsets of a solve's gain and flag, and verify_ne's default
 GAIN_TOL = 1e-12  # largest deviation gain of a converged solve: 1e5 times e's rounding
-_CONCAVITY_OFFSETS = 50  # offsets at which _concavity_ok samples e'' on unproven rows
 _COARSE_RATIO = 4  # a cold solve first solves the node system on quad_n // 4 nodes
 _COARSE_MIN = 8  # fewest nodes of that coarse level; below it, no coarse level
 _DECADES = 8  # a failed cold coarse solve is retried at up to 10**_DECADES times gamma
@@ -129,9 +130,10 @@ class EquilibriumReport:
     most any row gains against ``nodes`` at an offset in [0, max(C, 3 max
     strategy)] (``_row_sup``), C being ``existence_bound``'s (0 on a
     degenerate market).  ``converged``: the residual reached ``tol`` and
-    the gain ``GAIN_TOL``.  ``concavity_ok``, reported only: e'' < 0
-    against ``nodes`` at every row on (0, max(C, 3 max strategy)]
-    (``_concavity_ok``).
+    the gain ``GAIN_TOL``.  ``concavity_ok``, reported only: every row is
+    proven strictly concave against ``nodes`` on [0, max(C, 3 max
+    strategy)] by the bound on e'', or its e' falls between every pair of
+    neighbouring offsets of the gain's scan (``_concavity_ok``).
     """
 
     nodes: Strategy
@@ -397,31 +399,30 @@ def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig,
     return _degenerate_root(fees, nodes, params.rho)
 
 
-def _concavity_ok(ctx: PayoffContext, hi: float, proven: np.ndarray) -> bool:
-    """Whether the penalized payoff of the row context ``ctx`` is strictly
-    concave in the offset at every row on (0, hi]; ``proven`` marks the
-    rows whose closed-form bound on e'' (``payoff.second_deriv_bound``)
-    is negative there, strictly concave on the whole interval.
+def _concavity_ok(hi: float, slopes: np.ndarray) -> bool:
+    """Whether the penalized payoff is strictly concave in the offset at
+    every row on [0, hi], as far as the deviation gain's scan shows it;
+    ``slopes`` is e' at the scan offsets of the rows ``_row_sup`` scanned,
+    one row per line.  The other rows are proven strictly concave there
+    by the closed-form bound on e'' (``payoff.second_deriv_bound``).
 
     A solve passes the interval of its deviation gain, hi = max(C, 3 max
-    rows) with ``existence_bound``'s C (0 on a degenerate market).  On
-    the unproven rows e'' is sampled at ``_CONCAVITY_OFFSETS`` offsets by
-    ``_scan``, stopping at the first block with a non-negative value.
-    Strict concavity rules out a second sign change of the derivative,
-    so each located root is the argmax on the interval, and under
-    half-linear demand, where h' < 0 past C at every row, the global
-    one.  The flag suffices but is not necessary: a row whose e' changes
-    sign once is maximized at its root though a convex stretch lies past
-    it, as on the low-sigma rows at low gamma.  So it is reported, and
-    the gain of ``_row_sup`` decides convergence.
+    rows) with ``existence_bound``'s C (0 on a degenerate market).  A
+    scanned row passes when e' falls between every pair of neighbouring
+    offsets: a rise or a tie means e'' >= 0 somewhere between them (the
+    mean value theorem), so a false flag is never a false alarm, though a
+    convex stretch inside one scan interval can pass unseen.  Strict
+    concavity rules out a second sign change of the derivative, so each
+    located root is the argmax on the interval, and under half-linear
+    demand, where h' < 0 past C at every row, the global one.  The flag
+    suffices but is not necessary: a row whose e' changes sign once is
+    maximized at its root though a convex stretch lies past it, as on the
+    low-sigma rows at low gamma.  So it is reported, and the gain of
+    ``_row_sup`` decides convergence.
     """
     if not 0.0 < hi < math.inf:
         return False
-    unproven = np.flatnonzero(~proven)
-    if not unproven.size:
-        return True
-    offsets = np.linspace(0.0, hi, _CONCAVITY_OFFSETS + 1)[1:]
-    return not any(np.any(d2 >= 0.0) for (d2,) in _scan(ctx.rows(unproven), offsets, (2,)))
+    return not np.any(np.diff(slopes) >= 0.0)
 
 
 def solve_fixed_point(
@@ -446,7 +447,7 @@ def solve_fixed_point(
     with their residual and their evaluations.  One row context against
     them gives the output rows, their deviation gain (``_row_sup`` on
     [0, max(C, 3 max rows)], ``VERIFY_X_SAMPLES`` scan offsets) and the
-    ``concavity_ok`` flag, one e'' bound serving both; a gain above
+    ``concavity_ok`` flag, read from the e' of that gain's scan; a gain above
     ``GAIN_TOL`` reports converged=False, never raises.  The gain steps to
     ``SolverConfig.row_tol``, where the rows' Newton stopped, so a proven
     row takes no step and no kernel call.  The rows are the best response of
@@ -479,16 +480,15 @@ def solve_fixed_point(
     best, terms = _argmax_rows(row_ctx, start, cfg.row_tol)
     delta = Strategy(rows, best)
     hi = max(bound_c, _DEVIATION_SPAN * delta.max_value())
-    proven = second_deriv_bound(row_ctx, hi) < 0.0  # a NaN bound proves nothing
-    gain = float(np.max(_row_sup(row_ctx, best, hi, cfg.row_tol, proven, terms,
-                                 VERIFY_X_SAMPLES)))
+    gains, slopes = _row_sup(row_ctx, best, hi, cfg.row_tol, terms, VERIFY_X_SAMPLES)
+    gain = float(np.max(gains))
     return EquilibriumReport(
         nodes=solved,
         strategy=delta,
         residual=residual,
         iterations=iterations,
         converged=residual <= cfg.tol and gain <= GAIN_TOL,
-        concavity_ok=_concavity_ok(row_ctx, hi, proven),
+        concavity_ok=_concavity_ok(hi, slopes),
         deviation_gain=gain,
     )
 
@@ -510,22 +510,16 @@ def no_ne_certificate(
     return 0.5 * _trade_prob(nodes, w, np.asarray(delta(nodes), dtype=float), params.rho)
 
 
-def _scan(ctx: PayoffContext, xs: np.ndarray, orders):
-    """``payoff_terms`` of ``orders`` at the offsets ``xs`` on every row of
-    the row context ``ctx``, one block of offsets per kernel call, each
-    yielded as arrays of shape (offsets, rows).  A block holds as many
-    offsets as fit in ``_BLOCK_ELEMENTS`` kernel values, and at least one."""
-    step = max(1, _BLOCK_ELEMENTS // ctx.sig.size)
-    for i in range(0, xs.size, step):
-        yield payoff_terms(xs[i:i + step, None], ctx, orders)
-
-
-def _scan_sup(ctx: PayoffContext, xs: np.ndarray, hi: float, tol: float) -> np.ndarray:
+def _scan_sup(ctx: PayoffContext, xs: np.ndarray, hi: float, tol: float):
     """Supremum of the payoff over the offsets ``xs`` at every row of the
-    row context ``ctx``: e and e' at every offset by ``_scan``, then
-    ``_row_newton`` from the secant point of every + -> - sign change of
-    e' between neighbours, all such brackets in one kernel call per step."""
-    vals, slopes = (np.concatenate(terms).T for terms in zip(*_scan(ctx, xs, (0, 1))))
+    row context ``ctx``, and e' there, of shape (rows, offsets).  e and e'
+    come one block of offsets per kernel call, as many offsets as fit in
+    ``_BLOCK_ELEMENTS`` kernel values and at least one; then ``_row_newton``
+    runs from the secant point of every + -> - sign change of e' between
+    neighbours, all such brackets in one kernel call per step."""
+    step = max(1, _BLOCK_ELEMENTS // ctx.sig.size)
+    blocks = [payoff_terms(xs[i:i + step, None], ctx, (0, 1)) for i in range(0, xs.size, step)]
+    vals, slopes = (np.concatenate(terms).T for terms in zip(*blocks))
     at, j = np.nonzero((slopes[:, :-1] > 0.0) & (slopes[:, 1:] <= 0.0))
     best = vals.max(axis=1)
     if at.size:
@@ -535,18 +529,20 @@ def _scan_sup(ctx: PayoffContext, xs: np.ndarray, hi: float, tol: float) -> np.n
         _, (peaks, _, _), _ = _row_newton(ctx.rows(at), start, lo, up, hi, tol,
                                          _POLISH_STEPS, (0, 1, 2))
         np.maximum.at(best, at, peaks)
-    return best
+    return best, slopes
 
 
-def _row_sup(ctx: PayoffContext, x: np.ndarray, hi: float, tol: float, proven: np.ndarray,
-             terms, x_samples: int) -> np.ndarray:
+def _row_sup(ctx: PayoffContext, x: np.ndarray, hi: float, tol: float, terms,
+             x_samples: int):
     """Gain at every row of the row context ``ctx`` from its best offset in
     [0, hi] over the held offset ``x``, whose ``payoff_terms`` of orders
     (0, 1, 2) are ``terms``; the held offset is a candidate, so each gain
-    is >= 0.
+    is >= 0.  Returns the gains and e' at the scan offsets on the scanned
+    rows, of shape (scanned rows, ``x_samples``).
 
-    A row ``proven`` strictly concave on [0, hi] has its supremum at the
-    one root of e' or an end: ``_row_newton`` from the held offset finds
+    A row that the closed-form bound on e'' (``payoff.second_deriv_bound``)
+    proves strictly concave on [0, hi] has its supremum at the one root of
+    e' or an end: ``_row_newton`` from the held offset finds
     it to a step of ``tol`` in at most ``_POLISH_STEPS`` steps on all such
     rows together, and a row already within ``tol`` takes no step.  The
     other rows, and a proven one whose Newton does not reach that step,
@@ -559,6 +555,7 @@ def _row_sup(ctx: PayoffContext, x: np.ndarray, hi: float, tol: float, proven: n
     """
     held = terms[0]
     best = held.copy()
+    proven = second_deriv_bound(ctx, hi) < 0.0  # a NaN bound proves nothing
     at = np.flatnonzero(proven)
     sub = ctx if at.size == x.size else ctx.rows(at)  # a slice copies the context's arrays
     _, (sup, _, _), done = _row_newton(sub, x[at], np.nan, np.nan, hi, tol, _POLISH_STEPS,
@@ -566,9 +563,10 @@ def _row_sup(ctx: PayoffContext, x: np.ndarray, hi: float, tol: float, proven: n
     best[at[done]] = sup[done]
     scan = ~proven
     scan[at[~done]] = True
+    slopes = np.empty((0, x_samples))
     if scan.any():
-        best[scan] = _scan_sup(ctx.rows(scan), np.linspace(0.0, hi, x_samples), hi, tol)
-    return np.maximum(best, held) - held
+        best[scan], slopes = _scan_sup(ctx.rows(scan), np.linspace(0.0, hi, x_samples), hi, tol)
+    return np.maximum(best, held) - held, slopes
 
 
 def verify_ne(
@@ -595,6 +593,4 @@ def verify_ne(
         hi = 1.0
     ctx = PayoffContext(delta.grid, delta, params, fees, default_rule(params, quad_n))
     terms = payoff_terms(delta.values, ctx, (0, 1, 2))
-    # a NaN bound proves nothing, so that row is scanned
-    return float(np.max(_row_sup(ctx, delta.values, hi, 1e-12 * hi,
-                                 second_deriv_bound(ctx, hi) < 0.0, terms, x_samples)))
+    return float(np.max(_row_sup(ctx, delta.values, hi, 1e-12 * hi, terms, x_samples)[0]))

@@ -37,6 +37,7 @@ from ael.payoff import (
 )
 from ael.equilibrium import (
     GAIN_TOL,
+    VERIFY_X_SAMPLES,
     SolverConfig,
     best_response,
     existence_bound,
@@ -640,20 +641,25 @@ class TestBatchedBestResponse:
         assert rep.converged and 0.0 <= rep.deviation_gain <= GAIN_TOL
         assert not rep.concavity_ok
 
-    @pytest.mark.parametrize("bump", ["second_derivative", "higher_peak"])
+    @pytest.mark.parametrize("bump", ["rising_slope", "higher_peak"])
     def test_non_concave_kernel_flags_the_solve(self, main_params, bump, monkeypatch):
-        # e'' alone turns positive past x = 0.1, above every offset the solve
-        # plays (max delta is 0.06) but inside the checked 3 max delta: the
-        # flag is false, yet every row's root is its maximum; or e, e' and
-        # e'' gain a narrow peak at 0.15, higher than every row's payoff
+        # e' gains a smooth step that rises by 0.2 around x = 0.13, above
+        # every offset the solve plays (max delta is 0.06) but inside the
+        # checked 3 max delta, with e and e'' its integral and derivative:
+        # e' rises there but stays negative, so the flag is false, yet every
+        # row's root is its maximum; or e, e' and e'' gain a narrow peak at
+        # 0.15, higher than every row's payoff
         real = equilibrium.payoff_terms
-        at, width, height = 0.15, 0.01, 0.1
+        at, width, height, rise = 0.15, 0.01, 0.1, 0.2
 
         def bumped(x, ctx, orders, cross=False):
             terms = real(x, ctx, orders, cross)
             x = np.asarray(x, dtype=float)
-            if bump == "second_derivative":
-                add = {0: 0.0, 1: 0.0, 2: 10.0 * (x > 0.1)}
+            if bump == "rising_slope":
+                w = 0.5 * width
+                z = (x - 0.13) / w
+                add = {0: rise * w * (z * norm_cdf(z) + norm_pdf(z)), 1: rise * norm_cdf(z),
+                       2: rise * norm_pdf(z) / w}
             else:
                 z = (x - at) / width
                 peak = height * np.exp(-0.5 * z * z)
@@ -665,7 +671,7 @@ class TestBatchedBestResponse:
         rep = solve_fixed_point(main_params, SpreadQuad(2.0), FAST)
         assert rep.residual <= FAST.tol and rep.strategy.max_value() < 0.1
         assert not rep.concavity_ok
-        if bump == "second_derivative":
+        if bump == "rising_slope":
             assert rep.converged and rep.deviation_gain <= GAIN_TOL
         else:
             assert not rep.converged and rep.deviation_gain > 0.5 * height
@@ -676,9 +682,9 @@ class TestBatchedBestResponse:
         seen = {}
         real_ok, real_sup = equilibrium._concavity_ok, equilibrium._row_sup
 
-        def concavity_ok(ctx, hi, proven):
+        def concavity_ok(hi, slopes):
             seen["flag"] = hi
-            return real_ok(ctx, hi, proven)
+            return real_ok(hi, slopes)
 
         def row_sup(ctx, x, hi, *args):
             seen["gain"] = hi
@@ -691,45 +697,20 @@ class TestBatchedBestResponse:
         assert c < 3.0 * rep.strategy.max_value()
         assert seen == dict.fromkeys(("flag", "gain"), 3.0 * rep.strategy.max_value())
 
-    @pytest.mark.parametrize("where, kernel_calls", [("first", 1), ("last", 10), (None, 10)])
-    def test_concavity_scan_stops_at_the_first_non_concave_block(
-        self, main_params, where, kernel_calls, monkeypatch
-    ):
-        # 50 offsets up to hi = 3 * 0.3, the block cap set to 5 offsets on
-        # the 11 rows; e'' is positive only at the first offset, only at
-        # the last one, or nowhere
-        delta = Strategy.constant(0.3, main_params, 11)
-        monkeypatch.setattr(equilibrium, "_BLOCK_ELEMENTS", 5 * 11 * SolverConfig.quad_n)
-        hi = 3.0 * delta.max_value()
-        step = hi / 50
-        calls = []
-
-        def fake_terms(x, ctx, orders):
-            calls.append(np.shape(x))
-            x = np.asarray(x, dtype=float)
-            bump = {"first": x < 1.5 * step, "last": x > hi - 0.5 * step, None: x < 0.0}[where]
-            return [np.where(bump, 1.0, -1.0) for _ in orders]
-
-        monkeypatch.setattr(equilibrium, "payoff_terms", fake_terms)
-        ctx = PayoffContext(delta.grid, delta, main_params, SpreadQuad(2.0),
-                            default_rule(main_params, SolverConfig.quad_n))
-        assert equilibrium._concavity_ok(ctx, hi, np.zeros(11, bool)) is (where is None)
-        assert calls == [(5, 1)] * kernel_calls
-
     @pytest.mark.parametrize(
         "fees", [SpreadQuad(2.0), LinearDemand(1.0, 0.3)], ids=["spread_quad", "linear_demand"]
     )
     def test_kernel_calls_per_newton_step(self, main_params, fees, monkeypatch):
         # a cold solve builds three contexts: the coarse and the fine node
         # contexts, each re-pointed at each evaluation of its level, and one
-        # output-row context that the row best response and the concavity
-        # check share; each node level makes one kernel call per evaluation
-        # of G and J (no halvings here), which returns the cross term,
-        # computed nowhere else; the closed-form bound proves every row of
-        # the default market concave, so the verdict samples no offset block
-        # and steps no row: the row phase and the verdict together make one
-        # kernel call; verify_ne builds one context at any thread count and
-        # starts no worker
+        # output-row context that the row best response and the verdict
+        # share; each node level makes one kernel call per evaluation of G
+        # and J (no halvings here), which returns the cross term, computed
+        # nowhere else; the closed-form bound proves every row of the
+        # default market concave, so the verdict samples no offset block and
+        # steps no row, and the flag reads no sample: the row phase and the
+        # verdict together make one kernel call; verify_ne builds one
+        # context at any thread count and starts no worker
         calls = {"ctx": 0, "kernel": 0, "cross": 0, "concavity": None}
         kernel_at_ctx, evaluations = [], []
         real_init = PayoffContext.__post_init__
@@ -881,7 +862,7 @@ class TestNewtonSolve:
     @pytest.mark.parametrize("rho", [0.0, 0.03])
     def test_concavity_verdict_against_nodes_matches_rows(self, params, fees, rho):
         # the node strategy and its published rows give the same worst e''
-        # over the offsets _concavity_ok samples
+        # over 50 offsets up to max(C, 3 max rows), where the flag looks
         params = replace(params, rho=rho)
         rep = solved(params, fees)
         c, _ = existence_bound(params, fees)
@@ -1129,10 +1110,11 @@ class TestCoarseStart:
 
     def test_a_solve_does_not_recurse(self, main_params, monkeypatch):
         # the coarse level is a node solve, not a nested solve_fixed_point:
-        # no second row phase, concavity check, best response or verify_ne
+        # no second row phase, concavity check, bound on e'', best response
+        # or verify_ne
         counts = dict.fromkeys(
-            ["solve_fixed_point", "_concavity_ok", "_row_sup", "_argmax_rows", "best_response",
-             "verify_ne", "_newton"], 0)
+            ["solve_fixed_point", "_concavity_ok", "_row_sup", "second_deriv_bound",
+             "_argmax_rows", "best_response", "verify_ne", "_newton"], 0)
         for name in counts:
             def counted(*args, _real=getattr(equilibrium, name), _name=name, **kwargs):
                 counts[_name] += 1
@@ -1141,7 +1123,8 @@ class TestCoarseStart:
             monkeypatch.setattr(equilibrium, name, counted)
         assert equilibrium.solve_fixed_point(main_params, SpreadQuad(2.0)).converged
         assert counts == {"solve_fixed_point": 1, "_concavity_ok": 1, "_row_sup": 1,
-                          "_argmax_rows": 1, "best_response": 0, "verify_ne": 0, "_newton": 2}
+                          "second_deriv_bound": 1, "_argmax_rows": 1, "best_response": 0,
+                          "verify_ne": 0, "_newton": 2}
 
 
 class TestSpectralRowStart:
@@ -1243,103 +1226,89 @@ class TestSpectralRowStart:
         assert np.max(np.abs(linear.values - rep.strategy.values)) <= ARGMAX_TOL
 
 
-def concavity_args(params, fees):
-    """A solve and the output rows' context against its nodes and the
-    upper end max(C, 3 max rows) of the offsets its verdict checks."""
-    rep = solved(params, fees)
-    ctx = PayoffContext(rep.strategy.grid, rep.nodes, params, fees,
-                        default_rule(params, SolverConfig.quad_n))
-    return rep, (ctx, max(existence_bound(params, fees)[0], 3.0 * rep.strategy.max_value()))
-
-
-def concavity_verdict(ctx, hi):
-    """``_concavity_ok`` as a solve calls it, on the rows the bound (as
-    patched into ``equilibrium``) proves on (0, hi]."""
-    return equilibrium._concavity_ok(ctx, hi, equilibrium.second_deriv_bound(ctx, hi) < 0.0)
-
-
 class TestConcavityBound:
-    # the closed-form bound decides which rows the check samples, never
-    # the verdict
+    # the closed-form bound decides which rows the gain's scan reads, never
+    # the flag
 
-    def assert_sampled_verdict(self, params, fees, monkeypatch):
-        rep, args = concavity_args(params, fees)
-        with_bound = concavity_verdict(*args)
+    def assert_flag_without_the_bound(self, params, fees, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(equilibrium, "second_deriv_bound", no_row_certified)
-            sampled = concavity_verdict(*args)
-        assert with_bound is sampled is rep.concavity_ok
+            scanned = solve_fixed_point(params, fees)
+        assert solved(params, fees).concavity_ok is scanned.concavity_ok
 
     @SOLVER_CASES
     @pytest.mark.parametrize("rho", [0.0, 0.03])
-    def test_verdict_is_the_sampled_one(self, params, fees, rho, monkeypatch):
-        self.assert_sampled_verdict(replace(params, rho=rho), fees, monkeypatch)
+    def test_flag_is_the_same_with_no_row_proven(self, params, fees, rho, monkeypatch):
+        self.assert_flag_without_the_bound(replace(params, rho=rho), fees, monkeypatch)
 
-    @pytest.mark.parametrize("gamma", [0.05, 0.1337, 0.5, 2.0])
-    def test_verdict_is_the_sampled_one_at_low_gamma(self, main_params, gamma, monkeypatch):
-        self.assert_sampled_verdict(main_params, SpreadQuad(gamma), monkeypatch)
+    @pytest.mark.parametrize("gamma", [1e-3, 0.005, 0.05, 0.1337, 0.5, 2.0])
+    def test_flag_is_the_same_with_no_row_proven_at_low_gamma(self, main_params, gamma,
+                                                               monkeypatch):
+        self.assert_flag_without_the_bound(main_params, SpreadQuad(gamma), monkeypatch)
 
-    @staticmethod
-    def sampled_calls(args, monkeypatch):
-        """The offsets' shape, the sigma_a and the kernel values of every
-        kernel call of a concave ``_concavity_ok``."""
-        seen = []
-        real = equilibrium.payoff_terms
+    @pytest.mark.parametrize("gamma, flag", [(0.1337, True), (0.005, False)])
+    def test_the_flag_reads_the_gains_scan(self, main_params, gamma, flag, monkeypatch):
+        # at gamma = 0.1337 the bound proves about half the rows, at 0.005
+        # none; the flag reads e' at the gain's scan offsets on exactly the
+        # others, and makes no kernel call of its own
+        fees = SpreadQuad(gamma)
+        rep = solved(main_params, fees)
+        ctx = PayoffContext(rep.strategy.grid, rep.nodes, main_params, fees,
+                            default_rule(main_params, SolverConfig.quad_n))
+        hi = max(existence_bound(main_params, fees)[0], 3.0 * rep.strategy.max_value())
+        unproven = np.count_nonzero(~(second_deriv_bound(ctx, hi) < 0.0))
+        assert unproven > 0
+        seen, calls = [], []
+        real_ok, real_terms = equilibrium._concavity_ok, equilibrium.payoff_terms
 
-        def spy(x, ctx, orders):
-            seen.append((np.shape(x), ctx.sigma_a, np.broadcast(x[..., None], ctx.sig).size))
-            return real(x, ctx, orders)
+        def concavity_ok(hi, slopes):
+            before = len(calls)
+            ok = real_ok(hi, slopes)
+            seen.append((slopes.shape, len(calls) - before))
+            return ok
 
-        monkeypatch.setattr(equilibrium, "payoff_terms", spy)
-        assert concavity_verdict(*args)
-        return seen
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_terms(*args, **kwargs)
 
-    @staticmethod
-    def blocks(n_rows):
-        """The offset blocks in which all 50 offsets are sampled on
-        ``n_rows`` rows: as many as the cap allows per kernel call."""
-        step = max(1, equilibrium._BLOCK_ELEMENTS // (n_rows * SolverConfig.quad_n))
-        return [(min(step, 50 - i), 1) for i in range(0, 50, step)]
-
-    def test_only_the_unproven_rows_are_sampled(self, main_params, monkeypatch):
-        # at gamma = 0.1337 the bound proves about half the rows; the scan
-        # takes all its blocks on exactly the others
-        _, args = concavity_args(main_params, SpreadQuad(0.1337))
-        ctx, hi = args
-        unproven = ctx.sigma_a[second_deriv_bound(ctx, hi) >= 0.0]
-        assert 0 < unproven.size < ctx.sigma_a.size
-        seen = self.sampled_calls(args, monkeypatch)
-        assert [shape for shape, _, _ in seen] == self.blocks(unproven.size)
-        assert all(np.array_equal(sigma_a, unproven) for _, sigma_a, _ in seen)
+        monkeypatch.setattr(equilibrium, "_concavity_ok", concavity_ok)
+        monkeypatch.setattr(equilibrium, "payoff_terms", counted)
+        assert solve_fixed_point(main_params, fees).concavity_ok is flag
+        assert seen == [((unproven, VERIFY_X_SAMPLES), 0)]
 
     def test_a_nan_bound_proves_no_row(self, main_params, monkeypatch):
-        # a solve hands the flag and the gain no proven row: the flag samples
-        # every row, and the gain scans every row, both still passing
+        # a NaN bound proves no row: the gain scans every row and the flag
+        # reads every row's e', both still passing
         seen, real_ok = [], equilibrium._concavity_ok
 
-        def concavity_ok(ctx, hi, proven):
-            seen.append(proven)
-            return real_ok(ctx, hi, proven)
+        def concavity_ok(hi, slopes):
+            seen.append(slopes.shape)
+            return real_ok(hi, slopes)
 
         monkeypatch.setattr(equilibrium, "second_deriv_bound",
                             lambda ctx, hi: np.full(np.shape(ctx.sigma_a), np.nan))
         monkeypatch.setattr(equilibrium, "_concavity_ok", concavity_ok)
         rep = solve_fixed_point(main_params, SpreadQuad(2.0))
-        assert len(seen) == 1 and seen[0].shape == (101,) and not seen[0].any()
+        assert seen == [(101, VERIFY_X_SAMPLES)]
         assert rep.concavity_ok and rep.converged
 
     def test_a_sampled_block_holds_at_most_the_cap(self, main_params, monkeypatch):
         # with no row proven, one offset on 2001 rows already holds more
-        # than _BLOCK_ELEMENTS values, so each call takes one offset
-        fees = SpreadQuad(2.0)
-        rep, (_, hi) = concavity_args(main_params, fees)
-        ctx = PayoffContext(np.linspace(0.1, 1.1, 2001), rep.nodes, main_params, fees,
-                            default_rule(main_params, SolverConfig.quad_n))
+        # than _BLOCK_ELEMENTS values, so each call of the solve's scan takes
+        # one offset; the flag reads all of them
         monkeypatch.setattr(equilibrium, "second_deriv_bound", no_row_certified)
-        seen = self.sampled_calls((ctx, hi), monkeypatch)
-        assert [shape for shape, _, _ in seen] == self.blocks(2001) == [(1, 1)] * 50
-        assert all(values <= max(equilibrium._BLOCK_ELEMENTS, 2001 * 64)
-                   for _, _, values in seen)
+        seen, real = [], equilibrium.payoff_terms
+
+        def spy(x, ctx, orders, cross=False):
+            seen.append((np.shape(x), np.broadcast(np.asarray(x)[..., None], ctx.sig).size))
+            return real(x, ctx, orders, cross)
+
+        monkeypatch.setattr(equilibrium, "payoff_terms", spy)
+        rep = solve_fixed_point(main_params, SpreadQuad(2.0), SolverConfig(grid_n=2001))
+        assert rep.converged and rep.concavity_ok
+        scans = [(shape, values) for shape, values in seen if len(shape) == 2]
+        assert [shape for shape, _ in scans] == [(1, 1)] * VERIFY_X_SAMPLES
+        assert all(values <= max(equilibrium._BLOCK_ELEMENTS, 2001 * 64) for _, values in scans)
 
 
 class TestExistenceBoundQuadrature:

@@ -387,7 +387,7 @@ def context_cases(draw):
     n_rows = 1 if degenerate else draw(st.integers(1, 7))
     rows = np.linspace(params.sigma_minus, params.sigma_plus, n_rows)
     # one offset per row, or a block of offsets against every row, as
-    # equilibrium._scan takes them
+    # equilibrium._scan_sup takes them
     shape = (3, 1) if draw(st.booleans()) else (n_rows,)
     offsets = st.lists(st.floats(-0.5, 2.0), min_size=math.prod(shape), max_size=math.prod(shape))
     values = st.lists(st.floats(0.0, 2.0), min_size=n_nodes, max_size=n_nodes)
