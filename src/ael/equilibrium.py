@@ -278,12 +278,11 @@ def _newton(system, x: np.ndarray, tol: float, max_iter: int):
     return x, residual, iterations, at
 
 
-def _row_newton(ctx: PayoffContext, x, lo, up, hi: float, tol: float, steps: int, orders,
-                terms=None):
+def _row_newton(ctx: PayoffContext, x, lo, up, hi: float, tol: float, steps: int, terms=None):
     """Safeguarded Newton on e' at every row of the row context ``ctx``,
     one offset per row from ``x`` (Press et al., Numerical Recipes, 3rd
-    ed., section 9.4, ``rtsafe``).  ``orders`` ends in (1, 2); ``terms``,
-    if given, holds their ``payoff_terms`` at ``x``.
+    ed., section 9.4, ``rtsafe``).  ``terms``, if given, holds the
+    ``payoff_terms`` of orders (0, 1, 2) at ``x``.
 
     Each step is one kernel call on all rows.  The sign of e' at the
     iterate narrows each row's bracket [lo, up], where NaN marks an end
@@ -296,8 +295,8 @@ def _row_newton(ctx: PayoffContext, x, lo, up, hi: float, tol: float, steps: int
     """
     for taken in range(steps + 1):
         if terms is None:
-            terms = payoff_terms(x, ctx, orders)
-        d1, d2 = terms[-2:]
+            terms = payoff_terms(x, ctx, (0, 1, 2))
+        _, d1, d2 = terms
         lo = np.where(d1 > 0.0, x, lo)
         up = np.where(d1 < 0.0, x, up)
         mid = 0.5 * (lo + up)
@@ -318,8 +317,7 @@ def _argmax_rows(ctx: PayoffContext, start: np.ndarray, tol: float):
     bracket and no upper end, to a step within ``tol`` at every row, else
     NoConvergence.  Returns the roots and their ``payoff_terms`` of
     orders (0, 1, 2)."""
-    x, terms, done = _row_newton(ctx, start, np.nan, np.nan, math.inf, tol, _MAX_NEWTON,
-                                 (0, 1, 2))
+    x, terms, done = _row_newton(ctx, start, np.nan, np.nan, math.inf, tol, _MAX_NEWTON)
     if not np.all(done):
         raise NoConvergence(f"best response not located at {np.count_nonzero(~done)} of "
                             f"{done.size} rows")
@@ -526,8 +524,7 @@ def _scan_sup(ctx: PayoffContext, xs: np.ndarray, hi: float, tol: float):
         lo, up = xs[j], xs[j + 1]
         d_lo, d_up = slopes[at, j], slopes[at, j + 1]
         start = lo + d_lo * (up - lo) / (d_lo - d_up)
-        _, (peaks, _, _), _ = _row_newton(ctx.rows(at), start, lo, up, hi, tol,
-                                         _POLISH_STEPS, (0, 1, 2))
+        _, (peaks, _, _), _ = _row_newton(ctx.rows(at), start, lo, up, hi, tol, _POLISH_STEPS)
         np.maximum.at(best, at, peaks)
     return best, slopes
 
@@ -559,7 +556,7 @@ def _row_sup(ctx: PayoffContext, x: np.ndarray, hi: float, tol: float, terms,
     at = np.flatnonzero(proven)
     sub = ctx if at.size == x.size else ctx.rows(at)  # a slice copies the context's arrays
     _, (sup, _, _), done = _row_newton(sub, x[at], np.nan, np.nan, hi, tol, _POLISH_STEPS,
-                                       (0, 1, 2), [t[at] for t in terms])
+                                       [t[at] for t in terms])
     best[at[done]] = sup[done]
     scan = ~proven
     scan[at[~done]] = True

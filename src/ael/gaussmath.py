@@ -23,11 +23,11 @@ whose array-API support alone pulls in ``array_api_compat`` and
 ``_scipy_ufunc`` imports an extension under stand-ins for whichever of
 the packages it names are not imported yet: modules made from each
 package's own spec but never executed, registered only for that import
-and removed after it.  ``erfc`` comes at import from
-``scipy.special._special_ufuncs``, which needs nothing else of scipy
-and loads in about 1 ms, under a stand-in ``scipy`` and
-``scipy.special``; nothing else is ever loaded under a stand-in
-``scipy``.  ``ndtri``, which only the Monte Carlo draws use, comes from
+and removed after it, with every module imported under them.  ``erfc``
+comes at import from ``scipy.special._special_ufuncs``, which needs
+nothing else of scipy and loads in about 1 ms, under a stand-in
+``scipy`` and ``scipy.special``; nothing else is ever loaded under a
+stand-in ``scipy``.  ``ndtri``, which only the Monte Carlo draws use, comes from
 ``scipy.special._ufuncs`` on its first use (``load_ndtri``).  That
 extension imports ``scipy._lib``, so this load runs scipy's own
 ``__init__`` and stands in ``scipy.special`` alone; in a fresh process
@@ -35,7 +35,8 @@ it takes 17-20 ms (2-CPU host).  This relies on scipy's private layout;
 where a stand-in import fails with an import error, the plain package
 import runs instead.  Either way these are scipy's own ufunc objects,
 so results do not depend on the path taken, and a later ``import
-scipy.special`` hands out the same objects.  Never test
+scipy.special`` loads those extensions again as its own attributes and
+hands out the same objects.  Never test
 ``hasattr(scipy, "special")`` here: scipy's module ``__getattr__``
 answers it by importing the whole package.
 """
@@ -61,7 +62,7 @@ def _scipy_ufunc(name: str, module: str, stand_ins: tuple[str, ...]):
     imported under a stand-in for each package of ``stand_ins`` not yet
     imported, or from the package where that import fails (see the
     module docstring)."""
-    added = []
+    added, before = [], set(sys.modules)
     try:
         for package in stand_ins:
             if package not in sys.modules:
@@ -71,10 +72,15 @@ def _scipy_ufunc(name: str, module: str, stand_ins: tuple[str, ...]):
                 added.append(package)
         return getattr(importlib.import_module(module), name)
     except (ImportError, AttributeError, OSError):
-        pass  # a failed import leaves only complete modules, which the package reuses
+        pass  # the plain package import below loads what the failed one left out
     finally:
-        for package in added:
-            del sys.modules[package]
+        # the stand-ins and every module imported under them, so that a
+        # later real import of the package loads its extensions again,
+        # binds them as its attributes and shares their ufuncs
+        under = tuple(f"{package}." for package in added)
+        for loaded in set(sys.modules) - before:
+            if f"{loaded}.".startswith(under):
+                del sys.modules[loaded]
     return getattr(importlib.import_module("scipy.special"), name)
 
 

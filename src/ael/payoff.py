@@ -29,24 +29,27 @@ volume-weighted variant
     h'(x) = (kbar/2) avg[ -x (1 - Phi(u)) + S Q Phi'(u) ] - 2 g x.
 
 The node Newton system also needs the cross term, the d-derivative of
-the e' or h' integrand at each node, not averaged:
-Phi'(u)/S (Q - 1/2 - u (d Q - x Q~)/S), or (kbar/2) Phi'(u) (x/S - Q u).
+the e' or h' integrand at each node, not averaged.  With u = (x + d)/S,
+d/dd less d/dx of the e' integrand is Phi'(u) (Q + Q~)/S = Phi'(u)/S, and
+of the h' integrand 1 - Phi(u), so the cross term is the Phi' part of
+the order-2 integrand plus Phi'(u)/S, or that part alone (times kbar/2).
 
 One kernel, ``payoff_terms``, evaluates all of these.  A context built
 on an array of sigma_a caches S, Q and Q~ as matrices with one row per
 sigma_a and one column per quadrature node, once, together with the
-strategy values at the nodes and the x-free factors of
-the second-derivative integrand: e'' is avg[Phi'(u) (a0 + x (a1 + x a2))],
-and h'' is (kbar/2) avg[-(1 - Phi(u)) + Phi'(u) (b0 + x b1)] - 2 g.
+strategy values at the nodes and the x-free coefficients of P2, the
+polynomial of the second-derivative integrand: e'' is
+avg[Phi'(u) P2(x)], P2(x) = a0 + x (a1 + x a2), and h'' is
+(kbar/2) avg[Phi'(u) P2(x) - (1 - Phi(u))] - 2 g, P2(x) = b0 + x b1.
 S, Q and Q~ do not depend on the strategy: ``PayoffContext.against``
 shares them (and the nodes and weights) with a context against other
 node values, re-deriving only the rest, and ``PayoffContext.rows``
 takes some sigma_a rows of the caches the kernel reads.  Each call
-computes u and Phi'(u) once for a whole array of offsets, the cross
-term from them on request, and 1 - Phi(u) only when a requested order
-needs it: orders 0 and 1 always, order 2 only under half-linear
-demand.  The requested terms
-follow in place (``out=`` ufuncs) in at most five arrays of the
+computes u and Phi'(u) once for a whole array of offsets, Phi'(u) P2(x)
+once for order 2 and the cross term together, and 1 - Phi(u) only when
+a requested order needs it: orders 0 and 1 always, order 2 only under
+half-linear demand.  The requested terms
+follow in place (``out=`` ufuncs) in at most four arrays of the
 (offsets, nodes) shape rather than one temporary per operation, with
 the operations of the formulas above in their order, so the bits are
 those of the plain expressions.  Those arrays are views of one block
@@ -221,91 +224,88 @@ def _scratch_block(n: int, shape: tuple) -> np.ndarray:
     return block[:size].reshape(n, *shape)
 
 
+def _horner(x, poly, out):
+    """The polynomial with coefficients ``poly``, lowest power first, at
+    ``x`` by Horner's rule, written into ``out`` (which may be the
+    leading coefficient itself)."""
+    *coef, lead = poly
+    np.multiply(x, lead, out=out)
+    for c in reversed(coef[1:]):
+        out += c
+        out *= x
+    out += coef[0]
+    return out
+
+
 def _averages(x: np.ndarray, ctx: PayoffContext, orders, cross=False) -> list:
     """Averages over sigma_b, one per order, of the base integrand (the
     half-linear one times kbar/2 under half-linear demand) and its
     x-derivatives, followed with ``cross`` by the unaveraged cross term.
 
-    Orders 0 and 1 need Phi(u) and Phi'(u).  Order 2 is Phi'(u) times a
-    polynomial in x with the factors ``ctx.e2_poly`` caches, less
-    1 - Phi(u) under half-linear demand; the base order 2 needs no
+    Orders 0 and 1 need Phi(u) and Phi'(u).  Order 2 and the cross term
+    share Phi'(u) P2(x), P2 the polynomial of ``ctx.e2_poly``: order 2 is
+    that, less 1 - Phi(u) under half-linear demand, and the cross term is
+    that plus Phi'(u)/S, or that times kbar/2.  The base order 2 needs no
     Phi(u) at all.
 
-    The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u), two
-    work arrays r and t, and the cross term, views of the calling
-    thread's ``_scratch_block``.  Order 2 needs no t, and without a tail
-    u's array serves as r once Phi'(u) is taken, so a base order-2 call
-    takes two arrays.  The cross term, taken before the tail overwrites
-    u, uses r as scratch, and is returned as a copy.
+    The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u) and two
+    work arrays r and t, views of the calling thread's ``_scratch_block``.
+    Order 2 needs no t, and without a tail u's array serves as r once
+    Phi'(u) is taken, so a base order-2 call takes two arrays.  The cross
+    term is a new array.
     """
     volume = isinstance(ctx.fees, LinearDemand)
     xx = x[..., None]
     d, s = ctx.delta_b, ctx.sig
     lower = min(orders) < 2
     with_tail = volume or lower
-    shape = np.broadcast(xx, s).shape
-    u, dens, *work = _scratch_block(2 + max(with_tail + lower, cross) + cross, shape)
+    u, dens, *work = _scratch_block(2 + with_tail + lower, np.broadcast(xx, s).shape)
     np.add(xx, d, out=u)
     u /= s
     norm_pdf(u, out=dens)
-    extra = [_cross_term(xx, ctx, u, dens, work.pop(), work[0]).copy()] if cross else []
     if with_tail:
         tail = np.subtract(1.0, norm_cdf(u, out=u), out=u)
     else:
         tail, work = None, [u]
     scale = 0.5 * ctx.fees.kbar if volume else 1.0
+    second, extra = None, []
+    if 2 in orders or cross:
+        r = _horner(xx, ctx.e2_poly, work[0])
+        r *= dens
+        if cross:
+            extra = [np.multiply(r, scale) if volume else dens / s + r]
+        if volume:
+            r -= tail
+        second = scale * (r @ ctx.w)
     integrand = _volume_integrand if volume else _base_integrand
-    return [scale * (integrand(k, xx, ctx, dens, tail, *work) @ ctx.w) for k in orders] + extra
+    return [second if k == 2 else scale * (integrand(k, xx, ctx, dens, tail, *work) @ ctx.w)
+            for k in orders] + extra
 
 
-def _cross_term(xx, ctx, u, dens, c, t):
-    """The cross term, written into c (t is scratch)."""
-    d, s, q = ctx.delta_b, ctx.sig, ctx.q
-    if isinstance(ctx.fees, LinearDemand):
-        np.divide(xx, s, out=c)
-        c -= np.multiply(q, u, out=t)
-        c *= np.multiply(dens, 0.5 * ctx.fees.kbar, out=t)
-    else:
-        np.multiply(xx, ctx.qt, out=c)
-        np.subtract(d * q, c, out=c)
-        c *= u
-        c /= s
-        np.subtract(q - 0.5, c, out=c)
-        c *= np.divide(dens, s, out=t)
-    return c
-
-
-def _base_integrand(k, xx, ctx, dens, tail, r, t=None):
-    """Order-k base integrand, written into r (t is scratch for orders 0
-    and 1): 0.5 (x - d) tail + S (1/2 - Q) dens, then
-    0.5 tail + ((d Q - x Q~)/S) dens, then dens (a0 + x (a1 + x a2))."""
+def _base_integrand(k, xx, ctx, dens, tail, r, t):
+    """Order-k base integrand for k = 0 or 1, written into r (t is
+    scratch): 0.5 (x - d) tail + S (1/2 - Q) dens, then
+    0.5 tail + ((d Q - x Q~)/S) dens."""
     d, s, q, qt = ctx.delta_b, ctx.sig, ctx.q, ctx.qt
     if k == 0:
         np.subtract(xx, d, out=r)
         r *= 0.5
         r *= tail
         r += np.multiply(s * (0.5 - q), dens, out=t)
-    elif k == 1:
+    else:
         np.multiply(xx, qt, out=r)
         np.subtract(d * q, r, out=r)
         r /= s
         r *= dens
         r += np.multiply(tail, 0.5, out=t)
-    else:
-        a0, a1, a2 = ctx.e2_poly
-        np.multiply(xx, a2, out=r)
-        r += a1
-        r *= xx
-        r += a0
-        r *= dens
     return r
 
 
-def _volume_integrand(k, xx, ctx, dens, tail, r, t=None):
-    """Order-k half-linear integrand (without kbar/2), written into r (t is
-    scratch for orders 0 and 1):
+def _volume_integrand(k, xx, ctx, dens, tail, r, t):
+    """Order-k half-linear integrand (without kbar/2) for k = 0 or 1,
+    written into r (t is scratch):
     (S^2 (1/2 - Q) - 0.5 (x - d)(d + x)) tail + S (0.5 (x - d)) dens,
-    then -x tail + S Q dens, then dens (b0 + x b1) - tail."""
+    then -x tail + S Q dens."""
     d, s, q = ctx.delta_b, ctx.sig, ctx.q
     if k == 0:
         np.subtract(xx, d, out=t)
@@ -317,15 +317,9 @@ def _volume_integrand(k, xx, ctx, dens, tail, r, t=None):
         t *= s
         t *= dens
         r += t
-    elif k == 1:
+    else:
         np.multiply(-xx, tail, out=r)
         r += np.multiply(s * q, dens, out=t)
-    else:
-        b0, b1 = ctx.e2_poly
-        np.multiply(xx, b1, out=r)
-        r += b0
-        r *= dens
-        r -= tail
     return r
 
 
@@ -366,10 +360,7 @@ def second_deriv_bound(ctx: PayoffContext, hi: float) -> np.ndarray:
     bound = norm_pdf(u, out=np.empty_like(u))
     # u is free: the polynomial at hi, floored at its value at 0 and at 0
     *coef, lead = ctx.e2_poly
-    poly = np.maximum(lead, 0.0, out=u)
-    for c in reversed(coef):
-        poly *= hi
-        poly += c
+    poly = _horner(hi, (*coef, np.maximum(lead, 0.0, out=u)), u)
     np.maximum(coef[0], poly, out=poly)
     bound *= np.maximum(poly, 0.0, out=poly)
     if isinstance(ctx.fees, LinearDemand):

@@ -11,6 +11,7 @@ import pytest
 import ael
 from ael import cli, model
 from ael.cli import main
+from ael.errors import ConfigError
 from ael.model import MarketParams, SpreadQuad, Strategy, analytic_stats, default_rule
 from ael.payoff import PayoffContext, payoff_deriv, penalized_payoff
 
@@ -169,6 +170,8 @@ def test_solve_failure_exit_code(tmp_path, args):
      (["payoff-curve", "--curve.sigma_a", "5"], "ael: config error: key curve.sigma_a:"),
      (["simulate", "--strategy.file", "nan_sigma.csv"],
       "ael: config error: strategy file nan_sigma.csv: strategy grid must be finite"),
+     (["stats", "--strategy.file", "narrow.csv", "--strategy.column", "delta_gamma_5"],
+      "ael: config error: strategy file narrow.csv lacks column 'delta_gamma_5'"),
      (["optimal-fee", "--sweep.count", "-1"],
       "ael: config error: key sweep.count: expected a non-negative integer"),
      (["payoff-curve", "--curve.n", "-1"],
@@ -191,6 +194,7 @@ def test_solve_failure_exit_code(tmp_path, args):
       "ael: config error: key curve.sigma_a: sigma_a = 5.0 outside [0.1, 1.1]")],
     ids=["mid_quad_zero_gamma", "nonpositive_sweep_gamma", "unknown_scheme", "bad_market",
          "bad_curve_sigma_a", "curve_sigma_a_out_of_range", "nan_strategy_sigma",
+         "absent_strategy_column",
          "negative_sweep_count", "negative_curve_n", "repeated_solve_gamma",
          "colliding_solve_gammas", "optimal_fee_other_scheme", "stats_strategy_span",
          "simulate_strategy_span", "curve_strategy_span", "curve_sigma_a_outside_market"],
@@ -348,6 +352,34 @@ def test_stats_columns_match_analytic_stats(tmp_path):
     analytic = asdict(analytic_stats(Strategy.constant(0.3, market, 11), market,
                                      default_rule(market, 16)))
     assert dict(zip(header, row)) == analytic
+
+
+@pytest.fixture(scope="module")
+def two_gamma_csv(tmp_path_factory):
+    """A solve-ne CSV with the columns delta_gamma_2 and delta_gamma_3."""
+    out = tmp_path_factory.mktemp("two_gamma") / "ne.csv"
+    assert main(["solve-ne", "-o", str(out), *TOY, "--solve.gammas", "2,3"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("column", ["delta_gamma_2", "delta_gamma_3"])
+def test_strategy_column_picks_that_column(two_gamma_csv, column):
+    header, rows = data_rows(two_gamma_csv)
+    strategy = cli.load_strategy_csv(str(two_gamma_csv), column)
+    assert strategy.grid.tolist() == [row[header.index("sigma")] for row in rows]
+    assert strategy.values.tolist() == [row[header.index(column)] for row in rows]
+
+
+def test_strategy_column_defaults_to_the_first_delta_column(two_gamma_csv):
+    default = cli.load_strategy_csv(str(two_gamma_csv))
+    first = cli.load_strategy_csv(str(two_gamma_csv), "delta_gamma_2")
+    assert default.grid.tobytes() == first.grid.tobytes()
+    assert default.values.tobytes() == first.values.tobytes()
+
+
+def test_absent_strategy_column_is_config_error(two_gamma_csv):
+    with pytest.raises(ConfigError, match="lacks column 'delta_gamma_5'"):
+        cli.load_strategy_csv(str(two_gamma_csv), "delta_gamma_5")
 
 
 def test_simulate_columns_are_the_estimates_and_their_errors(tmp_path):

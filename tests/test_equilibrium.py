@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import ael.equilibrium as equilibrium
 import ael.parallel as parallel
-import ael.payoff as payoff
 from ael.errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
 from ael.gaussmath import legendre_interpolate, norm_cdf, norm_pdf
 from ael.model import (
@@ -714,7 +713,7 @@ class TestBatchedBestResponse:
         calls = {"ctx": 0, "kernel": 0, "cross": 0, "concavity": None}
         kernel_at_ctx, evaluations = [], []
         real_init = PayoffContext.__post_init__
-        real_terms, real_cross = equilibrium.payoff_terms, payoff._cross_term
+        real_terms = equilibrium.payoff_terms
         real_concavity, real_newton = equilibrium._concavity_ok, equilibrium._newton
 
         def counted_init(self, *args):
@@ -722,13 +721,10 @@ class TestBatchedBestResponse:
             kernel_at_ctx.append(calls["kernel"])
             real_init(self, *args)
 
-        def counted_terms(*args, **kwargs):
+        def counted_terms(*args, cross=False):
             calls["kernel"] += 1
-            return real_terms(*args, **kwargs)
-
-        def counted_cross(*args, **kwargs):
-            calls["cross"] += 1
-            return real_cross(*args, **kwargs)
+            calls["cross"] += cross
+            return real_terms(*args, cross=cross)
 
         def counted_concavity(*args, **kwargs):
             before = calls["kernel"]
@@ -743,7 +739,6 @@ class TestBatchedBestResponse:
 
         monkeypatch.setattr(PayoffContext, "__post_init__", counted_init)
         monkeypatch.setattr(equilibrium, "payoff_terms", counted_terms)
-        monkeypatch.setattr(payoff, "_cross_term", counted_cross)
         monkeypatch.setattr(equilibrium, "_concavity_ok", counted_concavity)
         monkeypatch.setattr(equilibrium, "_newton", counted_newton)
         rep = solve_fixed_point(main_params, fees, SolverConfig())

@@ -7,7 +7,8 @@ whose imports costs more start-up time than the rest of the package:
 ``gaussmath`` loads scipy's ``erfc`` from the compiled
 ``scipy.special._special_ufuncs`` alone, and ``ndtri`` from
 ``scipy.special._ufuncs``, under scipy's own ``__init__``, only when
-the Monte Carlo first draws.  Commands that draw no sample must also
+the Monte Carlo first draws; no module loaded under a stand-in package
+stays in ``sys.modules``.  Commands that draw no sample must also
 leave ``numpy.random`` unloaded.  These checks run in fresh
 interpreters, because pytest's own process has imported scipy.special
 already.
@@ -91,14 +92,16 @@ for command in ("solve-ne", "optimal-fee", "stats", "payoff-curve", "simulate"):
 def test_scipy_special_init_is_never_run(tmp_path):
     # asserted on the scipy installed: one that moves erfc out of
     # _special_ufuncs, or makes it import more of scipy, fails here instead
-    # of taking a slower path unseen.  The four commands that draw no
-    # sample start no worker pool either, so concurrent.futures stays out
+    # of taking a slower path unseen.  The extension modules loaded under
+    # a stand-in scipy.special leave sys.modules with it.  The four
+    # commands that draw no sample start no worker pool either, so
+    # concurrent.futures stays out
     out = run_python(["-c", LOADED, str(tmp_path)])
     *no_draw, simulate = out.splitlines()
-    assert no_draw == ["[False, False, False, False, True, False]"] * 5
+    assert no_draw == ["[False, False, False, False, False, False]"] * 5
     # the first draw loads ndtri's _ufuncs, under scipy's own __init__ but
     # never scipy.special's
-    assert simulate.startswith("[True, True, False, True, True, ")
+    assert simulate.startswith("[True, True, False, False, False, ")
 
 
 ORDER = """
@@ -121,6 +124,35 @@ def test_scipy_special_shares_the_ufuncs_in_either_order(first, second):
 
     out = run_python(["-c", ORDER.format(first, second)])
     assert float(out) == scipy.stats.norm.cdf(1.0)
+
+
+# under -W error, an in-process solve-ne (and the first draw's ndtri load,
+# if asked), then scipy.special's first real import: it shares both ufuncs,
+# and binds its extension modules as attributes
+BOUND = """
+import sys
+import ael
+from ael import gaussmath
+from ael.cli import main
+
+assert main(["solve-ne", "-o", sys.argv[1]]) == 0
+{}
+import scipy.special
+
+assert scipy.special.erfc is gaussmath.erfc and scipy.special.ndtri is gaussmath.ndtri
+print([name in vars(scipy.special) for name in ("_special_ufuncs", "_ufuncs", "_ufuncs_cxx")])
+"""
+
+
+@pytest.mark.parametrize("load, bound", [("", "[True, True, True]"),
+                                         ("gaussmath.load_ndtri()", "[True, True, False]")],
+                         ids=["erfc_only", "after_ndtri"])
+def test_later_scipy_special_binds_its_extensions(tmp_path, load, bound):
+    # _ufuncs_cxx, which ndtri's _ufuncs imports, is not bound after ndtri's
+    # load: the package reloads _ufuncs from its cached copy, which runs no
+    # import of _ufuncs_cxx again
+    out = run_python(["-W", "error", "-c", BOUND.format(load), str(tmp_path / "ne.csv")])
+    assert out == bound + "\n"
 
 
 # makes the first import of the extension named by argv[1] fail, which

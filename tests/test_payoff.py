@@ -267,9 +267,23 @@ def reference_terms(x, ctx, orders):
 
 
 def reference_cross(x, ctx):
-    """The closed-form d-derivative of the order-1 integrand at each node,
-    not averaged, as plain numpy expressions: the kernel's cross term
-    must return these bits."""
+    """The cross term as plain numpy expressions of the identity the
+    kernel uses: Phi'(u) P2(x) + Phi'(u)/S, or (kbar/2) Phi'(u) P2(x), P2
+    the polynomial of e'' (h'') at each node, not averaged.  The kernel's
+    cross term must return these bits."""
+    xx = np.asarray(x, dtype=float)[..., None]
+    d, s, e2 = ctx.delta_b, ctx.sig, reference_e2(ctx)
+    u = (xx + d) / s
+    dens = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * u * u)
+    if isinstance(ctx.fees, LinearDemand):
+        return 0.5 * ctx.fees.kbar * (dens * (e2[0] + xx * e2[1]))
+    return dens * (e2[0] + xx * (e2[1] + xx * e2[2])) + dens / s
+
+
+def closed_form_cross(x, ctx):
+    """The d-derivative of the order-1 integrand at each node, not
+    averaged, in its own closed form (not through the polynomial of e''):
+    Phi'(u)/S (Q - 1/2 - u (d Q - x Q~)/S), or (kbar/2) Phi'(u) (x/S - Q u)."""
     xx = np.asarray(x, dtype=float)[..., None]
     d, s, q = ctx.delta_b, ctx.sig, ctx.q
     u = (xx + d) / s
@@ -309,6 +323,9 @@ class TestInPlaceKernel:
                     assert np.shape(g) == np.shape(w)
                     assert np.array_equal(g, w) and np.array_equal(f, w)
                 assert same_bits(cross, reference_cross(x, ctx))
+                # the identity against the closed form, to rounding
+                closed = closed_form_cross(x, ctx)
+                assert np.max(np.abs(cross - closed)) <= 1e-14 * np.max(np.abs(closed))
 
     def kernel_calls(self):
         """A ``payoff_terms`` call with the cross term on every case, under
