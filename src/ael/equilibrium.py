@@ -5,11 +5,12 @@ maximizes the penalized payoff against delta itself.  The opponent's
 strategy enters the payoff only through its values x at the q quadrature
 nodes sigma_i, so an equilibrium solves G_i(x) = e'(x_i; sigma_a =
 sigma_i, d = x) = 0, i = 1..q, by Newton's method on the analytic
-Jacobian J = diag(e'') + w * (the kernel's cross term).  A cold solve
-first solves the same system on floor(q/4) nodes and starts the q-node
-Newton from the polynomial through that solution (nested iteration);
-the coarse Newton starts at each node's degenerate-market root, and one
-that fails climbs to 10^k gamma and walks back down (``_cold_start``).
+Jacobian J = diag(e'') + w * (the kernel's cross term), each step taken
+whole or not at all (``_newton``).  A cold solve climbs (``_cold_start``):
+the system on floor(q/4) nodes, or on the q nodes below ``_COARSE_MIN``
+coarse ones, is solved from the degenerate-market roots at 10^k gamma,
+k = 0, 1, ..., until one converges, then back down a decade at a time,
+and the q-node Newton starts from the polynomial through that solution.
 The node values converge spectrally in q, so on the markets tried that
 start is already within the tolerance and the q-node system is
 evaluated once; the nodes and every output stay the q-node ones.  The
@@ -76,15 +77,14 @@ from .payoff import PayoffContext, payoff_terms, second_deriv_bound
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_NEWTON = 100  # Newton steps of a best response
-_MAX_HALVINGS = 50  # step halvings before a Newton step gives up
 _DEVIATION_SPAN = 3.0  # offsets up to this multiple of max delta are checked
 _BLOCK_ELEMENTS = 65792  # kernel values per scan call unless one offset holds more: 2.1 MB
 _POLISH_STEPS = 8  # Newton steps of _row_sup's proven rows and scan peaks
 VERIFY_X_SAMPLES = 33  # scan offsets of a solve's gain and flag, and verify_ne's default
 GAIN_TOL = 1e-12  # largest deviation gain of a converged solve: 1e5 times e's rounding
 _COARSE_RATIO = 4  # a cold solve first solves the node system on quad_n // 4 nodes
-_COARSE_MIN = 8  # fewest nodes of that coarse level; below it, no coarse level
-_DECADES = 8  # a failed cold coarse solve is retried at up to 10**_DECADES times gamma
+_COARSE_MIN = 8  # fewest nodes of that coarse level; below it, the climb is on quad_n nodes
+_DECADES = 8  # a failed cold solve of the climb is retried at up to 10**_DECADES times gamma
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class SolverConfig:
     """Equilibrium solver knobs: ``quad_n`` quadrature nodes, which are
     the unknowns, and ``grid_n`` uniform rows of the returned strategy;
     ``tol`` bounds max|J^-1 G| and ``max_iter`` the evaluations of G of each
-    Newton run; a cold solve's coarse level makes up to 2 ``_DECADES`` + 1.
+    Newton run; a cold solve's climb makes up to 2 ``_DECADES`` + 1 runs.
     ``quad_n`` is the package's only default node count of a sigma_b rule."""
 
     grid_n: int = 101
@@ -125,9 +125,10 @@ class EquilibriumReport:
     ``nodes`` on ``grid_n`` rows, the published output, each row within a
     Newton step of ``SolverConfig.row_tol`` of its root of e'.
     ``residual``: the Newton correction max|J^-1 G| at ``nodes``;
-    ``iterations``: the evaluations of G and J on the ``quad_n`` nodes,
-    not counting a cold solve's coarse level.  ``deviation_gain``: the
-    most any row gains against ``nodes`` at an offset in [0, max(C, 3 max
+    ``iterations``: the evaluations of G and J at accepted iterates on the
+    ``quad_n`` nodes, not counting the climb's, so 1 where a cold solve
+    climbed on that rule (below 32 nodes).  ``deviation_gain``: the most
+    any row gains against ``nodes`` at an offset in [0, max(C, 3 max
     strategy)] (``_row_sup``), C being ``existence_bound``'s (0 on a
     degenerate market).  ``converged``: the residual reached ``tol`` and
     the gain ``GAIN_TOL``.  ``concavity_ok``, reported only: every row is
@@ -249,13 +250,13 @@ def existence_bound(
 
 def _newton(system, x: np.ndarray, tol: float, max_iter: int):
     """Newton iteration of the node system from ``x`` on
-    system(x) -> (G, J^-1 G, ...), each step x - t J^-1 G with t halved
-    from 1 until x >= 0 and max|G| does not grow.  The rows' roots of e'
-    take ``_row_newton`` instead.
+    system(x) -> (G, J^-1 G, ...), each step the full x - J^-1 G, taken
+    when it keeps x >= 0 and max|G| there does not exceed max|G| at x (a
+    NaN rejects it).  The rows' roots of e' take ``_row_newton`` instead.
 
-    Stops at max|J^-1 G| <= tol, at ``max_iter`` evaluations or when no
-    halving is accepted, and returns (x, max|J^-1 G| at x, evaluations,
-    system(x)).  A non-finite step raises NoConvergence.
+    Stops at max|J^-1 G| <= tol, at ``max_iter`` evaluations or at a
+    rejected step, and returns (x, max|J^-1 G| at x, evaluations at the
+    accepted iterates, system(x)).  A non-finite step raises NoConvergence.
     """
     at = system(x)
     for iterations in range(1, max_iter + 1):
@@ -265,14 +266,11 @@ def _newton(system, x: np.ndarray, tol: float, max_iter: int):
             raise NoConvergence(f"non-finite Newton step at evaluation {iterations}")
         if residual <= tol or iterations == max_iter:
             break
-        size = np.max(np.abs(g))
-        for t in 0.5 ** np.arange(_MAX_HALVINGS):
-            cand = x - t * step
-            if np.all(cand >= 0.0):
-                at_cand = system(cand)
-                if np.max(np.abs(at_cand[0])) <= size:
-                    break
-        else:
+        cand = x - step
+        if not np.all(cand >= 0.0):
+            break
+        at_cand = system(cand)
+        if not np.max(np.abs(at_cand[0])) <= np.max(np.abs(g)):
             break
         x, at = cand, at_cand
     return x, residual, iterations, at
@@ -364,37 +362,38 @@ def _node_system(params: MarketParams, fees: FeeScheme, rule):
 
 
 def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig,
-                nodes: np.ndarray) -> np.ndarray:
-    """Start of a solve without ``init`` at ``nodes``, the ``cfg.quad_n``
-    nodes: the floor(q/4)-node system solved by ``_newton`` to ``cfg.tol``
-    and read at ``nodes`` by its interpolant (``legendre_interpolate``)
-    clipped at 0 (nested iteration: Hackbusch, Multi-Grid Methods and
-    Applications, 1985, section 5.3).  It is solved cold, from each coarse
+                rule) -> np.ndarray:
+    """Start of a solve without ``init`` on ``rule``, the q = ``cfg.quad_n``
+    node rule: a climb rule's node system solved by ``_newton`` to
+    ``cfg.tol`` and read at the nodes of ``rule`` by its interpolant
+    (``legendre_interpolate``, exact at a shared node) clipped at 0.  The
+    climb rule has floor(q/4) nodes where that is at least ``_COARSE_MIN``
+    (nested iteration: Hackbusch, Multi-Grid Methods and Applications,
+    1985, section 5.3), else it is ``rule``.  It is solved cold, from each
     node's degenerate root, at 10^k gamma for k = 0, 1, ... ``_DECADES``
     until one reaches ``tol``, then down a decade at a time to ``fees``,
     each from the last (natural-parameter continuation: Allgower and
     Georg, Introduction to Numerical Continuation Methods, 2003, ch. 1).
-    The degenerate roots at ``nodes`` instead on a degenerate market, below
-    ``_COARSE_MIN`` coarse nodes, and where every cold solve, or one on the
-    way down, raises NoConvergence or stops above ``tol``."""
+    The degenerate roots at the nodes of ``rule`` instead where every cold
+    solve, or one on the way down, raises NoConvergence or stops above
+    ``tol``."""
     coarse_n = cfg.quad_n // _COARSE_RATIO
-    if not params.is_degenerate and coarse_n >= _COARSE_MIN:
-        rule = coarse, _ = default_rule(params, coarse_n)
-        x, k = None, 0  # x: the last coarse solution, None while climbing
-        while 0 <= k <= _DECADES:
-            at = replace(fees, gamma=fees.gamma * 10**k) if k else fees
-            start = _degenerate_root(at, coarse, params.rho) if x is None else x
-            try:
-                y, residual = _newton(_node_system(params, at, rule), start, cfg.tol,
-                                      cfg.max_iter)[:2]
-            except NoConvergence:
-                residual = math.inf
-            if residual > cfg.tol and x is not None:
-                break  # a solve on the way down failed
-            x, k = (y, k - 1) if residual <= cfg.tol else (None, k + 1)
-        if k < 0:
-            return np.maximum(legendre_interpolate(coarse, x, nodes), 0.0)
-    return _degenerate_root(fees, nodes, params.rho)
+    climb = default_rule(params, coarse_n) if coarse_n >= _COARSE_MIN else rule
+    x, k = None, 0  # x: the last solution of the climb rule, None while climbing
+    while 0 <= k <= _DECADES:
+        at = replace(fees, gamma=fees.gamma * 10**k) if k else fees
+        start = _degenerate_root(at, climb[0], params.rho) if x is None else x
+        try:
+            y, residual = _newton(_node_system(params, at, climb), start, cfg.tol,
+                                  cfg.max_iter)[:2]
+        except NoConvergence:
+            residual = math.inf
+        if residual > cfg.tol and x is not None:
+            break  # a solve on the way down failed
+        x, k = (y, k - 1) if residual <= cfg.tol else (None, k + 1)
+    if k < 0:
+        return np.maximum(legendre_interpolate(climb[0], x, rule[0]), 0.0)
+    return _degenerate_root(fees, rule[0], params.rho)
 
 
 def _concavity_ok(hi: float, slopes: np.ndarray) -> bool:
@@ -433,15 +432,15 @@ def solve_fixed_point(
 
     The node values start at ``init`` read at the nodes (clamped to its
     grid), a start kept public as the tests' reference.  Without ``init``,
-    ``_cold_start`` solves a coarse level, the same node system on floor(q/4)
-    nodes to the same ``tol``, climbing in gamma where it fails cold, and
-    reads it at the q nodes; a degenerate market is one unit-weight node.
-    The coarse level builds no row context and runs no check, and where
-    its climb fails the q-node Newton starts from the degenerate roots at
-    its nodes.  Each Newton run builds one node context and
-    re-points it (``PayoffContext.against``) at each evaluation of G and
-    J; ``_newton`` stops at max|J^-1 G| <= ``tol`` or after ``max_iter``
-    evaluations.  The report's ``nodes`` are the q node values returned,
+    ``_cold_start`` climbs in gamma on the same node system, on floor(q/4)
+    nodes or, below ``_COARSE_MIN`` of them, on the q nodes, to the same
+    ``tol``, and reads it at the q nodes; a degenerate market is one
+    unit-weight node.  The climb builds no row context and runs no check,
+    and where it fails the q-node Newton starts from the degenerate roots
+    at its nodes.  Each Newton run builds one node context and re-points
+    it (``PayoffContext.against``) at each evaluation of G and J;
+    ``_newton`` stops at max|J^-1 G| <= ``tol``, after ``max_iter``
+    evaluations or at a rejected step.  The report's ``nodes`` are the q node values returned,
     with their residual and their evaluations.  One row context against
     them gives the output rows, their deviation gain (``_row_sup`` on
     [0, max(C, 3 max rows)], ``VERIFY_X_SAMPLES`` scan offsets) and the
@@ -463,7 +462,7 @@ def solve_fixed_point(
     bound_c = 0.0 if params.is_degenerate else existence_bound(params, fees, cfg.quad_n)[0]
     rule = default_rule(params, cfg.quad_n)
     nodes = rule[0]
-    x = (_cold_start(params, fees, cfg, nodes) if init is None
+    x = (_cold_start(params, fees, cfg, rule) if init is None
          else init(np.clip(nodes, init.grid[0], init.grid[-1])))
     x, residual, iterations, (g, _, d2) = _newton(
         _node_system(params, fees, rule), x, cfg.tol, cfg.max_iter)

@@ -221,18 +221,26 @@ def _moment_pack(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return np.array([s1, s2, s3, s4])
 
 
+def _mean_se(sums: np.ndarray, n: int):
+    """Mean, its standard error sqrt(m2/n) and the biased second central
+    moment m2 of n samples, from the sums of x and x^2 in the last axis of
+    ``sums``, one triple per leading index."""
+    s1, s2 = sums.T
+    mean = s1 / n
+    m2 = np.maximum(s2 / n - mean * mean, 0.0)
+    return mean, np.sqrt(m2 / n), m2
+
+
 def _mean_var_ses(sums: np.ndarray, n: int) -> tuple[float, float, float, float]:
     """(mean, unbiased variance, se(mean), se(variance)) from raw power sums."""
-    s1, s2, s3, s4 = sums
-    mean = s1 / n
-    m2 = max(s2 / n - mean * mean, 0.0)
+    mean, se_mean, m2 = _mean_se(sums[:2], n)
+    _, s2, s3, s4 = sums
     m4 = s4 / n - 4.0 * mean * s3 / n + 6.0 * mean * mean * s2 / n - 3.0 * mean**4
     var = m2 * n / (n - 1) if n > 1 else 0.0
-    se_mean = math.sqrt(m2 / n)
     # one sample has no spread, and two deviate by +-d, so m4 = m2^2
     # exactly: at n <= 2, m4 - m2^2 holds only the cancellation of the raw sums
     se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n) if n > 2 else 0.0
-    return mean, var, se_mean, se_var
+    return mean, var, float(se_mean), se_var
 
 
 def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> SimReport:
@@ -262,7 +270,7 @@ def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> Sim
     sp_mean, sp_var, se_sp_mean, se_sp_var = _mean_var_ses(spread_sums, n)
     me_mean, me_var, se_me_mean, se_me_var = _mean_var_ses(mid_sums, n)
     p_trade = n_traded / n
-    se_trade = math.sqrt(max(p_trade * (1.0 - p_trade), 0.0) / n)
+    se_trade = math.sqrt(max(p_trade * (1.0 - p_trade), 0.0) / n)  # sqrt(m2/n), m2 = p (1 - p)
 
     return SimReport(
         stats=PairStats(
@@ -274,15 +282,6 @@ def estimate_stats(delta: Strategy, params: MarketParams, sim: SimConfig) -> Sim
         ),
         std_errors=(se_sp_mean, se_sp_var, se_me_mean, se_me_var, se_trade),
     )
-
-
-def _mean_se(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and its standard error from the sums of x and x^2 in the last
-    axis of ``sums``, one pair per leading index."""
-    s1, s2 = sums.T
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean * mean, 0.0) * (n / (n - 1) if n > 1 else 1.0)
-    return mean, np.sqrt(var / n)
 
 
 def _limit_estimate(
@@ -345,7 +344,7 @@ def _limit_estimate(
         return sums
 
     sums = np.sum(_map_chunks(sim.samples, chunk), axis=0)
-    mean, se = _mean_se(sums, sim.samples)
+    mean, se, _ = _mean_se(sums, sim.samples)
     return mean.reshape(xs.shape), se.reshape(xs.shape)
 
 

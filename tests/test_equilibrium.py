@@ -704,8 +704,8 @@ class TestBatchedBestResponse:
         # contexts, each re-pointed at each evaluation of its level, and one
         # output-row context that the row best response and the verdict
         # share; each node level makes one kernel call per evaluation of G
-        # and J (no halvings here), which returns the cross term, computed
-        # nowhere else; the closed-form bound proves every row of the
+        # and J (no step is rejected here), which returns the cross term,
+        # computed nowhere else; the closed-form bound proves every row of the
         # default market concave, so the verdict samples no offset block and
         # steps no row, and the flag reads no sample: the row phase and the
         # verdict together make one kernel call; verify_ne builds one
@@ -768,8 +768,8 @@ def solved(params, fees, tol=SolverConfig.tol):
 
 def plain_start(params, fees, nodes):
     """The degenerate-market root at each of ``nodes``, where a cold solve
-    starts the node values of its coarse level at each decade of gamma it
-    tries, or of its fine level when the coarse one is skipped or fails."""
+    starts the node values of its climb rule at each decade of gamma it
+    tries, or of its fine level when the climb fails."""
     return equilibrium._degenerate_root(fees, nodes, params.rho)
 
 
@@ -933,20 +933,40 @@ class TestNewtonSolve:
         assert rep.converged and rep.iterations > 2
         assert abs(rep.strategy.values[0] - root) <= 1e-14
 
-    def test_halving_keeps_the_iterate_nonnegative(self):
-        # G = atan(x - 10): plain Newton from 14 overshoots to -8.5 and
-        # diverges; the half step lands at 2.7, where |G| grew, so the
-        # quarter step is taken, and every evaluated x stays >= 0
+    @staticmethod
+    def atan_newton(start, nan_after_start=False):
+        """``_newton`` on G = atan(x - 10) from ``start``, with every x at
+        which G is evaluated; G is NaN past the first evaluation if asked."""
         seen = []
 
         def system(x):
-            seen.append(x)
+            seen.append(float(x[0]))
             g = np.arctan(x - 10.0)
+            if nan_after_start and len(seen) > 1:
+                g = np.full_like(g, np.nan)
             return g, g * (1.0 + (x - 10.0) ** 2)
 
-        x, residual, iterations, _ = equilibrium._newton(system, np.array([14.0]), 1e-12, 50)
-        assert residual <= 1e-12 and abs(x[0] - 10.0) <= 1e-12
-        assert len(seen) > iterations and all(v[0] >= 0.0 for v in seen)
+        return equilibrium._newton(system, np.array([start]), 1e-12, 50), seen
+
+    def test_a_step_below_zero_is_not_evaluated(self):
+        # the full step from 14 would land at -8.5: the run returns 14
+        # after its one evaluation there
+        (x, residual, iterations, _), seen = self.atan_newton(14.0)
+        assert x.tolist() == [14.0] and iterations == 1 and seen == [14.0]
+        assert residual == pytest.approx(np.arctan(4.0) * 17.0, rel=1e-15)
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["g_grows", "g_nan"])
+    def test_a_step_that_does_not_lower_g_is_rejected(self, nan):
+        # from 11.5 the full step lands at 8.31, where |G| grew; from 10.5
+        # it would converge, but G is NaN there: either run evaluates the
+        # candidate once and returns its start
+        start = 10.5 if nan else 11.5
+        (x, _, iterations, (g, _)), seen = self.atan_newton(start, nan)
+        assert x.tolist() == [start] and iterations == 1 and len(seen) == 2
+        assert g.tolist() == [np.arctan(start - 10.0)]
+        if not nan:
+            assert seen[1] == pytest.approx(8.306, abs=1e-3)
+            assert abs(np.arctan(seen[1] - 10.0)) > abs(np.arctan(1.5))
 
     @pytest.mark.parametrize("rho", [0.0, 0.03])
     @pytest.mark.parametrize(
@@ -1027,11 +1047,11 @@ class TestCoarseStart:
         monkeypatch.undo()
         assert report_bytes(rep) == report_bytes(plain_solve(main_params, fees))
 
-    @pytest.mark.parametrize("gamma, decades", [(1e-7, 3), (2.0, 0)])
+    @pytest.mark.parametrize("gamma, decades", [(1e-7, 4), (2.0, 0)])
     def test_the_climb_takes_the_decades_it_needs(self, gamma, decades, monkeypatch):
-        # at rho 0.05 the cold coarse solves at 1e-7, 1e-6 and 1e-5 fail and
-        # the one at 1e-4 converges; then 1e-5, 1e-6 and 1e-7 are solved,
-        # each from the last; at gamma 2 the first cold solve converges
+        # at rho 0.05 the cold coarse solves at 1e-7 ... 1e-4 fail and the
+        # one at 1e-3 converges; then 1e-4 ... 1e-7 are solved, each from
+        # the last; at gamma 2 the first cold solve converges
         params = MarketParams(0.1, 1.1, 0.05)
         nodes, _ = default_rule(params, SolverConfig.quad_n // 4)
         real_system, real_newton = equilibrium._node_system, equilibrium._newton
@@ -1060,10 +1080,10 @@ class TestCoarseStart:
 
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     def test_low_gamma_cold_solves_reach_tol(self, rho):
-        # from each node's own degenerate root the node solves converge down
-        # to gamma = 1e-4, and the rows are best responses, though the
-        # concavity flag on the rows stays false there; below, the coarse
-        # level climbs to a gamma that converges cold and walks back down
+        # the node solves converge at gamma 1e-4 and 1e-3, and the rows are
+        # best responses, though the concavity flag on the rows stays false
+        # there; at every gamma the coarse level climbs, where it must, to a
+        # gamma that converges cold and walks back down
         params = MarketParams(0.1, 1.1, rho)
         for gamma in (1e-4, 1e-3):
             rep = solve_fixed_point(params, SpreadQuad(gamma))
@@ -1072,6 +1092,16 @@ class TestCoarseStart:
         for fees in low + ([SpreadQuad(1e-6), SpreadQuad(1e-7)] if rho else []):
             rep = solve_fixed_point(params, fees)
             assert rep.converged and rep.deviation_gain <= GAIN_TOL
+
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    @pytest.mark.parametrize("quad_n", [15, 16, 31])
+    @pytest.mark.parametrize("fees", [SpreadQuad(1e-5), LinearDemand(1.0, 1e-5)],
+                             ids=["spread_quad", "linear_demand"])
+    def test_the_climb_runs_on_a_rule_with_no_coarse_level(self, rho, quad_n, fees):
+        # below 32 nodes the climb solves the quad_n-node rule itself, so
+        # the fine Newton starts at its root and evaluates G once
+        rep = solve_fixed_point(MarketParams(0.1, 1.1, rho), fees, SolverConfig(quad_n=quad_n))
+        assert rep.converged and rep.iterations == 1 and rep.deviation_gain <= GAIN_TOL
 
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 0.005, 0.1337, 2.0])
@@ -1083,8 +1113,9 @@ class TestCoarseStart:
 
     @pytest.mark.parametrize("case", ["init", "degenerate", "quad_n_31", "quad_n_16", "quad_n_32"])
     def test_where_no_coarse_rule_is_built(self, main_params, case, monkeypatch):
-        # with init, on a degenerate market and below 8 coarse nodes the
-        # solve builds its fine rule only; 32 fine nodes take 8 coarse ones
+        # with init and below 8 coarse nodes the solve builds its fine rule
+        # only; 32 fine nodes take 8 coarse ones; a degenerate market's
+        # every rule is its one node
         fees, params, cfg, init = SpreadQuad(2.0), main_params, SolverConfig(), None
         if case == "init":
             init = solved(main_params, fees).nodes
@@ -1092,16 +1123,21 @@ class TestCoarseStart:
             params = MarketParams(1.1, 1.1, 0.0)
         else:
             cfg = SolverConfig(quad_n=int(case.rsplit("_", 1)[1]))
-        sizes, real_rule = [], equilibrium.default_rule
+        sizes, built, real_rule = [], [], equilibrium.default_rule
 
         def rule(params, n):
             sizes.append(n)
-            return real_rule(params, n)
+            out = real_rule(params, n)
+            built.append(out[0].size)
+            return out
 
         monkeypatch.setattr(equilibrium, "default_rule", rule)
         rep = solve_fixed_point(params, fees, cfg, init=init)
         assert rep.converged
-        assert set(sizes) == ({cfg.quad_n, 8} if case == "quad_n_32" else {cfg.quad_n})
+        if case == "degenerate":
+            assert built and set(built) == {1}
+        else:
+            assert set(sizes) == ({cfg.quad_n, 8} if case == "quad_n_32" else {cfg.quad_n})
 
     def test_a_solve_does_not_recurse(self, main_params, monkeypatch):
         # the coarse level is a node solve, not a nested solve_fixed_point:

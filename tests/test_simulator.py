@@ -163,7 +163,8 @@ def test_nonconstant_strategy_estimates_are_pinned(monkeypatch):
     # as in test_stats_report_is_pinned: third and fourth power sums
     assert se_sp_var == pytest.approx(0.002953386836701864, rel=1e-14, abs=0.0)
     assert se_me_var == pytest.approx(0.0007788154453725824, rel=1e-14, abs=0.0)
-    assert limit == (0.02559835283822472, 0.00046315789921250715)
+    # sqrt(m2/n), as the stats' standard errors
+    assert limit == (0.02559835283822472, 0.00046315701581144873)
 
 
 def test_zero_uniforms_stay_finite(monkeypatch):
@@ -325,7 +326,7 @@ def oracle_limit(x, sigma_a, delta, params, sim, kbar=None):
         pay = gain * (z >= (x + d) / sig)
         return np.array([pay.sum(), (pay * pay).sum()])
 
-    return simulator._mean_se(np.sum(oracle_chunks(sim, chunk), axis=0), sim.samples)
+    return simulator._mean_se(np.sum(oracle_chunks(sim, chunk), axis=0), sim.samples)[:2]
 
 
 def bits(values):
