@@ -328,10 +328,14 @@ def cmd_solve_ne(cfg: RunConfig, args: argparse.Namespace) -> int:
         if name in names[:i]:
             raise ConfigError(f"key solve.gammas: {gammas[names.index(name)]!r} and "
                               f"{gammas[i]!r} share the column delta_{name}")
+    # the gammas share one fee-free table; a lone gamma builds as it solves
+    tables = (equilibrium.market_tables(market, cfg.fees(gamma=gammas[0]), solver)
+              if len(gammas) > 1 else None)
     reports = []
     for g in gammas:
         _log(f"ael solve-ne: solving gamma={g:g}")
-        reports.append(equilibrium.solve_fixed_point(market, cfg.fees(gamma=g), solver))
+        reports.append(equilibrium.solve_fixed_point(market, cfg.fees(gamma=g), solver,
+                                                     tables=tables))
     header = ["sigma"] + [f"delta_{name}" for name in names]
     rows = np.column_stack([reports[0].strategy.grid, *(r.strategy.values for r in reports)])
     footer = [f"{key}_{name}={_fmt_cell(getattr(r, key))}"

@@ -11,7 +11,8 @@ the system on floor(q/4) nodes, or on the q nodes below ``_COARSE_MIN``
 coarse ones, is solved from the degenerate-market roots at 10^k gamma,
 k = 0, 1, ..., until one converges, then back down a decade at a time,
 and the q-node Newton starts from the polynomial through that solution.
-The node values converge spectrally in q, so on the markets tried that
+The climb's decades share one context, priced at each.  The node
+values converge spectrally in q, so on the markets tried that
 start is already within the tolerance and the q-node system is
 evaluated once; the nodes and every output stay the q-node ones.  The
 strategy elsewhere is one best response against x, the Nystrom interpolant
@@ -341,12 +342,11 @@ def best_response(
     return Strategy(rows, _argmax_rows(ctx, start, cfg.row_tol)[0])
 
 
-def _node_system(params: MarketParams, fees: FeeScheme, rule):
-    """The node system of ``rule`` for ``_newton``: x -> (G, J^-1 G, e''),
-    one node context built here and re-pointed (``PayoffContext.against``)
-    at each evaluation, one kernel call with the cross term per
-    evaluation.  A singular J raises NoConvergence."""
-    node_ctx = PayoffContext(rule[0], None, params, fees, rule)
+def _node_system(node_ctx: PayoffContext):
+    """The node system of ``node_ctx``, a context on its rule's nodes, for
+    ``_newton``: x -> (G, J^-1 G, e''), the context re-pointed
+    (``PayoffContext.against``) at each evaluation, one kernel call with
+    the cross term per evaluation.  A singular J raises NoConvergence."""
 
     def system(x):
         ctx = node_ctx.against(x)
@@ -361,39 +361,57 @@ def _node_system(params: MarketParams, fees: FeeScheme, rule):
     return system
 
 
-def _cold_start(params: MarketParams, fees: FeeScheme, cfg: SolverConfig,
-                rule) -> np.ndarray:
+def _climb_context(params: MarketParams, fees: FeeScheme, cfg: SolverConfig, rule):
+    """The node context of a cold solve's climb rule: floor(q/4) nodes where
+    that is at least ``_COARSE_MIN`` (nested iteration: Hackbusch, Multi-Grid
+    Methods and Applications, 1985, section 5.3), else ``rule``, the q-node
+    one."""
+    coarse_n = cfg.quad_n // _COARSE_RATIO
+    climb = default_rule(params, coarse_n) if coarse_n >= _COARSE_MIN else rule
+    return PayoffContext(climb[0], None, params, fees, climb)
+
+
+def _cold_start(params: MarketParams, cfg: SolverConfig, rule,
+                climb_ctx: PayoffContext) -> np.ndarray:
     """Start of a solve without ``init`` on ``rule``, the q = ``cfg.quad_n``
-    node rule: a climb rule's node system solved by ``_newton`` to
-    ``cfg.tol`` and read at the nodes of ``rule`` by its interpolant
-    (``legendre_interpolate``, exact at a shared node) clipped at 0.  The
-    climb rule has floor(q/4) nodes where that is at least ``_COARSE_MIN``
-    (nested iteration: Hackbusch, Multi-Grid Methods and Applications,
-    1985, section 5.3), else it is ``rule``.  It is solved cold, from each
-    node's degenerate root, at 10^k gamma for k = 0, 1, ... ``_DECADES``
-    until one reaches ``tol``, then down a decade at a time to ``fees``,
-    each from the last (natural-parameter continuation: Allgower and
-    Georg, Introduction to Numerical Continuation Methods, 2003, ch. 1).
+    node rule: the node system of ``climb_ctx`` (``_climb_context`` at the
+    solve's fees, priced at each gamma by ``PayoffContext.priced``) solved
+    by ``_newton`` to ``cfg.tol`` and read at the nodes of ``rule`` by its
+    interpolant (``legendre_interpolate``, exact at a shared node) clipped
+    at 0.  It is solved cold, from each node's degenerate root, at 10^k
+    gamma for k = 0, 1, ... ``_DECADES`` until one reaches ``tol``, then
+    down a decade at a time to those fees, each from the last
+    (natural-parameter continuation: Allgower and Georg, Introduction to
+    Numerical Continuation Methods, 2003, ch. 1).
     The degenerate roots at the nodes of ``rule`` instead where every cold
     solve, or one on the way down, raises NoConvergence or stops above
     ``tol``."""
-    coarse_n = cfg.quad_n // _COARSE_RATIO
-    climb = default_rule(params, coarse_n) if coarse_n >= _COARSE_MIN else rule
+    fees = climb_ctx.fees
     x, k = None, 0  # x: the last solution of the climb rule, None while climbing
     while 0 <= k <= _DECADES:
-        at = replace(fees, gamma=fees.gamma * 10**k) if k else fees
-        start = _degenerate_root(at, climb[0], params.rho) if x is None else x
+        ctx = climb_ctx.priced(replace(fees, gamma=fees.gamma * 10**k)) if k else climb_ctx
+        start = _degenerate_root(ctx.fees, ctx.nodes, params.rho) if x is None else x
         try:
-            y, residual = _newton(_node_system(params, at, climb), start, cfg.tol,
-                                  cfg.max_iter)[:2]
+            y, residual = _newton(_node_system(ctx), start, cfg.tol, cfg.max_iter)[:2]
         except NoConvergence:
             residual = math.inf
         if residual > cfg.tol and x is not None:
             break  # a solve on the way down failed
         x, k = (y, k - 1) if residual <= cfg.tol else (None, k + 1)
     if k < 0:
-        return np.maximum(legendre_interpolate(climb[0], x, rule[0]), 0.0)
+        return np.maximum(legendre_interpolate(climb_ctx.nodes, x, rule[0]), 0.0)
     return _degenerate_root(fees, rule[0], params.rho)
+
+
+def market_tables(params: MarketParams, fees: FeeScheme,
+                  cfg: SolverConfig = SolverConfig()) -> tuple[PayoffContext, ...]:
+    """``solve_fixed_point``'s fee-free ``tables`` for any gamma of ``fees``'s
+    scheme: contexts against no strategy on the climb rule's nodes, the q
+    nodes and the output rows."""
+    rule = default_rule(params, cfg.quad_n)
+    return (_climb_context(params, fees, cfg, rule),
+            PayoffContext(rule[0], None, params, fees, rule),
+            PayoffContext(uniform_grid(params, cfg.grid_n), None, params, fees, rule))
 
 
 def _concavity_ok(hi: float, slopes: np.ndarray) -> bool:
@@ -427,6 +445,8 @@ def solve_fixed_point(
     fees: FeeScheme,
     cfg: SolverConfig = SolverConfig(),
     init: Strategy | None = None,
+    *,
+    tables: tuple[PayoffContext, ...] | None = None,
 ) -> EquilibriumReport:
     """Newton solve of G(x) = 0 on the q = ``quad_n`` quadrature nodes.
 
@@ -437,8 +457,9 @@ def solve_fixed_point(
     ``tol``, and reads it at the q nodes; a degenerate market is one
     unit-weight node.  The climb builds no row context and runs no check,
     and where it fails the q-node Newton starts from the degenerate roots
-    at its nodes.  Each Newton run builds one node context and re-points
-    it (``PayoffContext.against``) at each evaluation of G and J;
+    at its nodes.  The climb and the q-node Newton each build one node
+    context and re-point it (``PayoffContext.against``) at each
+    evaluation of G and J;
     ``_newton`` stops at max|J^-1 G| <= ``tol``, after ``max_iter``
     evaluations or at a rejected step.  The report's ``nodes`` are the q node values returned,
     with their residual and their evaluations.  One row context against
@@ -454,25 +475,31 @@ def solve_fixed_point(
     evaluated at the returned x, so no kernel call is added; where e'' is
     >= 0 or not finite, b = x.  The start is clipped at 0.  It is within
     the argmax step of the rows on the markets tried, so the row phase
-    takes one kernel call where a linear start takes two or three.
+    takes one kernel call where a linear start takes two or three.  Given
+    ``tables`` (``market_tables`` of this market, ``cfg`` and scheme), the
+    three contexts are those tables priced at ``fees``, not built.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
 
     bound_c = 0.0 if params.is_degenerate else existence_bound(params, fees, cfg.quad_n)[0]
-    rule = default_rule(params, cfg.quad_n)
+    climb_ctx, node_ctx, row_ctx = (None,) * 3 if tables is None else (
+        t.priced(fees) for t in tables)
+    rule = default_rule(params, cfg.quad_n) if node_ctx is None else node_ctx.rule
     nodes = rule[0]
-    x = (_cold_start(params, fees, cfg, rule) if init is None
-         else init(np.clip(nodes, init.grid[0], init.grid[-1])))
+    x = (_cold_start(params, cfg, rule, climb_ctx or _climb_context(params, fees, cfg, rule))
+         if init is None else init(np.clip(nodes, init.grid[0], init.grid[-1])))
     x, residual, iterations, (g, _, d2) = _newton(
-        _node_system(params, fees, rule), x, cfg.tol, cfg.max_iter)
+        _node_system(node_ctx or PayoffContext(nodes, None, params, fees, rule)), x, cfg.tol,
+        cfg.max_iter)
     solved = Strategy(nodes, x)
     # each node's best response against x, one diagonal Newton step away;
     # where e'' proves no maximum, the node value itself
     curved = np.isfinite(d2) & (d2 < 0.0)
     b = x - np.divide(g, d2, out=np.zeros_like(x), where=curved)
-    rows = uniform_grid(params, cfg.grid_n)
-    row_ctx = PayoffContext(rows, solved, params, fees, rule)
+    row_ctx = (PayoffContext(uniform_grid(params, cfg.grid_n), solved, params, fees, rule)
+               if row_ctx is None else row_ctx.against(solved(nodes)))
+    rows = row_ctx.sigma_a
     start = np.maximum(legendre_interpolate(nodes, b, rows), 0.0)
     best, terms = _argmax_rows(row_ctx, start, cfg.row_tol)
     delta = Strategy(rows, best)

@@ -15,8 +15,10 @@ reproduces the degenerate first-order condition exactly).
 
 For a non-degenerate market there is no closed form; revenue reads the
 solved node values (``EquilibriumReport.nodes``), never the output rows.
-``revenue_curve`` solves each gamma of a grid cold, with convergence flags,
-and ``optimal_gamma_numeric`` golden-section searches the converged region.
+``revenue_curve`` solves each gamma of a grid cold, with convergence
+flags, on one fee-free table (``market_tables``), so a point still equals
+its gamma priced alone; ``optimal_gamma_numeric`` golden-section
+searches the converged region.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 from .errors import AelError, DomainError, NoEquilibrium
 from .gaussmath import monotone_newton, norm_cdf, norm_pdf
 from .model import MarketParams, SpreadQuad, default_rule
-from .equilibrium import GAIN_TOL, SolverConfig, solve_degenerate, solve_fixed_point
+from .equilibrium import (GAIN_TOL, SolverConfig, market_tables, solve_degenerate,
+                          solve_fixed_point)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -83,10 +86,11 @@ def optimal_gamma_degenerate(sigma: float, rho: float = 0.0) -> FeeDesignResult:
     )
 
 
-def _solve_revenue(gamma: float, params: MarketParams, cfg: SolverConfig) -> float:
-    """gamma * w . x^2 at the equilibrium for SpreadQuad(gamma), solved cold,
-    with x the node values ``report.nodes`` carries; a degenerate market
-    has the scalar root.
+def _solve_revenue(gamma: float, params: MarketParams, cfg: SolverConfig,
+                   tables=None) -> float:
+    """gamma * w . x^2 at the equilibrium for SpreadQuad(gamma), solved cold
+    (on ``tables`` if given), with x the node values ``report.nodes``
+    carries; a degenerate market has the scalar root.
 
     Raises NoEquilibrium when the equilibrium solve does not converge,
     naming the test that failed: the residual, or the deviation gain.
@@ -95,14 +99,14 @@ def _solve_revenue(gamma: float, params: MarketParams, cfg: SolverConfig) -> flo
     if params.is_degenerate:
         root = solve_degenerate(params, fees)
         return gamma * root * root
-    report = solve_fixed_point(params, fees, cfg)
+    report = solve_fixed_point(params, fees, cfg, tables=tables)
     if not report.residual <= cfg.tol:
         raise NoEquilibrium(f"fixed point did not converge at gamma = {gamma} (residual "
                             f"{report.residual:.3e} after {report.iterations} iterations)")
     if not report.converged:
         raise NoEquilibrium(f"solved rows are not best responses at gamma = {gamma} "
                             f"(deviation gain {report.deviation_gain:.3e} above {GAIN_TOL:g})")
-    _, w = default_rule(params, cfg.quad_n)
+    w = default_rule(params, cfg.quad_n)[1] if tables is None else tables[1].w
     x = report.nodes.values
     return gamma * float(np.dot(w, x * x))
 
@@ -125,7 +129,9 @@ def revenue_curve(
     cfg: SolverConfig = SolverConfig(),
 ) -> list[RevenuePoint]:
     """Revenue at each gamma, each solved cold as ``revenue`` solves it
-    alone, so a point's value depends on its gamma only.
+    alone, so a point's value depends on its gamma only.  Two or more
+    points of a non-degenerate market are solved on one fee-free table
+    (``market_tables``), built once: the same bits.
 
     The grid must be non-empty, positive and strictly increasing
     (DomainError otherwise).  A gamma whose solve raises an ``AelError``
@@ -139,10 +145,12 @@ def revenue_curve(
         raise DomainError("gamma grid must be positive")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise DomainError("gamma grid must be strictly increasing")
+    tables = (None if params.is_degenerate or len(gammas) == 1
+              else market_tables(params, SpreadQuad(gammas[0]), cfg))
     points: list[RevenuePoint] = []
     for g in gammas:
         try:
-            points.append(RevenuePoint(g, _solve_revenue(g, params, cfg), True))
+            points.append(RevenuePoint(g, _solve_revenue(g, params, cfg, tables), True))
         except AelError:
             points.append(RevenuePoint(g, math.nan, False))
     return points

@@ -44,7 +44,11 @@ avg[Phi'(u) P2(x)], P2(x) = a0 + x (a1 + x a2), and h'' is
 S, Q and Q~ do not depend on the strategy: ``PayoffContext.against``
 shares them (and the nodes and weights) with a context against other
 node values, re-deriving only the rest, and ``PayoffContext.rows``
-takes some sigma_a rows of the caches the kernel reads.  Each call
+takes some sigma_a rows of the caches the kernel reads.  Nor do they
+depend on gamma, and P2 only on whether the scheme is half-linear, so
+the fees leave the caches: ``PayoffContext.priced`` shares them all
+under other fees of that kind and kbar, one fee-free table per market
+for every gamma of a sweep and every decade of a climb.  Each call
 computes u and Phi'(u) once for a whole array of offsets, Phi'(u) P2(x)
 once for order 2 and the cross term together, and 1 - Phi(u) only when
 a requested order needs it: orders 0 and 1 always, order 2 only under
@@ -113,10 +117,11 @@ class PayoffContext:
     context serves ``against`` only.  ``rule`` is the ``default_rule``
     pair the averages over sigma_b use.
 
-    ``against`` and ``rows`` derive contexts without rebuilding the
-    x-free caches: the first shares S, Q and Q~ and re-derives what
-    depends on the opponent's node values, the second takes some rows
-    of every cache, and either may follow the other.
+    ``against``, ``rows`` and ``priced`` derive contexts without
+    rebuilding the x-free caches: the first shares S, Q and Q~ and
+    re-derives what depends on the opponent's node values, the second
+    takes some rows of every cache, the third swaps in other fees of the
+    same kind, which no cache reads, and each may follow the others.
     """
 
     sigma_a: float | np.ndarray
@@ -174,6 +179,16 @@ class PayoffContext:
         for name in ("sigma_a", "sig", "q", "qt"):
             object.__setattr__(ctx, name, getattr(self, name)[index])
         object.__setattr__(ctx, "e2_poly", tuple(a[index] for a in self.e2_poly))
+        return ctx
+
+    def priced(self, fees: FeeScheme) -> "PayoffContext":
+        """This context under ``fees``, as if built with them, every cache
+        shared; WrongScheme unless both schemes are half-linear with one
+        kbar, or neither is (``e2_poly`` follows the kind)."""
+        if getattr(fees, "kbar", None) != getattr(self.fees, "kbar", None):
+            raise WrongScheme(f"a table built under {self.fees!r} cannot price {fees!r}")
+        ctx = copy.copy(self)
+        object.__setattr__(ctx, "fees", fees)
         return ctx
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ael.equilibrium as equilibrium
+import ael.exchange as exchange
 import ael.parallel as parallel
 from ael.errors import DegenerateCase, DomainError, NoConvergence, WrongScheme
 from ael.gaussmath import legendre_interpolate, norm_cdf, norm_pdf
@@ -760,6 +761,33 @@ class TestBatchedBestResponse:
             verify_ne(rep.strategy, main_params, fees)
             assert calls["ctx"] == 1
 
+    def test_one_table_per_market(self, monkeypatch):
+        # the climb builds one context for all its decades, and a sweep
+        # builds the climb, node and row contexts once for all its points
+        builds = []
+        real_init = PayoffContext.__post_init__
+
+        def counted_init(self, *args):
+            builds.append(self.fees)
+            real_init(self, *args)
+
+        monkeypatch.setattr(PayoffContext, "__post_init__", counted_init)
+        params = MarketParams(0.1, 1.1, 0.05)
+        climbs = []
+        real_system = equilibrium._node_system
+        monkeypatch.setattr(equilibrium, "_node_system",
+                            lambda ctx: climbs.append(ctx.fees.gamma) or real_system(ctx))
+        rep = solve_fixed_point(params, SpreadQuad(1e-7))
+        assert rep.converged and len(climbs) == 2 * 4 + 1 + 1  # 4 decades up, the q-node solve
+        assert builds == [SpreadQuad(1e-7)] * 3
+        builds.clear()
+        points = exchange.revenue_curve(np.linspace(1.5, 5.0, 20), MarketParams(0.1, 1.1, 0.0))
+        assert all(p.converged for p in points)
+        assert builds == [SpreadQuad(1.5)] * 3
+        builds.clear()
+        verify_ne(rep.strategy, params, SpreadQuad(1e-7))
+        assert len(builds) == 1
+
 
 @lru_cache(maxsize=None)
 def solved(params, fees, tol=SolverConfig.tol):
@@ -1057,9 +1085,9 @@ class TestCoarseStart:
         real_system, real_newton = equilibrium._node_system, equilibrium._newton
         gammas, calls = [], []  # (gamma, started cold, reached tol) per coarse solve
 
-        def node_system(params, fees, rule):
-            gammas.append(fees.gamma)
-            return real_system(params, fees, rule)
+        def node_system(ctx):
+            gammas.append(ctx.fees.gamma)
+            return real_system(ctx)
 
         def newton(system, x, tol, max_iter):
             out = real_newton(system, x, tol, max_iter)

@@ -217,10 +217,10 @@ class TestRevenueCurveErrors:
     def test_solver_error_marks_point_and_sweep_continues(self, main_params, monkeypatch):
         real = exchange.solve_fixed_point
 
-        def flaky(params, fees, cfg, init=None):
+        def flaky(params, fees, cfg, init=None, *, tables=None):
             if fees.gamma == 1.0:
                 raise NoConvergence("synthetic")
-            return real(params, fees, cfg, init=init)
+            return real(params, fees, cfg, init=init, tables=tables)
 
         monkeypatch.setattr(exchange, "solve_fixed_point", flaky)
         points = revenue_curve([1.0, 2.0], main_params, self.CFG)
@@ -236,8 +236,8 @@ class TestNoEquilibriumMessage:
     def test_message_names_the_failed_test(self, main_params, failure, monkeypatch):
         real = exchange.solve_fixed_point
 
-        def failing(params, fees, cfg, init=None):
-            rep = real(params, fees, cfg, init=init)
+        def failing(params, fees, cfg, init=None, *, tables=None):
+            rep = real(params, fees, cfg, init=init, tables=tables)
             if failure == "residual":
                 return replace(rep, residual=1e-3, converged=False)
             return replace(rep, deviation_gain=2.5e-6, converged=False)
@@ -254,12 +254,15 @@ class TestNoEquilibriumMessage:
 
 
 class TestRevenueMatchesCurve:
-    # each point of a curve is solved cold, so it equals its gamma priced
-    # alone, bit for bit, whatever the grid around it
-    @pytest.mark.parametrize("grid", [[2.0], [1e-5, 0.1337, 2.0]], ids=["one", "three"])
+    # each point of a curve is solved cold on the market's one fee-free
+    # table, so it equals its gamma priced alone, bit for bit, whatever the
+    # grid around it, at gammas whose solves climb several decades too
+    @pytest.mark.parametrize("grid", [[2.0], [1e-5, 0.1337, 2.0], [1e-6, 1e-5, 1e-4, 0.1337, 2.0]],
+                             ids=["one", "three", "climbing"])
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
     @pytest.mark.parametrize("market", [(0.1, 1.1), (1.1, 1.1)], ids=["main", "degenerate"])
-    def test_curve_points_equal_revenue(self, market, grid):
-        params = MarketParams(*market, 0.0)
+    def test_curve_points_equal_revenue(self, market, rho, grid):
+        params = MarketParams(*market, rho)
         cfg = SolverConfig(grid_n=11)
         points = revenue_curve(grid, params, cfg)
         assert all(p.converged for p in points)

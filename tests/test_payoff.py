@@ -29,6 +29,7 @@ from ael.payoff import (
     payoff_second_deriv,
     payoff_terms,
     penalized_payoff,
+    second_deriv_bound,
 )
 
 ALL_SCHEMES = (NoFee(), SpreadQuad(2.0), MidQuad(0.5), LinearDemand(1.0, 0.3))
@@ -462,6 +463,52 @@ class TestDerivedContexts:
                     PayoffContext(rows, None, params, fees, rule).against(second).rows(index),
                     full.rows(index).against(second)):
             assert_same_context(got, fresh, x[index])
+
+    @pytest.mark.parametrize("fees, other", [
+        (SpreadQuad(2.0), SpreadQuad(1e-5)),
+        (NoFee(), MidQuad(0.5)),
+        (LinearDemand(1.0, 0.3), LinearDemand(1.0, 1e-5)),
+    ], ids=["spread_quad", "base_kind", "linear_demand"])
+    @pytest.mark.parametrize("index", [slice(2, 6), np.array([5, 0, 3, 3])],
+                             ids=["slice", "int_array"])
+    def test_priced_context_is_a_fresh_one(self, fees, other, index):
+        # a context priced at other fees of its kind, before or after it is
+        # re-pointed or sliced, and the fee-free table built with no
+        # opponent, hold the bits of a fresh build under those fees, the
+        # bound on e'' included, and share every cache
+        params = MarketParams(0.1, 1.1, 0.03)
+        rule = nodes, _ = default_rule(params, 16)
+        rows = np.linspace(params.sigma_minus, params.sigma_plus, 7)
+        first, second = 0.05 + 0.2 * nodes, 0.3 - 0.1 * nodes
+        x = np.linspace(0.0, 0.8, 7)
+        full = PayoffContext(rows, Strategy(nodes, first), params, fees, rule)
+        fresh = PayoffContext(rows[index], Strategy(nodes, second), params, other, rule)
+        for got in (full.priced(other).against(second).rows(index),
+                    full.against(second).priced(other).rows(index),
+                    full.rows(index).against(second).priced(other),
+                    full.rows(index).priced(other).against(second),
+                    PayoffContext(rows, None, params, fees, rule).priced(other)
+                    .against(second).rows(index)):
+            assert_same_context(got, fresh, x[index])
+            assert same_bits(second_deriv_bound(got, 0.9), second_deriv_bound(fresh, 0.9))
+        priced = full.priced(other)
+        assert priced.fees is other and full.fees is fees
+        for name in ("nodes", "w", "sig", "q", "qt", "delta_b", "e2_poly"):
+            assert getattr(priced, name) is getattr(full, name)
+
+    @pytest.mark.parametrize("fees, other", [
+        (SpreadQuad(2.0), LinearDemand(1.0, 2.0)),
+        (LinearDemand(1.0, 0.3), SpreadQuad(0.3)),
+        (NoFee(), LinearDemand(1.0, 0.3)),
+        (LinearDemand(1.0, 0.3), LinearDemand(2.0, 0.3)),
+    ], ids=["to_linear_demand", "to_spread_quad", "no_fee", "kbar"])
+    def test_priced_keeps_the_scheme_kind(self, fees, other):
+        # the second-derivative factors differ between the base and the
+        # half-linear schemes, and a table is priced under one kbar
+        params = MarketParams(0.1, 1.1, 0.0)
+        rule = default_rule(params, 8)
+        with pytest.raises(WrongScheme):
+            PayoffContext(rule[0], None, params, fees, rule).priced(other)
 
 
 @st.composite
