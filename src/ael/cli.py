@@ -421,13 +421,11 @@ def _check_derivative_fd(cfg, market):
     rule = cfg.rule(market)
     h, worst = 1e-4, 0.0
     for fees in schemes:
-        points = [(rng.uniform(market.sigma_minus, market.sigma_plus), rng.uniform(0.0, 1.5))
-                  for _ in range(12)]
-        ctx = PayoffContext(np.array([sa for sa, _ in points]), delta, market, fees, rule)
-        for i, (_, x) in enumerate(points):
-            row = ctx.rows(i)
-            fd = (penalized_payoff(x + h, row) - penalized_payoff(x - h, row)) / (2 * h)
-            worst = max(worst, abs(payoff_deriv(x, row) - fd))
+        sa, x = np.array([(rng.uniform(market.sigma_minus, market.sigma_plus),
+                           rng.uniform(0.0, 1.5)) for _ in range(12)]).T
+        ctx = PayoffContext(sa, delta, market, fees, rule)
+        fd = (penalized_payoff(x + h, ctx) - penalized_payoff(x - h, ctx)) / (2 * h)
+        worst = max(worst, float(np.max(np.abs(payoff_deriv(x, ctx) - fd))))
     return worst <= 1e-6, f"max_err={worst:.3e} (tol 1e-06)"
 
 

@@ -414,6 +414,19 @@ def market_tables(params: MarketParams, fees: FeeScheme,
             PayoffContext(uniform_grid(params, cfg.grid_n), None, params, fees, rule))
 
 
+def _priced_tables(tables, params: MarketParams, fees: FeeScheme, cfg: SolverConfig):
+    """``tables`` priced at ``fees``; DomainError unless they hold ``params``
+    on the node and row counts of ``market_tables(params, fees, cfg)``
+    (one node and one row on a degenerate market)."""
+    _, node_ctx, row_ctx = tables
+    sizes = (node_ctx.nodes.size, row_ctx.sigma_a.size)
+    if any(t.params != params for t in tables) or sizes != (
+            (1, 1) if params.is_degenerate else (cfg.quad_n, cfg.grid_n)):
+        raise DomainError(f"tables of {node_ctx.params} on {sizes[0]} nodes and {sizes[1]} "
+                          f"rows, not of {params} at quad_n={cfg.quad_n}, grid_n={cfg.grid_n}")
+    return [t.priced(fees) for t in tables]
+
+
 def _concavity_ok(hi: float, slopes: np.ndarray) -> bool:
     """Whether the penalized payoff is strictly concave in the offset at
     every row on [0, hi], as far as the deviation gain's scan shows it;
@@ -477,14 +490,15 @@ def solve_fixed_point(
     the argmax step of the rows on the markets tried, so the row phase
     takes one kernel call where a linear start takes two or three.  Given
     ``tables`` (``market_tables`` of this market, ``cfg`` and scheme), the
-    three contexts are those tables priced at ``fees``, not built.
+    three contexts are those tables priced at ``fees``, not built; tables
+    of another market, ``quad_n`` or ``grid_n`` raise DomainError.
     """
     _require_solvable(fees)
     _require_rho_bound(params)
 
     bound_c = 0.0 if params.is_degenerate else existence_bound(params, fees, cfg.quad_n)[0]
-    climb_ctx, node_ctx, row_ctx = (None,) * 3 if tables is None else (
-        t.priced(fees) for t in tables)
+    climb_ctx, node_ctx, row_ctx = (None,) * 3 if tables is None else _priced_tables(
+        tables, params, fees, cfg)
     rule = default_rule(params, cfg.quad_n) if node_ctx is None else node_ctx.rule
     nodes = rule[0]
     x = (_cold_start(params, cfg, rule, climb_ctx or _climb_context(params, fees, cfg, rule))

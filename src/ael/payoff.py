@@ -50,10 +50,9 @@ the fees leave the caches: ``PayoffContext.priced`` shares them all
 under other fees of that kind and kbar, one fee-free table per market
 for every gamma of a sweep and every decade of a climb.  Each call
 computes u and Phi'(u) once for a whole array of offsets, Phi'(u) P2(x)
-once for order 2 and the cross term together, and 1 - Phi(u) only when
-a requested order needs it: orders 0 and 1 always, order 2 only under
-half-linear demand.  The requested terms
-follow in place (``out=`` ufuncs) in at most four arrays of the
+once for order 2 and the cross term together, and 1 - Phi(u) once,
+which neither the base order 2 nor the cross term reads.  The requested
+terms follow in place (``out=`` ufuncs) in at most four arrays of the
 (offsets, nodes) shape rather than one temporary per operation, with
 the operations of the formulas above in their order, so the bits are
 those of the plain expressions.  Those arrays are views of one block
@@ -260,28 +259,20 @@ def _averages(x: np.ndarray, ctx: PayoffContext, orders, cross=False) -> list:
     Orders 0 and 1 need Phi(u) and Phi'(u).  Order 2 and the cross term
     share Phi'(u) P2(x), P2 the polynomial of ``ctx.e2_poly``: order 2 is
     that, less 1 - Phi(u) under half-linear demand, and the cross term is
-    that plus Phi'(u)/S, or that times kbar/2.  The base order 2 needs no
-    Phi(u) at all.
+    that plus Phi'(u)/S, or that times kbar/2.
 
-    The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u) and two
-    work arrays r and t, views of the calling thread's ``_scratch_block``.
-    Order 2 needs no t, and without a tail u's array serves as r once
-    Phi'(u) is taken, so a base order-2 call takes two arrays.  The cross
-    term is a new array.
+    The (offsets, nodes) arrays are u (then 1 - Phi(u)), Phi'(u) and the
+    work arrays r and t, views of the calling thread's ``_scratch_block``;
+    a call of order 2 alone takes no t.  The cross term is a new array.
     """
     volume = isinstance(ctx.fees, LinearDemand)
     xx = x[..., None]
     d, s = ctx.delta_b, ctx.sig
-    lower = min(orders) < 2
-    with_tail = volume or lower
-    u, dens, *work = _scratch_block(2 + with_tail + lower, np.broadcast(xx, s).shape)
+    u, dens, *work = _scratch_block(3 + (min(orders) < 2), np.broadcast(xx, s).shape)
     np.add(xx, d, out=u)
     u /= s
     norm_pdf(u, out=dens)
-    if with_tail:
-        tail = np.subtract(1.0, norm_cdf(u, out=u), out=u)
-    else:
-        tail, work = None, [u]
+    tail = np.subtract(1.0, norm_cdf(u, out=u), out=u)
     scale = 0.5 * ctx.fees.kbar if volume else 1.0
     second, extra = None, []
     if 2 in orders or cross:
@@ -384,19 +375,20 @@ def second_deriv_bound(ctx: PayoffContext, hi: float) -> np.ndarray:
     return bound @ ctx.w - 2.0 * a
 
 
-# Kept only as span targets of bench/layers.py, which tests/test_bench_targets.py
-# requires; cli's derivative_fd check is what feeds those spans.
-def penalized_payoff(x: float, ctx: PayoffContext) -> float:
+# One order of payoff_terms each, on whatever it takes: an array of offsets
+# against a row context, or one offset on one sigma_a (a float).  Span
+# targets of bench/layers.py (tests/test_bench_targets.py); cli's
+# derivative_fd check feeds the first two, and the third has no src/ caller.
+def penalized_payoff(x, ctx: PayoffContext):
     """Payoff net of the exchange penalty of ctx.fees."""
-    return float(payoff_terms(x, ctx, (0,))[0])
+    return payoff_terms(x, ctx, (0,))[0]
 
 
-def payoff_deriv(x: float, ctx: PayoffContext) -> float:
+def payoff_deriv(x, ctx: PayoffContext):
     """d/dx of penalized_payoff."""
-    return float(payoff_terms(x, ctx, (1,))[0])
+    return payoff_terms(x, ctx, (1,))[0]
 
 
-def payoff_second_deriv(x: float, ctx: PayoffContext) -> float:
+def payoff_second_deriv(x, ctx: PayoffContext):
     """d^2/dx^2 of penalized_payoff."""
-    return float(payoff_terms(x, ctx, (2,))[0])
-
+    return payoff_terms(x, ctx, (2,))[0]

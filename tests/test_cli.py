@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ael
-from ael import cli, model
+from ael import cli, model, payoff
 from ael.cli import main
 from ael.errors import ConfigError
 from ael.model import MarketParams, SpreadQuad, Strategy, analytic_stats, default_rule
@@ -330,6 +330,43 @@ def test_validate_payoff_mc_fails_a_reference_off_by_ten_se(monkeypatch, capsys,
     verdicts = dict(ln.split()[:2] for ln in capsys.readouterr().out.splitlines())
     assert verdicts.pop("payoff_mc") == verdicts.pop("OVERALL:") == "FAIL"
     assert set(verdicts.values()) == {"PASS"}
+
+
+def derivative_fd_calls(monkeypatch):
+    """Run validate's derivative_fd check on the default market and return
+    its verdict, the (x, ctx, orders, result) of each of its kernel calls,
+    and the indexes of the row contexts it derived."""
+    calls, rows = [], []
+    terms, take = payoff.payoff_terms, PayoffContext.rows
+
+    def spy(x, ctx, orders=(0, 1, 2), cross=False):
+        calls.append((x, ctx, orders, terms(x, ctx, orders, cross)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(payoff, "payoff_terms", spy)
+    monkeypatch.setattr(PayoffContext, "rows", lambda self, index: rows.append(index)
+                        or take(self, index))
+    cfg = cli.RunConfig.build(None, [])
+    verdict = cli._check_derivative_fd(cfg, cfg.market())
+    monkeypatch.undo()
+    return verdict, calls, rows
+
+
+def test_derivative_fd_evaluates_all_its_points_at_once(monkeypatch):
+    # per scheme, the payoff at x - h and x + h and e' at x, each on all
+    # 12 rows of one context: no one-point call and no row context
+    verdict, calls, rows = derivative_fd_calls(monkeypatch)
+    assert verdict == (True, "max_err=3.974e-09 (tol 1e-06)")
+    assert [(np.shape(x), ctx.sigma_a.shape, orders) for x, ctx, orders, _ in calls] == [
+        ((12,), (12,), (0,)), ((12,), (12,), (0,)), ((12,), (12,), (1,))] * 4
+    assert rows == []
+
+
+def test_derivative_fd_batch_matches_its_points_one_at_a_time(monkeypatch):
+    _, calls, _ = derivative_fd_calls(monkeypatch)
+    for x, ctx, orders, (batch,) in calls:
+        alone = np.array([payoff.payoff_terms(x[i], ctx.rows(i), orders)[0] for i in range(12)])
+        assert np.all(np.abs(batch - alone) <= 1e-15 * np.abs(alone))
 
 
 def test_validate_reads_a_zero_standard_error_as_an_infinite_deviation(capsys):

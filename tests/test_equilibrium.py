@@ -788,6 +788,26 @@ class TestBatchedBestResponse:
         verify_ne(rep.strategy, params, SpreadQuad(1e-7))
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("market, cfg", [
+        (MarketParams(0.3, 0.9, 0.05), SolverConfig()),
+        (MarketParams(0.1, 1.1, 0.0), SolverConfig(quad_n=32)),
+        (MarketParams(0.1, 1.1, 0.0), SolverConfig(grid_n=11)),
+    ], ids=["market", "quad_n", "grid_n"])
+    def test_tables_of_another_solve_are_refused(self, market, cfg):
+        # tables built for another market, rule or row count would solve
+        # that one and report it converged
+        tables = equilibrium.market_tables(market, SpreadQuad(2.0))
+        with pytest.raises(DomainError, match="tables of"):
+            solve_fixed_point(MarketParams(0.1, 1.1, 0.0), SpreadQuad(2.0), cfg, tables=tables)
+
+    def test_a_degenerate_market_takes_its_tables_at_any_size(self):
+        # one node and one row whatever quad_n and grid_n say
+        params, cfg = MarketParams(1.1, 1.1, 0.0), SolverConfig(grid_n=11, quad_n=16)
+        tables = equilibrium.market_tables(params, SpreadQuad(3.0))
+        rep = solve_fixed_point(params, SpreadQuad(2.0), cfg, tables=tables)
+        built = solve_fixed_point(params, SpreadQuad(2.0), cfg)
+        assert rep.converged and rep.strategy.values.tobytes() == built.strategy.values.tobytes()
+
 
 @lru_cache(maxsize=None)
 def solved(params, fees, tol=SolverConfig.tol):

@@ -208,17 +208,6 @@ class TestKernelOrders:
                          0.02 + 0.05 * np.linspace(0.0, 1.0, 21))
         return PayoffContext(delta.grid, delta, params, fees, default_rule(params, QUAD_N)), delta
 
-    def test_second_derivative_skips_the_cdf(self, main_params, monkeypatch):
-        ctx, delta = self.grid_ctx(main_params, SpreadQuad(2.0))
-        _, with_cdf = payoff_terms(delta.values, ctx, (1, 2))
-
-        def no_cdf(x):
-            raise AssertionError("order 2 evaluated Phi")
-
-        monkeypatch.setattr(payoff, "norm_cdf", no_cdf)
-        (alone,) = payoff_terms(delta.values, ctx, (2,))
-        assert np.array_equal(alone, with_cdf)
-
     @pytest.mark.parametrize("fees", ALL_SCHEMES, ids=lambda f: type(f).__name__)
     def test_orders_do_not_depend_on_each_other(self, main_params, fees):
         ctx, delta = self.grid_ctx(main_params, fees)
@@ -226,6 +215,29 @@ class TestKernelOrders:
         together = payoff_terms(x, ctx, (0, 1, 2))
         for k, value in zip((0, 1, 2), together):
             assert np.array_equal(payoff_terms(x, ctx, (k,))[0], value)
+
+
+class TestOneOrderFunctions:
+    ONE_ORDER = (penalized_payoff, payoff_deriv, payoff_second_deriv)
+
+    @pytest.mark.parametrize("fees", ALL_SCHEMES, ids=lambda f: type(f).__name__)
+    def test_each_is_its_order_of_the_kernel(self, main_params, fees):
+        # on a 12-row context, one offset per row, as validate's
+        # derivative_fd check calls them, and a block of offsets
+        rows = np.linspace(main_params.sigma_minus, main_params.sigma_plus, 12)
+        ctx = ctx_for(main_params, fees, sigma_a=rows)
+        for x in (np.linspace(0.0, 1.5, 12), np.linspace(-0.2, 1.2, 3)[:, None]):
+            for k, f in enumerate(self.ONE_ORDER):
+                got = f(x, ctx)
+                assert got.shape == np.broadcast(x, rows).shape
+                assert same_bits(got, payoff_terms(x, ctx, (k,))[0])
+
+    @pytest.mark.parametrize("fees", ALL_SCHEMES, ids=lambda f: type(f).__name__)
+    def test_one_offset_on_one_sigma_a_is_a_float(self, main_params, fees):
+        ctx = ctx_for(main_params, fees)
+        for k, f in enumerate(self.ONE_ORDER):
+            got = f(0.4, ctx)
+            assert isinstance(got, float) and got == payoff_terms(0.4, ctx, (k,))[0]
 
 
 def reference_e2(ctx):
